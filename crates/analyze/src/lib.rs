@@ -25,7 +25,7 @@
 //!   (no crates.io dependencies, like `stgnn_tensor::par`'s hand-rolled
 //!   pool) that walks `crates/*/src` and forbids panic-paths
 //!   (`unwrap()`/`expect()`/`panic!`/slice-indexing) in non-test code of
-//!   the hot-path crates, flags locks held across `forward` calls, and
+//!   the hot-path crates and raw `File::create` on persistence paths, and
 //!   honors `// lint: allow(<code>)` escapes. Run as a CI gate via
 //!   `cargo run -p stgnn-analyze --bin stgnn-lint`.
 //! * [`sound`] — **`stgnn-sound`**, a deeper soundness pass built on the

@@ -15,7 +15,6 @@
 //! | `L002` | deny | `.expect(...)` in non-test code |
 //! | `L003` | deny | `panic!(...)` in non-test code |
 //! | `L004` | deny | slice/array indexing `x[...]` in non-test code |
-//! | `L005` | deny | lock guard bound across a `forward`/`predict_horizon` call |
 //! | `L006` | deny | raw `File::create` on a persistence path (use `stgnn_faults::fsio::atomic_write`) |
 //!
 //! ## Escapes
@@ -29,16 +28,14 @@
 //!
 //! ## Policy
 //!
-//! Hot-path crates (`tensor`, `graph`, `serve`, `scale`) get the full
-//! table; persistence crates get `L006` only. `L005` started life as a
-//! warn-level heuristic (brace-depth tracking of `let`-bound `.lock()`/
-//! `.read()`/`.write()` guards cannot see non-lexical lifetimes); it is
-//! deny-level now that [`crate::sound`]'s lock-order pass cross-checks the
-//! same property interprocedurally — a false positive is escaped with an
-//! invariant, not tolerated as a warning nobody reads.
+//! Hot-path crates (`tensor`, `graph`, `serve`, `scale`, `online`) get the
+//! full table; persistence crates get `L006` only. Code `L005` (a lock
+//! guard held across a `forward`/`predict_horizon` call) is retired: the
+//! [`crate::sound`] rule `S002` checks the same property across function
+//! calls over the whole workspace.
 
 use crate::diag::Severity;
-use crate::lex::{find_from, ident_char, mask, MaskedSource};
+use crate::lex::{find_from, ident_char, mask};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -54,8 +51,6 @@ pub mod codes {
     pub const PANIC: &str = "L003";
     /// Panicking slice/array indexing on a request/training path.
     pub const INDEX: &str = "L004";
-    /// Lock guard held across a `forward`/`predict_horizon` call.
-    pub const LOCK_ACROSS_FORWARD: &str = "L005";
     /// Raw `File::create` on a persistence path: a crash mid-write leaves a
     /// truncated file. `stgnn_faults::fsio::atomic_write` is the sanctioned
     /// writer (temp sibling + fsync + rename).
@@ -73,8 +68,6 @@ pub struct Policy {
     pub panic: bool,
     /// Forbid slice/array indexing (`L004`).
     pub index: bool,
-    /// Deny lock guards held across forward calls (`L005`).
-    pub locks: bool,
     /// Forbid raw `File::create` (`L006`).
     pub raw_create: bool,
 }
@@ -87,7 +80,6 @@ impl Policy {
             expect: true,
             panic: true,
             index: true,
-            locks: true,
             raw_create: true,
         }
     }
@@ -270,9 +262,6 @@ pub fn lint_file(file: &str, src: &str, policy: &Policy) -> Vec<Violation> {
             }
         }
     }
-    if policy.locks {
-        lint_locks(&m, &mut push);
-    }
     out.sort_by_key(|v| v.line);
     out
 }
@@ -292,80 +281,6 @@ pub(crate) fn scan_method_call(masked: &[u8], pat: &[u8], mut hit: impl FnMut(us
         }
         if masked.get(k) == Some(&b'(') {
             hit(pos);
-        }
-    }
-}
-
-/// `L005`: a `let`-bound guard from a statement ending in `.lock();` /
-/// `.read();` / `.write();` is considered live until its block closes or
-/// `drop(<name>)` runs; a `forward(`/`predict_horizon(` call while one is
-/// live is denied. Deny-level since the `stgnn-sound` lock-order pass
-/// proves the same property interprocedurally — a false positive here gets
-/// an escape with a named invariant, not a warning.
-fn lint_locks(m: &MaskedSource, push: &mut impl FnMut(usize, &'static str, Severity, String)) {
-    let mut depth = 0usize;
-    let mut guards: Vec<(String, usize)> = Vec::new(); // (binding, depth)
-    for (lineno, window) in m.line_starts.iter().enumerate() {
-        let start = *window;
-        let end = m
-            .line_starts
-            .get(lineno + 1)
-            .copied()
-            .unwrap_or(m.text.len());
-        let line = std::str::from_utf8(&m.text[start..end]).unwrap_or("");
-
-        if !guards.is_empty() {
-            for call in ["forward(", "predict_horizon("] {
-                if let Some(p) = line.find(call) {
-                    let names: Vec<&str> = guards.iter().map(|(n, _)| n.as_str()).collect();
-                    push(
-                        start + p,
-                        codes::LOCK_ACROSS_FORWARD,
-                        Severity::Deny,
-                        format!(
-                            "`{}` called while lock guard(s) [{}] are live; a slow forward \
-                             blocks every other worker on that lock",
-                            call.trim_end_matches('('),
-                            names.join(", ")
-                        ),
-                    );
-                }
-            }
-        }
-        if let Some(p) = line.find("drop(") {
-            let args = &line[p + 5..];
-            guards.retain(|(name, _)| !args.contains(name.as_str()));
-        }
-        let trimmed = line.trim_start();
-        if let Some(binding) = trimmed.strip_prefix("let ") {
-            let is_guard_bind = [".lock()", ".read()", ".write()"].iter().any(|acq| {
-                line.find(acq)
-                    .map(|p| line[p + acq.len()..].trim_start().starts_with(';'))
-                    .unwrap_or(false)
-            });
-            if is_guard_bind && line.contains('=') {
-                let name = binding
-                    .split('=')
-                    .next()
-                    .unwrap_or("")
-                    .trim()
-                    .trim_start_matches("mut ")
-                    .trim()
-                    .to_string();
-                if !name.is_empty() {
-                    guards.push((name, depth + 1));
-                }
-            }
-        }
-        for &b in line.as_bytes() {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth = depth.saturating_sub(1);
-                    guards.retain(|&(_, d)| d <= depth);
-                }
-                _ => {}
-            }
         }
     }
 }
@@ -528,37 +443,6 @@ mod tests {
         let src = "fn f(&mut self) -> &mut [f32] {\n    for x in [1, 2] {}\n    \
                    return [0.0; 4];\n}\n";
         assert!(deny_codes(src, &Policy::hot_path()).is_empty());
-    }
-
-    #[test]
-    fn lock_across_forward_denies_and_scoped_lock_does_not() {
-        let held = "fn f(&self) {\n    let guard = self.state.lock();\n    \
-                    let y = model.forward(&g, &inputs, false);\n}\n";
-        let v = lint_file("test.rs", held, &Policy::hot_path());
-        assert!(
-            v.iter().any(|v| v.code == codes::LOCK_ACROSS_FORWARD),
-            "{v:?}"
-        );
-        assert!(v.iter().all(|v| v.severity == Severity::Deny), "{v:?}");
-
-        let scoped = "fn f(&self) {\n    {\n        let guard = self.state.lock();\n        \
-                      guard.push(1);\n    }\n    let y = model.forward(&g, &inputs, false);\n}\n";
-        let v = lint_file("test.rs", scoped, &Policy::hot_path());
-        assert!(v.is_empty(), "{v:?}");
-
-        let dropped = "fn f(&self) {\n    let guard = self.state.lock();\n    drop(guard);\n    \
-                       let y = model.forward(&g, &inputs, false);\n}\n";
-        let v = lint_file("test.rs", dropped, &Policy::hot_path());
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn statement_scoped_lock_call_is_not_a_guard_binding() {
-        // `.lock()` immediately dereferenced: the guard dies at the `;`.
-        let src = "fn f(&self) {\n    let n = self.queue.lock().len();\n    \
-                   let y = model.forward(&g, &inputs, false);\n}\n";
-        let v = lint_file("test.rs", src, &Policy::hot_path());
-        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

@@ -90,6 +90,45 @@ fn s002_channel_send_under_lock_fires_at_the_send() {
     assert!(r.diagnostics[0].message.contains("batcher::queue"));
 }
 
+/// A lock guard held across model inference: S002 fires at the call line
+/// when the guard is live across `forward` or `predict_horizon`, and stays
+/// silent once the guard is block-scoped, `drop()`ed, or never bound
+/// (statement-scoped).
+#[test]
+fn s002_covers_lock_guards_held_across_model_inference() {
+    let held = |call: &str| {
+        format!(
+            "fn f(&self) {{\n    let guard = self.state.lock();\n    \
+             let y = model.{call}(&g, &inputs, false);\n}}\n"
+        )
+    };
+    for call in ["forward", "predict_horizon"] {
+        let r = run(&[("worker.rs", &held(call))]);
+        assert_eq!(
+            triples(&r),
+            vec![("S002".into(), "worker.rs".into(), 3)],
+            "{call}: {:#?}",
+            r.diagnostics
+        );
+        assert!(r.diagnostics[0].message.contains("worker::state"));
+    }
+
+    let scoped = "fn f(&self) {\n    {\n        let guard = self.state.lock();\n        \
+                  guard.push(1);\n    }\n    let y = model.forward(&g, &inputs, false);\n}\n";
+    let dropped = "fn f(&self) {\n    let guard = self.state.lock();\n    drop(guard);\n    \
+                   let y = model.forward(&g, &inputs, false);\n}\n";
+    let statement = "fn f(&self) {\n    let n = self.queue.lock().len();\n    \
+                     let y = model.forward(&g, &inputs, false);\n}\n";
+    for (case, src) in [
+        ("scoped", scoped),
+        ("dropped", dropped),
+        ("statement", statement),
+    ] {
+        let r = run(&[("worker.rs", src)]);
+        assert!(r.diagnostics.is_empty(), "{case}: {:#?}", r.diagnostics);
+    }
+}
+
 // ---------------------------------------------------------------- S003
 
 #[test]

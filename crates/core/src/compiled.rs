@@ -234,44 +234,9 @@ impl StgnnDjd {
         t: usize,
         opts: PlanOptions,
     ) -> Result<Option<TrainingPlan>> {
-        self.check_compatible(data)?;
-        let g = Graph::new();
-        let inputs = ModelInputs::from_dataset(data, t);
-        let mut trace = ForwardTrace::default();
-        // Clone the RNG: the probe's dropout draws must not advance the
-        // training stream (each replay draws the real masks).
-        let mut probe_rng = self.rng_cell().borrow().clone();
-        let out = self.forward_traced(&g, &inputs, true, &mut probe_rng, Some(&mut trace));
-        let (dt, st) = data.targets_horizon(t, self.config().horizon)?;
-        let sq = self.squared_loss_traced(&g, &out, &dt, &st, Some(&mut trace));
-        if !trace.incompatible.is_empty() {
-            return Ok(None);
-        }
-        let snapshot = g.snapshot();
-        let report = stgnn_analyze::validate_tape(&snapshot, &[sq.id()]);
-        if !report.is_clean() {
-            return Err(Error::InvalidConfig(format!(
-                "refusing to compile a tape the validator denies: {}",
-                report.summary()
-            )));
-        }
-        let mut bindings = window_bindings(&trace)?;
-        bindings.push((
-            require(trace.target_demand, "demand target")?,
-            LeafBinding::Input(4),
-        ));
-        bindings.push((
-            require(trace.target_supply, "supply target")?,
-            LeafBinding::Input(5),
-        ));
-        let spec = PlanSpec {
-            bindings,
-            roots: vec![out.demand.id(), out.supply.id()],
-            loss: Some(sq.id()),
-        };
-        let plan = Plan::compile_with(&snapshot, self.params(), spec, opts).map_err(plan_err)?;
-        check_plan_structure(&plan)?;
-        Ok(Some(TrainingPlan { plan }))
+        Ok(self
+            .compile_plan(data, t, true, opts)?
+            .map(|plan| TrainingPlan { plan }))
     }
 
     /// Traces one evaluation-mode forward at slot `t` and compiles it into
@@ -293,31 +258,74 @@ impl StgnnDjd {
         t: usize,
         opts: PlanOptions,
     ) -> Result<Option<InferencePlan>> {
+        Ok(self
+            .compile_plan(data, t, false, opts)?
+            .map(|plan| InferencePlan { plan }))
+    }
+
+    /// The one compile path of both plan kinds: traces a forward at slot
+    /// `t` (plus the Eq 21 radicand as the loss when `train`), re-validates
+    /// the tape, binds its leaves and compiles it with `opts`. `Ok(None)`
+    /// when the configuration cannot replay.
+    fn compile_plan(
+        &self,
+        data: &BikeDataset,
+        t: usize,
+        train: bool,
+        opts: PlanOptions,
+    ) -> Result<Option<Plan>> {
         self.check_compatible(data)?;
         let g = Graph::new();
         let inputs = ModelInputs::from_dataset(data, t);
         let mut trace = ForwardTrace::default();
+        // Clone the RNG: the probe's dropout draws must not advance the
+        // training stream (each replay draws the real masks).
         let mut probe_rng = self.rng_cell().borrow().clone();
-        let out = self.forward_traced(&g, &inputs, false, &mut probe_rng, Some(&mut trace));
+        let out = self.forward_traced(&g, &inputs, train, &mut probe_rng, Some(&mut trace));
+        let roots = vec![out.demand.id(), out.supply.id()];
+        let loss = if train {
+            let (dt, st) = data.targets_horizon(t, self.config().horizon)?;
+            Some(
+                self.squared_loss_traced(&g, &out, &dt, &st, Some(&mut trace))
+                    .id(),
+            )
+        } else {
+            None
+        };
         if !trace.incompatible.is_empty() {
             return Ok(None);
         }
         let snapshot = g.snapshot();
-        let report = stgnn_analyze::validate_tape(&snapshot, &[out.demand.id(), out.supply.id()]);
+        let validated = match loss {
+            Some(sq) => vec![sq],
+            None => roots.clone(),
+        };
+        let report = stgnn_analyze::validate_tape(&snapshot, &validated);
         if !report.is_clean() {
             return Err(Error::InvalidConfig(format!(
                 "refusing to compile a tape the validator denies: {}",
                 report.summary()
             )));
         }
+        let mut bindings = window_bindings(&trace)?;
+        if train {
+            bindings.push((
+                require(trace.target_demand, "demand target")?,
+                LeafBinding::Input(4),
+            ));
+            bindings.push((
+                require(trace.target_supply, "supply target")?,
+                LeafBinding::Input(5),
+            ));
+        }
         let spec = PlanSpec {
-            bindings: window_bindings(&trace)?,
-            roots: vec![out.demand.id(), out.supply.id()],
-            loss: None,
+            bindings,
+            roots,
+            loss,
         };
         let plan = Plan::compile_with(&snapshot, self.params(), spec, opts).map_err(plan_err)?;
         check_plan_structure(&plan)?;
-        Ok(Some(InferencePlan { plan }))
+        Ok(Some(plan))
     }
 
     /// Replays the forward pass for slot `t` through a training plan and

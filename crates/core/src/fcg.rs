@@ -73,19 +73,24 @@ impl FcgNetwork {
         }
     }
 
-    /// Runs the branch. `t` is the feature matrix from the flow convolution,
-    /// `mask` the structural mask from [`crate::flow_conv::fcg_mask`].
-    /// `train_rng` enables dropout between layers.
+    /// Runs the branch. `edges` is the square matrix the Eq 10 edge
+    /// weights derive from and `features` the rows the layers aggregate;
+    /// the model passes the flow convolution's feature matrix `T` for both,
+    /// while a shard passes `T`'s member-induced submatrix and member rows
+    /// (`stgnn-scale`'s parity theorem). `mask` is the structural mask from
+    /// [`crate::flow_conv::fcg_mask`], induced like `edges`. `train_rng`
+    /// enables dropout between layers.
     ///
-    /// Returns the final embedding `F^f ∈ R^{n×n}`.
+    /// Returns the final embedding `F^f`, one row per `features` row.
     pub fn forward(
         &self,
         g: &Graph,
-        t: &Var,
+        edges: &Var,
+        features: &Var,
         mask: &Tensor,
         train_rng: Option<&mut StdRng>,
     ) -> Var {
-        self.forward_traced(g, t, mask, train_rng, None)
+        self.forward_traced(g, edges, features, mask, train_rng, None)
     }
 
     /// [`Self::forward`], recording the mask and mean-adjacency leaf ids
@@ -95,7 +100,8 @@ impl FcgNetwork {
     pub fn forward_traced(
         &self,
         g: &Graph,
-        t: &Var,
+        edges: &Var,
+        features: &Var,
         mask: &Tensor,
         mut train_rng: Option<&mut StdRng>,
         mut trace: Option<&mut ForwardTrace>,
@@ -109,7 +115,7 @@ impl FcgNetwork {
             tr.fcg_mask_leaf = Some(mask_leaf.id());
         }
         let eye = g.leaf(Tensor::eye(n));
-        let raw = t.relu().mul(&mask_leaf).add(&eye);
+        let raw = edges.relu().mul(&mask_leaf).add(&eye);
         let sums = raw.sum_cols().add_scalar(1e-6);
         let inv = g.leaf(Tensor::ones(Shape::matrix(n, 1))).div(&sums);
         let weights = raw.mul_col_broadcast(&inv);
@@ -126,7 +132,7 @@ impl FcgNetwork {
             .any(|l| matches!(l, LayerKind::Mean { .. }))
             .then(|| fcg_mean_adj(mask));
 
-        let mut f = t.clone();
+        let mut f = features.clone();
         for (idx, layer) in self.layers.iter().enumerate() {
             let aggregated = match layer {
                 LayerKind::Flow { .. } => weights.matmul(&f),
@@ -250,7 +256,7 @@ mod tests {
             assert_eq!(net.depth(), 2);
             let g = Graph::new();
             let t = g.leaf(feature_matrix(2));
-            let out = net.forward(&g, &t, &dense_mask(), None);
+            let out = net.forward(&g, &t, &t, &dense_mask(), None);
             assert_eq!(out.value().shape().dims(), &[N, N], "{agg:?}");
         }
     }
@@ -286,7 +292,7 @@ mod tests {
             let g = Graph::new();
             let p = Param::new("t", feature_matrix(8).relu().add_scalar(0.1));
             let t = g.param(&p);
-            net.forward(&g, &t, &dense_mask(), None)
+            net.forward(&g, &t, &t, &dense_mask(), None)
                 .square()
                 .sum_all()
                 .backward();
@@ -316,8 +322,8 @@ mod tests {
         let g = Graph::new();
         let t_a = g.leaf(Tensor::from_rows(&[&[1.0, 1.0], &[0.3, 0.7]]));
         let t_b = g.leaf(Tensor::from_rows(&[&[9.0, 9.0], &[0.3, 0.7]]));
-        let out_a = net.forward(&g, &t_a, &mask, None).value();
-        let out_b = net.forward(&g, &t_b, &mask, None).value();
+        let out_a = net.forward(&g, &t_a, &t_a, &mask, None).value();
+        let out_b = net.forward(&g, &t_b, &t_b, &mask, None).value();
         assert!(
             out_a
                 .row(1)
@@ -346,16 +352,20 @@ mod tests {
         let net = FcgNetwork::new(&mut ps, &mut rng, &c, N);
         let g = Graph::new();
         let t = g.leaf(feature_matrix(12).relu());
-        let eval1 = net.forward(&g, &t, &dense_mask(), None).value();
-        let eval2 = net.forward(&g, &t, &dense_mask(), None).value();
+        let eval1 = net.forward(&g, &t, &t, &dense_mask(), None).value();
+        let eval2 = net.forward(&g, &t, &t, &dense_mask(), None).value();
         assert!(
             eval1.approx_eq(&eval2, 0.0),
             "eval mode must be deterministic"
         );
         let mut rng1 = StdRng::seed_from_u64(1);
         let mut rng2 = StdRng::seed_from_u64(2);
-        let tr1 = net.forward(&g, &t, &dense_mask(), Some(&mut rng1)).value();
-        let tr2 = net.forward(&g, &t, &dense_mask(), Some(&mut rng2)).value();
+        let tr1 = net
+            .forward(&g, &t, &t, &dense_mask(), Some(&mut rng1))
+            .value();
+        let tr2 = net
+            .forward(&g, &t, &t, &dense_mask(), Some(&mut rng2))
+            .value();
         assert!(
             !tr1.approx_eq(&tr2, 1e-9),
             "dropout masks should differ across rngs"

@@ -232,7 +232,7 @@ impl StgnnDjd {
         let mut pcg_attention = Vec::new();
         if let Some(fcg) = &self.fcg {
             let train_rng = train.then_some(&mut *rng);
-            branch_embeddings.push(fcg.forward_traced(g, &t, &mask, train_rng, trace));
+            branch_embeddings.push(fcg.forward_traced(g, &t, &t, &mask, train_rng, trace));
         }
         if let Some(pcg) = &self.pcg {
             let train_rng = train.then_some(&mut *rng);

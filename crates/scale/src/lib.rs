@@ -39,7 +39,7 @@ pub mod subcity;
 
 pub use fleet::{Answer, Fleet, FleetConfig, FleetStats, PredictOutcome};
 pub use loadgen::{LoadCurve, LoadReport};
-pub use parity::{fcg_stage, halo_complete, induce_rows, induce_square, mask_closure};
+pub use parity::{halo_complete, induce_rows, induce_square, mask_closure};
 pub use plan::{Shard, ShardPlan};
 pub use ring::{fnv1a64, HashRing};
 pub use subcity::SubCity;

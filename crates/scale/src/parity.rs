@@ -23,16 +23,16 @@
 //! its owned stations (`L` = number of FCG layers — the shard is
 //! **halo-complete** for the slot), running the stage on the member-induced
 //! submatrices yields owned rows **bit-identical** to the full-city run.
-//! [`fcg_stage`] replays the exact tape-op sequence of
-//! [`stgnn_core::fcg::FcgNetwork::forward`] so both paths execute the same
-//! kernels; the tests assert mirror fidelity against `FcgNetwork` itself
-//! and then bit-equality between the full and shard-induced runs.
+//! The stage is [`stgnn_core::fcg::FcgNetwork::forward`] itself, which
+//! takes the Eq 10 edge matrix and the feature rows as separate inputs: the
+//! tests run it on `T` for the full city and on `T`'s member-induced
+//! submatrix ([`induce_square`]) and member rows ([`induce_rows`]) for a
+//! shard, and assert bit-equality on owned rows.
 //!
 //! The gate/projection stages before (Eqs 5–9) and the PCG branch's dense
 //! attention are global in the station dimension and are *replicated*, not
 //! sharded — DESIGN.md §11 spells out the boundary.
 
-use stgnn_tensor::autograd::Graph;
 use stgnn_tensor::{Shape, Tensor};
 
 /// Gathers `rows` of `t` (full width) into a new `rows.len() × cols` tensor.
@@ -99,40 +99,6 @@ pub fn halo_complete(mask: &Tensor, owned: &[usize], members: &[usize], depth: u
         .all(|v| members.binary_search(v).is_ok())
 }
 
-/// Runs the FCG aggregator stage — the exact tape-op sequence of
-/// [`stgnn_core::fcg::FcgNetwork::forward`] with the Flow aggregator — on
-/// explicit inputs, so the full-city and shard-induced paths share kernels.
-///
-/// * `t_features` — the feature rows entering the stage (`m × c`; the full
-///   `T` for the unsharded run, the member rows of `T` for a shard).
-/// * `t_edges` — the square matrix the Eq 10 edge weights are derived from
-///   (`m × m`; `T` itself, or its member-induced submatrix).
-/// * `mask` — the structural mask (`m × m`), same induction as `t_edges`.
-/// * `layer_ws` — the per-layer weights `W^k` (`c × c`), identical in both
-///   runs (layer weights are replicated, not sharded).
-pub fn fcg_stage(
-    t_features: &Tensor,
-    t_edges: &Tensor,
-    mask: &Tensor,
-    layer_ws: &[Tensor],
-) -> Tensor {
-    let m = mask.shape().rows();
-    let g = Graph::new();
-    let te = g.leaf(t_edges.clone());
-    let mask_leaf = g.leaf(mask.clone());
-    let eye = g.leaf(Tensor::eye(m));
-    let raw = te.relu().mul(&mask_leaf).add(&eye);
-    let sums = raw.sum_cols().add_scalar(1e-6);
-    let inv = g.leaf(Tensor::ones(Shape::matrix(m, 1))).div(&sums);
-    let weights = raw.mul_col_broadcast(&inv);
-    let mut f = g.leaf(t_features.clone());
-    for w in layer_ws {
-        let w_leaf = g.leaf(w.clone());
-        f = weights.matmul(&f).matmul(&w_leaf).relu();
-    }
-    f.value()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,10 +111,14 @@ mod tests {
     use stgnn_data::dataset::{BikeDataset, DatasetConfig};
     use stgnn_data::synthetic::{CityConfig, SyntheticCity};
     use stgnn_graph::builders::{trip_correlation_graph, trip_flow_graph};
-    use stgnn_tensor::autograd::ParamSet;
+    use stgnn_tensor::autograd::{Graph, ParamSet};
 
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
+    /// The FCG stage in evaluation mode on explicit inputs: `edges` (`m×m`)
+    /// feeds the Eq 10 weights, `features` (`m×n`) the aggregation.
+    fn fcg_stage(fcg: &FcgNetwork, edges: &Tensor, features: &Tensor, mask: &Tensor) -> Tensor {
+        let g = Graph::new();
+        let (edges, features) = (g.leaf(edges.clone()), g.leaf(features.clone()));
+        fcg.forward(&g, &edges, &features, mask, None).value()
     }
 
     fn row_bits(t: &Tensor, r: usize) -> Vec<u32> {
@@ -188,11 +158,9 @@ mod tests {
         assert!(!halo_complete(&mask, &[0], &[0, 1], 2));
     }
 
-    /// The heart of the PR: PARITY-LOCAL. On a districted synthetic city,
-    /// (a) [`fcg_stage`] reproduces `FcgNetwork::forward` bit-for-bit
-    /// (mirror fidelity), and (b) on every halo-complete shard, the stage
-    /// run on member-induced inputs reproduces the full-city owned rows
-    /// bit-for-bit.
+    /// PARITY-LOCAL: on a districted synthetic city, on every halo-complete
+    /// shard, `FcgNetwork::forward` run on member-induced inputs reproduces
+    /// the full-city owned rows bit-for-bit.
     #[test]
     fn sharded_fcg_stage_matches_unsharded_bit_for_bit() {
         let city = SyntheticCity::generate(CityConfig::test_districted(42));
@@ -205,16 +173,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let flow = FlowConvolution::new(&mut ps, &mut rng, &config, n);
         let fcg = FcgNetwork::new(&mut ps, &mut rng, &config, n);
-        let layer_ws: Vec<Tensor> = (0..config.fcg_layers)
-            .map(|k| {
-                let name = format!("fcg.{k}.w");
-                ps.params()
-                    .iter()
-                    .find(|p| p.name() == name)
-                    .expect("fcg layer weight")
-                    .value()
-            })
-            .collect();
 
         // Shard over the union trip adjacency with halo depth = fcg_layers.
         // Because the per-slot mask is a subgraph of this union (positive
@@ -238,32 +196,24 @@ mod tests {
         for slot in [first, first + 7, first + 13] {
             let (si, so) = dataset.short_term_stacks(slot);
             let (li, lo) = dataset.long_term_stacks(slot);
-            let g = stgnn_tensor::autograd::Graph::new();
+            let g = Graph::new();
             let out = flow.forward(&g, &si, &so, &li, &lo);
             let t_val = out.t.value();
             let mask = fcg_mask(&out.i_hat.value(), &out.o_hat.value());
+            let full = fcg_stage(&fcg, &t_val, &t_val, &mask);
 
-            // (a) Mirror fidelity: our explicit stage is bitwise the
-            // FcgNetwork forward pass.
-            let full = fcg_stage(&t_val, &t_val, &mask, &layer_ws);
-            let reference = fcg.forward(&g, &out.t, &mask, None).value();
-            assert_eq!(
-                bits(&full),
-                bits(&reference),
-                "slot {slot}: fcg_stage drifted from FcgNetwork"
-            );
-
-            // (b) Shard parity on owned rows, bit for bit.
             for shard in plan.shards() {
                 assert!(
                     halo_complete(&mask, &shard.owned, &shard.members, config.fcg_layers),
                     "slot {slot}: shard {} not halo-complete",
                     shard.id
                 );
-                let t_feat = induce_rows(&t_val, &shard.members);
-                let t_edges = induce_square(&t_val, &shard.members);
-                let sub_mask = induce_square(&mask, &shard.members);
-                let sharded = fcg_stage(&t_feat, &t_edges, &sub_mask, &layer_ws);
+                let sharded = fcg_stage(
+                    &fcg,
+                    &induce_square(&t_val, &shard.members),
+                    &induce_rows(&t_val, &shard.members),
+                    &induce_square(&mask, &shard.members),
+                );
                 for &station in &shard.owned {
                     let local = shard
                         .members
@@ -294,21 +244,15 @@ mod tests {
         let flow = FlowConvolution::new(&mut ps, &mut rng, &config, n);
         let fcg = FcgNetwork::new(&mut ps, &mut rng, &config, n);
         assert_eq!(fcg.depth(), 2);
-        let layer_ws: Vec<Tensor> = ps
-            .params()
-            .iter()
-            .filter(|p| p.name().starts_with("fcg."))
-            .map(|p| p.value())
-            .collect();
 
         let slot = dataset.first_valid_slot();
         let (si, so) = dataset.short_term_stacks(slot);
         let (li, lo) = dataset.long_term_stacks(slot);
-        let g = stgnn_tensor::autograd::Graph::new();
+        let g = Graph::new();
         let out = flow.forward(&g, &si, &so, &li, &lo);
         let t_val = out.t.value();
         let mask = fcg_mask(&out.i_hat.value(), &out.o_hat.value());
-        let full = fcg_stage(&t_val, &t_val, &mask, &layer_ws);
+        let full = fcg_stage(&fcg, &t_val, &t_val, &mask);
 
         // Find a station with at least one non-self mask neighbour and give
         // it a members set of just itself: not halo-complete at depth 2.
@@ -323,10 +267,10 @@ mod tests {
         let members = vec![station];
         assert!(!halo_complete(&mask, &members, &members, config.fcg_layers));
         let sharded = fcg_stage(
-            &induce_rows(&t_val, &members),
+            &fcg,
             &induce_square(&t_val, &members),
+            &induce_rows(&t_val, &members),
             &induce_square(&mask, &members),
-            &layer_ws,
         );
         assert_ne!(
             row_bits(&sharded, 0),

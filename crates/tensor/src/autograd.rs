@@ -1,5 +1,5 @@
 // lint: allow-file(L001, L002, L003, L004): per the documented Panics
-// contract, backward closures re-run ops whose shapes the forward pass
+// contract, the backward sweep re-runs ops whose shapes the forward pass
 // already validated; a failure here is a tape-construction bug, not input.
 //! Tape-based reverse-mode automatic differentiation.
 //!
@@ -30,141 +30,14 @@
 //! mismatch as a [`crate::Error`] at graph-build time instead of killing
 //! the thread.
 
+use crate::op::{with_operands, Saved};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// Gradient contributions flowing to parent nodes: `(parent_id, grad)`.
-type Contribs = Vec<(usize, Tensor)>;
-
-/// Backward function of one tape node. Receives the node's output gradient
-/// and returns the contributions to each parent. Captured tensors are cheap
-/// `Arc` clones of forward values.
-type BackwardFn = Box<dyn Fn(&Tensor) -> Contribs>;
-
-/// The operation a tape node records. Together with the parent ids this is
-/// enough for a static analyzer to re-derive every output shape *without*
-/// executing kernels (the `stgnn-analyze` crate's tape validator), so each
-/// payload carries exactly the static arguments that determine the output
-/// shape.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// Constant input ([`Graph::leaf`]).
-    Leaf,
-    /// Parameter read ([`Graph::param`]); the cell's name is surfaced in
-    /// [`NodeInfo::param`].
-    Param,
-    /// Elementwise sum.
-    Add,
-    /// Elementwise difference.
-    Sub,
-    /// Elementwise product.
-    Mul,
-    /// Elementwise quotient.
-    Div,
-    /// Adds a scalar to every element.
-    AddScalar(f32),
-    /// Scales every element.
-    MulScalar(f32),
-    /// Elementwise negation.
-    Neg,
-    /// Matrix product.
-    Matmul,
-    /// Matrix transpose.
-    Transpose,
-    /// Reinterpretation under a new shape of equal length.
-    Reshape(Shape),
-    /// Row extraction `[start, end)`.
-    SliceRows { start: usize, end: usize },
-    /// Rectified linear unit.
-    Relu,
-    /// ELU with α = 1.
-    Elu,
-    /// Logistic sigmoid.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Elementwise exponential.
-    Exp,
-    /// Elementwise square.
-    Square,
-    /// Elementwise absolute value.
-    Abs,
-    /// Elementwise square root.
-    Sqrt,
-    /// Row-wise softmax.
-    SoftmaxRows,
-    /// Inverted dropout with the given drop rate.
-    Dropout { rate: f32 },
-    /// Adds a `1×c` row vector to every row.
-    AddRowBroadcast,
-    /// Adds an `r×1` column vector to every column.
-    AddColBroadcast,
-    /// Scales row `i` by element `i` of an `r×1` column vector.
-    MulColBroadcast,
-    /// Grouped elementwise row max-pooling; output row `i` pools the input
-    /// rows in `groups[i]`.
-    RowsMaxPool { groups: Vec<Vec<usize>> },
-    /// Sum of all elements (scalar output).
-    SumAll,
-    /// Mean of all elements (scalar output).
-    MeanAll,
-    /// Per-row sums, `r×c → r×1`.
-    SumCols,
-    /// Per-column sums, `r×c → 1×c`.
-    SumRows,
-    /// Horizontal concatenation of matrices.
-    ConcatCols,
-}
-
-impl Op {
-    /// The op's name as it appears in kernel errors, tape panics and
-    /// analyzer diagnostics — one vocabulary everywhere.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Op::Leaf => "leaf",
-            Op::Param => "param",
-            Op::Add => "add",
-            Op::Sub => "sub",
-            Op::Mul => "mul",
-            Op::Div => "div",
-            Op::AddScalar(_) => "add_scalar",
-            Op::MulScalar(_) => "mul_scalar",
-            Op::Neg => "neg",
-            Op::Matmul => "matmul",
-            Op::Transpose => "transpose",
-            Op::Reshape(_) => "reshape",
-            Op::SliceRows { .. } => "slice_rows",
-            Op::Relu => "relu",
-            Op::Elu => "elu",
-            Op::Sigmoid => "sigmoid",
-            Op::Tanh => "tanh",
-            Op::Exp => "exp",
-            Op::Square => "square",
-            Op::Abs => "abs",
-            Op::Sqrt => "sqrt",
-            Op::SoftmaxRows => "softmax_rows",
-            Op::Dropout { .. } => "dropout",
-            Op::AddRowBroadcast => "add_row_broadcast",
-            Op::AddColBroadcast => "add_col_broadcast",
-            Op::MulColBroadcast => "mul_col_broadcast",
-            Op::RowsMaxPool { .. } => "rows_max_pool",
-            Op::SumAll => "sum_all",
-            Op::MeanAll => "mean_all",
-            Op::SumCols => "sum_cols",
-            Op::SumRows => "sum_rows",
-            Op::ConcatCols => "concat_cols",
-        }
-    }
-}
-
-impl fmt::Display for Op {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub use crate::op::Op;
 
 /// One node of a [`TapeSnapshot`]: everything the tape recorded about an op.
 #[derive(Debug, Clone)]
@@ -213,7 +86,8 @@ struct Node {
     parents: Vec<usize>,
     value: Tensor,
     grad: Option<Tensor>,
-    backward: Option<BackwardFn>,
+    /// What [`Op::eval`] kept for [`Op::backprop`] (dropout mask, argmax).
+    saved: Saved,
 }
 
 /// A learnable parameter: a tensor value plus a gradient accumulator,
@@ -398,13 +272,7 @@ impl Graph {
         }
     }
 
-    fn push(
-        &self,
-        op: Op,
-        parents: Vec<usize>,
-        value: Tensor,
-        backward: Option<BackwardFn>,
-    ) -> Var {
+    fn push(&self, op: Op, parents: Vec<usize>, value: Tensor, saved: Saved) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
         inner.nodes.push(Node {
@@ -412,7 +280,7 @@ impl Graph {
             parents,
             value,
             grad: None,
-            backward,
+            saved,
         });
         Var {
             graph: Rc::clone(&self.inner),
@@ -420,16 +288,36 @@ impl Graph {
         }
     }
 
+    /// Records `op` over the `parents` nodes, computing its value with
+    /// [`Op::eval`]; `draw` feeds dropout's mask.
+    fn record(
+        &self,
+        op: Op,
+        parents: Vec<usize>,
+        draw: &mut dyn FnMut() -> f32,
+    ) -> crate::Result<Var> {
+        let mut saved = Saved::None;
+        let value = {
+            let inner = self.inner.borrow();
+            with_operands(
+                &parents,
+                |p| &inner.nodes[p].value,
+                |x| op.eval(x, &mut saved, draw),
+            )?
+        };
+        Ok(self.push(op, parents, value, saved))
+    }
+
     /// Records a constant leaf. Gradients flow *through* ops into leaves but
     /// are not written back anywhere.
     pub fn leaf(&self, value: Tensor) -> Var {
-        self.push(Op::Leaf, Vec::new(), value, None)
+        self.push(Op::Leaf, Vec::new(), value, Saved::None)
     }
 
     /// Records a parameter leaf; after [`Var::backward`], the gradient at
     /// this node is accumulated into the parameter's grad cell.
     pub fn param(&self, p: &Rc<Param>) -> Var {
-        let v = self.push(Op::Param, Vec::new(), p.value(), None);
+        let v = self.push(Op::Param, Vec::new(), p.value(), Saved::None);
         self.inner
             .borrow_mut()
             .param_links
@@ -468,32 +356,15 @@ impl Graph {
     /// Horizontal concatenation of matrix vars.
     pub fn concat_cols(&self, parts: &[&Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols of zero vars");
-        let values: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
-        let out = Tensor::concat_cols(&refs).unwrap_or_else(|e| panic!("{e}"));
-        let ids: Vec<usize> = parts.iter().map(|p| p.id).collect();
-        let widths: Vec<usize> = values.iter().map(|v| v.shape().cols()).collect();
-        let rows = values[0].shape().rows();
-        self.push(
-            Op::ConcatCols,
-            ids.clone(),
-            out,
-            Some(Box::new(move |g: &Tensor| {
-                let mut contribs = Vec::with_capacity(ids.len());
-                let mut col = 0;
-                for (&id, &w) in ids.iter().zip(&widths) {
-                    let mut part = vec![0.0f32; rows * w];
-                    for r in 0..rows {
-                        let src = &g.row(r)[col..col + w];
-                        part[r * w..(r + 1) * w].copy_from_slice(src);
-                    }
-                    contribs.push((id, Tensor::from_vec(Shape::matrix(rows, w), part).unwrap()));
-                    col += w;
-                }
-                contribs
-            })),
-        )
+        let ids = parts.iter().map(|p| p.id).collect();
+        self.record(Op::ConcatCols, ids, &mut no_draw)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
+}
+
+/// The `draw` of every op but dropout, which alone samples.
+fn no_draw() -> f32 {
+    0.0
 }
 
 /// A handle to one node of a [`Graph`] tape.
@@ -548,33 +419,21 @@ impl Var {
         self.graph.borrow().nodes[self.id].value.shape().clone()
     }
 
-    fn unary(&self, op: Op, out: Tensor, backward: impl Fn(&Tensor) -> Tensor + 'static) -> Var {
-        let id = self.id;
-        self.graph().push(
-            op,
-            vec![id],
-            out,
-            Some(Box::new(move |g| vec![(id, backward(g))])),
-        )
+    /// Records `op` with this node as the first operand, then `rest`.
+    fn try_apply(&self, op: Op, rest: &[&Var]) -> crate::Result<Var> {
+        debug_assert!(
+            rest.iter().all(|v| Rc::ptr_eq(&v.graph, &self.graph)),
+            "{op}: operands from different graphs"
+        );
+        let mut parents = Vec::with_capacity(1 + rest.len());
+        parents.push(self.id);
+        parents.extend(rest.iter().map(|v| v.id));
+        self.graph().record(op, parents, &mut no_draw)
     }
 
-    fn binary(
-        &self,
-        rhs: &Var,
-        op: Op,
-        out: Tensor,
-        backward: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static,
-    ) -> Var {
-        let (a, b) = (self.id, rhs.id);
-        self.graph().push(
-            op,
-            vec![a, b],
-            out,
-            Some(Box::new(move |g| {
-                let (ga, gb) = backward(g);
-                vec![(a, ga), (b, gb)]
-            })),
-        )
+    /// [`Var::try_apply`], panicking on a shape error (see the module docs).
+    fn apply(&self, op: Op, rest: &[&Var]) -> Var {
+        self.try_apply(op, rest).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------------
@@ -583,58 +442,37 @@ impl Var {
 
     /// Elementwise sum.
     pub fn add(&self, rhs: &Var) -> Var {
-        let out = self
-            .value()
-            .add(&rhs.value())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.binary(rhs, Op::Add, out, |g| (g.clone(), g.clone()))
+        self.apply(Op::Add, &[rhs])
     }
 
     /// Elementwise difference.
     pub fn sub(&self, rhs: &Var) -> Var {
-        let out = self
-            .value()
-            .sub(&rhs.value())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.binary(rhs, Op::Sub, out, |g| (g.clone(), g.neg()))
+        self.apply(Op::Sub, &[rhs])
     }
 
     /// Elementwise product.
     pub fn mul(&self, rhs: &Var) -> Var {
-        let (av, bv) = (self.value(), rhs.value());
-        let out = av.mul(&bv).unwrap_or_else(|e| panic!("{e}"));
-        self.binary(rhs, Op::Mul, out, move |g| {
-            (g.mul(&bv).unwrap(), g.mul(&av).unwrap())
-        })
+        self.apply(Op::Mul, &[rhs])
     }
 
     /// Elementwise quotient.
     pub fn div(&self, rhs: &Var) -> Var {
-        let (av, bv) = (self.value(), rhs.value());
-        let out = av.div(&bv).unwrap_or_else(|e| panic!("{e}"));
-        self.binary(rhs, Op::Div, out, move |g| {
-            let ga = g.div(&bv).unwrap();
-            // d(a/b)/db = -a / b²
-            let gb = g.mul(&av).unwrap().div(&bv.square()).unwrap().neg();
-            (ga, gb)
-        })
+        self.apply(Op::Div, &[rhs])
     }
 
     /// Adds a scalar.
     pub fn add_scalar(&self, s: f32) -> Var {
-        self.unary(Op::AddScalar(s), self.value().add_scalar(s), |g| g.clone())
+        self.apply(Op::AddScalar(s), &[])
     }
 
     /// Scales by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Var {
-        self.unary(Op::MulScalar(s), self.value().mul_scalar(s), move |g| {
-            g.mul_scalar(s)
-        })
+        self.apply(Op::MulScalar(s), &[])
     }
 
     /// Elementwise negation.
     pub fn neg(&self) -> Var {
-        self.unary(Op::Neg, self.value().neg(), |g| g.neg())
+        self.apply(Op::Neg, &[])
     }
 
     // ------------------------------------------------------------------
@@ -656,13 +494,7 @@ impl Var {
     /// stays infallible: once the forward shapes check out, the gradient
     /// shapes are determined.
     pub fn try_matmul(&self, rhs: &Var) -> crate::Result<Var> {
-        let (av, bv) = (self.value(), rhs.value());
-        let out = av.matmul(&bv)?;
-        Ok(self.binary(rhs, Op::Matmul, out, move |g| {
-            let ga = g.matmul(&bv.transpose().unwrap()).unwrap();
-            let gb = av.transpose().unwrap().matmul(g).unwrap();
-            (ga, gb)
-        }))
+        self.try_apply(Op::Matmul, &[rhs])
     }
 
     /// Matrix transpose.
@@ -677,36 +509,17 @@ impl Var {
     /// Matrix transpose, surfacing rank errors as [`crate::Error`] at
     /// graph-build time instead of panicking mid-tape.
     pub fn try_transpose(&self) -> crate::Result<Var> {
-        let out = self.value().transpose()?;
-        Ok(self.unary(Op::Transpose, out, |g| g.transpose().unwrap()))
+        self.try_apply(Op::Transpose, &[])
     }
 
     /// Reinterprets under a new shape of equal length.
     pub fn reshape(&self, shape: Shape) -> Var {
-        let orig = self.shape();
-        let out = self
-            .value()
-            .reshape(shape.clone())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.unary(Op::Reshape(shape), out, move |g| {
-            g.reshape(orig.clone()).unwrap()
-        })
+        self.apply(Op::Reshape(shape), &[])
     }
 
     /// Extracts rows `[start, end)`; gradient zero-pads back.
     pub fn slice_rows(&self, start: usize, end: usize) -> Var {
-        let v = self.value();
-        let (rows, cols) = v
-            .shape()
-            .as_matrix("slice_rows")
-            .unwrap_or_else(|e| panic!("{e}"));
-        let out = v.slice_rows(start, end).unwrap_or_else(|e| panic!("{e}"));
-        self.unary(Op::SliceRows { start, end }, out, move |g| {
-            let mut full = Tensor::zeros(Shape::matrix(rows, cols));
-            let dst = full.data_mut();
-            dst[start * cols..end * cols].copy_from_slice(g.data());
-            full
-        })
+        self.apply(Op::SliceRows { start, end }, &[])
     }
 
     // ------------------------------------------------------------------
@@ -715,110 +528,47 @@ impl Var {
 
     /// ReLU.
     pub fn relu(&self) -> Var {
-        let x = self.value();
-        self.unary(Op::Relu, x.relu(), move |g| {
-            g.zip_map(&x, "relu_bw", |gv, xv| if xv > 0.0 { gv } else { 0.0 })
-                .unwrap()
-        })
+        self.apply(Op::Relu, &[])
     }
 
     /// ELU with α = 1.
     pub fn elu(&self) -> Var {
-        let x = self.value();
-        let out = x.elu();
-        let out_bw = out.clone();
-        self.unary(Op::Elu, out, move |g| {
-            // f'(x) = 1 for x > 0, e^x = f(x) + 1 otherwise.
-            g.zip_map(&out_bw, "elu_bw", |gv, ov| {
-                if ov > 0.0 {
-                    gv
-                } else {
-                    gv * (ov + 1.0)
-                }
-            })
-            .unwrap()
-        })
+        self.apply(Op::Elu, &[])
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let out = self.value().sigmoid();
-        let s = out.clone();
-        self.unary(Op::Sigmoid, out, move |g| {
-            g.zip_map(&s, "sigmoid_bw", |gv, sv| gv * sv * (1.0 - sv))
-                .unwrap()
-        })
+        self.apply(Op::Sigmoid, &[])
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let out = self.value().tanh();
-        let t = out.clone();
-        self.unary(Op::Tanh, out, move |g| {
-            g.zip_map(&t, "tanh_bw", |gv, tv| gv * (1.0 - tv * tv))
-                .unwrap()
-        })
+        self.apply(Op::Tanh, &[])
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        let out = self.value().exp();
-        let e = out.clone();
-        self.unary(Op::Exp, out, move |g| g.mul(&e).unwrap())
+        self.apply(Op::Exp, &[])
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
-        let x = self.value();
-        self.unary(Op::Square, x.square(), move |g| {
-            g.zip_map(&x, "square_bw", |gv, xv| gv * 2.0 * xv).unwrap()
-        })
+        self.apply(Op::Square, &[])
     }
 
     /// Elementwise absolute value (subgradient 0 at 0).
     pub fn abs(&self) -> Var {
-        let x = self.value();
-        self.unary(Op::Abs, x.abs(), move |g| {
-            g.zip_map(
-                &x,
-                "abs_bw",
-                |gv, xv| if xv == 0.0 { 0.0 } else { gv * xv.signum() },
-            )
-            .unwrap()
-        })
+        self.apply(Op::Abs, &[])
     }
 
     /// Elementwise square root with a derivative guard at 0.
     pub fn sqrt(&self) -> Var {
-        let out = self.value().sqrt();
-        let s = out.clone();
-        self.unary(Op::Sqrt, out, move |g| {
-            g.zip_map(&s, "sqrt_bw", |gv, sv| gv * 0.5 / sv.max(1e-8))
-                .unwrap()
-        })
+        self.apply(Op::Sqrt, &[])
     }
 
     /// Numerically-stable row-wise softmax.
     pub fn softmax_rows(&self) -> Var {
-        let out = self
-            .value()
-            .softmax_rows()
-            .unwrap_or_else(|e| panic!("{e}"));
-        let s = out.clone();
-        self.unary(Op::SoftmaxRows, out, move |g| {
-            // dx_j = s_j (g_j − Σ_k g_k s_k), per row.
-            let (r, c) = s.shape().as_matrix("softmax_bw").unwrap();
-            let mut dx = vec![0.0f32; r * c];
-            for i in 0..r {
-                let srow = s.row(i);
-                let grow = g.row(i);
-                let dot: f32 = srow.iter().zip(grow).map(|(&sv, &gv)| sv * gv).sum();
-                for j in 0..c {
-                    dx[i * c + j] = srow[j] * (grow[j] - dot);
-                }
-            }
-            Tensor::from_vec(Shape::matrix(r, c), dx).unwrap()
-        })
+        self.apply(Op::SoftmaxRows, &[])
     }
 
     /// Inverted dropout: zeroes elements with probability `p` and scales the
@@ -832,18 +582,11 @@ impl Var {
         if p == 0.0 {
             return self.clone();
         }
-        let keep = 1.0 - p;
-        let shape = self.shape();
-        let mask = Tensor::filled_with(shape, || {
-            if rng.gen::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        });
-        let out = self.value().mul(&mask).unwrap();
-        let m = mask;
-        self.unary(Op::Dropout { rate: p }, out, move |g| g.mul(&m).unwrap())
+        self.graph()
+            .record(Op::Dropout { rate: p }, vec![self.id], &mut || {
+                rng.gen::<f32>()
+            })
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------------
@@ -852,35 +595,17 @@ impl Var {
 
     /// Adds a `1×c` row vector to every row.
     pub fn add_row_broadcast(&self, row: &Var) -> Var {
-        let out = self
-            .value()
-            .add_row_broadcast(&row.value())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.binary(row, Op::AddRowBroadcast, out, |g| {
-            (g.clone(), g.sum_rows().unwrap())
-        })
+        self.apply(Op::AddRowBroadcast, &[row])
     }
 
     /// Adds an `r×1` column vector to every column.
     pub fn add_col_broadcast(&self, col: &Var) -> Var {
-        let out = self
-            .value()
-            .add_col_broadcast(&col.value())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.binary(col, Op::AddColBroadcast, out, |g| {
-            (g.clone(), g.sum_cols().unwrap())
-        })
+        self.apply(Op::AddColBroadcast, &[col])
     }
 
     /// Scales row `i` by element `i` of an `r×1` column vector.
     pub fn mul_col_broadcast(&self, col: &Var) -> Var {
-        let (av, cv) = (self.value(), col.value());
-        let out = av.mul_col_broadcast(&cv).unwrap_or_else(|e| panic!("{e}"));
-        self.binary(col, Op::MulColBroadcast, out, move |g| {
-            let ga = g.mul_col_broadcast(&cv).unwrap();
-            let gc = g.mul(&av).unwrap().sum_cols().unwrap();
-            (ga, gc)
-        })
+        self.apply(Op::MulColBroadcast, &[col])
     }
 
     /// Grouped elementwise max-pooling over rows: output row `i` is the
@@ -892,43 +617,11 @@ impl Var {
     /// element, ties resolved to the first listed row.
     ///
     /// # Panics
-    /// Panics when the input is not a matrix or a group is empty.
+    /// Panics when the input is not a matrix, a group is empty or a group
+    /// names a row outside the input.
     pub fn rows_max_pool(&self, groups: &[Vec<usize>]) -> Var {
-        let v = self.value();
-        let (rows, cols) = v
-            .shape()
-            .as_matrix("rows_max_pool")
-            .unwrap_or_else(|e| panic!("{e}"));
-        let out_rows = groups.len();
-        let mut out = vec![f32::NEG_INFINITY; out_rows * cols];
-        let mut argmax = vec![0usize; out_rows * cols];
-        for (i, group) in groups.iter().enumerate() {
-            assert!(!group.is_empty(), "rows_max_pool: empty group {i}");
-            for &r in group {
-                assert!(r < rows, "rows_max_pool: row {r} out of {rows}");
-                for c in 0..cols {
-                    let val = v.data()[r * cols + c];
-                    if val > out[i * cols + c] {
-                        out[i * cols + c] = val;
-                        argmax[i * cols + c] = r;
-                    }
-                }
-            }
-        }
-        let out_t = Tensor::from_vec(Shape::matrix(out_rows, cols), out).unwrap();
-        let op = Op::RowsMaxPool {
-            groups: groups.to_vec(),
-        };
-        self.unary(op, out_t, move |g| {
-            let mut dx = Tensor::zeros(Shape::matrix(rows, cols));
-            let buf = dx.data_mut();
-            for i in 0..out_rows {
-                for c in 0..cols {
-                    buf[argmax[i * cols + c] * cols + c] += g.data()[i * cols + c];
-                }
-            }
-            dx
-        })
+        let groups = groups.to_vec();
+        self.apply(Op::RowsMaxPool { groups }, &[])
     }
 
     // ------------------------------------------------------------------
@@ -937,52 +630,22 @@ impl Var {
 
     /// Sum of all elements (scalar output).
     pub fn sum_all(&self) -> Var {
-        let shape = self.shape();
-        self.unary(Op::SumAll, self.value().sum_all(), move |g| {
-            Tensor::full(shape.clone(), g.scalar())
-        })
+        self.apply(Op::SumAll, &[])
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean_all(&self) -> Var {
-        let shape = self.shape();
-        let inv = 1.0 / shape.len() as f32;
-        self.unary(Op::MeanAll, self.value().mean_all(), move |g| {
-            Tensor::full(shape.clone(), g.scalar() * inv)
-        })
+        self.apply(Op::MeanAll, &[])
     }
 
     /// Per-row sums, `r×c → r×1`.
     pub fn sum_cols(&self) -> Var {
-        let v = self.value();
-        let (r, c) = v
-            .shape()
-            .as_matrix("sum_cols")
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.unary(Op::SumCols, v.sum_cols().unwrap(), move |g| {
-            let mut out = vec![0.0f32; r * c];
-            for i in 0..r {
-                let gv = g.data()[i];
-                out[i * c..(i + 1) * c].fill(gv);
-            }
-            Tensor::from_vec(Shape::matrix(r, c), out).unwrap()
-        })
+        self.apply(Op::SumCols, &[])
     }
 
     /// Per-column sums, `r×c → 1×c`.
     pub fn sum_rows(&self) -> Var {
-        let v = self.value();
-        let (r, c) = v
-            .shape()
-            .as_matrix("sum_rows")
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.unary(Op::SumRows, v.sum_rows().unwrap(), move |g| {
-            let mut out = vec![0.0f32; r * c];
-            for i in 0..r {
-                out[i * c..(i + 1) * c].copy_from_slice(g.data());
-            }
-            Tensor::from_vec(Shape::matrix(r, c), out).unwrap()
-        })
+        self.apply(Op::SumRows, &[])
     }
 
     // ------------------------------------------------------------------
@@ -990,23 +653,32 @@ impl Var {
     // ------------------------------------------------------------------
 
     /// Runs the reverse sweep from this node, accumulating gradients into
-    /// every ancestor and depositing them into linked [`Param`]s.
+    /// every ancestor and depositing them into linked [`Param`]s. Each
+    /// reached node folds its gradient to its parents with its op's
+    /// backward (`Op::backprop`, the one the compiled plan runs too) over
+    /// the stored parent values, output value and saved state.
     ///
-    /// Each tape supports one backward pass: backward closures are consumed
-    /// as the sweep visits them (they hold saved tensors that are then
-    /// freed). Build a fresh graph per training step.
+    /// Each tape supports one backward pass: the sweep accumulates into
+    /// the nodes' gradients, so a second sweep would count the first
+    /// one's again. Build a fresh graph per training step.
     pub fn backward(&self) {
         let mut inner = self.graph.borrow_mut();
         let seed = Tensor::ones(inner.nodes[self.id].value.shape().clone());
         accumulate(&mut inner.nodes[self.id].grad, seed);
         for id in (0..=self.id).rev() {
-            let Some(grad) = inner.nodes[id].grad.clone() else {
+            let nodes = &inner.nodes;
+            let node = &nodes[id];
+            let Some(g) = &node.grad else {
                 continue;
             };
-            let Some(bw) = inner.nodes[id].backward.take() else {
-                continue;
-            };
-            for (pid, g) in bw(&grad) {
+            let contribs = with_operands(
+                &node.parents,
+                |p| &nodes[p].value,
+                |x| node.op.backprop(g, x, &node.value, &node.saved),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            for (k, g) in contribs.into_iter().enumerate() {
+                let pid = inner.nodes[id].parents[k];
                 debug_assert!(pid < id, "tape order violated: node {id} feeds {pid}");
                 accumulate(&mut inner.nodes[pid].grad, g);
             }

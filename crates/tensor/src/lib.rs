@@ -9,8 +9,9 @@
 //!   (cheap clones via `Arc`), elementwise arithmetic, matrix products,
 //!   reductions and broadcast helpers.
 //! * [`autograd`] — a tape-based reverse-mode autodiff [`autograd::Graph`]
-//!   whose [`autograd::Var`] handles mirror the tensor API; every
-//!   differentiable op registers a backward closure and gradients flow back
+//!   whose [`autograd::Var`] handles mirror the tensor API; each recorded
+//!   [`autograd::Op`] computes its value and its gradient through one op
+//!   table that the compiled [`plan`] replays too, and gradients flow back
 //!   to [`nn::Param`] leaves.
 //! * [`nn`] — neural-network building blocks: [`nn::Linear`],
 //!   [`nn::Conv1x1`] (the paper's channel-fusing 1×1 convolution of
@@ -50,6 +51,7 @@ pub mod autograd;
 pub mod error;
 pub mod loss;
 pub mod nn;
+mod op;
 pub mod optim;
 pub mod par;
 pub mod plan;

@@ -1,0 +1,644 @@
+// lint: allow-file(L004): backward formulas index gradient/output buffers
+// whose lengths the forward pass fixed (slice bounds, argmax rows, concat
+// column offsets), and the sweeps index equal-length chunk slices.
+//! The op table: one forward ([`Op::eval`]) and one backward
+//! ([`Op::backprop`]) per tape op, shared by both executors — the eager
+//! [`crate::autograd::Var`] builders and the compiled [`crate::plan::Plan`]
+//! replay. The elementwise ops' scalar bodies ([`MapOp`], [`ZipOp`]) live
+//! here too and are the only definition of those formulas: the [`Tensor`]
+//! kernels, the unfused backward, the plan's in-place rewrites and its
+//! fused sweeps all call them.
+
+use crate::error::{Error, Result};
+use crate::par;
+use crate::pool::Buffer;
+use crate::shape::Shape;
+use crate::tensor::{Tensor, PAR_GRAIN_OPS};
+use std::fmt;
+
+/// The operation a tape node records. Together with the parent ids this is
+/// enough for a static analyzer to re-derive every output shape *without*
+/// executing kernels (the `stgnn-analyze` crate's tape validator), so each
+/// payload carries exactly the static arguments that determine the output
+/// shape.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Op {
+    /// Constant input ([`crate::autograd::Graph::leaf`]).
+    Leaf,
+    /// Parameter read ([`crate::autograd::Graph::param`]); the cell's name
+    /// is surfaced in [`crate::autograd::NodeInfo::param`].
+    Param,
+    /// Elementwise sum.
+    Add,
+    /// Elementwise difference.
+    Sub,
+    /// Elementwise product.
+    Mul,
+    /// Elementwise quotient.
+    Div,
+    /// Adds a scalar to every element.
+    AddScalar(f32),
+    /// Scales every element.
+    MulScalar(f32),
+    /// Elementwise negation.
+    Neg,
+    /// Matrix product.
+    Matmul,
+    /// Matrix transpose.
+    Transpose,
+    /// Reinterpretation under a new shape of equal length.
+    Reshape(Shape),
+    /// Row extraction `[start, end)`.
+    SliceRows { start: usize, end: usize },
+    /// Rectified linear unit.
+    Relu,
+    /// ELU with α = 1.
+    Elu,
+    /// Logistic sigmoid.
+    Sigmoid,
+    /// Hyperbolic tangent.
+    Tanh,
+    /// Elementwise exponential.
+    Exp,
+    /// Elementwise square.
+    Square,
+    /// Elementwise absolute value.
+    Abs,
+    /// Elementwise square root.
+    Sqrt,
+    /// Row-wise softmax.
+    SoftmaxRows,
+    /// Inverted dropout with the given drop rate.
+    Dropout { rate: f32 },
+    /// Adds a `1×c` row vector to every row.
+    AddRowBroadcast,
+    /// Adds an `r×1` column vector to every column.
+    AddColBroadcast,
+    /// Scales row `i` by element `i` of an `r×1` column vector.
+    MulColBroadcast,
+    /// Grouped elementwise row max-pooling; output row `i` pools the input
+    /// rows in `groups[i]`.
+    RowsMaxPool { groups: Vec<Vec<usize>> },
+    /// Sum of all elements (scalar output).
+    SumAll,
+    /// Mean of all elements (scalar output).
+    MeanAll,
+    /// Per-row sums, `r×c → r×1`.
+    SumCols,
+    /// Per-column sums, `r×c → 1×c`.
+    SumRows,
+    /// Horizontal concatenation of matrices.
+    ConcatCols,
+}
+
+/// What a node's forward keeps for its backward beyond the parent and
+/// output values. Executors hold one per node and pass it back in on the
+/// next forward, so a replay reuses the previous allocation.
+#[derive(Default)]
+pub(crate) enum Saved {
+    /// Nothing beyond the values.
+    #[default]
+    None,
+    /// Dropout's sampled mask (`0` or `1/keep` per element).
+    Mask(Tensor),
+    /// Max-pool's winning input row per output element.
+    Argmax(Vec<usize>),
+}
+
+impl Op {
+    /// The op's name as it appears in kernel errors, tape panics and
+    /// analyzer diagnostics — one vocabulary everywhere.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Op::Leaf => "leaf",
+            Op::Param => "param",
+            Op::Add => "add",
+            Op::Sub => "sub",
+            Op::Mul => "mul",
+            Op::Div => "div",
+            Op::AddScalar(_) => "add_scalar",
+            Op::MulScalar(_) => "mul_scalar",
+            Op::Neg => "neg",
+            Op::Matmul => "matmul",
+            Op::Transpose => "transpose",
+            Op::Reshape(_) => "reshape",
+            Op::SliceRows { .. } => "slice_rows",
+            Op::Relu => "relu",
+            Op::Elu => "elu",
+            Op::Sigmoid => "sigmoid",
+            Op::Tanh => "tanh",
+            Op::Exp => "exp",
+            Op::Square => "square",
+            Op::Abs => "abs",
+            Op::Sqrt => "sqrt",
+            Op::SoftmaxRows => "softmax_rows",
+            Op::Dropout { .. } => "dropout",
+            Op::AddRowBroadcast => "add_row_broadcast",
+            Op::AddColBroadcast => "add_col_broadcast",
+            Op::MulColBroadcast => "mul_col_broadcast",
+            Op::RowsMaxPool { .. } => "rows_max_pool",
+            Op::SumAll => "sum_all",
+            Op::MeanAll => "mean_all",
+            Op::SumCols => "sum_cols",
+            Op::SumRows => "sum_rows",
+            Op::ConcatCols => "concat_cols",
+        }
+    }
+
+    fn arity_error(&self, got: usize) -> Error {
+        Error::InvalidArgument(format!("{self} applied to {got} operands"))
+    }
+
+    /// The forward: the op's value from its operand values `x` (in parent
+    /// order). Dropout draws its mask from `draw` in row-major order and
+    /// keeps it in `saved`; max-pooling keeps its argmax there.
+    pub(crate) fn eval(
+        &self,
+        x: &[&Tensor],
+        saved: &mut Saved,
+        draw: &mut dyn FnMut() -> f32,
+    ) -> Result<Tensor> {
+        match (self, x) {
+            (Op::Add, [a, b]) => a.add(b),
+            (Op::Sub, [a, b]) => a.sub(b),
+            (Op::Mul, [a, b]) => a.mul(b),
+            (Op::Div, [a, b]) => a.div(b),
+            (Op::AddScalar(s), [a]) => Ok(a.add_scalar(*s)),
+            (Op::MulScalar(s), [a]) => Ok(a.mul_scalar(*s)),
+            (Op::Neg, [a]) => Ok(a.neg()),
+            (Op::Matmul, [a, b]) => a.matmul(b),
+            (Op::Transpose, [a]) => a.transpose(),
+            (Op::Reshape(shape), [a]) => a.reshape(shape.clone()),
+            (Op::SliceRows { start, end }, [a]) => a.slice_rows(*start, *end),
+            (Op::Relu, [a]) => Ok(a.relu()),
+            (Op::Elu, [a]) => Ok(a.elu()),
+            (Op::Sigmoid, [a]) => Ok(a.sigmoid()),
+            (Op::Tanh, [a]) => Ok(a.tanh()),
+            (Op::Exp, [a]) => Ok(a.exp()),
+            (Op::Square, [a]) => Ok(a.square()),
+            (Op::Abs, [a]) => Ok(a.abs()),
+            (Op::Sqrt, [a]) => Ok(a.sqrt()),
+            (Op::SoftmaxRows, [a]) => a.softmax_rows(),
+            (Op::Dropout { rate }, [a]) => {
+                let keep = 1.0 - rate;
+                let mask = Tensor::filled_with(a.shape().clone(), || {
+                    if draw() < keep {
+                        1.0 / keep
+                    } else {
+                        0.0
+                    }
+                });
+                let out = a.mul(&mask)?;
+                *saved = Saved::Mask(mask);
+                Ok(out)
+            }
+            (Op::AddRowBroadcast, [a, b]) => a.add_row_broadcast(b),
+            (Op::AddColBroadcast, [a, b]) => a.add_col_broadcast(b),
+            (Op::MulColBroadcast, [a, b]) => a.mul_col_broadcast(b),
+            (Op::RowsMaxPool { groups }, [a]) => rows_max_pool(a, groups, saved),
+            (Op::SumAll, [a]) => Ok(a.sum_all()),
+            (Op::MeanAll, [a]) => Ok(a.mean_all()),
+            (Op::SumCols, [a]) => a.sum_cols(),
+            (Op::SumRows, [a]) => a.sum_rows(),
+            (Op::ConcatCols, parts) => Tensor::concat_cols(parts),
+            (Op::Leaf | Op::Param, _) => Err(Error::InvalidArgument(format!(
+                "{self} nodes are bound, never computed"
+            ))),
+            _ => Err(self.arity_error(x.len())),
+        }
+    }
+
+    /// The backward: the gradient `g` at this op's output, folded to one
+    /// contribution per operand (in parent order), from the operand values
+    /// `x`, the output value `out` and the forward's `saved` state.
+    ///
+    /// Each formula reads only what it must. The compiled plan relies on
+    /// that: a value slot an in-place rewrite took holds a one-element
+    /// placeholder, and its legality table (`plan::passes`) only lets a
+    /// rewrite take a value the consumer's and the producer's backward
+    /// never read.
+    pub(crate) fn backprop(
+        &self,
+        g: &Tensor,
+        x: &[&Tensor],
+        out: &Tensor,
+        saved: &Saved,
+    ) -> Result<Vec<Tensor>> {
+        if let (Some(m), [a]) = (MapOp::from_op(self), x) {
+            return Ok(vec![m.grad(g, a, out)]);
+        }
+        Ok(match (self, x) {
+            (Op::Leaf | Op::Param, []) => Vec::new(),
+            (Op::Add, [_, _]) => vec![g.clone(), g.clone()],
+            (Op::Sub, [_, _]) => vec![g.clone(), g.neg()],
+            (Op::Mul, [a, b]) => vec![g.mul(b)?, g.mul(a)?],
+            // d(a/b)/db = −a / b²
+            (Op::Div, [a, b]) => vec![g.div(b)?, g.mul(a)?.div(&b.square())?.neg()],
+            (Op::Matmul, [a, b]) => vec![g.matmul(&b.transpose()?)?, a.transpose()?.matmul(g)?],
+            (Op::Transpose, [_]) => vec![g.transpose()?],
+            (Op::Reshape(_), [a]) => vec![g.reshape(a.shape().clone())?],
+            (Op::SliceRows { start, end }, [a]) => {
+                // Zero-pads the slice's gradient back to the full matrix.
+                let (_, cols) = a.shape().as_matrix("slice_rows_bw")?;
+                let mut full = Tensor::zeros(a.shape().clone());
+                full.data_mut()[start * cols..end * cols].copy_from_slice(g.data());
+                vec![full]
+            }
+            (Op::SoftmaxRows, [_]) => {
+                // dx_j = s_j (g_j − Σ_k g_k s_k), per row.
+                let (r, c) = out.shape().as_matrix("softmax_bw")?;
+                let mut dx = Tensor::zeros(Shape::matrix(r, c));
+                let buf = dx.data_mut();
+                for i in 0..r {
+                    let (srow, grow) = (out.row(i), g.row(i));
+                    let dot: f32 = srow.iter().zip(grow).map(|(&sv, &gv)| sv * gv).sum();
+                    for j in 0..c {
+                        buf[i * c + j] = srow[j] * (grow[j] - dot);
+                    }
+                }
+                vec![dx]
+            }
+            (Op::Dropout { .. }, [_]) => match saved {
+                Saved::Mask(mask) => vec![g.mul(mask)?],
+                _ => return Err(missing("dropout", "mask")),
+            },
+            (Op::AddRowBroadcast, [_, _]) => vec![g.clone(), g.sum_rows()?],
+            (Op::AddColBroadcast, [_, _]) => vec![g.clone(), g.sum_cols()?],
+            (Op::MulColBroadcast, [a, c]) => {
+                vec![g.mul_col_broadcast(c)?, g.mul(a)?.sum_cols()?]
+            }
+            (Op::RowsMaxPool { groups }, [a]) => {
+                // Each output element's gradient routes to its argmax row.
+                let Saved::Argmax(argmax) = saved else {
+                    return Err(missing("rows_max_pool", "argmax"));
+                };
+                let (out_rows, cols) = (groups.len(), out.shape().cols());
+                let mut dx = Tensor::zeros(a.shape().clone());
+                let buf = dx.data_mut();
+                for i in 0..out_rows {
+                    for c in 0..cols {
+                        buf[argmax[i * cols + c] * cols + c] += g.data()[i * cols + c];
+                    }
+                }
+                vec![dx]
+            }
+            (Op::SumAll, [a]) => vec![Tensor::full(a.shape().clone(), g.scalar())],
+            (Op::MeanAll, [a]) => {
+                let inv = 1.0 / a.len() as f32;
+                vec![Tensor::full(a.shape().clone(), g.scalar() * inv)]
+            }
+            (Op::SumCols, [a]) => {
+                let (r, c) = a.shape().as_matrix("sum_cols_bw")?;
+                let mut dx = Tensor::zeros(Shape::matrix(r, c));
+                for (row, &gv) in dx.data_mut().chunks_mut(c.max(1)).zip(g.data()) {
+                    row.fill(gv);
+                }
+                vec![dx]
+            }
+            (Op::SumRows, [a]) => {
+                let (r, c) = a.shape().as_matrix("sum_rows_bw")?;
+                let mut dx = Tensor::zeros(Shape::matrix(r, c));
+                for row in dx.data_mut().chunks_mut(c.max(1)) {
+                    row.copy_from_slice(g.data());
+                }
+                vec![dx]
+            }
+            (Op::ConcatCols, parts) => {
+                // Splits the gradient's columns back into the parts.
+                let rows = out.shape().rows();
+                let mut col = 0;
+                parts
+                    .iter()
+                    .map(|p| {
+                        let w = p.shape().cols();
+                        let mut part = Buffer::zeroed(rows * w);
+                        for r in 0..rows {
+                            part[r * w..(r + 1) * w].copy_from_slice(&g.row(r)[col..col + w]);
+                        }
+                        col += w;
+                        Tensor::from_buffer(Shape::matrix(rows, w), part)
+                    })
+                    .collect()
+            }
+            _ => return Err(self.arity_error(x.len())),
+        })
+    }
+}
+
+impl fmt::Display for Op {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+fn missing(op: &str, what: &str) -> Error {
+    Error::InvalidArgument(format!(
+        "{op} node has no {what} — backward before forward?"
+    ))
+}
+
+/// Grouped elementwise max-pooling: output row `i` is the elementwise
+/// maximum of the input rows in `groups[i]`, ties to the first listed row.
+/// Reuses the argmax allocation a previous forward left in `saved`.
+fn rows_max_pool(v: &Tensor, groups: &[Vec<usize>], saved: &mut Saved) -> Result<Tensor> {
+    let (rows, cols) = v.shape().as_matrix("rows_max_pool")?;
+    let out_rows = groups.len();
+    let mut out = Buffer::filled(out_rows * cols, f32::NEG_INFINITY);
+    let mut argmax = match std::mem::take(saved) {
+        Saved::Argmax(a) => a,
+        _ => Vec::new(),
+    };
+    argmax.clear();
+    argmax.resize(out_rows * cols, 0);
+    for (i, group) in groups.iter().enumerate() {
+        if group.is_empty() {
+            return Err(Error::InvalidArgument(format!(
+                "rows_max_pool: empty group {i}"
+            )));
+        }
+        for &r in group {
+            if r >= rows {
+                return Err(Error::InvalidArgument(format!(
+                    "rows_max_pool: row {r} out of {rows}"
+                )));
+            }
+            for c in 0..cols {
+                let val = v.data()[r * cols + c];
+                if val > out[i * cols + c] {
+                    out[i * cols + c] = val;
+                    argmax[i * cols + c] = r;
+                }
+            }
+        }
+    }
+    *saved = Saved::Argmax(argmax);
+    Ok(Tensor::from_buffer(Shape::matrix(out_rows, cols), out))
+}
+
+/// Calls `f` with the values of `parents`, looked up through `value` —
+/// gathered on the stack for the one- and two-operand ops, so neither
+/// executor allocates to hand an op its operands.
+pub(crate) fn with_operands<'a, R>(
+    parents: &[usize],
+    value: impl Fn(usize) -> &'a Tensor,
+    f: impl FnOnce(&[&'a Tensor]) -> R,
+) -> R {
+    match *parents {
+        [a] => f(&[value(a)]),
+        [a, b] => f(&[value(a), value(b)]),
+        _ => f(&parents.iter().map(|&p| value(p)).collect::<Vec<_>>()),
+    }
+}
+
+/// A unary elementwise op. `fwd` and `bwd` are the only definition of
+/// these formulas: the [`Tensor`] kernels, [`MapOp::grad`], the plan's
+/// in-place rewrites and its fused sweeps all call them, so every path
+/// produces the same bits.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum MapOp {
+    Relu,
+    Elu,
+    Sigmoid,
+    Tanh,
+    Exp,
+    Square,
+    Abs,
+    Sqrt,
+    Neg,
+    AddScalar(f32),
+    MulScalar(f32),
+}
+
+impl MapOp {
+    /// The unary elementwise ops. Dropout is deliberately absent: its
+    /// forward draws from the caller's RNG in node order, so the plan must
+    /// keep it an op-at-a-time node to keep the stream contract.
+    pub(crate) fn from_op(op: &Op) -> Option<MapOp> {
+        Some(match op {
+            Op::Relu => MapOp::Relu,
+            Op::Elu => MapOp::Elu,
+            Op::Sigmoid => MapOp::Sigmoid,
+            Op::Tanh => MapOp::Tanh,
+            Op::Exp => MapOp::Exp,
+            Op::Square => MapOp::Square,
+            Op::Abs => MapOp::Abs,
+            Op::Sqrt => MapOp::Sqrt,
+            Op::Neg => MapOp::Neg,
+            Op::AddScalar(s) => MapOp::AddScalar(*s),
+            Op::MulScalar(s) => MapOp::MulScalar(*s),
+            _ => return None,
+        })
+    }
+
+    /// Per-element FLOP weight of this op, matching the tape cost model
+    /// (`stgnn-analyze` weights transcendental-heavy ops ×8).
+    pub(crate) fn cost_weight(self) -> u64 {
+        match self {
+            MapOp::Elu | MapOp::Sigmoid | MapOp::Tanh | MapOp::Exp | MapOp::Sqrt => 8,
+            _ => 1,
+        }
+    }
+
+    /// The forward formula for one element.
+    #[inline]
+    pub(crate) fn fwd(self, x: f32) -> f32 {
+        match self {
+            MapOp::Relu => x.max(0.0),
+            MapOp::Elu => {
+                if x > 0.0 {
+                    x
+                } else {
+                    x.exp_m1()
+                }
+            }
+            // Logistic sigmoid, arranged so `exp` never overflows.
+            MapOp::Sigmoid => {
+                if x >= 0.0 {
+                    1.0 / (1.0 + (-x).exp())
+                } else {
+                    let e = x.exp();
+                    e / (1.0 + e)
+                }
+            }
+            MapOp::Tanh => x.tanh(),
+            MapOp::Exp => x.exp(),
+            MapOp::Square => x * x,
+            MapOp::Abs => x.abs(),
+            MapOp::Sqrt => x.sqrt(),
+            MapOp::Neg => -x,
+            MapOp::AddScalar(s) => x + s,
+            MapOp::MulScalar(s) => x * s,
+        }
+    }
+
+    /// The backward formula for one element: the gradient `g` arriving at
+    /// the output, folded to the input, given the input value `x_in` and
+    /// the output value `x_out`. Each op reads at most one of the two
+    /// (see [`MapOp::grad`]).
+    #[inline]
+    pub(crate) fn bwd(self, g: f32, x_in: f32, x_out: f32) -> f32 {
+        match self {
+            MapOp::Relu => {
+                if x_in > 0.0 {
+                    g
+                } else {
+                    0.0
+                }
+            }
+            // f'(x) = 1 for x > 0, e^x = f(x) + 1 otherwise.
+            MapOp::Elu => {
+                if x_out > 0.0 {
+                    g
+                } else {
+                    g * (x_out + 1.0)
+                }
+            }
+            MapOp::Sigmoid => g * x_out * (1.0 - x_out),
+            MapOp::Tanh => g * (1.0 - x_out * x_out),
+            MapOp::Exp => g * x_out,
+            MapOp::Square => g * 2.0 * x_in,
+            // Subgradient 0 at 0.
+            MapOp::Abs => {
+                if x_in == 0.0 {
+                    0.0
+                } else {
+                    g * x_in.signum()
+                }
+            }
+            // Derivative guard at 0.
+            MapOp::Sqrt => g * 0.5 / x_out.max(1e-8),
+            MapOp::Neg => -g,
+            MapOp::AddScalar(_) => g,
+            MapOp::MulScalar(s) => g * s,
+        }
+    }
+
+    /// The op-at-a-time backward: `bwd` over every element of `g`. Only
+    /// the value `bwd` reads is swept; the other may be a plan slot's
+    /// one-element placeholder, so `g` itself stands in for it.
+    pub(crate) fn grad(self, g: &Tensor, x_in: &Tensor, x_out: &Tensor) -> Tensor {
+        use MapOp::*;
+        let read = match self {
+            Relu | Square | Abs => x_in,
+            Elu | Sigmoid | Tanh | Exp | Sqrt => x_out,
+            Neg | MulScalar(_) => g,
+            // `bwd` is the identity: share `g` instead of copying it.
+            AddScalar(_) => return g.clone(),
+        };
+        let xv = read.data();
+        let mut out = Buffer::copy_of(g.data());
+        par::for_each_row_chunk_mut(&mut out, 1, PAR_GRAIN_OPS, |first, window| {
+            let x = &xv[first..first + window.len()];
+            sweep_bwd(self, window, x, x);
+        });
+        Tensor::from_buffer(g.shape().clone(), out)
+    }
+}
+
+/// A binary elementwise op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ZipOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl ZipOp {
+    pub(crate) fn from_op(op: &Op) -> Option<ZipOp> {
+        Some(match op {
+            Op::Add => ZipOp::Add,
+            Op::Sub => ZipOp::Sub,
+            Op::Mul => ZipOp::Mul,
+            Op::Div => ZipOp::Div,
+            _ => return None,
+        })
+    }
+
+    /// The forward formula for one element pair.
+    #[inline]
+    pub(crate) fn fwd(self, a: f32, b: f32) -> f32 {
+        match self {
+            ZipOp::Add => a + b,
+            ZipOp::Sub => a - b,
+            ZipOp::Mul => a * b,
+            ZipOp::Div => a / b,
+        }
+    }
+}
+
+/// Applies `m.fwd` to every element of `buf` in place, with the op match
+/// hoisted out of the element loop: each arm closes over a constant
+/// variant, so the dispatch folds away and LLVM vectorizes the sweep.
+/// (Dispatching `MapOp::fwd` per element measured as a net fusion
+/// *slowdown* — the branch in the inner loop defeats the autovectorizer.)
+/// Per-element results are exactly `m.fwd(x)`.
+#[inline]
+pub(crate) fn sweep_fwd(m: MapOp, buf: &mut [f32]) {
+    #[inline(always)]
+    fn each(buf: &mut [f32], f: impl Fn(f32) -> f32) {
+        for o in buf.iter_mut() {
+            *o = f(*o);
+        }
+    }
+    use MapOp::*;
+    match m {
+        Relu => each(buf, |x| Relu.fwd(x)),
+        Elu => each(buf, |x| Elu.fwd(x)),
+        Sigmoid => each(buf, |x| Sigmoid.fwd(x)),
+        Tanh => each(buf, |x| Tanh.fwd(x)),
+        Exp => each(buf, |x| Exp.fwd(x)),
+        Square => each(buf, |x| Square.fwd(x)),
+        Abs => each(buf, |x| Abs.fwd(x)),
+        Sqrt => each(buf, |x| Sqrt.fwd(x)),
+        Neg => each(buf, |x| Neg.fwd(x)),
+        AddScalar(s) => each(buf, |x| AddScalar(s).fwd(x)),
+        MulScalar(s) => each(buf, |x| MulScalar(s).fwd(x)),
+    }
+}
+
+/// Folds the gradient sweep `g` in place through one op: per element,
+/// `g[i] = m.bwd(g[i], x_in[i], x_out[i])`, dispatch hoisted as in
+/// [`sweep_fwd`].
+#[inline]
+pub(crate) fn sweep_bwd(m: MapOp, g: &mut [f32], x_in: &[f32], x_out: &[f32]) {
+    #[inline(always)]
+    fn each(g: &mut [f32], x_in: &[f32], x_out: &[f32], f: impl Fn(f32, f32, f32) -> f32) {
+        for ((gv, &xi), &xo) in g.iter_mut().zip(x_in).zip(x_out) {
+            *gv = f(*gv, xi, xo);
+        }
+    }
+    use MapOp::*;
+    match m {
+        Relu => each(g, x_in, x_out, |gv, xi, xo| Relu.bwd(gv, xi, xo)),
+        Elu => each(g, x_in, x_out, |gv, xi, xo| Elu.bwd(gv, xi, xo)),
+        Sigmoid => each(g, x_in, x_out, |gv, xi, xo| Sigmoid.bwd(gv, xi, xo)),
+        Tanh => each(g, x_in, x_out, |gv, xi, xo| Tanh.bwd(gv, xi, xo)),
+        Exp => each(g, x_in, x_out, |gv, xi, xo| Exp.bwd(gv, xi, xo)),
+        Square => each(g, x_in, x_out, |gv, xi, xo| Square.bwd(gv, xi, xo)),
+        Abs => each(g, x_in, x_out, |gv, xi, xo| Abs.bwd(gv, xi, xo)),
+        Sqrt => each(g, x_in, x_out, |gv, xi, xo| Sqrt.bwd(gv, xi, xo)),
+        Neg => each(g, x_in, x_out, |gv, xi, xo| Neg.bwd(gv, xi, xo)),
+        AddScalar(s) => each(g, x_in, x_out, |gv, xi, xo| AddScalar(s).bwd(gv, xi, xo)),
+        MulScalar(s) => each(g, x_in, x_out, |gv, xi, xo| MulScalar(s).bwd(gv, xi, xo)),
+    }
+}
+
+/// The zip forward over a chunk: `out[i] = z.fwd(a[i], b[i])`, dispatch
+/// hoisted.
+#[inline]
+pub(crate) fn sweep_zip(z: ZipOp, out: &mut [f32], a: &[f32], b: &[f32]) {
+    #[inline(always)]
+    fn each(out: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
+        }
+    }
+    use ZipOp::*;
+    match z {
+        Add => each(out, a, b, |x, y| Add.fwd(x, y)),
+        Sub => each(out, a, b, |x, y| Sub.fwd(x, y)),
+        Mul => each(out, a, b, |x, y| Mul.fwd(x, y)),
+        Div => each(out, a, b, |x, y| Div.fwd(x, y)),
+    }
+}

@@ -6,24 +6,23 @@
 //! including the fused-chain sweeps, the layout-flag GEMM dispatch, the
 //! in-place buffer steals and the density-probe cache.
 
-use super::ir::{FusedChain, LeadKind, MapOp, NodeBinding, Role, ZipOp, MAX_STAGES};
+use super::ir::{FusedChain, LeadKind, NodeBinding, Role, MAX_STAGES};
 use super::Plan;
 use crate::autograd::Op;
 use crate::error::{Error, Result};
+use crate::op::{sweep_bwd, sweep_fwd, sweep_zip, with_operands, MapOp, Saved, ZipOp};
 use crate::par;
 use crate::pool::Buffer;
-use crate::shape::Shape;
 use crate::tensor::{Tensor, PAR_GRAIN_OPS};
 
 /// Per-replay state of a [`Plan`]: one value slot, gradient slot and
-/// dropout-mask slot per node, plus argmax scratch for max-pool backward
-/// and the cached density-probe verdicts. Slots are overwritten in place on
-/// every replay; their buffers recycle through the [`crate::pool`].
+/// saved-state slot (dropout mask, max-pool argmax) per node, plus the
+/// cached density-probe verdicts. Slots are overwritten in place on every
+/// replay; their buffers recycle through the [`crate::pool`].
 pub struct PlanExec {
     pub(crate) values: Vec<Tensor>,
     pub(crate) grads: Vec<Option<Tensor>>,
-    pub(crate) masks: Vec<Option<Tensor>>,
-    pub(crate) argmax: Vec<Option<Vec<usize>>>,
+    pub(crate) saved: Vec<Saved>,
     /// Per node: the cached matmul lhs density verdict (probe-cached nodes
     /// only), filled on the first replay.
     pub(crate) probe: Vec<Option<bool>>,
@@ -57,82 +56,6 @@ impl PlanExec {
 /// backward's recomputed stage values ([`MAX_STAGES`]+1 stack buffers) stay
 /// resident in L1 across the per-stage sweeps.
 const FUSE_CHUNK: usize = 256;
-
-/// Applies `m.fwd` to every element of `buf` in place, with the op match
-/// hoisted out of the element loop: each arm closes over a constant
-/// variant, so the dispatch folds away and LLVM vectorizes the sweep.
-/// (Dispatching `MapOp::fwd` per element measured as a net fusion
-/// *slowdown* — the branch in the inner loop defeats the autovectorizer.)
-/// Per-element results are exactly `m.fwd(x)`.
-#[inline]
-fn sweep_fwd(m: MapOp, buf: &mut [f32]) {
-    #[inline(always)]
-    fn each(buf: &mut [f32], f: impl Fn(f32) -> f32) {
-        for o in buf.iter_mut() {
-            *o = f(*o);
-        }
-    }
-    use MapOp::*;
-    match m {
-        Relu => each(buf, |x| Relu.fwd(x)),
-        Elu => each(buf, |x| Elu.fwd(x)),
-        Sigmoid => each(buf, |x| Sigmoid.fwd(x)),
-        Tanh => each(buf, |x| Tanh.fwd(x)),
-        Exp => each(buf, |x| Exp.fwd(x)),
-        Square => each(buf, |x| Square.fwd(x)),
-        Abs => each(buf, |x| Abs.fwd(x)),
-        Sqrt => each(buf, |x| Sqrt.fwd(x)),
-        Neg => each(buf, |x| Neg.fwd(x)),
-        AddScalar(s) => each(buf, |x| AddScalar(s).fwd(x)),
-        MulScalar(s) => each(buf, |x| MulScalar(s).fwd(x)),
-    }
-}
-
-/// Folds the gradient sweep `g` in place through one stage: per element,
-/// `g[i] = m.bwd(g[i], x_in[i], x_out[i])`, dispatch hoisted as in
-/// [`sweep_fwd`].
-#[inline]
-fn sweep_bwd(m: MapOp, g: &mut [f32], x_in: &[f32], x_out: &[f32]) {
-    #[inline(always)]
-    fn each(g: &mut [f32], x_in: &[f32], x_out: &[f32], f: impl Fn(f32, f32, f32) -> f32) {
-        for ((gv, &xi), &xo) in g.iter_mut().zip(x_in).zip(x_out) {
-            *gv = f(*gv, xi, xo);
-        }
-    }
-    use MapOp::*;
-    match m {
-        Relu => each(g, x_in, x_out, |gv, xi, xo| Relu.bwd(gv, xi, xo)),
-        Elu => each(g, x_in, x_out, |gv, xi, xo| Elu.bwd(gv, xi, xo)),
-        Sigmoid => each(g, x_in, x_out, |gv, xi, xo| Sigmoid.bwd(gv, xi, xo)),
-        Tanh => each(g, x_in, x_out, |gv, xi, xo| Tanh.bwd(gv, xi, xo)),
-        Exp => each(g, x_in, x_out, |gv, xi, xo| Exp.bwd(gv, xi, xo)),
-        Square => each(g, x_in, x_out, |gv, xi, xo| Square.bwd(gv, xi, xo)),
-        Abs => each(g, x_in, x_out, |gv, xi, xo| Abs.bwd(gv, xi, xo)),
-        Sqrt => each(g, x_in, x_out, |gv, xi, xo| Sqrt.bwd(gv, xi, xo)),
-        Neg => each(g, x_in, x_out, |gv, xi, xo| Neg.bwd(gv, xi, xo)),
-        AddScalar(s) => each(g, x_in, x_out, |gv, xi, xo| AddScalar(s).bwd(gv, xi, xo)),
-        MulScalar(s) => each(g, x_in, x_out, |gv, xi, xo| MulScalar(s).bwd(gv, xi, xo)),
-    }
-}
-
-/// The zip-lead forward over a chunk: `out[i] = z.fwd(a[i], b[i])`,
-/// dispatch hoisted.
-#[inline]
-fn sweep_zip(z: ZipOp, out: &mut [f32], a: &[f32], b: &[f32]) {
-    #[inline(always)]
-    fn each(out: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
-        }
-    }
-    use ZipOp::*;
-    match z {
-        Add => each(out, a, b, |x, y| Add.fwd(x, y)),
-        Sub => each(out, a, b, |x, y| Sub.fwd(x, y)),
-        Mul => each(out, a, b, |x, y| Mul.fwd(x, y)),
-        Div => each(out, a, b, |x, y| Div.fwd(x, y)),
-    }
-}
 
 /// Recomputes a chain's *intermediate* stage values from the lead-output
 /// chunk `vals[0][..l]` and folds the chunk gradient `g` down through the
@@ -191,8 +114,9 @@ impl Plan {
         PlanExec {
             values: self.init_values.clone(),
             grads: vec![None; self.nodes.len()],
-            masks: vec![None; self.nodes.len()],
-            argmax: vec![None; self.nodes.len()],
+            saved: std::iter::repeat_with(Saved::default)
+                .take(self.nodes.len())
+                .collect(),
             probe: vec![None; self.nodes.len()],
         }
     }
@@ -288,7 +212,12 @@ impl Plan {
                             exec.values[node.parents[0]]
                                 .matmul_probed(&exec.values[node.parents[1]], probe)?
                         } else {
-                            self.eval(id, exec, draw)?
+                            let PlanExec { values, saved, .. } = &mut *exec;
+                            with_operands(
+                                &node.parents,
+                                |p| &values[p],
+                                |x| node.op.eval(x, &mut saved[id], draw),
+                            )?
                         }
                     }
                 },
@@ -329,13 +258,15 @@ impl Plan {
             in_place,
         )?;
         for id in (0..=root).rev() {
-            if exec.grads[id].is_none() {
+            let node = &self.nodes[id];
+            let Some(g) = &exec.grads[id] else {
                 continue;
-            }
-            if !matches!(self.nodes[id].binding, NodeBinding::Compute) {
+            };
+            if !matches!(node.binding, NodeBinding::Compute) {
                 continue; // leaves, params and constants spread no further
             }
-            let contribs = match self.nodes[id].role {
+            // One contribution per parent, in parent order.
+            let contribs = match node.role {
                 // Folded subtrees hold no params; their gradients are
                 // unobservable, exactly as in eager execution.
                 Role::Folded => continue,
@@ -348,22 +279,22 @@ impl Plan {
                 // The chain gradient stored here is already folded through
                 // this unary lead — release it to the parent now, at the
                 // lead's eager sweep position.
-                Role::FusedLead {
-                    relay_to: Some(src),
-                } => match &exec.grads[id] {
-                    Some(g) => vec![(src, g.clone())],
-                    None => continue,
-                },
-                Role::Gemm { ta, tb, ua, ub } => self.backprop_gemm(id, exec, ta, tb, ua, ub)?,
-                // A zip/broadcast lead runs its own eager backward formula
-                // on the stored chain gradient; an elided transpose keeps
-                // its eager `gᵀ`, so the deposit into the underlying matrix
-                // stays at its eager sweep position.
-                Role::Eager | Role::ElidedTranspose | Role::FusedLead { relay_to: None } => {
-                    self.backprop(id, exec)?
+                Role::FusedLead { relay: true } => vec![g.clone()],
+                Role::Gemm { ta, tb, ua, ub } => self.backprop_gemm(g, exec, ta, tb, ua, ub)?,
+                // A zip/broadcast lead runs its own backward on the stored
+                // chain gradient; an elided transpose keeps its `gᵀ`, so the
+                // deposit into the underlying matrix stays at its eager
+                // sweep position.
+                Role::Eager | Role::ElidedTranspose | Role::FusedLead { relay: false } => {
+                    with_operands(
+                        &node.parents,
+                        |p| &exec.values[p],
+                        |x| node.op.backprop(g, x, &exec.values[id], &exec.saved[id]),
+                    )?
                 }
             };
-            for (pid, g) in contribs {
+            for (k, g) in contribs.into_iter().enumerate() {
+                let pid = node.parents[k];
                 debug_assert!(pid < id, "tape order violated: node {id} feeds {pid}");
                 accumulate(&mut exec.grads[pid], g, in_place)?;
             }
@@ -492,13 +423,13 @@ impl Plan {
                                 LeadKind::AddCol => {
                                     let bv = v[r];
                                     for (o, &x) in oc.iter_mut().zip(ac) {
-                                        *o = x + bv;
+                                        *o = ZipOp::Add.fwd(x, bv);
                                     }
                                 }
                                 _ => {
                                     let bv = v[r];
                                     for (o, &x) in oc.iter_mut().zip(ac) {
-                                        *o = x * bv;
+                                        *o = ZipOp::Mul.fwd(x, bv);
                                     }
                                 }
                             }
@@ -616,13 +547,13 @@ impl Plan {
                                 LeadKind::AddCol => {
                                     let bv = v[r];
                                     for (o, &x) in vals[0][..l].iter_mut().zip(ac) {
-                                        *o = x + bv;
+                                        *o = ZipOp::Add.fwd(x, bv);
                                     }
                                 }
                                 _ => {
                                     let bv = v[r];
                                     for (o, &x) in vals[0][..l].iter_mut().zip(ac) {
-                                        *o = x * bv;
+                                        *o = ZipOp::Mul.fwd(x, bv);
                                     }
                                 }
                             }
@@ -651,23 +582,19 @@ impl Plan {
     /// backward).
     fn backprop_gemm(
         &self,
-        id: usize,
+        g: &Tensor,
         exec: &PlanExec,
         ta: bool,
         tb: bool,
         ua: usize,
         ub: usize,
-    ) -> Result<Vec<(usize, Tensor)>> {
-        let node = &self.nodes[id];
-        let g = exec.grads[id]
-            .as_ref()
-            .ok_or_else(|| Error::InvalidArgument(format!("node {id} has no gradient")))?;
+    ) -> Result<Vec<Tensor>> {
         // dL/d(op a) = g · (op b)ᵀ; with op b = ub^(tb), its transpose is
         // ub^(!tb). Probes run fresh: `g` changes every step.
         let ga = g.matmul_layout_probed(&exec.values[ub], false, !tb, None)?;
         // dL/d(op b) = (op a)ᵀ · g, with (op a)ᵀ = ua^(!ta).
         let gb = exec.values[ua].matmul_layout_probed(g, !ta, false, None)?;
-        Ok(vec![(node.parents[0], ga), (node.parents[1], gb)])
+        Ok(vec![ga, gb])
     }
 
     /// Evaluates one node by overwriting its dying parent's buffer: the
@@ -682,324 +609,63 @@ impl Plan {
         let q = node.parents[slot];
         let mut t = std::mem::replace(&mut exec.values[q], self.placeholder.clone());
         debug_assert_eq!(t.shape(), &node.shape, "in-place steal shape drifted");
-        match &node.op {
-            Op::Add | Op::Sub | Op::Mul | Op::Div => {
-                let other = exec.values[node.parents[1 - slot]].clone();
-                let b = other.data();
-                let op = node.op.clone();
-                let buf = t.data_mut();
-                par::for_each_row_chunk_mut(buf, 1, PAR_GRAIN_OPS, |first, window| {
-                    let end = first + window.len();
-                    for (o, &y) in window.iter_mut().zip(&b[first..end]) {
-                        let (l, r) = if slot == 0 { (*o, y) } else { (y, *o) };
-                        *o = match op {
-                            Op::Add => l + r,
-                            Op::Sub => l - r,
-                            Op::Mul => l * r,
-                            _ => l / r,
-                        };
-                    }
-                });
-            }
-            Op::AddRowBroadcast | Op::AddColBroadcast | Op::MulColBroadcast => {
-                let other = exec.values[node.parents[1]].clone();
-                let v = other.data();
-                let (_, c) = node.shape.as_matrix("in_place_broadcast")?;
-                let op = node.op.clone();
-                let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-                let buf = t.data_mut();
-                par::for_each_row_chunk_mut(buf, c, grain, |first_row, window| {
-                    for (i, o_row) in window.chunks_mut(c).enumerate() {
-                        match op {
-                            Op::AddRowBroadcast => {
-                                for (o, &b) in o_row.iter_mut().zip(v) {
-                                    *o += b;
-                                }
-                            }
-                            Op::AddColBroadcast => {
-                                let b = v[first_row + i];
-                                for o in o_row.iter_mut() {
-                                    *o += b;
-                                }
-                            }
-                            _ => {
-                                let b = v[first_row + i];
-                                for o in o_row.iter_mut() {
-                                    *o *= b;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            op => {
-                let m = MapOp::from_op(op).ok_or_else(|| {
-                    Error::InvalidArgument(format!(
+        if let Some(z) = ZipOp::from_op(&node.op) {
+            let other = exec.values[node.parents[1 - slot]].clone();
+            let b = other.data();
+            let buf = t.data_mut();
+            par::for_each_row_chunk_mut(buf, 1, PAR_GRAIN_OPS, |first, window| {
+                let end = first + window.len();
+                for (o, &y) in window.iter_mut().zip(&b[first..end]) {
+                    *o = if slot == 0 {
+                        z.fwd(*o, y)
+                    } else {
+                        z.fwd(y, *o)
+                    };
+                }
+            });
+        } else if let Some(m) = MapOp::from_op(&node.op) {
+            par::for_each_row_chunk_mut(t.data_mut(), 1, PAR_GRAIN_OPS, |_, window| {
+                sweep_fwd(m, window);
+            });
+        } else {
+            // The broadcasts, which always overwrite slot 0.
+            let op = match node.op {
+                Op::AddRowBroadcast | Op::AddColBroadcast | Op::MulColBroadcast => &node.op,
+                _ => {
+                    return Err(Error::InvalidArgument(format!(
                         "node {id}: op {} has no in-place kernel",
                         node.op
-                    ))
-                })?;
-                let buf = t.data_mut();
-                par::for_each_row_chunk_mut(buf, 1, PAR_GRAIN_OPS, |_, window| {
-                    for o in window.iter_mut() {
-                        *o = m.fwd(*o);
-                    }
-                });
-            }
-        }
-        Ok(t)
-    }
-
-    /// Evaluates one op from its parents' slot values — the identical
-    /// kernel call the eager `Var` method makes.
-    fn eval(
-        &self,
-        id: usize,
-        exec: &mut PlanExec,
-        draw: &mut dyn FnMut() -> f32,
-    ) -> Result<Tensor> {
-        let node = &self.nodes[id];
-        let values = &exec.values;
-        let pv = |k: usize| -> &Tensor { &values[node.parents[k]] };
-        match &node.op {
-            Op::Leaf | Op::Param => Err(Error::InvalidArgument(format!(
-                "node {id}: {} nodes are bound, never computed",
-                node.op
-            ))),
-            Op::Add => pv(0).add(pv(1)),
-            Op::Sub => pv(0).sub(pv(1)),
-            Op::Mul => pv(0).mul(pv(1)),
-            Op::Div => pv(0).div(pv(1)),
-            Op::AddScalar(s) => Ok(pv(0).add_scalar(*s)),
-            Op::MulScalar(s) => Ok(pv(0).mul_scalar(*s)),
-            Op::Neg => Ok(pv(0).neg()),
-            Op::Matmul => pv(0).matmul(pv(1)),
-            Op::Transpose => pv(0).transpose(),
-            Op::Reshape(shape) => pv(0).reshape(shape.clone()),
-            Op::SliceRows { start, end } => pv(0).slice_rows(*start, *end),
-            Op::Relu => Ok(pv(0).relu()),
-            Op::Elu => Ok(pv(0).elu()),
-            Op::Sigmoid => Ok(pv(0).sigmoid()),
-            Op::Tanh => Ok(pv(0).tanh()),
-            Op::Exp => Ok(pv(0).exp()),
-            Op::Square => Ok(pv(0).square()),
-            Op::Abs => Ok(pv(0).abs()),
-            Op::Sqrt => Ok(pv(0).sqrt()),
-            Op::SoftmaxRows => pv(0).softmax_rows(),
-            Op::Dropout { rate } => {
-                let keep = 1.0 - rate;
-                let x = pv(0);
-                let mask = Tensor::filled_with(x.shape().clone(), || {
-                    if draw() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    }
-                });
-                let out = x.mul(&mask)?;
-                exec.masks[id] = Some(mask);
-                Ok(out)
-            }
-            Op::AddRowBroadcast => pv(0).add_row_broadcast(pv(1)),
-            Op::AddColBroadcast => pv(0).add_col_broadcast(pv(1)),
-            Op::MulColBroadcast => pv(0).mul_col_broadcast(pv(1)),
-            Op::RowsMaxPool { groups } => {
-                let v = pv(0);
-                let (rows, cols) = v.shape().as_matrix("rows_max_pool")?;
-                let out_rows = groups.len();
-                let mut out = Buffer::filled(out_rows * cols, f32::NEG_INFINITY);
-                let mut argmax = exec.argmax[id].take().unwrap_or_default();
-                argmax.clear();
-                argmax.resize(out_rows * cols, 0);
-                for (i, group) in groups.iter().enumerate() {
-                    for &r in group {
-                        if r >= rows {
-                            return Err(Error::InvalidArgument(format!(
-                                "rows_max_pool: row {r} out of {rows}"
-                            )));
+                    )))
+                }
+            };
+            let other = exec.values[node.parents[1]].clone();
+            let v = other.data();
+            let (_, c) = node.shape.as_matrix("in_place_broadcast")?;
+            let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
+            par::for_each_row_chunk_mut(t.data_mut(), c, grain, |first_row, window| {
+                for (i, o_row) in window.chunks_mut(c).enumerate() {
+                    match op {
+                        Op::AddRowBroadcast => {
+                            for (o, &b) in o_row.iter_mut().zip(v) {
+                                *o = ZipOp::Add.fwd(*o, b);
+                            }
                         }
-                        for c in 0..cols {
-                            let val = v.data()[r * cols + c];
-                            if val > out[i * cols + c] {
-                                out[i * cols + c] = val;
-                                argmax[i * cols + c] = r;
+                        Op::AddColBroadcast => {
+                            let b = v[first_row + i];
+                            for o in o_row.iter_mut() {
+                                *o = ZipOp::Add.fwd(*o, b);
+                            }
+                        }
+                        _ => {
+                            let b = v[first_row + i];
+                            for o in o_row.iter_mut() {
+                                *o = ZipOp::Mul.fwd(*o, b);
                             }
                         }
                     }
                 }
-                exec.argmax[id] = Some(argmax);
-                Ok(Tensor::from_buffer(Shape::matrix(out_rows, cols), out))
-            }
-            Op::SumAll => Ok(pv(0).sum_all()),
-            Op::MeanAll => Ok(pv(0).mean_all()),
-            Op::SumCols => pv(0).sum_cols(),
-            Op::SumRows => pv(0).sum_rows(),
-            Op::ConcatCols => {
-                let parts: Vec<&Tensor> = node.parents.iter().map(|&p| &values[p]).collect();
-                Tensor::concat_cols(&parts)
-            }
+            });
         }
-    }
-
-    /// Re-applies the eager backward formula for node `id`, returning the
-    /// gradient contribution per parent in parent order.
-    fn backprop(&self, id: usize, exec: &PlanExec) -> Result<Vec<(usize, Tensor)>> {
-        let node = &self.nodes[id];
-        let g = exec.grads[id]
-            .as_ref()
-            .ok_or_else(|| Error::InvalidArgument(format!("node {id} has no gradient")))?;
-        let values = &exec.values;
-        let out = &values[id];
-        let pid = |k: usize| node.parents[k];
-        let pv = |k: usize| -> &Tensor { &values[node.parents[k]] };
-        let one = |t: Tensor| -> Result<Vec<(usize, Tensor)>> { Ok(vec![(node.parents[0], t)]) };
-        match &node.op {
-            Op::Leaf | Op::Param => Ok(Vec::new()),
-            Op::Add => Ok(vec![(pid(0), g.clone()), (pid(1), g.clone())]),
-            Op::Sub => Ok(vec![(pid(0), g.clone()), (pid(1), g.neg())]),
-            Op::Mul => Ok(vec![(pid(0), g.mul(pv(1))?), (pid(1), g.mul(pv(0))?)]),
-            Op::Div => {
-                let (av, bv) = (pv(0), pv(1));
-                let ga = g.div(bv)?;
-                // d(a/b)/db = -a / b²  — same composition as the eager closure.
-                let gb = g.mul(av)?.div(&bv.square())?.neg();
-                Ok(vec![(pid(0), ga), (pid(1), gb)])
-            }
-            Op::AddScalar(_) => one(g.clone()),
-            Op::MulScalar(s) => one(g.mul_scalar(*s)),
-            Op::Neg => one(g.neg()),
-            Op::Matmul => {
-                let (av, bv) = (pv(0), pv(1));
-                let ga = g.matmul(&bv.transpose()?)?;
-                let gb = av.transpose()?.matmul(g)?;
-                Ok(vec![(pid(0), ga), (pid(1), gb)])
-            }
-            Op::Transpose => one(g.transpose()?),
-            Op::Reshape(_) => one(g.reshape(pv(0).shape().clone())?),
-            Op::SliceRows { start, end } => {
-                let (_, cols) = pv(0).shape().as_matrix("slice_rows_bw")?;
-                let mut full = Tensor::zeros(pv(0).shape().clone());
-                full.data_mut()[start * cols..end * cols].copy_from_slice(g.data());
-                one(full)
-            }
-            Op::Relu => {
-                one(g.zip_map(pv(0), "relu_bw", |gv, xv| if xv > 0.0 { gv } else { 0.0 })?)
-            }
-            Op::Elu => {
-                one(g.zip_map(
-                    out,
-                    "elu_bw",
-                    |gv, ov| {
-                        if ov > 0.0 {
-                            gv
-                        } else {
-                            gv * (ov + 1.0)
-                        }
-                    },
-                )?)
-            }
-            Op::Sigmoid => one(g.zip_map(out, "sigmoid_bw", |gv, sv| gv * sv * (1.0 - sv))?),
-            Op::Tanh => one(g.zip_map(out, "tanh_bw", |gv, tv| gv * (1.0 - tv * tv))?),
-            Op::Exp => one(g.mul(out)?),
-            Op::Square => one(g.zip_map(pv(0), "square_bw", |gv, xv| gv * 2.0 * xv)?),
-            Op::Abs => one(g.zip_map(pv(0), "abs_bw", |gv, xv| {
-                if xv == 0.0 {
-                    0.0
-                } else {
-                    gv * xv.signum()
-                }
-            })?),
-            Op::Sqrt => one(g.zip_map(out, "sqrt_bw", |gv, sv| gv * 0.5 / sv.max(1e-8))?),
-            Op::SoftmaxRows => {
-                // dx_j = s_j (g_j − Σ_k g_k s_k), per row — serial, exactly
-                // as the eager closure computes it.
-                let s = out;
-                let (r, c) = s.shape().as_matrix("softmax_bw")?;
-                let mut dx = Tensor::zeros(Shape::matrix(r, c));
-                let buf = dx.data_mut();
-                for i in 0..r {
-                    let srow = s.row(i);
-                    let grow = g.row(i);
-                    let dot: f32 = srow.iter().zip(grow).map(|(&sv, &gv)| sv * gv).sum();
-                    for j in 0..c {
-                        buf[i * c + j] = srow[j] * (grow[j] - dot);
-                    }
-                }
-                one(dx)
-            }
-            Op::Dropout { .. } => {
-                let mask = exec.masks[id].as_ref().ok_or_else(|| {
-                    Error::InvalidArgument(format!(
-                        "dropout node {id} has no mask — backward before forward?"
-                    ))
-                })?;
-                one(g.mul(mask)?)
-            }
-            Op::AddRowBroadcast => Ok(vec![(pid(0), g.clone()), (pid(1), g.sum_rows()?)]),
-            Op::AddColBroadcast => Ok(vec![(pid(0), g.clone()), (pid(1), g.sum_cols()?)]),
-            Op::MulColBroadcast => {
-                let (av, cv) = (pv(0), pv(1));
-                let ga = g.mul_col_broadcast(cv)?;
-                let gc = g.mul(av)?.sum_cols()?;
-                Ok(vec![(pid(0), ga), (pid(1), gc)])
-            }
-            Op::RowsMaxPool { groups } => {
-                let argmax = exec.argmax[id].as_ref().ok_or_else(|| {
-                    Error::InvalidArgument(format!(
-                        "rows_max_pool node {id} has no argmax — backward before forward?"
-                    ))
-                })?;
-                let (out_rows, cols) = (groups.len(), out.shape().cols());
-                let mut dx = Tensor::zeros(pv(0).shape().clone());
-                let buf = dx.data_mut();
-                for i in 0..out_rows {
-                    for c in 0..cols {
-                        buf[argmax[i * cols + c] * cols + c] += g.data()[i * cols + c];
-                    }
-                }
-                one(dx)
-            }
-            Op::SumAll => one(Tensor::full(pv(0).shape().clone(), g.scalar())),
-            Op::MeanAll => {
-                let shape = pv(0).shape().clone();
-                let inv = 1.0 / shape.len() as f32;
-                one(Tensor::full(shape, g.scalar() * inv))
-            }
-            Op::SumCols => {
-                let (r, c) = pv(0).shape().as_matrix("sum_cols_bw")?;
-                let mut dx = Tensor::zeros(Shape::matrix(r, c));
-                let buf = dx.data_mut();
-                for i in 0..r {
-                    let gv = g.data()[i];
-                    buf[i * c..(i + 1) * c].fill(gv);
-                }
-                one(dx)
-            }
-            Op::SumRows => {
-                let (r, c) = pv(0).shape().as_matrix("sum_rows_bw")?;
-                let mut dx = Tensor::zeros(Shape::matrix(r, c));
-                let buf = dx.data_mut();
-                for i in 0..r {
-                    buf[i * c..(i + 1) * c].copy_from_slice(g.data());
-                }
-                one(dx)
-            }
-            Op::ConcatCols => {
-                let rows = out.shape().rows();
-                let mut contribs = Vec::with_capacity(node.parents.len());
-                let mut col = 0;
-                for &p in &node.parents {
-                    let w = values[p].shape().cols();
-                    let mut part = Buffer::zeroed(rows * w);
-                    for r in 0..rows {
-                        let src = &g.row(r)[col..col + w];
-                        part[r * w..(r + 1) * w].copy_from_slice(src);
-                    }
-                    contribs.push((p, Tensor::from_buffer(Shape::matrix(rows, w), part)));
-                    col += w;
-                }
-                Ok(contribs)
-            }
-        }
+        Ok(t)
     }
 }

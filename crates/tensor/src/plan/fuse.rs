@@ -21,11 +21,11 @@
 //! result in the lead's grad slot; when the sweep later reaches the lead,
 //! the stored gradient is released — relayed to the parent for a unary
 //! lead (it is already folded through the lead's own map), or pushed
-//! through the lead's unchanged eager backward formula for zip/broadcast
+//! through the lead's own backward (`Op::backprop`) for zip/broadcast
 //! leads (none of which read the lead's own never-computed output value).
-//! Every scalar formula in the fold replicates the eager kernel closures
-//! exactly, and the recomputed intermediates are bit-identical to the slot
-//! values eager backward would read, so the deposited bits match.
+//! The fold calls the same scalar [`MapOp`] formulas the op-at-a-time
+//! kernels call, and the recomputed intermediates are bit-identical to the
+//! slot values eager backward would read, so the deposited bits match.
 //!
 //! Legality: lead and interior nodes are compute-bound, still
 //! [`Role::Eager`], unpinned, and read by exactly their successor; stages
@@ -34,18 +34,18 @@
 //! stack array. The final node may be pinned or multi-consumer — its value
 //! is fully computed.
 
-use super::ir::{FusedChain, LeadKind, MapOp, NodeBinding, Role, ZipOp, MAX_STAGES};
+use super::ir::{FusedChain, LeadKind, NodeBinding, Role, MAX_STAGES};
 use super::passes::{pinned, value_readers};
 use super::Plan;
 use crate::autograd::Op;
+use crate::op::{MapOp, ZipOp};
 
 /// What kind of chain lead this op can be, if any.
 fn lead_kind(op: &Op) -> Option<LeadKind> {
+    if let Some(z) = ZipOp::from_op(op) {
+        return Some(LeadKind::Zip(z));
+    }
     Some(match op {
-        Op::Add => LeadKind::Zip(ZipOp::Add),
-        Op::Sub => LeadKind::Zip(ZipOp::Sub),
-        Op::Mul => LeadKind::Zip(ZipOp::Mul),
-        Op::Div => LeadKind::Zip(ZipOp::Div),
         Op::AddRowBroadcast => LeadKind::AddRow,
         Op::AddColBroadcast => LeadKind::AddCol,
         Op::MulColBroadcast => LeadKind::MulCol,
@@ -109,9 +109,9 @@ pub(crate) fn fuse_chains(plan: &mut Plan) -> (usize, usize) {
         }
         let out = cur;
         let parents = &plan.nodes[lead].parents;
-        let (src, relay_to) = match kind {
-            LeadKind::Map(_) => ((parents[0], None), Some(parents[0])),
-            _ => ((parents[0], Some(parents[1])), None),
+        let (src, relay) = match kind {
+            LeadKind::Map(_) => ((parents[0], None), true),
+            _ => ((parents[0], Some(parents[1])), false),
         };
         let chain_idx = plan.chains.len();
         plan.chains.push(FusedChain {
@@ -121,7 +121,7 @@ pub(crate) fn fuse_chains(plan: &mut Plan) -> (usize, usize) {
             src,
             stages,
         });
-        plan.nodes[lead].role = Role::FusedLead { relay_to };
+        plan.nodes[lead].role = Role::FusedLead { relay };
         for &m in &members[1..members.len() - 1] {
             plan.nodes[m].role = Role::Erased;
         }

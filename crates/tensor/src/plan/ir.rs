@@ -13,8 +13,9 @@
 
 use crate::autograd::{Op, Param};
 use crate::error::Result;
+use crate::op::{MapOp, ZipOp};
 use crate::shape::Shape;
-use crate::tensor::{stable_sigmoid, Tensor};
+use crate::tensor::Tensor;
 use std::fmt;
 use std::rc::Rc;
 
@@ -108,7 +109,7 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
-    /// Every pass disabled — replay re-applies the eager formulas verbatim.
+    /// Every pass disabled — every node runs the op table, as eager does.
     pub fn none() -> Self {
         PlanOptions {
             fold_constants: false,
@@ -177,7 +178,8 @@ pub(crate) enum NodeBinding {
 /// How the executor treats one `Compute` node after optimization.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Role {
-    /// Run the eager forward/backward formulas (the unoptimized default).
+    /// Run the op's own [`Op::eval`] / [`Op::backprop`] — the code eager
+    /// execution runs (the unoptimized default).
     Eager,
     /// Constant-folded: the slot keeps its traced value forever; forward
     /// and backward both skip the node (its subtree holds no params).
@@ -192,9 +194,9 @@ pub(crate) enum Role {
     /// formula for a zip/broadcast lead — so deposits to nodes outside the
     /// chain land at exactly the eager sweep position.
     FusedLead {
-        /// `Some(parent)` for a unary-map lead: the stored gradient is
-        /// already folded through the lead and deposits directly there.
-        relay_to: Option<usize>,
+        /// True for a unary-map lead: the stored gradient is already folded
+        /// through the lead and deposits directly into its one parent.
+        relay: bool,
     },
     /// Final node of a fused chain (index into `Plan::chains`): one sweep
     /// computes the whole chain forward; backward folds the output
@@ -223,140 +225,6 @@ pub(crate) struct PlanNode {
     pub(crate) shape: Shape,
     pub(crate) binding: NodeBinding,
     pub(crate) role: Role,
-}
-
-/// A unary elementwise op a fused sweep can apply in registers. The `fwd`
-/// and `bwd` bodies replicate the corresponding [`Tensor`] kernel closures
-/// *exactly* — same intrinsics, same comparison directions — because the
-/// fused sweep must produce the same bits the op-at-a-time kernels produce.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum MapOp {
-    Relu,
-    Elu,
-    Sigmoid,
-    Tanh,
-    Exp,
-    Square,
-    Abs,
-    Sqrt,
-    Neg,
-    AddScalar(f32),
-    MulScalar(f32),
-}
-
-impl MapOp {
-    /// The fusable unary ops. Dropout is deliberately absent: its forward
-    /// draws from the caller's RNG in node order, so it must stay an eager
-    /// node to keep the stream contract.
-    pub(crate) fn from_op(op: &Op) -> Option<MapOp> {
-        Some(match op {
-            Op::Relu => MapOp::Relu,
-            Op::Elu => MapOp::Elu,
-            Op::Sigmoid => MapOp::Sigmoid,
-            Op::Tanh => MapOp::Tanh,
-            Op::Exp => MapOp::Exp,
-            Op::Square => MapOp::Square,
-            Op::Abs => MapOp::Abs,
-            Op::Sqrt => MapOp::Sqrt,
-            Op::Neg => MapOp::Neg,
-            Op::AddScalar(s) => MapOp::AddScalar(*s),
-            Op::MulScalar(s) => MapOp::MulScalar(*s),
-            _ => return None,
-        })
-    }
-
-    /// Per-element FLOP weight of this op, matching the tape cost model
-    /// (`stgnn-analyze` weights transcendental-heavy ops ×8).
-    pub(crate) fn cost_weight(self) -> u64 {
-        match self {
-            MapOp::Elu | MapOp::Sigmoid | MapOp::Tanh | MapOp::Exp | MapOp::Sqrt => 8,
-            _ => 1,
-        }
-    }
-
-    /// The scalar body of the op's forward kernel.
-    #[inline]
-    pub(crate) fn fwd(self, x: f32) -> f32 {
-        match self {
-            MapOp::Relu => x.max(0.0),
-            MapOp::Elu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    x.exp_m1()
-                }
-            }
-            MapOp::Sigmoid => stable_sigmoid(x),
-            MapOp::Tanh => x.tanh(),
-            MapOp::Exp => x.exp(),
-            MapOp::Square => x * x,
-            MapOp::Abs => x.abs(),
-            MapOp::Sqrt => x.sqrt(),
-            MapOp::Neg => -x,
-            MapOp::AddScalar(s) => x + s,
-            MapOp::MulScalar(s) => x * s,
-        }
-    }
-
-    /// The scalar body of the op's backward closure: the gradient `g`
-    /// arriving at the output, folded to the input, given the input value
-    /// `x_in` and output value `x_out` (the fused backward recomputes both,
-    /// bit-identical to the slot values eager backward reads).
-    #[inline]
-    pub(crate) fn bwd(self, g: f32, x_in: f32, x_out: f32) -> f32 {
-        match self {
-            MapOp::Relu => {
-                if x_in > 0.0 {
-                    g
-                } else {
-                    0.0
-                }
-            }
-            MapOp::Elu => {
-                if x_out > 0.0 {
-                    g
-                } else {
-                    g * (x_out + 1.0)
-                }
-            }
-            MapOp::Sigmoid => g * x_out * (1.0 - x_out),
-            MapOp::Tanh => g * (1.0 - x_out * x_out),
-            MapOp::Exp => g * x_out,
-            MapOp::Square => g * 2.0 * x_in,
-            MapOp::Abs => {
-                if x_in == 0.0 {
-                    0.0
-                } else {
-                    g * x_in.signum()
-                }
-            }
-            MapOp::Sqrt => g * 0.5 / x_out.max(1e-8),
-            MapOp::Neg => -g,
-            MapOp::AddScalar(_) => g,
-            MapOp::MulScalar(s) => g * s,
-        }
-    }
-}
-
-/// A binary elementwise op usable as a fused chain's lead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ZipOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-}
-
-impl ZipOp {
-    #[inline]
-    pub(crate) fn fwd(self, a: f32, b: f32) -> f32 {
-        match self {
-            ZipOp::Add => a + b,
-            ZipOp::Sub => a - b,
-            ZipOp::Mul => a * b,
-            ZipOp::Div => a / b,
-        }
-    }
 }
 
 /// The first op of a fused chain — the one that reads values from outside
@@ -422,7 +290,7 @@ pub struct PlanNodeSummary {
 /// flattened for consumers outside this crate (`stgnn-analyze`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanOpKind {
-    /// Computed with the eager formulas.
+    /// Computed with the op's own forward/backward, as eager execution.
     Eager,
     /// Constant leaf (frozen traced value).
     Constant,

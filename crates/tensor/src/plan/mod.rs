@@ -7,15 +7,17 @@
 //! STGNN-DJD's tape has a fixed structure for a given station count and
 //! window configuration — every training step and every serve forward
 //! re-traces the identical graph. Eager mode pays for that by rebuilding
-//! every [`crate::autograd::Var`] node per step: `Rc` churn, backward
-//! closures, shape clones, and a fresh allocation per op output.
+//! every [`crate::autograd::Var`] node per step: `Rc` churn, parent lists,
+//! shape clones, and a fresh allocation per op output.
 //!
 //! [`Plan::compile`] takes one [`TapeSnapshot`] traced by eager mode and
 //! turns it into a static schedule: ops in topological (= insertion) order,
 //! leaf **bindings** that say how each leaf gets its value on replay
 //! (rebound input, recomputed derived value, re-read parameter, or frozen
-//! constant), and parameter links for gradient writeback. A [`PlanExec`]
-//! holds the per-node value/gradient/mask slots; replaying overwrites the
+//! constant), and parameter links for gradient writeback. Nodes the
+//! optimizer leaves alone run the same [`Op`] forward and backward as the
+//! eager tape — one op table serves both executors. A [`PlanExec`]
+//! holds the per-node value/gradient/saved-state slots; replaying overwrites the
 //! slots in place, so each step's outputs recycle the previous step's
 //! buffers through the [`crate::pool`] and the steady state performs **zero
 //! pool misses** — the allocator is never touched.
@@ -44,8 +46,10 @@
 //! sequence and every gradient deposit's sweep position (see the legality
 //! notes on each pass). Dropout nodes are never folded, fused or elided,
 //! so a plan step consumes the RNG stream exactly like the eager step it
-//! replaces. The parity suite in `crates/core/tests/plan_parity.rs` proves
-//! this per pass, per thread count, down to the bit.
+//! replaces. The parity suite in `tests/plan_parity.rs` proves
+//! this per pass, per thread count, down to the bit, and
+//! `tests/plan_gradcheck.rs` checks every op's plan gradient against
+//! finite differences.
 //!
 //! One caveat is inherent to replay: ops whose *structure* (not value) was
 //! derived from input data at trace time — [`Op::RowsMaxPool`] group lists

@@ -9,6 +9,7 @@
 //! forward values instead of duplicating every `n×n` matrix.
 
 use crate::error::{Error, Result};
+use crate::op::{MapOp, ZipOp};
 use crate::par;
 use crate::pool::Buffer;
 use crate::shape::Shape;
@@ -252,7 +253,7 @@ impl Tensor {
 
     /// Elementwise sum.
     pub fn add(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.zip_map(rhs, "add", |a, b| a + b)
+        self.zip_map(rhs, "add", |a, b| ZipOp::Add.fwd(a, b))
     }
 
     /// Elementwise sum into `self`'s buffer: `self[i] += rhs[i]`. Produces
@@ -271,7 +272,7 @@ impl Tensor {
         par::for_each_row_chunk_mut(buf, 1, PAR_GRAIN_OPS, |first, window| {
             let end = first + window.len();
             for (o, &y) in window.iter_mut().zip(&b[first..end]) {
-                *o += y;
+                *o = ZipOp::Add.fwd(*o, y);
             }
         });
         Ok(())
@@ -279,72 +280,72 @@ impl Tensor {
 
     /// Elementwise difference.
     pub fn sub(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.zip_map(rhs, "sub", |a, b| a - b)
+        self.zip_map(rhs, "sub", |a, b| ZipOp::Sub.fwd(a, b))
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.zip_map(rhs, "mul", |a, b| a * b)
+        self.zip_map(rhs, "mul", |a, b| ZipOp::Mul.fwd(a, b))
     }
 
     /// Elementwise quotient.
     pub fn div(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.zip_map(rhs, "div", |a, b| a / b)
+        self.zip_map(rhs, "div", |a, b| ZipOp::Div.fwd(a, b))
     }
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
+        self.map(|x| MapOp::AddScalar(s).fwd(x))
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
+        self.map(|x| MapOp::MulScalar(s).fwd(x))
     }
 
     /// Elementwise negation.
     pub fn neg(&self) -> Tensor {
-        self.map(|x| -x)
+        self.map(|x| MapOp::Neg.fwd(x))
     }
 
     /// Elementwise `max(x, 0)`.
     pub fn relu(&self) -> Tensor {
-        self.map(|x| x.max(0.0))
+        self.map(|x| MapOp::Relu.fwd(x))
     }
 
     /// Elementwise ELU with α = 1 (the paper's σ₂, following GAT).
     pub fn elu(&self) -> Tensor {
-        self.map(|x| if x > 0.0 { x } else { x.exp_m1() })
+        self.map(|x| MapOp::Elu.fwd(x))
     }
 
     /// Elementwise logistic sigmoid, numerically stable on both tails.
     pub fn sigmoid(&self) -> Tensor {
-        self.map(stable_sigmoid)
+        self.map(|x| MapOp::Sigmoid.fwd(x))
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        self.map(f32::tanh)
+        self.map(|x| MapOp::Tanh.fwd(x))
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
+        self.map(|x| MapOp::Exp.fwd(x))
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
-        self.map(|x| x * x)
+        self.map(|x| MapOp::Square.fwd(x))
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Tensor {
-        self.map(f32::sqrt)
+        self.map(|x| MapOp::Sqrt.fwd(x))
     }
 
     /// Elementwise absolute value.
     pub fn abs(&self) -> Tensor {
-        self.map(f32::abs)
+        self.map(|x| MapOp::Abs.fwd(x))
     }
 
     // ------------------------------------------------------------------
@@ -657,7 +658,7 @@ impl Tensor {
         par::for_each_row_chunk_mut(&mut out, c, grain, |_, window| {
             for o_row in window.chunks_mut(c) {
                 for (o, &b) in o_row.iter_mut().zip(v) {
-                    *o += b;
+                    *o = ZipOp::Add.fwd(*o, b);
                 }
             }
         });
@@ -682,7 +683,7 @@ impl Tensor {
             for (i, o_row) in window.chunks_mut(c).enumerate() {
                 let b = v[first_row + i];
                 for o in o_row.iter_mut() {
-                    *o += b;
+                    *o = ZipOp::Add.fwd(*o, b);
                 }
             }
         });
@@ -707,7 +708,7 @@ impl Tensor {
             for (i, o_row) in window.chunks_mut(c).enumerate() {
                 let b = v[first_row + i];
                 for o in o_row.iter_mut() {
-                    *o *= b;
+                    *o = ZipOp::Mul.fwd(*o, b);
                 }
             }
         });
@@ -1247,16 +1248,6 @@ fn gemm_row_tt(
             acc += av * b[j * b_cols + p];
         }
         *o = acc;
-    }
-}
-
-/// Logistic sigmoid that avoids `exp` overflow on large negative inputs.
-pub(crate) fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 

@@ -1,0 +1,253 @@
+//! Finite-difference gradient checks through the compiled plan.
+//!
+//! The eager tape and the plan share each op's forward and backward, so
+//! comparing the two cannot catch a wrong backward formula. These checks
+//! can: for every [`Op`] variant a small scalar tape is compiled with
+//! [`Plan::compile_with`], its parameter cells are perturbed and the plan
+//! replayed, and central differences of the replayed loss must match the
+//! gradients [`Plan::backward`] deposits. Every case runs with the
+//! optimizer off (the shared op table alone) and on (the plan-only GEMM,
+//! fused-chain and in-place backward paths wherever the passes fire), and
+//! three extra cases pin one fused chain, one matmul of an elided
+//! transpose and one in-place rewrite.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::rc::Rc;
+use stgnn_djd::tensor::autograd::{Graph, Op, Param, ParamSet, Var};
+use stgnn_djd::tensor::plan::{PassReport, Plan, PlanExec, PlanOptions, PlanSpec};
+use stgnn_djd::tensor::{Shape, Tensor};
+
+/// Central-difference step: large, because the loss is f32.
+const EPS: f32 = 1e-2;
+/// Relative tolerance between the plan gradient and the central difference.
+const TOL: f32 = 2e-2;
+
+/// A deterministic `r×c` matrix with distinct, non-zero, mixed-sign entries
+/// kept away from the kinks of `relu`/`abs` and from ties in max-pooling.
+fn mat(r: usize, c: usize, seed: u32) -> Tensor {
+    let data = (0..r * c)
+        .map(|i| {
+            let k = (i as u32 * 7 + seed * 13) % 17;
+            (k as f32 - 8.3) * 0.23
+        })
+        .collect();
+    Tensor::from_vec(Shape::matrix(r, c), data).unwrap()
+}
+
+/// A strictly positive matrix (for `sqrt` and divisors).
+fn pos(r: usize, c: usize, seed: u32) -> Tensor {
+    mat(r, c, seed).abs().add_scalar(0.5)
+}
+
+/// Builds a case's tape from its parameter vars.
+type Build = Box<dyn Fn(&Graph, &[Var]) -> Var>;
+
+/// One gradcheck case: the parameters' starting values and the tape built
+/// from their vars, ending in the value the loss weights and sums.
+struct Case {
+    params: Vec<Tensor>,
+    build: Build,
+}
+
+fn case(params: Vec<Tensor>, build: impl Fn(&Graph, &[Var]) -> Var + 'static) -> Case {
+    Case {
+        params,
+        build: Box::new(build),
+    }
+}
+
+/// The case for `op`'s variant. The match has no wildcard arm, so a new
+/// `Op` variant fails to compile here until it has a case.
+fn case_for(op: &Op) -> Case {
+    match op {
+        Op::Leaf => case(vec![mat(2, 3, 1)], |g, x| x[0].mul(&g.leaf(mat(2, 3, 2)))),
+        Op::Param => case(vec![mat(2, 3, 1)], |_, x| x[0].clone()),
+        Op::Add => case(vec![mat(2, 3, 1), mat(2, 3, 2)], |_, x| x[0].add(&x[1])),
+        Op::Sub => case(vec![mat(2, 3, 1), mat(2, 3, 2)], |_, x| x[0].sub(&x[1])),
+        Op::Mul => case(vec![mat(2, 3, 1), mat(2, 3, 2)], |_, x| x[0].mul(&x[1])),
+        Op::Div => case(vec![mat(2, 3, 1), pos(2, 3, 2)], |_, x| x[0].div(&x[1])),
+        Op::AddScalar(_) => case(vec![mat(2, 3, 1)], |_, x| x[0].add_scalar(0.7)),
+        Op::MulScalar(_) => case(vec![mat(2, 3, 1)], |_, x| x[0].mul_scalar(-1.3)),
+        Op::Neg => case(vec![mat(2, 3, 1)], |_, x| x[0].neg()),
+        Op::Matmul => case(vec![mat(2, 3, 1), mat(3, 4, 2)], |_, x| x[0].matmul(&x[1])),
+        Op::Transpose => case(vec![mat(2, 3, 1)], |_, x| x[0].transpose()),
+        Op::Reshape(_) => case(vec![mat(1, 6, 1)], |_, x| x[0].reshape(Shape::matrix(2, 3))),
+        Op::SliceRows { .. } => case(vec![mat(4, 3, 1)], |_, x| x[0].slice_rows(1, 3)),
+        Op::Relu => case(vec![mat(2, 3, 1)], |_, x| x[0].relu()),
+        Op::Elu => case(vec![mat(2, 3, 1)], |_, x| x[0].elu()),
+        Op::Sigmoid => case(vec![mat(2, 3, 1)], |_, x| x[0].sigmoid()),
+        Op::Tanh => case(vec![mat(2, 3, 1)], |_, x| x[0].tanh()),
+        Op::Exp => case(vec![mat(2, 3, 1)], |_, x| x[0].exp()),
+        Op::Square => case(vec![mat(2, 3, 1)], |_, x| x[0].square()),
+        Op::Abs => case(vec![mat(2, 3, 1)], |_, x| x[0].abs()),
+        Op::Sqrt => case(vec![pos(2, 3, 1)], |_, x| x[0].sqrt()),
+        Op::SoftmaxRows => case(vec![mat(2, 3, 1)], |_, x| x[0].softmax_rows()),
+        Op::Dropout { .. } => case(vec![mat(4, 4, 1)], |_, x| {
+            x[0].dropout(0.5, &mut StdRng::seed_from_u64(0))
+        }),
+        Op::AddRowBroadcast => case(vec![mat(3, 2, 1), mat(1, 2, 2)], |_, x| {
+            x[0].add_row_broadcast(&x[1])
+        }),
+        Op::AddColBroadcast => case(vec![mat(3, 2, 1), mat(3, 1, 2)], |_, x| {
+            x[0].add_col_broadcast(&x[1])
+        }),
+        Op::MulColBroadcast => case(vec![mat(3, 2, 1), mat(3, 1, 2)], |_, x| {
+            x[0].mul_col_broadcast(&x[1])
+        }),
+        Op::RowsMaxPool { .. } => case(vec![mat(3, 2, 1)], |_, x| {
+            x[0].rows_max_pool(&[vec![0, 1], vec![1, 2], vec![0, 2]])
+        }),
+        Op::SumAll => case(vec![mat(2, 3, 1)], |_, x| x[0].square().sum_all()),
+        Op::MeanAll => case(vec![mat(2, 3, 1)], |_, x| x[0].square().mean_all()),
+        Op::SumCols => case(vec![mat(2, 3, 1)], |_, x| x[0].sum_cols()),
+        Op::SumRows => case(vec![mat(2, 3, 1)], |_, x| x[0].sum_rows()),
+        Op::ConcatCols => case(vec![mat(2, 3, 1), mat(2, 1, 2)], |g, x| {
+            g.concat_cols(&[&x[0], &x[1]])
+        }),
+    }
+}
+
+/// One representative of every `Op` variant, in declaration order.
+fn every_op() -> Vec<Op> {
+    vec![
+        Op::Leaf,
+        Op::Param,
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Div,
+        Op::AddScalar(0.0),
+        Op::MulScalar(0.0),
+        Op::Neg,
+        Op::Matmul,
+        Op::Transpose,
+        Op::Reshape(Shape::scalar()),
+        Op::SliceRows { start: 0, end: 0 },
+        Op::Relu,
+        Op::Elu,
+        Op::Sigmoid,
+        Op::Tanh,
+        Op::Exp,
+        Op::Square,
+        Op::Abs,
+        Op::Sqrt,
+        Op::SoftmaxRows,
+        Op::Dropout { rate: 0.0 },
+        Op::AddRowBroadcast,
+        Op::AddColBroadcast,
+        Op::MulColBroadcast,
+        Op::RowsMaxPool { groups: Vec::new() },
+        Op::SumAll,
+        Op::MeanAll,
+        Op::SumCols,
+        Op::SumRows,
+        Op::ConcatCols,
+    ]
+}
+
+/// One plan forward from the current parameter cells, returning the loss.
+/// Each replay draws from a fresh, identically seeded stream, so every
+/// forward samples the same dropout mask and the loss is a deterministic
+/// function of the parameters.
+fn replay(plan: &Plan, exec: &mut PlanExec) -> f32 {
+    let mut rng = StdRng::seed_from_u64(9);
+    plan.forward_with_rng(exec, &[], &mut rng).unwrap();
+    plan.loss_value(exec).unwrap()
+}
+
+/// Traces `case`, weights its output with a fixed non-uniform leaf (so no
+/// gradient is trivially uniform), compiles the scalar loss with
+/// `options`, and compares the plan gradient of every parameter element
+/// with a central difference of replayed losses. Returns the plan's pass
+/// report and op names so callers can check what the tape exercised.
+fn check(case: &Case, options: PlanOptions, what: &str) -> (PassReport, Vec<&'static str>) {
+    let mut set = ParamSet::new();
+    let params: Vec<Rc<Param>> = case
+        .params
+        .iter()
+        .enumerate()
+        .map(|(i, v)| set.add(format!("p{i}"), v.clone()))
+        .collect();
+    let g = Graph::new();
+    let vars: Vec<Var> = params.iter().map(|p| g.param(p)).collect();
+    let y = (case.build)(&g, &vars);
+    let weight = mat(1, y.value().len(), 5).reshape(y.shape()).unwrap();
+    let loss = y.mul(&g.leaf(weight)).sum_all();
+    let spec = PlanSpec {
+        loss: Some(loss.id()),
+        ..PlanSpec::default()
+    };
+    let plan = Plan::compile_with(&g.snapshot(), &set, spec, options).unwrap();
+    let mut exec = plan.executor();
+    replay(&plan, &mut exec);
+    set.zero_grads();
+    plan.backward(&mut exec, 1.0).unwrap();
+    for (pi, p) in params.iter().enumerate() {
+        let auto = p.grad();
+        let base = p.value();
+        for i in 0..base.len() {
+            let mut loss_at = |d: f32| {
+                let mut v = base.clone();
+                v.data_mut()[i] += d;
+                p.set_value(v);
+                replay(&plan, &mut exec)
+            };
+            let num = (loss_at(EPS) - loss_at(-EPS)) / (2.0 * EPS);
+            p.set_value(base.clone());
+            let a = auto.data()[i];
+            assert!(
+                (a - num).abs() <= TOL * (1.0 + num.abs()),
+                "{what} ({options:?}): param {pi} element {i}: plan gradient {a} vs \
+                 central difference {num}"
+            );
+        }
+    }
+    let names = plan.summary().nodes.iter().map(|n| n.op).collect();
+    (plan.pass_report(), names)
+}
+
+#[test]
+fn every_op_gradient_matches_finite_differences_through_the_plan() {
+    for op in every_op() {
+        let case = case_for(&op);
+        for options in [PlanOptions::none(), PlanOptions::all()] {
+            let (_, names) = check(&case, options, op.name());
+            assert!(
+                names.contains(&op.name()),
+                "the {op} case never records a {op} node: {names:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fused_chain_backward_matches_finite_differences() {
+    // add → ×0.5 → tanh → exp: a zip lead and three map stages, one sweep.
+    let chain = case(vec![mat(3, 4, 1), mat(3, 4, 2)], |_, x| {
+        x[0].add(&x[1]).mul_scalar(0.5).tanh().exp()
+    });
+    let (report, _) = check(&chain, PlanOptions::all(), "fused chain");
+    assert_eq!(report.fused_chains, 1, "{report}");
+}
+
+#[test]
+fn elided_transpose_matmul_backward_matches_finite_differences() {
+    // aᵀ·b: the transpose folds into the GEMM's layout flag, and the
+    // gradient of `a` comes back through the layout-flag backward.
+    let gemm = case(vec![mat(4, 3, 1), mat(4, 2, 2)], |_, x| {
+        x[0].transpose().matmul(&x[1])
+    });
+    let (report, _) = check(&gemm, PlanOptions::all(), "elided transpose");
+    assert_eq!(report.elided_transposes, 1, "{report}");
+}
+
+#[test]
+fn in_place_rewrite_backward_matches_finite_differences() {
+    // (a ⊙ b) + c: the sum overwrites the dying product's buffer.
+    let in_place = case(vec![mat(3, 4, 1), mat(3, 4, 2), mat(3, 4, 3)], |_, x| {
+        x[0].mul(&x[1]).add(&x[2])
+    });
+    let (report, _) = check(&in_place, PlanOptions::all(), "in-place rewrite");
+    assert!(report.in_place_nodes >= 1, "{report}");
+}
