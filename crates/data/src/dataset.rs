@@ -239,21 +239,15 @@ impl BikeDataset {
         self.stack_slots((1..=d).rev().map(|i| t - i * spd).collect())
     }
 
+    /// Stacks the scaled inflow and outflow matrices of `slots` into pooled
+    /// storage, so each slot's window recycles through the tensor pool.
     fn stack_slots(&self, slots: Vec<usize>) -> (Tensor, Tensor) {
-        let n = self.n_stations();
-        let rows = slots.len();
         let scale = 1.0 / self.flow_scale;
-        let mut in_data = Vec::with_capacity(rows * n * n);
-        let mut out_data = Vec::with_capacity(rows * n * n);
-        for &s in &slots {
-            in_data.extend(self.flows.inflow(s).data().iter().map(|&v| v * scale));
-            out_data.extend(self.flows.outflow(s).data().iter().map(|&v| v * scale));
-        }
-        let shape = Shape::matrix(rows, n * n);
-        (
-            Tensor::from_vec(shape.clone(), in_data).expect("stack shape"),
-            Tensor::from_vec(shape, out_data).expect("stack shape"),
-        )
+        let stack = |flow: fn(&FlowSeries, usize) -> &Tensor| {
+            let rows: Vec<&[f32]> = slots.iter().map(|&s| flow(&self.flows, s).data()).collect();
+            Tensor::from_rows_map(&rows, |v| v * scale).expect("every slot is n×n")
+        };
+        (stack(FlowSeries::inflow), stack(FlowSeries::outflow))
     }
 
     /// Normalised targets `(demand, supply)` at slot `t`, each `n×1`.

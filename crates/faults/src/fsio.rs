@@ -119,6 +119,10 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_content() {
+        // Every test here crosses the `atomic_write::*` sites, which
+        // `failed_write_leaves_previous_file_and_no_temp` arms process-wide:
+        // hold the registry guard (an empty plan injects nothing).
+        let _quiet = scoped(FaultPlan::new());
         let path = tmp_dir("replace").join("replace.txt");
         atomic_write(&path, |w| w.write_all(b"first")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
@@ -161,6 +165,7 @@ mod tests {
 
     #[test]
     fn fill_error_propagates_and_cleans_up() {
+        let _quiet = scoped(FaultPlan::new());
         let path = tmp_dir("fill-err").join("fill-err.txt");
         let err = atomic_write(&path, |_| Err(io::Error::other("fill failed"))).unwrap_err();
         assert!(err.to_string().contains("fill failed"));

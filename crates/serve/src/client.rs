@@ -149,12 +149,16 @@ fn request_once(
     stgnn_faults::failpoint!("client::connect", io);
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(config.read_timeout))?;
-    write!(
-        stream,
+    // One buffer, one `write_all`: a server that reads once must see the
+    // whole head, or it answers and closes on unread bytes, which resets
+    // the connection under this client's read.
+    let mut message = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    )?;
-    stream.write_all(body)?;
+    )
+    .into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()?;
 
     let mut raw = Vec::new();
@@ -262,8 +266,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             if let Ok((mut s, _)) = listener.accept() {
+                // Read the whole head: closing on unread bytes would reset
+                // the connection under the client's read.
+                let mut head = Vec::new();
                 let mut buf = [0u8; 1024];
-                let _ = s.read(&mut buf);
+                while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+                    match s.read(&mut buf) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => head.extend_from_slice(&buf[..n]),
+                    }
+                }
                 let _ = s.write_all(
                     b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
                 );

@@ -2,7 +2,9 @@
 //!
 //! Supports exactly what the serving endpoint needs: request-line + header
 //! parsing, `Content-Length` bodies, percent-free query strings, and
-//! one-shot (`Connection: close`) JSON/plain-text responses.
+//! one-shot (`Connection: close`) JSON/plain-text responses. The reader's
+//! memory is bounded under hostile input, and each refusal is a typed
+//! [`RequestError`] with the status to answer.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -20,41 +22,137 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads one request from the stream. Returns `None` on a closed or
-/// malformed connection (the caller just drops it).
-pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
+/// Why [`read_request`] produced no request. Every variant is bounded: the
+/// reader holds at most one capped line, and a body only as many bytes as
+/// have arrived.
+#[derive(Debug)]
+pub enum RequestError {
+    /// The connection failed, timed out or closed before a request line
+    /// arrived; there is no one to answer.
+    Io(io::Error),
+    /// The request line or a header is not HTTP this server reads.
+    Malformed(&'static str),
+    /// The request line or a header line is longer than 8 KiB.
+    LineTooLong,
+    /// More than 100 header lines.
+    TooManyHeaders,
+    /// `Content-Length` declares more than 64 MiB.
+    BodyTooLarge(usize),
+    /// The connection closed after `got` of the declared `expected` body
+    /// bytes.
+    BodyTruncated { expected: usize, got: usize },
+}
+
+impl RequestError {
+    /// The status to answer with, or `None` when the connection is gone.
+    pub fn status(&self) -> Option<u16> {
+        match self {
+            RequestError::Io(_) => None,
+            RequestError::Malformed(_) | RequestError::BodyTruncated { .. } => Some(400),
+            RequestError::BodyTooLarge(_) => Some(413),
+            RequestError::LineTooLong | RequestError::TooManyHeaders => Some(431),
+        }
+    }
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestError::Io(e) => write!(f, "connection error: {e}"),
+            RequestError::Malformed(what) => write!(f, "malformed request: {what}"),
+            RequestError::LineTooLong => write!(f, "request line or header line too long"),
+            RequestError::TooManyHeaders => write!(f, "too many header lines"),
+            RequestError::BodyTooLarge(n) => write!(f, "declared body of {n} bytes too large"),
+            RequestError::BodyTruncated { expected, got } => {
+                write!(f, "body ended after {got} of {expected} bytes")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RequestError {}
+
+impl From<io::Error> for RequestError {
+    fn from(e: io::Error) -> Self {
+        RequestError::Io(e)
+    }
+}
+
+/// Reads one CRLF- or LF-terminated line of at most 8 KiB (terminator
+/// included) without buffering past the cap; `Ok(None)` at end of stream.
+fn read_capped_line(reader: &mut impl BufRead) -> Result<Option<String>, RequestError> {
+    let cap = 8 << 10;
+    let mut line = Vec::new();
+    reader.take(cap as u64).read_until(b'\n', &mut line)?;
+    if line.is_empty() {
+        return Ok(None);
+    }
+    if !line.ends_with(b"\n") && line.len() == cap {
+        return Err(RequestError::LineTooLong);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| RequestError::Malformed("line is not UTF-8"))
+}
+
+/// Reads one request from the stream. Memory stays bounded under hostile
+/// input: lines and the header count are capped, and the body grows only as
+/// its bytes arrive.
+pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     // A delay here models a slow-loris client holding its handler thread;
     // the socket read timeout bounds how long that can last.
     stgnn_faults::failpoint!("serve::read");
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let line = read_capped_line(&mut reader)?.ok_or_else(|| {
+        RequestError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "closed before a request line",
+        ))
+    })?;
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let target = parts.next()?.to_string();
+    let method = parts
+        .next()
+        .ok_or(RequestError::Malformed("empty request line"))?
+        .to_string();
+    let target = parts
+        .next()
+        .ok_or(RequestError::Malformed("request line has no target"))?
+        .to_string();
 
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
+        let header = read_capped_line(&mut reader)?
+            .ok_or(RequestError::Malformed("headers end before a blank line"))?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
+        headers += 1;
+        if headers > 100 {
+            return Err(RequestError::TooManyHeaders);
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok()?;
+                content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| RequestError::Malformed("bad Content-Length"))?;
             }
         }
     }
     // Cap bodies at 64 MiB — a checkpoint for a large city is megabytes;
     // anything bigger is a mistake or abuse.
     if content_length > 64 << 20 {
-        return None;
+        return Err(RequestError::BodyTooLarge(content_length));
     }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).ok()?;
+    let mut body = Vec::new();
+    reader.take(content_length as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(RequestError::BodyTruncated {
+            expected: content_length,
+            got: body.len(),
+        });
     }
 
     let (path, query_str) = match target.split_once('?') {
@@ -67,7 +165,7 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
         .filter_map(|kv| kv.split_once('='))
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
-    Some(Request {
+    Ok(Request {
         method,
         path,
         query,
@@ -75,7 +173,7 @@ pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
     })
 }
 
-/// Writes a one-shot response and flushes.
+/// Writes a one-shot response in a single write and flushes.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -87,14 +185,18 @@ pub fn write_response(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Content Too Large",
+        431 => "Request Header Fields Too Large",
         504 => "Gateway Timeout",
         _ => "Internal Server Error",
     };
-    write!(
-        stream,
+    // One buffer, one `write_all`: pieces written separately leave the
+    // socket one `send` each.
+    let message = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -132,17 +234,21 @@ pub fn json_f32_array(values: &[f32]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{Shutdown, TcpListener, TcpStream};
     use std::thread;
 
-    fn round_trip(raw: &str) -> Option<Request> {
+    /// Sends `raw` from a client thread that then closes its write side,
+    /// and reads one request from the server end.
+    fn round_trip(raw: impl Into<Vec<u8>>) -> Result<Request, RequestError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let raw = raw.to_string();
+        let raw = raw.into();
         let client = thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(raw.as_bytes()).unwrap();
-            s.flush().unwrap();
+            // The server may stop reading early and hang up; the write
+            // side's fate is not what these tests check.
+            let _ = s.write_all(&raw);
+            let _ = s.shutdown(Shutdown::Write);
             s
         });
         let (mut server_side, _) = listener.accept().unwrap();
@@ -175,7 +281,56 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected_not_panicked() {
-        assert!(round_trip("\r\n\r\n").is_none());
+        let err = round_trip("\r\n\r\n").unwrap_err();
+        assert_eq!(err.status(), Some(400), "{err}");
+    }
+
+    #[test]
+    fn overlong_lines_are_refused_at_the_cap() {
+        let long_target = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(20_000));
+        let err = round_trip(long_target).unwrap_err();
+        assert!(matches!(err, RequestError::LineTooLong), "{err}");
+        assert_eq!(err.status(), Some(431));
+
+        let long_header = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "b".repeat(20_000));
+        let err = round_trip(long_header).unwrap_err();
+        assert!(matches!(err, RequestError::LineTooLong), "{err}");
+    }
+
+    #[test]
+    fn header_floods_are_refused() {
+        let mut raw = String::from("GET / HTTP/1.1\r\n");
+        for i in 0..101 {
+            raw.push_str(&format!("X-H{i}: v\r\n"));
+        }
+        raw.push_str("\r\n");
+        let err = round_trip(raw).unwrap_err();
+        assert!(matches!(err, RequestError::TooManyHeaders), "{err}");
+        assert_eq!(err.status(), Some(431));
+    }
+
+    #[test]
+    fn bodies_are_capped_and_must_arrive_in_full() {
+        let err = round_trip("POST / HTTP/1.1\r\nContent-Length: 67108865\r\n\r\n").unwrap_err();
+        assert!(matches!(err, RequestError::BodyTooLarge(67108865)), "{err}");
+        assert_eq!(err.status(), Some(413));
+
+        // A 60 MiB declaration followed by five bytes and a close: the
+        // reader reports what arrived rather than waiting on (or having
+        // allocated) the declared size.
+        let err =
+            round_trip("POST / HTTP/1.1\r\nContent-Length: 62914560\r\n\r\nhello").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RequestError::BodyTruncated {
+                    expected: 62914560,
+                    got: 5
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(err.status(), Some(400));
     }
 
     #[test]

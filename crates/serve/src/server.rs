@@ -149,7 +149,7 @@ impl Server {
                     let Ok(mut stream) = stream else { continue };
                     // A stalled client must not pin its handler thread:
                     // reads give up after the timeout, `read_request`
-                    // returns None, and the connection is dropped. The write
+                    // returns an I/O error, and the connection is dropped. The write
                     // timeout is the same guard for a client that stops
                     // draining the response.
                     let _ = stream.set_read_timeout(Some(read_timeout));
@@ -221,10 +221,22 @@ impl Drop for Server {
 }
 
 fn handle_connection(ctx: &Ctx, stream: &mut TcpStream) {
-    let Some(req) = read_request(stream) else {
-        return;
+    let (status, content_type, body) = match read_request(stream) {
+        Ok(req) => route(ctx, &req),
+        // A refused request (oversized or malformed) gets its status; a
+        // dead or timed-out connection is just dropped.
+        Err(e) => match e.status() {
+            Some(status) => {
+                ctx.metrics.inc_errors();
+                (
+                    status,
+                    "application/json",
+                    format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string())),
+                )
+            }
+            None => return,
+        },
     };
-    let (status, content_type, body) = route(ctx, &req);
     let _ = write_response(stream, status, content_type, &body);
 }
 

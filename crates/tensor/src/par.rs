@@ -111,7 +111,9 @@ pub fn effective_threads() -> usize {
     }
 }
 
-/// Eagerly spins up the pool for the configured thread count and returns it.
+/// Eagerly spins up the pool for the effective thread count and returns the
+/// width a dispatch now uses: that count, or fewer if worker spawn failed.
+/// Workers a past override spawned beyond it stay idle and are not counted.
 ///
 /// Kernels initialise the pool lazily on first use; call this at subsystem
 /// start (the trainer's epoch loop, a serving worker pool) to keep the
@@ -119,10 +121,19 @@ pub fn effective_threads() -> usize {
 pub fn init() -> usize {
     let n = effective_threads();
     if n > 1 {
-        ensure_workers(n - 1) + 1
+        n.min(ensure_workers(n - 1) + 1)
     } else {
         1
     }
+}
+
+/// Serialises the tests in this crate that set [`set_thread_override`] or
+/// read the dispatch width: the override is process-global, and cargo runs
+/// a binary's tests on parallel threads.
+#[cfg(test)]
+pub(crate) fn override_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock(&LOCK)
 }
 
 /// Makes sure at least `n` workers exist (capped at `MAX_THREADS - 1`) and
@@ -339,6 +350,7 @@ mod tests {
 
     #[test]
     fn for_each_chunk_visits_every_item_once() {
+        let _serial = override_lock();
         set_thread_override(Some(4));
         let hits: Vec<AtomicU32> = (0..257).map(|_| AtomicU32::new(0)).collect();
         for_each_chunk(hits.len(), 1, |range| {
@@ -352,6 +364,7 @@ mod tests {
 
     #[test]
     fn row_chunks_write_disjoint_windows() {
+        let _serial = override_lock();
         set_thread_override(Some(3));
         let cols = 7;
         let mut out = vec![0.0f32; 50 * cols];
@@ -368,6 +381,7 @@ mod tests {
 
     #[test]
     fn small_work_runs_inline() {
+        let _serial = override_lock();
         // grain 100 over 10 items must not dispatch: body sees one range.
         set_thread_override(Some(8));
         let calls = AtomicU32::new(0);
@@ -381,6 +395,7 @@ mod tests {
 
     #[test]
     fn panics_propagate_to_the_caller() {
+        let _serial = override_lock();
         set_thread_override(Some(2));
         let result = std::panic::catch_unwind(|| {
             for_each_chunk(64, 1, |range| {
@@ -403,6 +418,7 @@ mod tests {
 
     #[test]
     fn override_is_clamped_and_restored() {
+        let _serial = override_lock();
         set_thread_override(Some(10_000));
         assert_eq!(effective_threads(), MAX_THREADS);
         set_thread_override(Some(1));
@@ -413,6 +429,7 @@ mod tests {
 
     #[test]
     fn init_reports_effective_threads() {
+        let _serial = override_lock();
         assert_eq!(init(), effective_threads());
     }
 }

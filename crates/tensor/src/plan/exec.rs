@@ -17,8 +17,9 @@ use crate::tensor::{Tensor, PAR_GRAIN_OPS};
 
 /// Per-replay state of a [`Plan`]: one value slot, gradient slot and
 /// saved-state slot (dropout mask, max-pool argmax) per node, plus the
-/// cached density-probe verdicts. Slots are overwritten in place on every
-/// replay; their buffers recycle through the [`crate::pool`].
+/// cached density-probe verdicts. Value slots are overwritten in place on
+/// every replay; gradient slots live only inside [`Plan::backward`]. Their
+/// buffers recycle through the [`crate::pool`].
 pub struct PlanExec {
     pub(crate) values: Vec<Tensor>,
     pub(crate) grads: Vec<Option<Tensor>>,
@@ -37,12 +38,6 @@ impl PlanExec {
     /// Spec roots, the loss and declared derived deps are always live.
     pub fn value(&self, id: usize) -> Option<&Tensor> {
         self.values.get(id)
-    }
-
-    /// The gradient of node `id` from the latest backward, if it was
-    /// reached.
-    pub fn grad(&self, id: usize) -> Option<&Tensor> {
-        self.grads.get(id).and_then(Option::as_ref)
     }
 
     /// The cached density-probe verdict for node `id`, if the plan caches
@@ -160,11 +155,6 @@ impl Plan {
                 inputs.len()
             )));
         }
-        // Free last step's gradients first so their buffers are back in the
-        // pool before this step's takes begin.
-        for g in &mut exec.grads {
-            *g = None;
-        }
         for id in 0..self.nodes.len() {
             let node = &self.nodes[id];
             let v = match &node.binding {
@@ -247,7 +237,17 @@ impl Plan {
     /// gradients are deposited into the linked [`crate::autograd::Param`]
     /// cells in tape order, matching the eager deposit order. Call once per
     /// forward.
+    ///
+    /// The gradient slots are released on return, after the deposit (or
+    /// after a failed sweep), so a batch of lanes holds one lane's
+    /// gradients at a time and the next lane's backward reuses them.
     pub fn backward(&self, exec: &mut PlanExec, seed_scale: f32) -> Result<()> {
+        let swept = self.sweep_and_deposit(exec, seed_scale);
+        exec.grads.fill(None);
+        swept
+    }
+
+    fn sweep_and_deposit(&self, exec: &mut PlanExec, seed_scale: f32) -> Result<()> {
         let root = self
             .loss
             .ok_or_else(|| Error::InvalidArgument("plan has no loss node to seed".into()))?;

@@ -1,25 +1,32 @@
 //! Size-bucketed recycling pool for tensor storage.
 //!
-//! Every [`crate::Tensor`] owns its elements through a [`Buffer`]; when the
-//! last `Arc` holding a buffer drops, the backing `Vec<f32>` is returned to a
-//! global free-list instead of the system allocator. Allocation requests are
-//! rounded up to a power-of-two *size class* and served from the matching
-//! free-list when possible, so a workload with fixed shapes — one STGNN-DJD
-//! training step or serve forward re-executes the identical tape every time —
-//! reaches a steady state where every request is a pool **hit** and the
-//! allocator is never touched.
+//! Every [`crate::Tensor`] owns its elements through a [`Buffer`]. A buffer
+//! the pool issued ([`Buffer::zeroed`], [`Buffer::filled`],
+//! [`Buffer::copy_of`], [`Buffer::filled_with`], [`Buffer::concat_map`]) is
+//! a `Vec<f32>` whose capacity is its power-of-two *size class*; when the
+//! last `Arc` holding it drops, the vector goes back on its class's shelf
+//! instead of to the system allocator. A workload with fixed shapes — one
+//! STGNN-DJD training step or serve forward re-executes the identical tape
+//! every time — reaches a steady state where every request is a pool
+//! **hit** and the allocator is never touched.
 //!
 //! The pool is deliberately simple:
 //!
-//! * free-lists are keyed by `len.next_power_of_two()` (min class
-//!   [`MIN_CLASS`]), so a recycled buffer always has enough capacity for any
-//!   request of its class and `resize` never reallocates;
-//! * a global [`Mutex`] guards the lists — kernels allocate their output
-//!   *before* fanning out to the `par` worker pool, so the lock is taken from
-//!   one thread at a time on the hot path and contention is negligible;
-//! * retained bytes are capped ([`MAX_POOLED_BYTES`]); beyond the cap a
-//!   returned buffer is handed back to the allocator (counted as `dropped`);
-//! * under `debug_assertions` every recycled buffer is filled with
+//! * one process-wide [`Mutex`] guards a map from size class to shelf;
+//!   kernels allocate their output *before* fanning out to the `par` worker
+//!   pool, so the lock is taken from one thread at a time on the hot path
+//!   and contention is negligible;
+//! * a request of `n` elements is served from class
+//!   `n.max(MIN_CLASS).next_power_of_two()`, so a shelved vector always has
+//!   enough capacity and `resize` never reallocates;
+//! * **admission**: only storage the pool issued goes back on a shelf, under
+//!   the class it was issued for. A vector adopted through
+//!   [`Buffer::from_vec`] (`Tensor::from_vec`) returns to the allocator when
+//!   dropped — its capacity need not be a class, and shelving it would hoard
+//!   memory that no request may ever reach;
+//! * shelved bytes are capped ([`MAX_POOLED_BYTES`]); past the cap a dead
+//!   issued buffer goes back to the allocator (counted as `dropped`);
+//! * under `debug_assertions` every shelved buffer is filled with
 //!   [`POISON`] (a signalling-NaN bit pattern) so any kernel that reads
 //!   memory it did not initialise turns loudly non-finite instead of
 //!   silently reusing a dead tensor's values.
@@ -48,8 +55,8 @@ pub const MAX_POOLED_BYTES: usize = 512 << 20;
 pub const POISON: f32 = f32::from_bits(0xFFC0_DEAD);
 
 struct PoolInner {
-    /// Free vectors keyed by size class; every vector in class `c` has
-    /// `capacity ∈ [c, 2c)`.
+    /// Free vectors keyed by the size class the pool issued them for; a
+    /// vector on shelf `c` has `capacity ≥ c`.
     shelves: HashMap<usize, Vec<Vec<f32>>>,
     pooled_bytes: usize,
 }
@@ -76,20 +83,10 @@ fn class_for_request(n: usize) -> usize {
     n.max(MIN_CLASS).next_power_of_two()
 }
 
-/// Size class a returned buffer of capacity `cap` is shelved under (round
-/// down), so that every buffer in a shelf can serve any request of that
-/// class without reallocating.
-fn class_for_return(cap: usize) -> Option<usize> {
-    if cap < MIN_CLASS {
-        return None;
-    }
-    // Largest power of two ≤ cap.
-    Some(1usize << (usize::BITS - 1 - cap.leading_zeros()))
-}
-
-/// Pops a cleared vector with `capacity ≥ n` (hit) or allocates one of the
-/// full class capacity (miss).
-fn take_raw(n: usize) -> Vec<f32> {
+/// An empty issued buffer with room for `n` elements: a cleared vector
+/// popped from the shelf of `n`'s class (hit), or a fresh one of the full
+/// class capacity (miss).
+fn take(n: usize) -> Buffer {
     // Allocation can't fail gracefully (no error path on the tensor hot
     // path), so only panic/delay faults make sense here — a delay models
     // allocator stalls under memory pressure.
@@ -105,7 +102,7 @@ fn take_raw(n: usize) -> Vec<f32> {
             None => None,
         }
     };
-    match popped {
+    let vec = match popped {
         Some(mut v) => {
             HITS.fetch_add(1, Ordering::Relaxed);
             v.clear();
@@ -115,16 +112,14 @@ fn take_raw(n: usize) -> Vec<f32> {
             MISSES.fetch_add(1, Ordering::Relaxed);
             Vec::with_capacity(class)
         }
-    }
+    };
+    Buffer::new(vec, Some(class))
 }
 
-/// Returns a dead vector to its shelf (or the allocator, past the cap).
-fn give_raw(mut v: Vec<f32>) {
+/// Shelves a dead issued vector under its class (or hands it to the
+/// allocator, past the cap).
+fn give(mut v: Vec<f32>, class: usize) {
     let cap = v.capacity();
-    let Some(class) = class_for_return(cap) else {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
     if cfg!(debug_assertions) {
         v.clear();
         v.resize(cap, POISON);
@@ -139,23 +134,28 @@ fn give_raw(mut v: Vec<f32>) {
     RECYCLED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Tensor element storage: a `Vec<f32>` that came from (or will return to)
-/// the pool. Dereferences to the element slice; `Clone` copies through the
-/// pool (this is what powers the tensors' copy-on-write mutation).
+/// Tensor element storage: a `Vec<f32>` the pool issued (and will shelve
+/// again on drop) or one adopted from the caller (which goes back to the
+/// allocator on drop). Dereferences to the element slice; `Clone` copies
+/// into issued storage (this is what powers the tensors' copy-on-write
+/// mutation).
 pub struct Buffer {
     vec: Vec<f32>,
+    /// The size class the pool issued `vec` for; `None` when adopted.
+    class: Option<usize>,
 }
 
 impl Buffer {
-    fn from_raw(vec: Vec<f32>) -> Self {
+    fn new(vec: Vec<f32>, class: Option<usize>) -> Self {
         OUTSTANDING_BYTES.fetch_add(vec.capacity() as i64 * 4, Ordering::Relaxed);
-        Buffer { vec }
+        Buffer { vec, class }
     }
 
     /// Adopts a caller-built vector (e.g. [`crate::Tensor::from_vec`]).
-    /// Costs nothing now; the elements recycle through the pool on drop.
+    /// Costs nothing now and counts no miss; the vector goes back to the
+    /// allocator on drop, never onto a shelf.
     pub fn from_vec(vec: Vec<f32>) -> Self {
-        Self::from_raw(vec)
+        Self::new(vec, None)
     }
 
     /// A pooled buffer of `n` zeros.
@@ -165,27 +165,37 @@ impl Buffer {
 
     /// A pooled buffer of `n` copies of `v`.
     pub fn filled(n: usize, v: f32) -> Self {
-        let mut raw = take_raw(n);
-        raw.resize(n, v);
-        Self::from_raw(raw)
+        let mut buf = take(n);
+        buf.vec.resize(n, v);
+        buf
     }
 
     /// A pooled copy of a slice.
     pub fn copy_of(src: &[f32]) -> Self {
-        let mut raw = take_raw(src.len());
-        raw.extend_from_slice(src);
-        Self::from_raw(raw)
+        let mut buf = take(src.len());
+        buf.vec.extend_from_slice(src);
+        buf
+    }
+
+    /// A pooled buffer holding `parts` end to end with `f` applied to every
+    /// element, written in one pass (no zero fill first).
+    pub fn concat_map(parts: &[&[f32]], f: impl Fn(f32) -> f32) -> Self {
+        let mut buf = take(parts.iter().map(|p| p.len()).sum());
+        for p in parts {
+            buf.vec.extend(p.iter().map(|&v| f(v)));
+        }
+        buf
     }
 
     /// A pooled buffer whose `n` elements are drawn from `f` in order —
     /// exactly the sequence a `(0..n).map(|_| f()).collect()` would produce,
     /// so RNG-fed fills (dropout masks) are reproducible.
     pub fn filled_with(n: usize, mut f: impl FnMut() -> f32) -> Self {
-        let mut raw = take_raw(n);
+        let mut buf = take(n);
         for _ in 0..n {
-            raw.push(f());
+            buf.vec.push(f());
         }
-        Self::from_raw(raw)
+        buf
     }
 
     /// The elements as a slice.
@@ -221,7 +231,9 @@ impl Clone for Buffer {
 impl Drop for Buffer {
     fn drop(&mut self) {
         OUTSTANDING_BYTES.fetch_sub(self.vec.capacity() as i64 * 4, Ordering::Relaxed);
-        give_raw(std::mem::take(&mut self.vec));
+        if let Some(class) = self.class {
+            give(std::mem::take(&mut self.vec), class);
+        }
     }
 }
 
@@ -235,7 +247,7 @@ pub struct PoolStats {
     pub misses: u64,
     /// Dead buffers shelved for reuse.
     pub recycled: u64,
-    /// Dead buffers handed back to the allocator (too small or pool full).
+    /// Dead issued buffers handed back to the allocator (pool full).
     pub dropped: u64,
     /// Bytes currently sitting in free-lists.
     pub pooled_bytes: u64,
@@ -327,9 +339,7 @@ mod tests {
     fn small_buffers_round_up_to_min_class() {
         assert_eq!(class_for_request(1), MIN_CLASS);
         assert_eq!(class_for_request(65), 128);
-        assert_eq!(class_for_return(10), None);
-        assert_eq!(class_for_return(100), Some(64));
-        assert_eq!(class_for_return(128), Some(128));
+        assert_eq!(class_for_request(128), 128);
     }
 
     #[test]

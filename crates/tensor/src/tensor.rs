@@ -100,17 +100,32 @@ impl Tensor {
     /// Panics when rows have unequal lengths; this constructor exists for
     /// literals in tests and examples where that is a typo.
     pub fn from_rows(rows: &[&[f32]]) -> Self {
-        let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
         for row in rows {
             assert_eq!(row.len(), c, "ragged rows in Tensor::from_rows");
-            data.extend_from_slice(row);
         }
-        Tensor {
-            data: Arc::new(Buffer::from_vec(data)),
-            shape: Shape::matrix(r, c),
+        Tensor::from_buffer(
+            Shape::matrix(rows.len(), c),
+            Buffer::concat_map(rows, |v| v),
+        )
+    }
+
+    /// A rank-2 tensor whose row `i` is `rows[i]` with `f` applied to every
+    /// element, written in one pass into pooled storage.
+    ///
+    /// Returns [`Error::InvalidArgument`] when the rows have unequal lengths.
+    pub fn from_rows_map(rows: &[&[f32]], f: impl Fn(f32) -> f32) -> Result<Self> {
+        let c = rows.first().map_or(0, |row| row.len());
+        if let Some(row) = rows.iter().find(|row| row.len() != c) {
+            return Err(Error::InvalidArgument(format!(
+                "ragged rows: {} elements after a row of {c}",
+                row.len()
+            )));
         }
+        Ok(Tensor::from_buffer(
+            Shape::matrix(rows.len(), c),
+            Buffer::concat_map(rows, f),
+        ))
     }
 
     /// A tensor of zeros.
@@ -1283,6 +1298,10 @@ mod tests {
         assert_eq!(Tensor::eye(2).data(), &[1.0, 0.0, 0.0, 1.0]);
         assert_eq!(Tensor::from_scalar(3.5).scalar(), 3.5);
         assert!(Tensor::from_vec(Shape::matrix(2, 2), vec![1.0]).is_err());
+        let scaled = Tensor::from_rows_map(&[&[1.0, 2.0], &[3.0, 4.0]], |v| v * 0.5).unwrap();
+        assert_eq!(scaled.shape(), &Shape::matrix(2, 2));
+        assert_eq!(scaled.data(), &[0.5, 1.0, 1.5, 2.0]);
+        assert!(Tensor::from_rows_map(&[&[1.0, 2.0], &[3.0]], |v| v).is_err());
     }
 
     #[test]
@@ -1470,6 +1489,7 @@ mod tests {
     /// must produce bit-for-bit identical buffers at 1 thread and 4 threads.
     #[test]
     fn kernels_are_bitwise_identical_across_thread_counts() {
+        let _serial = par::override_lock();
         // Pseudo-random but deterministic inputs, big enough to cross the
         // parallel dispatch thresholds.
         let n = 97;
@@ -1555,6 +1575,7 @@ mod tests {
     /// for dense *and* sparse lhs (both probe branches), at 1 and 4 threads.
     #[test]
     fn gemm_layout_flags_match_materialized_transpose_bitwise() {
+        let _serial = par::override_lock();
         let fill = |seed: u32, r: usize, c: usize, sparse: bool| -> Tensor {
             let mut state = seed;
             let data = (0..r * c)

@@ -304,3 +304,43 @@ fn station_queries_and_range_checks() {
 
     server.shutdown();
 }
+
+/// Hostile request heads and bodies get a typed refusal over the wire —
+/// 431 for a header flood, 413 for an oversized declared body, 400 for a
+/// body cut short — and the server keeps answering afterwards. Each raw
+/// request ends exactly where the server stops reading, so no unread byte
+/// turns the close into a reset.
+#[test]
+fn oversized_and_truncated_requests_are_refused_with_their_status() {
+    let data = dataset();
+    let mut server = Server::start(Arc::clone(&data), ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let status_of = |raw: &str| -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(raw.as_bytes()).unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).unwrap();
+        reply.lines().next().unwrap_or_default().to_string()
+    };
+
+    let flood: String = std::iter::once("GET /healthz HTTP/1.1\r\n".to_string())
+        .chain((0..101).map(|i| format!("X-H{i}: v\r\n")))
+        .collect();
+    assert_eq!(
+        status_of(&flood),
+        "HTTP/1.1 431 Request Header Fields Too Large"
+    );
+    assert_eq!(
+        status_of("POST /models/stgnn/swap HTTP/1.1\r\nContent-Length: 100000000\r\n\r\n"),
+        "HTTP/1.1 413 Content Too Large"
+    );
+    assert_eq!(
+        status_of("POST /models/stgnn/swap HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello"),
+        "HTTP/1.1 400 Bad Request"
+    );
+    assert_eq!(server.metrics_snapshot().errors, 3);
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+
+    server.shutdown();
+}
