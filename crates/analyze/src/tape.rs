@@ -148,21 +148,14 @@ pub fn infer_shape(op: &Op, parents: &[&Shape]) -> stgnn_tensor::Result<Shape> {
             Ok(Shape::matrix(r, c))
         }
 
-        Op::RowsMaxPool { groups } => {
-            let (rows, cols) = one()?.as_matrix("rows_max_pool")?;
-            for (i, group) in groups.iter().enumerate() {
-                if group.is_empty() {
-                    return Err(Error::InvalidArgument(format!(
-                        "rows_max_pool: empty group {i}"
-                    )));
-                }
-                if let Some(&r) = group.iter().find(|&&r| r >= rows) {
-                    return Err(Error::InvalidArgument(format!(
-                        "rows_max_pool: row {r} out of {rows}"
-                    )));
-                }
+        Op::RowsMaxPool => {
+            let (x, mask) = two()?;
+            let (rows, cols) = x.as_matrix("rows_max_pool")?;
+            let (out_rows, mask_cols) = mask.as_matrix("rows_max_pool")?;
+            if mask_cols != rows {
+                return Err(Error::shape_mismatch("rows_max_pool", x, mask));
             }
-            Ok(Shape::matrix(groups.len(), cols))
+            Ok(Shape::matrix(out_rows, cols))
         }
 
         Op::SumAll | Op::MeanAll => {
@@ -256,7 +249,7 @@ pub fn lower_bounds(tape: &TapeSnapshot) -> Vec<Option<f32>> {
             Op::MulScalar(s) if *s >= 0.0 => p(0).map(|l| l * s),
             Op::MulScalar(_) | Op::Neg | Op::Sub => None,
             Op::Dropout { rate } => p(0).map(|l| if l >= 0.0 { 0.0 } else { l / (1.0 - rate) }),
-            Op::Transpose | Op::Reshape(_) | Op::SliceRows { .. } | Op::RowsMaxPool { .. } => p(0),
+            Op::Transpose | Op::Reshape(_) | Op::SliceRows { .. } | Op::RowsMaxPool => p(0),
             Op::SumAll | Op::MeanAll | Op::SumCols | Op::SumRows => p(0).map(|l| {
                 if l >= 0.0 {
                     0.0
@@ -309,9 +302,11 @@ fn node_flops(op: &Op, parents: &[&Shape], out: &Shape) -> u64 {
         Op::Elu | Op::Sigmoid | Op::Tanh | Op::Exp | Op::Sqrt | Op::SoftmaxRows => {
             8 * out.len() as u64
         }
-        Op::RowsMaxPool { groups } => {
+        // One comparison per mask entry and output column: the dense bound,
+        // since which entries select a row is data.
+        Op::RowsMaxPool => {
             let cols = out.dims().get(1).copied().unwrap_or(1);
-            groups.iter().map(|g| (g.len() * cols) as u64).sum()
+            parents.get(1).map_or(0, |mask| (mask.len() * cols) as u64)
         }
         Op::SumAll | Op::MeanAll | Op::SumCols | Op::SumRows => {
             parents.first().map_or(0, |s| s.len() as u64)
@@ -868,15 +863,10 @@ mod tests {
         );
         assert_eq!(infer_shape(&Op::MeanAll, &[&m23]).unwrap(), Shape::scalar());
         assert_eq!(
-            infer_shape(
-                &Op::RowsMaxPool {
-                    groups: vec![vec![0, 1], vec![1]]
-                },
-                &[&m23]
-            )
-            .unwrap(),
-            m23
+            infer_shape(&Op::RowsMaxPool, &[&m23, &Shape::matrix(4, 2)]).unwrap(),
+            Shape::matrix(4, 3)
         );
+        assert!(infer_shape(&Op::RowsMaxPool, &[&m23, &m23]).is_err());
         assert_eq!(
             infer_shape(&Op::AddRowBroadcast, &[&m23, &Shape::matrix(1, 3)]).unwrap(),
             m23

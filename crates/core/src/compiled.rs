@@ -1,79 +1,76 @@
-//! Compiled-plan execution for the STGNN-DJD model.
+//! Compiled-plan execution for the STGNN-DJD model: the one executor every
+//! training step and every serving forward runs.
 //!
-//! The model's tape has a fixed structure for a given station count and
-//! window configuration, so after one traced forward pass the whole
-//! training step (and the serving forward) can be replayed through a
-//! [`stgnn_tensor::plan::Plan`]: same kernels, same sweep order, bit-identical
-//! values and gradients, but with every intermediate buffer recycled through
-//! the tensor pool instead of reallocated — zero pool misses once warm.
+//! The model's tape has a fixed structure for a given configuration,
+//! station count and window configuration, so after one traced forward
+//! pass the whole training step (and the serving forward) replays through
+//! a [`stgnn_tensor::plan::Plan`]: same kernels, same sweep order,
+//! bit-identical values and gradients, but with every intermediate buffer
+//! recycled through the tensor pool instead of reallocated — zero pool
+//! misses once warm. Every configuration compiles; the eager tape remains
+//! the tracer that records the plan and the oracle the parity suites
+//! check it against.
 //!
-//! What replays and what cannot:
+//! How each leaf gets its value on replay is recorded where the traced
+//! forward creates the leaf ([`ForwardTrace`]):
 //!
 //! * Input windows and targets rebind per slot ([`LeafBinding::Input`]).
 //! * The FCG structural mask (Definition 2) is *derived*: eager mode
-//!   computes it off-tape from the fused flow values, so the plan recomputes
-//!   it each replay from the traced `Î`/`Ô` node values
+//!   computes it off-tape from the fused flow values `Î`/`Ô` — or, under
+//!   the "No FC" ablation, from the raw short-term windows — so the plan
+//!   recomputes it each replay from the traced node values
 //!   ([`LeafBinding::Derived`]). The FCG mean aggregator's row-normalised
-//!   adjacency derives from that mask the same way.
-//! * The FCG **max** aggregator pools over neighbour lists baked into the
-//!   op itself — input-dependent *structure*, not values — so those
-//!   configurations cannot replay; compilation reports [`None`] and callers
-//!   keep the eager path. (The PCG max aggregator pools over all stations,
-//!   which is input-independent and replays fine.)
-//! * The "No FC" ablation derives its mask from raw inputs that never reach
-//!   the tape, so it stays eager too.
+//!   adjacency derives from that mask the same way, and the FCG max
+//!   aggregator pools over the mask leaf itself. (The PCG max aggregator
+//!   pools over a constant all-ones mask.)
 //!
 //! Tracing for compilation happens on a **cloned** RNG: the probe forward
 //! draws dropout masks without advancing the model's training stream, so a
 //! plan-driven training run consumes the RNG exactly like the eager run it
 //! replaces.
 
-use crate::fcg::fcg_mean_adj;
-use crate::flow_conv::fcg_mask;
 use crate::model::{ModelInputs, StgnnDjd};
 use stgnn_data::dataset::BikeDataset;
 use stgnn_data::error::{Error, Result};
 use stgnn_data::predictor::Prediction;
-use stgnn_tensor::autograd::Graph;
+use stgnn_tensor::autograd::{Graph, Var};
 use stgnn_tensor::plan::{LeafBinding, PassReport, Plan, PlanExec, PlanOptions, PlanSpec};
+use stgnn_tensor::Tensor;
 
-/// Leaf/node ids recorded while tracing one forward pass, so the plan
-/// compiler knows how each leaf gets its value on replay. Filled by the
-/// `*_traced` forward variants; any structural obstacle to replay lands in
-/// [`ForwardTrace::incompatible`].
+/// The leaf bindings recorded while tracing one forward pass: how each
+/// leaf that changes between replays gets its value. The `*_traced`
+/// forward variants record each binding where they create the leaf, so a
+/// derived leaf's recipe is stated once, next to the eager computation it
+/// replays.
 #[derive(Default)]
 pub struct ForwardTrace {
-    /// Short-term inflow stack leaf.
-    pub short_in: Option<usize>,
-    /// Short-term outflow stack leaf.
-    pub short_out: Option<usize>,
-    /// Long-term inflow stack leaf.
-    pub long_in: Option<usize>,
-    /// Long-term outflow stack leaf.
-    pub long_out: Option<usize>,
-    /// The fused inflow embedding `Î` (Eq 5) — the FCG mask derives from it.
-    pub i_hat: Option<usize>,
-    /// The fused outflow embedding `Ô` (Eq 8).
-    pub o_hat: Option<usize>,
-    /// The FCG structural-mask leaf (computed off-tape in eager mode).
-    pub fcg_mask_leaf: Option<usize>,
-    /// Mean-aggregator adjacency leaves, one per FCG mean layer (each
-    /// derives from the mask).
-    pub fcg_mean_adj_leaves: Vec<usize>,
-    /// Normalised demand-target leaf (training tapes only).
-    pub target_demand: Option<usize>,
-    /// Normalised supply-target leaf (training tapes only).
-    pub target_supply: Option<usize>,
-    /// Reasons this tape cannot replay (e.g. input-dependent pooling
-    /// structure). Non-empty ⇒ compilation yields `None`.
-    pub incompatible: Vec<String>,
+    /// `(leaf id, binding)` in recording order.
+    pub bindings: Vec<(usize, LeafBinding)>,
 }
 
-impl ForwardTrace {
-    /// Records a structural obstacle to plan replay.
-    pub fn mark_incompatible(&mut self, why: impl Into<String>) {
-        self.incompatible.push(why.into());
+/// Puts `recipe(deps)` on the tape as a leaf — structure computed from
+/// forward values, carrying no gradient — and records in `trace` that a
+/// replay re-derives it from the live values of `deps`. The declared deps
+/// pin those value slots, so the plan optimizer never erases or steals
+/// what the recipe reads.
+pub(crate) fn derived_leaf<const K: usize>(
+    g: &Graph,
+    trace: Option<&mut ForwardTrace>,
+    deps: [&Var; K],
+    recipe: impl Fn([&Tensor; K]) -> Tensor + 'static,
+) -> Var {
+    let values = deps.map(Var::value);
+    let leaf = g.leaf(recipe(values.each_ref()));
+    if let Some(tr) = trace {
+        let ids = deps.map(Var::id);
+        tr.bindings.push((
+            leaf.id(),
+            LeafBinding::derived(ids.to_vec(), move |values| {
+                Ok(recipe(ids.map(|id| &values[id])))
+            }),
+        ));
     }
+    leaf
 }
 
 /// A compiled training step: forward to the Eq 21 radicand, backward from
@@ -81,9 +78,17 @@ impl ForwardTrace {
 /// per batch lane so a whole batch stays allocation-free.
 pub struct TrainingPlan {
     plan: Plan,
+    tape: stgnn_analyze::Report,
 }
 
 impl TrainingPlan {
+    /// The static validation of the traced training tape (shape inference,
+    /// gradient-path reachability, NaN-risk, FLOP estimates). Always clean:
+    /// a `Deny` finding refuses compilation.
+    pub fn tape(&self) -> &stgnn_analyze::Report {
+        &self.tape
+    }
+
     /// Fresh per-slot replay state (one per concurrent batch lane).
     pub fn executor(&self) -> PlanExec {
         self.plan.executor()
@@ -151,8 +156,7 @@ fn plan_err(e: stgnn_tensor::Error) -> Error {
 }
 
 /// Re-validates the optimizer's structural invariants (`A008`/`A009`) on
-/// the compiled plan. An unsound optimized plan is refused outright —
-/// callers treat the error like any compile failure and stay eager.
+/// the compiled plan. An unsound optimized plan is refused outright.
 fn check_plan_structure(plan: &Plan) -> Result<()> {
     let report = stgnn_analyze::validate_plan(&plan.summary());
     if !report.is_clean() {
@@ -164,58 +168,14 @@ fn check_plan_structure(plan: &Plan) -> Result<()> {
     Ok(())
 }
 
-fn require(id: Option<usize>, what: &str) -> Result<usize> {
-    id.ok_or_else(|| {
-        Error::InvalidConfig(format!(
-            "forward trace did not record the {what} leaf — tracing and compilation disagree"
-        ))
-    })
-}
-
-/// Bindings shared by training and inference plans: the four input-window
-/// leaves rebind from `inputs[0..4]`, and the FCG mask (plus any
-/// mean-aggregator adjacencies) re-derives from traced node values.
-fn window_bindings(trace: &ForwardTrace) -> Result<Vec<(usize, LeafBinding)>> {
-    let mut bindings = vec![
-        (require(trace.short_in, "short_in")?, LeafBinding::Input(0)),
-        (
-            require(trace.short_out, "short_out")?,
-            LeafBinding::Input(1),
-        ),
-        (require(trace.long_in, "long_in")?, LeafBinding::Input(2)),
-        (require(trace.long_out, "long_out")?, LeafBinding::Input(3)),
-    ];
-    if let Some(mask_id) = trace.fcg_mask_leaf {
-        let i_hat = require(trace.i_hat, "i_hat")?;
-        let o_hat = require(trace.o_hat, "o_hat")?;
-        // The declared deps pin the Î/Ô (and mask) value slots so the plan
-        // optimizer never erases or steals what these closures read.
-        bindings.push((
-            mask_id,
-            LeafBinding::derived(vec![i_hat, o_hat], move |values| {
-                Ok(fcg_mask(&values[i_hat], &values[o_hat]))
-            }),
-        ));
-        for &adj_id in &trace.fcg_mean_adj_leaves {
-            bindings.push((
-                adj_id,
-                LeafBinding::derived(vec![mask_id], move |values| {
-                    Ok(fcg_mean_adj(&values[mask_id]))
-                }),
-            ));
-        }
-    }
-    Ok(bindings)
-}
-
 impl StgnnDjd {
     /// Traces one training step at slot `t` (forward + Eq 21 radicand) and
     /// compiles it into a replayable [`TrainingPlan`].
     ///
-    /// Returns `Ok(None)` when the configuration cannot replay (FCG max
-    /// aggregator, "No FC" ablation) — callers keep the eager path. The
-    /// traced tape is re-validated with the static analyzer first; a `Deny`
-    /// finding refuses compilation outright.
+    /// Always `Ok(Some(_))` for a model that fits `data`: every
+    /// configuration compiles. The traced tape is validated with the
+    /// static analyzer first; a `Deny` finding refuses compilation with a
+    /// "tape validation failed before epoch 0" error listing each denial.
     pub fn compile_training_plan(
         &self,
         data: &BikeDataset,
@@ -234,14 +194,13 @@ impl StgnnDjd {
         t: usize,
         opts: PlanOptions,
     ) -> Result<Option<TrainingPlan>> {
-        Ok(self
-            .compile_plan(data, t, true, opts)?
-            .map(|plan| TrainingPlan { plan }))
+        let (plan, tape) = self.compile_plan(data, t, true, opts)?;
+        Ok(Some(TrainingPlan { plan, tape }))
     }
 
     /// Traces one evaluation-mode forward at slot `t` and compiles it into
     /// a replayable [`InferencePlan`] (roots: the demand and supply heads).
-    /// `Ok(None)` under the same structural limits as
+    /// Always `Ok(Some(_))` for a model that fits `data`, as
     /// [`Self::compile_training_plan`].
     pub fn compile_inference_plan(
         &self,
@@ -258,22 +217,21 @@ impl StgnnDjd {
         t: usize,
         opts: PlanOptions,
     ) -> Result<Option<InferencePlan>> {
-        Ok(self
-            .compile_plan(data, t, false, opts)?
-            .map(|plan| InferencePlan { plan }))
+        let (plan, _) = self.compile_plan(data, t, false, opts)?;
+        Ok(Some(InferencePlan { plan }))
     }
 
     /// The one compile path of both plan kinds: traces a forward at slot
-    /// `t` (plus the Eq 21 radicand as the loss when `train`), re-validates
-    /// the tape, binds its leaves and compiles it with `opts`. `Ok(None)`
-    /// when the configuration cannot replay.
+    /// `t` (plus the Eq 21 radicand as the loss when `train`), validates
+    /// the tape, and compiles it with `opts` and the leaf bindings the
+    /// trace recorded. Returns the plan and the tape's validation report.
     fn compile_plan(
         &self,
         data: &BikeDataset,
         t: usize,
         train: bool,
         opts: PlanOptions,
-    ) -> Result<Option<Plan>> {
+    ) -> Result<(Plan, stgnn_analyze::Report)> {
         self.check_compatible(data)?;
         let g = Graph::new();
         let inputs = ModelInputs::from_dataset(data, t);
@@ -292,40 +250,32 @@ impl StgnnDjd {
         } else {
             None
         };
-        if !trace.incompatible.is_empty() {
-            return Ok(None);
-        }
         let snapshot = g.snapshot();
         let validated = match loss {
             Some(sq) => vec![sq],
             None => roots.clone(),
         };
-        let report = stgnn_analyze::validate_tape(&snapshot, &validated);
-        if !report.is_clean() {
+        let tape = stgnn_analyze::validate_tape(&snapshot, &validated);
+        if !tape.is_clean() {
+            let denies: Vec<String> = tape
+                .at(stgnn_analyze::Severity::Deny)
+                .map(|d| d.to_string())
+                .collect();
             return Err(Error::InvalidConfig(format!(
-                "refusing to compile a tape the validator denies: {}",
-                report.summary()
+                "tape validation failed before {} ({}):\n  {}",
+                if train { "epoch 0" } else { "the first replay" },
+                tape.summary(),
+                denies.join("\n  ")
             )));
         }
-        let mut bindings = window_bindings(&trace)?;
-        if train {
-            bindings.push((
-                require(trace.target_demand, "demand target")?,
-                LeafBinding::Input(4),
-            ));
-            bindings.push((
-                require(trace.target_supply, "supply target")?,
-                LeafBinding::Input(5),
-            ));
-        }
         let spec = PlanSpec {
-            bindings,
+            bindings: trace.bindings,
             roots,
             loss,
         };
         let plan = Plan::compile_with(&snapshot, self.params(), spec, opts).map_err(plan_err)?;
         check_plan_structure(&plan)?;
-        Ok(Some(plan))
+        Ok((plan, tape))
     }
 
     /// Replays the forward pass for slot `t` through a training plan and

@@ -15,6 +15,9 @@
 //! a convex combination as the flow-aggregation intuition requires. The
 //! structural mask (positive fused flow) is computed from forward *values*
 //! and does not carry gradient — it is graph structure, not a parameter.
+//! It enters the tape as a leaf that a compiled plan re-derives each
+//! replay; the max aggregator pools over that leaf directly, and the mean
+//! aggregator's adjacency is derived from it the same way.
 //!
 //! Eq 14 aggregates over `{F_i} ∪ {F_j : j ∈ N(i)}` — the node itself is
 //! explicitly in the set — but Eq 10's weight for the self edge is the
@@ -25,7 +28,7 @@
 //! (`D⁻¹(ReLU(T)⊙M + I)`, the same convention GCN uses), which realises the
 //! "{F_i} ∪ neighbours" set faithfully.
 
-use crate::compiled::ForwardTrace;
+use crate::compiled::{derived_leaf, ForwardTrace};
 use crate::config::{FcgAggregator, StgnnConfig};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -90,69 +93,46 @@ impl FcgNetwork {
         mask: &Tensor,
         train_rng: Option<&mut StdRng>,
     ) -> Var {
-        self.forward_traced(g, edges, features, mask, train_rng, None)
+        self.forward_traced(g, edges, features, &g.leaf(mask.clone()), train_rng, None)
     }
 
-    /// [`Self::forward`], recording the mask and mean-adjacency leaf ids
-    /// into `trace` so a replay plan can re-derive them per slot. The max
-    /// aggregator's pooling groups are input-dependent *structure* (op
-    /// payload, not a leaf value), so it marks the trace incompatible.
+    /// [`Self::forward`] over a mask already on the tape (the model's
+    /// derived mask leaf), recording into `trace` how the mean layers'
+    /// adjacency derives from it so a replay plan re-derives it per slot.
     pub fn forward_traced(
         &self,
         g: &Graph,
         edges: &Var,
         features: &Var,
-        mask: &Tensor,
+        mask: &Var,
         mut train_rng: Option<&mut StdRng>,
-        mut trace: Option<&mut ForwardTrace>,
+        trace: Option<&mut ForwardTrace>,
     ) -> Var {
         let n = mask.shape().rows();
         // Eq 10 edge weights, shared by all layers of this forward pass:
         // row-normalised ReLU(T) restricted to the structural mask, plus a
         // unit self-loop (the `{F_i} ∪ …` of Eq 14 — see the module docs).
-        let mask_leaf = g.leaf(mask.clone());
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.fcg_mask_leaf = Some(mask_leaf.id());
-        }
         let eye = g.leaf(Tensor::eye(n));
-        let raw = edges.relu().mul(&mask_leaf).add(&eye);
+        let raw = edges.relu().mul(mask).add(&eye);
         let sums = raw.sum_cols().add_scalar(1e-6);
         let inv = g.leaf(Tensor::ones(Shape::matrix(n, 1))).div(&sums);
         let weights = raw.mul_col_broadcast(&inv);
-
-        // Precompute structures only the aggregators that need them pay for.
-        let groups = self
-            .layers
-            .iter()
-            .any(|l| matches!(l, LayerKind::Max { .. }))
-            .then(|| fcg_groups(mask));
+        // The mean layers' adjacency, a pure function of the mask.
         let mean_adj = self
             .layers
             .iter()
             .any(|l| matches!(l, LayerKind::Mean { .. }))
-            .then(|| fcg_mean_adj(mask));
+            .then(|| derived_leaf(g, trace, [mask], |[m]| fcg_mean_adj(m)));
 
         let mut f = features.clone();
         for (idx, layer) in self.layers.iter().enumerate() {
             let aggregated = match layer {
                 LayerKind::Flow { .. } => weights.matmul(&f),
-                LayerKind::Mean { .. } => {
-                    let adj = mean_adj.as_ref().expect("computed for mean layers above");
-                    let adj_leaf = g.leaf(adj.clone());
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.fcg_mean_adj_leaves.push(adj_leaf.id());
-                    }
-                    adj_leaf.matmul(&f)
-                }
-                LayerKind::Max { fc, .. } => {
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.mark_incompatible(
-                            "FCG max aggregator pools over input-dependent neighbour lists",
-                        );
-                    }
-                    let groups = groups.as_ref().expect("computed for max layers above");
-                    fc.forward(g, &f).relu().rows_max_pool(groups)
-                }
+                LayerKind::Mean { .. } => mean_adj
+                    .as_ref()
+                    .expect("derived for mean layers above")
+                    .matmul(&f),
+                LayerKind::Max { fc, .. } => fc.forward(g, &f).relu().rows_max_pool(mask),
             };
             let w = match layer {
                 LayerKind::Flow { w } | LayerKind::Mean { w } | LayerKind::Max { w, .. } => w,
@@ -175,52 +155,21 @@ impl FcgNetwork {
     }
 }
 
-/// Neighbour lists under the structural mask: row `i` lists every `j` with
-/// `mask[i][j] > 0` (the `{F_i} ∪ N(i)` sets of Eq 14).
-pub fn fcg_groups(mask: &Tensor) -> Vec<Vec<usize>> {
-    let n = mask.shape().rows();
-    (0..n)
-        .map(|i| {
-            mask.row(i)
-                .iter()
-                .enumerate()
-                .filter(|&(_, &m)| m > 0.0)
-                .map(|(j, _)| j)
-                .collect()
-        })
-        .collect()
-}
-
 /// The mean-aggregator adjacency for the masked flow graph: row `i` puts
-/// weight `1/|N(i)|` on each neighbour. A pure function of the mask, so a
-/// replay plan re-derives it per slot.
+/// weight `1/|N(i)|` on each neighbour `j` (`mask[i][j] > 0`, the
+/// `{F_i} ∪ N(i)` sets of Eq 14). A pure function of the mask, so a replay
+/// plan re-derives it per slot.
 pub fn fcg_mean_adj(mask: &Tensor) -> Tensor {
     let n = mask.shape().rows();
-    let groups = fcg_groups(mask);
     let mut a = Tensor::zeros(Shape::matrix(n, n));
-    let buf = a.data_mut();
-    for (i, group) in groups.iter().enumerate() {
-        let w = 1.0 / group.len() as f32;
-        for &j in group {
-            buf[i * n + j] = w;
+    for (i, row) in a.data_mut().chunks_mut(n).enumerate() {
+        let hood = mask.row(i);
+        let w = 1.0 / hood.iter().filter(|&&m| m > 0.0).count() as f32;
+        for (out, _) in row.iter_mut().zip(hood).filter(|&(_, &m)| m > 0.0) {
+            *out = w;
         }
     }
     a
-}
-
-/// The Eq 10 edge-weight matrix as plain values (for inspection and the
-/// flow-dependency case study): row-normalised `ReLU(T) ⊙ mask`.
-pub fn fcg_edge_weights(t: &Tensor, mask: &Tensor) -> Tensor {
-    let (n, _) = t.shape().as_matrix("fcg_edge_weights").expect("square T");
-    let mut out = t.relu().mul(mask).expect("mask shape");
-    let buf = out.data_mut();
-    for i in 0..n {
-        let sum: f32 = buf[i * n..(i + 1) * n].iter().sum::<f32>() + 1e-6;
-        for v in &mut buf[i * n..(i + 1) * n] {
-            *v /= sum;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -259,28 +208,6 @@ mod tests {
             let out = net.forward(&g, &t, &t, &dense_mask(), None);
             assert_eq!(out.value().shape().dims(), &[N, N], "{agg:?}");
         }
-    }
-
-    #[test]
-    fn edge_weights_are_row_stochastic_on_mask() {
-        let t = feature_matrix(3);
-        let mask = dense_mask();
-        let w = fcg_edge_weights(&t, &mask);
-        for i in 0..N {
-            let sum: f32 = w.row(i).iter().sum();
-            assert!(sum <= 1.0 + 1e-4, "row {i} overshoots: {sum}");
-            assert!(w.row(i).iter().all(|&v| v >= 0.0));
-        }
-    }
-
-    #[test]
-    fn masked_edges_get_zero_weight() {
-        let t = Tensor::ones(Shape::matrix(2, 2));
-        let mask = Tensor::from_rows(&[&[1.0, 0.0], &[1.0, 1.0]]);
-        let w = fcg_edge_weights(&t, &mask);
-        assert_eq!(w.get2(0, 1), 0.0);
-        assert!((w.get2(0, 0) - 1.0).abs() < 1e-4);
-        assert!((w.get2(1, 0) - 0.5).abs() < 1e-4);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! sigmoid, and `β^L = 1 − β^S`. We evaluate the sigmoid form: it is
 //! algebraically identical but immune to `exp` overflow in `f32`.
 
-use crate::compiled::ForwardTrace;
 use crate::config::StgnnConfig;
 use rand::Rng;
 use std::rc::Rc;
@@ -69,43 +68,24 @@ impl FlowConvolution {
         long_in: &Tensor,
         long_out: &Tensor,
     ) -> FlowConvOutput {
-        self.forward_traced(g, short_in, short_out, long_in, long_out, None)
+        let windows = [short_in, short_out, long_in, long_out].map(|w| g.leaf(w.clone()));
+        self.forward_windows(g, &windows)
     }
 
-    /// [`Self::forward`], recording the input-leaf and `Î`/`Ô` node ids
-    /// into `trace` so a replay plan can rebind the windows and re-derive
-    /// the FCG mask.
-    pub fn forward_traced(
-        &self,
-        g: &Graph,
-        short_in: &Tensor,
-        short_out: &Tensor,
-        long_in: &Tensor,
-        long_out: &Tensor,
-        trace: Option<&mut ForwardTrace>,
-    ) -> FlowConvOutput {
+    /// [`Self::forward`] over input stacks already on the tape, in the
+    /// order `[short_in, short_out, long_in, long_out]` — the model's
+    /// window leaves, which a replay plan rebinds per slot.
+    pub fn forward_windows(&self, g: &Graph, windows: &[Var; 4]) -> FlowConvOutput {
+        let [short_in, short_out, long_in, long_out] = windows;
         // Eqs 1–4: per-direction, per-horizon channel fusion.
-        let short_in_leaf = g.leaf(short_in.clone());
-        let i_s = self.conv_in_short.forward(g, &short_in_leaf);
-        let short_out_leaf = g.leaf(short_out.clone());
-        let o_s = self.conv_out_short.forward(g, &short_out_leaf);
-        let long_in_leaf = g.leaf(long_in.clone());
-        let i_l = self.conv_in_long.forward(g, &long_in_leaf);
-        let long_out_leaf = g.leaf(long_out.clone());
-        let o_l = self.conv_out_long.forward(g, &long_out_leaf);
+        let i_s = self.conv_in_short.forward(g, short_in);
+        let o_s = self.conv_out_short.forward(g, short_out);
+        let i_l = self.conv_in_long.forward(g, long_in);
+        let o_l = self.conv_out_long.forward(g, long_out);
 
         // Eqs 5–8: attentive short/long fusion per direction.
         let i_hat = Self::fuse(g, &self.w5, &i_s, &i_l);
         let o_hat = Self::fuse(g, &self.w6, &o_s, &o_l);
-
-        if let Some(tr) = trace {
-            tr.short_in = Some(short_in_leaf.id());
-            tr.short_out = Some(short_out_leaf.id());
-            tr.long_in = Some(long_in_leaf.id());
-            tr.long_out = Some(long_out_leaf.id());
-            tr.i_hat = Some(i_hat.id());
-            tr.o_hat = Some(o_hat.id());
-        }
 
         // Eq 9: T = (Î ‖ Ô) · W₇.
         let t = g.concat_cols(&[&i_hat, &o_hat]).matmul(&g.param(&self.w7));
@@ -146,7 +126,8 @@ impl FreeNodeFeatures {
 /// Builds the FCG structural mask from the fused flow embeddings: entry
 /// `(i, j)` is 1 when `Î[i][j] > 0` or `Ô[j][i] > 0` (there was fused flow
 /// between the stations, §IV-B1), plus self-loops. Computed from forward
-/// values — the mask is structure, not a differentiable quantity.
+/// values — the mask is structure, not a differentiable quantity; a replay
+/// plan re-derives it from each slot's `Î`/`Ô`.
 pub fn fcg_mask(i_hat: &Tensor, o_hat: &Tensor) -> Tensor {
     let (n, _) = i_hat.shape().as_matrix("fcg_mask").expect("square i_hat");
     let mut mask = Tensor::zeros(Shape::matrix(n, n));

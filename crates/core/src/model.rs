@@ -16,7 +16,7 @@
 //! (concatenation of two `1×n` embeddings), so the head must be
 //! `R^{2n×2}`; we use the dimensionally consistent form (see DESIGN.md).
 
-use crate::compiled::ForwardTrace;
+use crate::compiled::{derived_leaf, ForwardTrace};
 use crate::config::StgnnConfig;
 use crate::fcg::FcgNetwork;
 use crate::flow_conv::{fcg_mask, FlowConvOutput, FlowConvolution, FreeNodeFeatures};
@@ -32,6 +32,7 @@ use stgnn_data::predictor::{DemandSupplyPredictor, Prediction};
 use stgnn_tensor::autograd::{Graph, Param, ParamSet, Var};
 use stgnn_tensor::loss::joint_demand_supply_loss;
 use stgnn_tensor::nn::xavier_uniform;
+use stgnn_tensor::plan::LeafBinding;
 use stgnn_tensor::{Shape, Tensor};
 
 /// One slot's model inputs: flattened flow window stacks.
@@ -186,7 +187,7 @@ impl StgnnDjd {
 
     /// [`Self::forward`] with an explicit dropout RNG and an optional
     /// [`ForwardTrace`] recorder — the entry point plan compilation uses to
-    /// learn which leaves rebind per slot (see `crate::compiled`).
+    /// learn how each leaf gets its value on replay (see `crate::compiled`).
     pub fn forward_traced(
         &self,
         g: &Graph,
@@ -195,34 +196,47 @@ impl StgnnDjd {
         rng: &mut StdRng,
         mut trace: Option<&mut ForwardTrace>,
     ) -> ForwardOutput {
-        // 1. Node features.
+        // The input windows, rebound from `inputs[0..4]` on replay.
+        let windows = [
+            &inputs.short_in,
+            &inputs.short_out,
+            &inputs.long_in,
+            &inputs.long_out,
+        ]
+        .map(|w| g.leaf(w.clone()));
+        if let Some(tr) = trace.as_deref_mut() {
+            for (i, w) in windows.iter().enumerate() {
+                tr.bindings.push((w.id(), LeafBinding::Input(i)));
+            }
+        }
+
+        // 1. Node features, and the FCG structural mask as a leaf a replay
+        //    re-derives from the values eager mode computes it from.
+        let with_fcg = self.fcg.is_some();
         let (t, mask) = match (&self.flow_conv, &self.free_features) {
             (Some(fc), _) => {
-                let FlowConvOutput { t, i_hat, o_hat } = fc.forward_traced(
-                    g,
-                    &inputs.short_in,
-                    &inputs.short_out,
-                    &inputs.long_in,
-                    &inputs.long_out,
-                    trace.as_deref_mut(),
-                );
-                let mask = fcg_mask(&i_hat.value(), &o_hat.value());
+                let FlowConvOutput { t, i_hat, o_hat } = fc.forward_windows(g, &windows);
+                let mask = with_fcg.then(|| {
+                    derived_leaf(g, trace.as_deref_mut(), [&i_hat, &o_hat], |[i, o]| {
+                        fcg_mask(i, o)
+                    })
+                });
                 (t, mask)
             }
             (None, Some(free)) => {
                 // "No FC": free features; the FCG mask falls back to raw
-                // observed flow in the short-term window. Neither the
-                // features nor the mask's inputs live on the tape, so this
-                // ablation cannot replay through a plan.
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.mark_incompatible(
-                        "free node features derive the FCG mask from off-tape raw inputs",
-                    );
-                }
-                (
-                    free.forward(g),
-                    raw_flow_mask(&inputs.short_in, &inputs.short_out, self.n),
-                )
+                // observed flow in the short-term window.
+                let n = self.n;
+                let [short_in, short_out, ..] = &windows;
+                let mask = with_fcg.then(|| {
+                    derived_leaf(
+                        g,
+                        trace.as_deref_mut(),
+                        [short_in, short_out],
+                        move |[i, o]| raw_flow_mask(i, o, n),
+                    )
+                });
+                (free.forward(g), mask)
             }
             (None, None) => unreachable!("constructor guarantees a feature source"),
         };
@@ -230,9 +244,9 @@ impl StgnnDjd {
         // 2–3. Branch embeddings.
         let mut branch_embeddings: Vec<Var> = Vec::with_capacity(2);
         let mut pcg_attention = Vec::new();
-        if let Some(fcg) = &self.fcg {
+        if let (Some(fcg), Some(mask)) = (&self.fcg, &mask) {
             let train_rng = train.then_some(&mut *rng);
-            branch_embeddings.push(fcg.forward_traced(g, &t, &t, &mask, train_rng, trace));
+            branch_embeddings.push(fcg.forward_traced(g, &t, &t, mask, train_rng, trace));
         }
         if let Some(pcg) = &self.pcg {
             let train_rng = train.then_some(&mut *rng);
@@ -300,7 +314,7 @@ impl StgnnDjd {
     }
 
     /// [`Self::squared_loss`] recording the two target leaves in `trace` so
-    /// plan compilation can rebind them per training slot.
+    /// plan compilation rebinds them per training slot (`inputs[4..6]`).
     pub fn squared_loss_traced(
         &self,
         g: &Graph,
@@ -312,8 +326,8 @@ impl StgnnDjd {
         let demand_leaf = g.leaf(demand_true.clone());
         let supply_leaf = g.leaf(supply_true.clone());
         if let Some(tr) = trace {
-            tr.target_demand = Some(demand_leaf.id());
-            tr.target_supply = Some(supply_leaf.id());
+            tr.bindings.push((demand_leaf.id(), LeafBinding::Input(4)));
+            tr.bindings.push((supply_leaf.id(), LeafBinding::Input(5)));
         }
         let d = output.demand.sub(&demand_leaf).square().mean_all();
         let s = output.supply.sub(&supply_leaf).square().mean_all();
@@ -417,9 +431,11 @@ impl StgnnDjd {
     /// with the loss as the analysis root. Evaluation mode draws nothing
     /// from the model's RNG, so probing never perturbs training.
     ///
-    /// [`Trainer::train`] calls this before epoch 0 and refuses to start on
-    /// a `Deny` finding (disconnected parameter, shape mismatch, non-finite
-    /// weights, fully-masked attention row).
+    /// [`Trainer::train`] gates epoch 0 on the validation that compiling
+    /// its training plan runs over the training-mode tape instead (see
+    /// [`StgnnDjd::compile_training_plan`]): a `Deny` finding
+    /// (disconnected parameter, shape mismatch, non-finite weights,
+    /// fully-masked attention row) refuses the run.
     pub fn validate_training_tape(
         &self,
         data: &BikeDataset,

@@ -40,7 +40,8 @@ enum LayerKind {
     Attention { heads: Vec<Head>, w10: Rc<Param> },
     /// §VII-G mean aggregator (PCG is complete: mean over all stations).
     Mean { w: Rc<Param> },
-    /// §VII-G max aggregator (shared FC + max-pool over all stations).
+    /// §VII-G max aggregator (shared FC + max-pool over all stations: an
+    /// all-ones mask).
     Max { fc: Linear, w: Rc<Param> },
 }
 
@@ -104,7 +105,6 @@ impl PcgNetwork {
     ) -> (Var, Vec<Tensor>) {
         let n = self.n;
         let mean_adj = Tensor::full(Shape::matrix(n, n), 1.0 / n as f32);
-        let all_nodes: Vec<Vec<usize>> = (0..n).map(|_| (0..n).collect()).collect();
         let mut attentions = Vec::new();
         let mut f = t.clone();
         for (idx, layer) in self.layers.iter().enumerate() {
@@ -136,7 +136,7 @@ impl PcgNetwork {
                 LayerKind::Max { fc, w } => fc
                     .forward(g, &f)
                     .relu()
-                    .rows_max_pool(&all_nodes)
+                    .rows_max_pool(&g.leaf(Tensor::ones(Shape::matrix(n, n))))
                     .matmul(&g.param(w))
                     .elu(),
             };

@@ -39,18 +39,18 @@ pub struct TrainReport {
     /// Threads the tensor kernel pool ran with (`STGNN_THREADS` /
     /// `available_parallelism()`); results are identical for any value.
     pub kernel_threads: usize,
-    /// The pre-execution tape validation run before epoch 0 (shape
-    /// inference, gradient-path reachability, NaN-risk, FLOP estimates).
-    /// Always clean here — a `Deny` finding aborts training instead.
+    /// The pre-execution validation of the compiled training tape, run
+    /// before epoch 0 (shape inference, gradient-path reachability,
+    /// NaN-risk, FLOP estimates). Always clean here — a `Deny` finding
+    /// aborts training instead.
     pub tape: stgnn_analyze::Report,
-    /// Whether training replayed a compiled plan (true for every standard
-    /// configuration; false for structurally replay-incompatible ones like
-    /// the FCG max aggregator or the "No FC" ablation).
+    /// Whether training replayed a compiled plan. Always true: every
+    /// configuration compiles, and training has no other executor.
     pub used_compiled_plan: bool,
     /// The plan optimizer's pass report for the compiled training tape
     /// (folds, elided transposes, fused chains, in-place rewrites, cached
-    /// probes), rendered; `None` when training stayed eager.
-    pub plan_passes: Option<String>,
+    /// probes), rendered.
+    pub plan_passes: String,
     /// Tensor-pool misses per optimizer step over the final epoch's batch
     /// loop — fresh heap allocations the buffer pool could not serve. The
     /// compiled-plan path reaches 0.0 once warm (validation sweeps are
@@ -154,23 +154,15 @@ impl Trainer {
         if train_slots.is_empty() {
             return Err(Error::InvalidConfig("no valid training slots".into()));
         }
-        // Fail fast, before epoch 0: trace one probe tape and statically
-        // validate it. A disconnected parameter or NaN-risk op would
-        // otherwise surface epochs later as a silently-frozen weight or a
-        // NaN loss.
+        // Fail fast, before epoch 0: compiling the plan every step replays
+        // traces one probe training tape and statically validates it, and
+        // a `Deny` finding refuses the run. A disconnected parameter or
+        // NaN-risk op would otherwise surface epochs later as a
+        // silently-frozen weight or a NaN loss.
         let probe_slot = *train_slots.first().expect("checked non-empty above");
-        let tape = model.validate_training_tape(data, probe_slot)?;
-        if !tape.is_clean() {
-            let denies: Vec<String> = tape
-                .at(stgnn_analyze::Severity::Deny)
-                .map(|d| d.to_string())
-                .collect();
-            return Err(Error::InvalidConfig(format!(
-                "tape validation failed before epoch 0 ({}):\n  {}",
-                tape.summary(),
-                denies.join("\n  ")
-            )));
-        }
+        let train_plan = model
+            .compile_training_plan(data, probe_slot)?
+            .expect("every configuration compiles to a training plan");
         let val_slots = {
             let all: Vec<usize> = data
                 .slots(Split::Val)
@@ -179,14 +171,6 @@ impl Trainer {
                 .collect();
             subsample(&all, self.max_val_slots)
         };
-        // Compile the probe tape into a replayable plan. `Ok(None)` means
-        // the configuration is structurally replay-incompatible (FCG max
-        // aggregator, "No FC" ablation) and training stays eager; a compile
-        // error is defensive-fallback territory too — the plan is a pure
-        // optimisation, never a correctness gate.
-        let train_plan = model
-            .compile_training_plan(data, probe_slot)
-            .unwrap_or(None);
         // One replay executor per batch lane, reused across every batch and
         // epoch — this is what makes the steady state allocation-free.
         let mut lanes: Vec<PlanExec> = Vec::new();
@@ -199,9 +183,9 @@ impl Trainer {
             train_losses: Vec::new(),
             val_losses: Vec::new(),
             kernel_threads,
-            tape,
-            used_compiled_plan: train_plan.is_some(),
-            plan_passes: train_plan.as_ref().map(|p| p.pass_report().to_string()),
+            tape: train_plan.tape().clone(),
+            used_compiled_plan: true,
+            plan_passes: train_plan.pass_report().to_string(),
             allocs_per_step: 0.0,
             resumed: resume.is_some(),
             checkpoint_writes: 0,
@@ -321,10 +305,7 @@ impl Trainer {
                 // live. An io-action fault aborts the run cleanly instead.
                 stgnn_faults::failpoint!("trainer::step", io);
                 model.params().zero_grads();
-                let batch_loss = match &train_plan {
-                    Some(plan) => plan_batch(model, data, plan, &mut lanes, batch)?,
-                    None => eager_batch(model, data, horizon, batch)?,
-                };
+                let batch_loss = plan_batch(model, data, &train_plan, &mut lanes, batch)?;
                 opt.step(model.params());
                 epoch_loss += batch_loss as f64;
                 local_batches += 1;
@@ -358,8 +339,8 @@ impl Trainer {
                 }
             }
             // Pool misses per optimizer step, measured over just this
-            // epoch's batch loop (validation below runs eager and is
-            // excluded). The last epoch's figure lands in the report.
+            // epoch's batch loop (validation below runs the eager tape and
+            // is excluded). The last epoch's figure lands in the report.
             let pool_delta = pool::stats().since(&pool_before);
             report.allocs_per_step = pool_delta.misses as f64 / local_batches.max(1) as f64;
             // The epoch mean divides by the epoch's *full* batch count: on a
@@ -449,42 +430,15 @@ impl Trainer {
     }
 }
 
-/// One eager gradient batch: Eq 21 over the batch,
-/// `L = sqrt(mean_b (mse_d + mse_s))`. Each slot traces its own tape; the
-/// batch-level √ factors into a shared scalar `1/(2·B·L)` applied to each
-/// slot's radicand before its backward sweep. Returns the batch loss
-/// (gradients accumulate in the model's parameter cells).
-fn eager_batch(
-    model: &StgnnDjd,
-    data: &BikeDataset,
-    horizon: usize,
-    batch: &[usize],
-) -> Result<f32> {
-    let mut slot_losses = Vec::with_capacity(batch.len());
-    let mut radicand = 0.0f64;
-    for &t in batch {
-        let g = Graph::new();
-        let inputs = ModelInputs::from_dataset(data, t);
-        let out = model.forward(&g, &inputs, true);
-        let (dt, st) = data.targets_horizon(t, horizon)?;
-        let sq = model.squared_loss(&g, &out, &dt, &st);
-        radicand += sq.with_value(|v| v.scalar()) as f64 / batch.len() as f64;
-        slot_losses.push(sq);
-    }
-    let batch_loss = (radicand.max(0.0)).sqrt() as f32;
-    let grad_scale = 1.0 / (2.0 * batch.len() as f32 * batch_loss.max(1e-6));
-    for sq in slot_losses {
-        sq.mul_scalar(grad_scale).backward();
-    }
-    Ok(batch_loss)
-}
-
-/// The same gradient batch replayed through a compiled plan — bit-identical
-/// to [`eager_batch`] (same kernels, sweep order, RNG draws, and parameter
-/// deposit order) but with every intermediate buffer recycled through the
-/// tensor pool. `lanes[i]` carries slot `i`'s forward state to its backward
-/// sweep, exactly as the eager path keeps slot tapes alive in
-/// `slot_losses`.
+/// One gradient batch, replayed through the compiled plan: Eq 21 over the
+/// batch, `L = sqrt(mean_b (mse_d + mse_s))`. Each slot replays on its own
+/// lane; the batch-level √ factors into a shared scalar `1/(2·B·L)` that
+/// seeds each lane's backward sweep. Returns the batch loss (gradients
+/// accumulate in the model's parameter cells). Bit-identical to tracing
+/// each slot eagerly and calling `sq.mul_scalar(1/(2·B·L)).backward()`
+/// (same kernels, sweep order, RNG draws and parameter deposit order), but
+/// with every intermediate buffer recycled through the tensor pool.
+/// `lanes[i]` carries slot `i`'s forward state to its backward sweep.
 fn plan_batch(
     model: &StgnnDjd,
     data: &BikeDataset,
@@ -631,11 +585,15 @@ mod tests {
         dir.join("train.ckpt")
     }
 
-    /// Gradient bits for every parameter after one deterministic eager
+    /// Gradient bits for every parameter after one deterministic training
     /// batch — the strictest observable the acceptance criterion names.
     fn grad_bits(model: &StgnnDjd, data: &BikeDataset, batch: &[usize]) -> Vec<Vec<u32>> {
         model.params().zero_grads();
-        eager_batch(model, data, 1, batch).unwrap();
+        let plan = model
+            .compile_training_plan(data, batch[0])
+            .unwrap()
+            .unwrap();
+        plan_batch(model, data, &plan, &mut Vec::new(), batch).unwrap();
         model
             .params()
             .params()

@@ -1,20 +1,14 @@
-// lint: allow-file(L004): group indices are validated against row count at
-// pool construction.
-//! Neighbourhood aggregators for the §VII-G aggregator study.
+// lint: allow-file(L004): neighbourhood indices come from the graph's own
+// node range, and each row chunk is `n` wide.
+//! The GraphSAGE mean aggregator over a fixed [`DiGraph`].
 //!
-//! STGNN-DJD's contribution includes two *custom* aggregators (flow-based
-//! and attention-based, in `stgnn-core`). The paper compares them against
-//! the two standard GraphSAGE aggregators implemented here:
-//!
-//! * **Mean** — elementwise mean of the node's own embedding and its
-//!   neighbours' (Hamilton et al. 2017).
-//! * **Max** — each embedding passes through a shared fully-connected layer,
-//!   then an elementwise max-pool over the neighbourhood.
+//! **Mean** — elementwise mean of the node's own embedding and its
+//! neighbours' (Hamilton et al. 2017). The model's own §VII-G aggregator
+//! study swaps aggregators inside `stgnn-core` (`fcg.rs`, `pcg.rs`), over
+//! the per-slot flow graph rather than a fixed one.
 
 use crate::digraph::DiGraph;
-use rand::Rng;
-use stgnn_tensor::autograd::{Graph, ParamSet, Var};
-use stgnn_tensor::nn::Linear;
+use stgnn_tensor::autograd::{Graph, Var};
 use stgnn_tensor::{par, Shape, Tensor};
 
 /// Mean aggregator: `Aggr_i = mean({h_i} ∪ {h_j : j ∈ N(i)})`.
@@ -50,38 +44,9 @@ impl MeanAggregator {
     }
 }
 
-/// Max aggregator: `Aggr_i = max({ FC(h_u) : u ∈ {i} ∪ N(i) })`, elementwise.
-pub struct MaxAggregator {
-    fc: Linear,
-    hoods: Vec<Vec<usize>>,
-}
-
-impl MaxAggregator {
-    /// Builds the aggregator with a shared `dim → dim` transform.
-    pub fn new(
-        params: &mut ParamSet,
-        rng: &mut impl Rng,
-        name: &str,
-        graph: &DiGraph,
-        dim: usize,
-    ) -> Self {
-        MaxAggregator {
-            fc: Linear::new(params, rng, name, dim, dim, true),
-            hoods: graph.neighborhoods_with_self(),
-        }
-    }
-
-    /// Aggregates node features `h ∈ R^{n×f}`.
-    pub fn forward(&self, g: &Graph, h: &Var) -> Var {
-        self.fc.forward(g, h).relu().rows_max_pool(&self.hoods)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn graph() -> DiGraph {
         DiGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)])
@@ -96,24 +61,6 @@ mod tests {
         assert!((out.get2(0, 0) - 3.0).abs() < 1e-6); // mean(2,4)
         assert!((out.get2(1, 0) - 6.5).abs() < 1e-6); // mean(4,9)
         assert!((out.get2(2, 0) - 9.0).abs() < 1e-6); // isolated → self
-    }
-
-    #[test]
-    fn max_aggregator_shapes_and_monotonicity() {
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let agg = MaxAggregator::new(&mut ps, &mut rng, "max", &graph(), 2);
-        let g = Graph::new();
-        let h = g.leaf(Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]));
-        let out = agg.forward(&g, &h);
-        assert_eq!(out.value().shape().dims(), &[3, 2]);
-        // Row 0 pools {0,1}: must dominate each pooled row elementwise.
-        let pooled = out.value();
-        let fc_out = agg.fc.forward(&g, &h).relu().value();
-        for c in 0..2 {
-            let expect = fc_out.get2(0, c).max(fc_out.get2(1, c));
-            assert!((pooled.get2(0, c) - expect).abs() < 1e-6);
-        }
     }
 
     /// The graph-layer half of the `tensor::par` determinism contract:
@@ -150,19 +97,5 @@ mod tests {
         stgnn_tensor::par::set_thread_override(None);
         assert_eq!(avg1.data(), avg4.data(), "avg matrix differs by threads");
         assert_eq!(out1.data(), out4.data(), "forward differs by threads");
-    }
-
-    #[test]
-    fn max_aggregator_is_differentiable() {
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(10);
-        let agg = MaxAggregator::new(&mut ps, &mut rng, "max", &graph(), 2);
-        // Force positive pre-activations so the ReLU cannot block all paths.
-        ps.params()[0].set_value(Tensor::from_rows(&[&[1.0, 0.5], &[0.5, 1.0]]));
-        ps.params()[1].set_value(Tensor::from_rows(&[&[0.1, 0.1]]));
-        let g = Graph::new();
-        let h = g.leaf(Tensor::ones(Shape::matrix(3, 2)));
-        agg.forward(&g, &h).sum_all().backward();
-        assert!(ps.grad_norm() > 0.0, "no gradient reached the FC layer");
     }
 }

@@ -3,9 +3,9 @@
 //! Concurrent queries for the same `(model, slot)` are coalesced: one worker
 //! takes the first queued request, lingers briefly so concurrent arrivals
 //! can pile in, drains every matching request, and serves them all from a
-//! single `predict_horizon` forward pass. The result lands in the
-//! [`SlotCache`], so stragglers (and every later query until the slot rolls
-//! over) skip the forward pass entirely.
+//! single forward pass — a replay of the model's compiled inference plan.
+//! The result lands in the [`SlotCache`], so stragglers (and every later
+//! query until the slot rolls over) skip the forward pass entirely.
 //!
 //! Two mechanisms bound the work per `(model, version, slot)` key to **one
 //! forward pass total**:
@@ -15,12 +15,13 @@
 //!    same key wait for the one computing it, then re-read the cache.
 //!
 //! Models are **thread-confined**: each worker materialises its own
-//! [`StgnnDjd`] per registered name and rebuilds it lazily whenever the
-//! registry's checkpoint version moves (the hot-swap path).
+//! [`StgnnDjd`] per registered name, compiles its inference plan against
+//! the pool's dataset, and rebuilds both lazily whenever the registry's
+//! checkpoint version moves (the hot-swap path).
 
 use crate::cache::{CachedPrediction, SlotCache, SlotKey};
 use crate::metrics::ServeMetrics;
-use crate::registry::ModelRegistry;
+use crate::registry::{Checkpoint, ModelEntry, ModelRegistry};
 use crate::ServeError;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -198,14 +199,41 @@ impl Drop for InflightGuard<'_> {
 struct LocalModel {
     version: u64,
     model: StgnnDjd,
-    /// Inference plan + reusable executor, compiled on this worker's first
-    /// forward at this version. Replaying it keeps the steady-state serve
-    /// path free of pool misses.
-    plan: Option<(InferencePlan, PlanExec)>,
-    /// The configuration declined to compile (structurally replay-
-    /// incompatible) or compilation errored — stay eager, don't retry
-    /// every batch.
-    plan_failed: bool,
+    /// This version's inference plan, compiled when the worker
+    /// materialised the version, and its reusable executor. Replaying it
+    /// keeps the steady-state serve path free of pool misses.
+    plan: InferencePlan,
+    exec: PlanExec,
+}
+
+impl LocalModel {
+    /// Materialises `checkpoint` and compiles its inference plan at `slot`.
+    /// Compiling checks the model against the pool's fixed dataset, so a
+    /// model that does not fit it fails here, once per version.
+    fn build(
+        entry: &ModelEntry,
+        checkpoint: &Checkpoint,
+        data: &BikeDataset,
+        slot: usize,
+    ) -> Result<Self, ServeError> {
+        let model = entry.spec().materialize_with(checkpoint)?;
+        let plan = match model.compile_inference_plan(data, slot) {
+            Ok(Some(plan)) => plan,
+            Ok(None) => {
+                return Err(ServeError::BadRequest(
+                    "model compiled no inference plan".into(),
+                ))
+            }
+            Err(e) => return Err(ServeError::BadRequest(e.to_string())),
+        };
+        let exec = plan.executor();
+        Ok(LocalModel {
+            version: checkpoint.version,
+            model,
+            plan,
+            exec,
+        })
+    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -278,7 +306,7 @@ fn process_batch(
     let slot = first_req.slot;
     // Validate the slot at the pool boundary, not just in the HTTP layer:
     // `submit` is a public API, and an out-of-range slot would otherwise
-    // reach `predict_horizon` and panic inside the window arithmetic,
+    // reach the input-window assembly and panic inside its arithmetic,
     // killing this worker thread.
     let first = shared.dataset.first_valid_slot();
     let last = shared.dataset.flows().num_slots();
@@ -340,25 +368,19 @@ fn process_batch(
         key: key.clone(),
     };
 
-    // Materialise (or version-refresh) this worker's model instance. A
-    // version move replaces the whole LocalModel, dropping the compiled
-    // plan with it — the hot-swap invalidation.
+    // Materialise (or version-refresh) this worker's model instance and
+    // compile its plan. A version move replaces the whole LocalModel,
+    // dropping the old plan with it — the hot-swap invalidation. The old
+    // version goes first, so it is not held while the new one compiles.
     let needs_rebuild = local
         .get(&model_name)
         .map(|lm| lm.version != checkpoint.version)
         .unwrap_or(true);
     if needs_rebuild {
-        match entry.spec().materialize_with(&checkpoint) {
-            Ok(model) => {
-                local.insert(
-                    model_name.clone(),
-                    LocalModel {
-                        version: checkpoint.version,
-                        model,
-                        plan: None,
-                        plan_failed: false,
-                    },
-                );
+        local.remove(&model_name);
+        match LocalModel::build(&entry, &checkpoint, &shared.dataset, slot) {
+            Ok(lm) => {
+                local.insert(model_name.clone(), lm);
             }
             Err(e) => {
                 for _ in &batch {
@@ -388,84 +410,51 @@ fn process_batch(
     if let Some(delay) = shared.config.forward_delay {
         thread::sleep(delay);
     }
-    if let Err(e) = lm.model.check_compatible(&shared.dataset) {
-        for _ in &batch {
-            shared.metrics.inc_errors();
-        }
-        respond_all(&batch, &Err(ServeError::BadRequest(e.to_string())));
-        return;
-    }
-    // Compile this version's inference plan on first use. `Ok(None)` marks
-    // a structurally replay-incompatible configuration — serve it eagerly
-    // forever rather than re-probing every batch.
-    if lm.plan.is_none() && !lm.plan_failed {
-        match lm.model.compile_inference_plan(&shared.dataset, slot) {
-            Ok(Some(plan)) => {
-                let exec = plan.executor();
-                lm.plan = Some((plan, exec));
-            }
-            _ => lm.plan_failed = true,
-        }
-    }
     // Defense in depth: a panic in the forward pass (a shape bug the
     // validation above didn't anticipate) must not take the worker thread
-    // down with the whole queue behind it. Convert it to an error reply and
-    // drop this worker's model copy — it may be mid-mutation.
+    // down with the whole queue behind it.
     let forward = catch_unwind(AssertUnwindSafe(|| {
         // Inside the catch_unwind on purpose: an injected panic here takes
         // the same containment path a real forward-pass panic would.
         stgnn_faults::failpoint!("serve::forward");
-        // Replay the compiled plan (bit-identical to eager, zero pool
-        // misses once warm); any replay error falls back to the eager pass
-        // for this batch and reports whether the plan should be dropped.
-        let replayed = lm.plan.as_mut().map(|(plan, exec)| {
-            lm.model
-                .plan_predict_horizon(plan, exec, &shared.dataset, slot)
-        });
-        match replayed {
-            Some(Ok(p)) => (p, false),
-            Some(Err(_)) => (lm.model.predict_horizon(&shared.dataset, slot), true),
-            None => (lm.model.predict_horizon(&shared.dataset, slot), false),
-        }
+        lm.model
+            .plan_predict_horizon(&lm.plan, &mut lm.exec, &shared.dataset, slot)
     }));
-    let predictions: CachedPrediction = match forward {
-        Ok((p, drop_plan)) => {
-            if drop_plan {
-                lm.plan = None;
-                lm.plan_failed = true;
-            }
-            Arc::new(p)
-        }
-        Err(payload) => {
-            local.remove(&model_name);
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("forward pass panicked");
-            for _ in &batch {
-                shared.metrics.inc_errors();
-            }
-            respond_all(
-                &batch,
-                &Err(ServeError::BadRequest(format!(
-                    "forward pass failed: {msg}"
-                ))),
-            );
+    let msg = match forward {
+        Ok(Ok(p)) => {
+            let predictions: CachedPrediction = Arc::new(p);
+            shared.cache.insert(key, Arc::clone(&predictions));
+            shared.metrics.record_forward(batch.len());
+            shared.metrics.inc_batched(batch.len() as u64);
+            respond_all(&batch, &Ok(predictions));
             return;
         }
+        Ok(Err(e)) => e.to_string(),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "forward pass panicked".into()),
     };
-    shared.cache.insert(key, Arc::clone(&predictions));
-    shared.metrics.record_forward(batch.len());
-    shared.metrics.inc_batched(batch.len() as u64);
-    respond_all(&batch, &Ok(predictions));
+    // A panic or a replay error fails this batch. Drop this worker's model
+    // copy — it may be mid-mutation — so the next batch rebuilds it.
+    local.remove(&model_name);
+    for _ in &batch {
+        shared.metrics.inc_errors();
+    }
+    respond_all(
+        &batch,
+        &Err(ServeError::BadRequest(format!(
+            "forward pass failed: {msg}"
+        ))),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::ModelSpec;
-    use stgnn_core::StgnnConfig;
+    use stgnn_core::{FcgAggregator, StgnnConfig};
     use stgnn_data::dataset::{DatasetConfig, Split};
     use stgnn_data::synthetic::{CityConfig, SyntheticCity};
 
@@ -709,6 +698,34 @@ mod tests {
             assert_eq!(*served, eager, "slot {t}: plan replay diverged from eager");
         }
         assert_eq!(metrics.snapshot().forward_passes, 5);
+    }
+
+    /// The FCG max aggregator pools over each slot's derived FCG mask; the
+    /// plan a worker compiles for it must serve what an eager forward on an
+    /// independently materialised model would.
+    #[test]
+    fn fcg_max_model_serves_eager_identical_predictions() {
+        let data = dataset();
+        let registry = Arc::new(ModelRegistry::new());
+        let mut config = StgnnConfig::test_tiny(6, 2);
+        config.fcg_aggregator = FcgAggregator::Max;
+        let spec = ModelSpec::new(config, data.n_stations());
+        let reference = spec.materialize().unwrap();
+        registry
+            .register("max", spec, reference.weights_to_bytes())
+            .unwrap();
+        let pool = WorkerPool::new(
+            registry,
+            Arc::new(SlotCache::new(64)),
+            Arc::new(ServeMetrics::new()),
+            Arc::clone(&data),
+            PoolConfig::default(),
+        );
+        for &t in data.slots(Split::Test).iter().take(5) {
+            let served = pool.submit("max", t).recv().unwrap().unwrap();
+            let eager = reference.predict_horizon(&data, t);
+            assert_eq!(*served, eager, "slot {t}: plan replay diverged from eager");
+        }
     }
 
     #[test]

@@ -608,20 +608,22 @@ impl Var {
         self.apply(Op::MulColBroadcast, &[col])
     }
 
-    /// Grouped elementwise max-pooling over rows: output row `i` is the
-    /// elementwise maximum of the input rows listed in `groups[i]`.
+    /// Masked elementwise max-pooling over rows: output row `i` is the
+    /// elementwise maximum of the rows `j` with `mask[i][j] > 0`, taken in
+    /// ascending `j`.
     ///
     /// This is the "max aggregator" of GraphSAGE-style GNNs (the paper's
-    /// §VII-G comparison): `groups[i]` lists node `i`'s neighbourhood
-    /// (usually including `i` itself). Gradients route to the argmax row per
-    /// element, ties resolved to the first listed row.
+    /// §VII-G comparison): row `i` of the `mask` marks node `i`'s
+    /// neighbourhood (usually including `i` itself). The mask is an operand,
+    /// so a compiled plan pools over whatever mask the replay binds or
+    /// derives. Gradients route to the argmax row per element, ties
+    /// resolved to the lowest `j`; the mask receives none.
     ///
     /// # Panics
-    /// Panics when the input is not a matrix, a group is empty or a group
-    /// names a row outside the input.
-    pub fn rows_max_pool(&self, groups: &[Vec<usize>]) -> Var {
-        let groups = groups.to_vec();
-        self.apply(Op::RowsMaxPool { groups }, &[])
+    /// Panics when either operand is not a matrix, `mask` has a column
+    /// count other than this var's row count, or a mask row selects no row.
+    pub fn rows_max_pool(&self, mask: &Var) -> Var {
+        self.apply(Op::RowsMaxPool, &[mask])
     }
 
     // ------------------------------------------------------------------
@@ -916,7 +918,8 @@ mod tests {
         let p = Param::new("x", t(&[&[1.0, 5.0], &[3.0, 2.0], &[0.0, 9.0]]));
         let x = g.param(&p);
         // node 0 pools {0,1}, node 1 pools {1,2}
-        let y = x.rows_max_pool(&[vec![0, 1], vec![1, 2]]);
+        let mask = g.leaf(t(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0]]));
+        let y = x.rows_max_pool(&mask);
         assert_eq!(y.value().data(), &[3.0, 5.0, 3.0, 9.0]);
         y.sum_all().backward();
         // grads route to argmax entries; row1 col0 wins twice.
@@ -929,10 +932,9 @@ mod tests {
     fn rows_max_pool_gradcheck() {
         check_grad(
             t(&[&[1.0, 5.0], &[3.0, 2.0], &[0.5, 9.0]]),
-            |_, x| {
-                x.rows_max_pool(&[vec![0, 1], vec![1, 2], vec![0, 2]])
-                    .square()
-                    .sum_all()
+            |g, x| {
+                let mask = g.leaf(t(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[1.0, 0.0, 1.0]]));
+                x.rows_max_pool(&mask).square().sum_all()
             },
             2e-2,
         );

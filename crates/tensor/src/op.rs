@@ -76,9 +76,9 @@ pub enum Op {
     AddColBroadcast,
     /// Scales row `i` by element `i` of an `r×1` column vector.
     MulColBroadcast,
-    /// Grouped elementwise row max-pooling; output row `i` pools the input
-    /// rows in `groups[i]`.
-    RowsMaxPool { groups: Vec<Vec<usize>> },
+    /// Masked elementwise row max-pooling over `[x, mask]`: output row `i`
+    /// pools the rows `j` of `x` with `mask[i][j] > 0`.
+    RowsMaxPool,
     /// Sum of all elements (scalar output).
     SumAll,
     /// Mean of all elements (scalar output).
@@ -136,7 +136,7 @@ impl Op {
             Op::AddRowBroadcast => "add_row_broadcast",
             Op::AddColBroadcast => "add_col_broadcast",
             Op::MulColBroadcast => "mul_col_broadcast",
-            Op::RowsMaxPool { .. } => "rows_max_pool",
+            Op::RowsMaxPool => "rows_max_pool",
             Op::SumAll => "sum_all",
             Op::MeanAll => "mean_all",
             Op::SumCols => "sum_cols",
@@ -195,7 +195,7 @@ impl Op {
             (Op::AddRowBroadcast, [a, b]) => a.add_row_broadcast(b),
             (Op::AddColBroadcast, [a, b]) => a.add_col_broadcast(b),
             (Op::MulColBroadcast, [a, b]) => a.mul_col_broadcast(b),
-            (Op::RowsMaxPool { groups }, [a]) => rows_max_pool(a, groups, saved),
+            (Op::RowsMaxPool, [a, mask]) => rows_max_pool(a, mask, saved),
             (Op::SumAll, [a]) => Ok(a.sum_all()),
             (Op::MeanAll, [a]) => Ok(a.mean_all()),
             (Op::SumCols, [a]) => a.sum_cols(),
@@ -210,7 +210,9 @@ impl Op {
 
     /// The backward: the gradient `g` at this op's output, folded to one
     /// contribution per operand (in parent order), from the operand values
-    /// `x`, the output value `out` and the forward's `saved` state.
+    /// `x`, the output value `out` and the forward's `saved` state. The
+    /// max-pool's mask is structure, not a differentiable operand, and gets
+    /// no contribution.
     ///
     /// Each formula reads only what it must. The compiled plan relies on
     /// that: a value slot an in-place rewrite took holds a one-element
@@ -267,18 +269,16 @@ impl Op {
             (Op::MulColBroadcast, [a, c]) => {
                 vec![g.mul_col_broadcast(c)?, g.mul(a)?.sum_cols()?]
             }
-            (Op::RowsMaxPool { groups }, [a]) => {
+            (Op::RowsMaxPool, [a, _]) => {
                 // Each output element's gradient routes to its argmax row.
                 let Saved::Argmax(argmax) = saved else {
                     return Err(missing("rows_max_pool", "argmax"));
                 };
-                let (out_rows, cols) = (groups.len(), out.shape().cols());
+                let cols = a.shape().cols();
                 let mut dx = Tensor::zeros(a.shape().clone());
                 let buf = dx.data_mut();
-                for i in 0..out_rows {
-                    for c in 0..cols {
-                        buf[argmax[i * cols + c] * cols + c] += g.data()[i * cols + c];
-                    }
+                for (k, (&r, &gv)) in argmax.iter().zip(g.data()).enumerate() {
+                    buf[r * cols + k % cols] += gv;
                 }
                 vec![dx]
             }
@@ -337,12 +337,20 @@ fn missing(op: &str, what: &str) -> Error {
     ))
 }
 
-/// Grouped elementwise max-pooling: output row `i` is the elementwise
-/// maximum of the input rows in `groups[i]`, ties to the first listed row.
-/// Reuses the argmax allocation a previous forward left in `saved`.
-fn rows_max_pool(v: &Tensor, groups: &[Vec<usize>], saved: &mut Saved) -> Result<Tensor> {
+/// Masked elementwise max-pooling: output row `i` is the elementwise
+/// maximum of the rows `j` of `v` with `mask[i][j] > 0`, taken in
+/// ascending `j` with ties to the lowest `j`. Reuses the argmax allocation
+/// a previous forward left in `saved`.
+fn rows_max_pool(v: &Tensor, mask: &Tensor, saved: &mut Saved) -> Result<Tensor> {
     let (rows, cols) = v.shape().as_matrix("rows_max_pool")?;
-    let out_rows = groups.len();
+    let (out_rows, mask_cols) = mask.shape().as_matrix("rows_max_pool")?;
+    if mask_cols != rows {
+        return Err(Error::shape_mismatch(
+            "rows_max_pool",
+            v.shape(),
+            mask.shape(),
+        ));
+    }
     let mut out = Buffer::filled(out_rows * cols, f32::NEG_INFINITY);
     let mut argmax = match std::mem::take(saved) {
         Saved::Argmax(a) => a,
@@ -350,18 +358,10 @@ fn rows_max_pool(v: &Tensor, groups: &[Vec<usize>], saved: &mut Saved) -> Result
     };
     argmax.clear();
     argmax.resize(out_rows * cols, 0);
-    for (i, group) in groups.iter().enumerate() {
-        if group.is_empty() {
-            return Err(Error::InvalidArgument(format!(
-                "rows_max_pool: empty group {i}"
-            )));
-        }
-        for &r in group {
-            if r >= rows {
-                return Err(Error::InvalidArgument(format!(
-                    "rows_max_pool: row {r} out of {rows}"
-                )));
-            }
+    for i in 0..out_rows {
+        let mut pooled = false;
+        for (r, _) in mask.row(i).iter().enumerate().filter(|&(_, &m)| m > 0.0) {
+            pooled = true;
             for c in 0..cols {
                 let val = v.data()[r * cols + c];
                 if val > out[i * cols + c] {
@@ -369,6 +369,11 @@ fn rows_max_pool(v: &Tensor, groups: &[Vec<usize>], saved: &mut Saved) -> Result
                     argmax[i * cols + c] = r;
                 }
             }
+        }
+        if !pooled {
+            return Err(Error::InvalidArgument(format!(
+                "rows_max_pool: empty group {i}"
+            )));
         }
     }
     *saved = Saved::Argmax(argmax);

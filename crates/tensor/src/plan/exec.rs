@@ -145,8 +145,9 @@ impl Plan {
         inputs: &[Tensor],
         draw: &mut dyn FnMut() -> f32,
     ) -> Result<()> {
-        // An injected replay fault surfaces as a plan error, which is the
-        // signal the trainer and serve paths fall back to eager on.
+        // An injected replay fault surfaces as a plan error: training stops
+        // with it, and a serve worker answers the batch with an error and
+        // rebuilds its model copy for the next one.
         stgnn_faults::failpoint!("plan::replay", io);
         if inputs.len() != self.num_inputs {
             return Err(Error::InvalidArgument(format!(

@@ -51,12 +51,13 @@
 //! `tests/plan_gradcheck.rs` checks every op's plan gradient against
 //! finite differences.
 //!
-//! One caveat is inherent to replay: ops whose *structure* (not value) was
-//! derived from input data at trace time — [`Op::RowsMaxPool`] group lists
-//! built from a data-dependent mask — replay the traced structure. Callers
-//! that configure such ops from per-input data (the FCG max aggregator)
-//! must keep the eager path; input-independent structures (the PCG
-//! aggregators, whose groups cover all stations) replay correctly.
+//! Graph structure derived from each input replays as a value, not as a
+//! frozen payload: [`Op::RowsMaxPool`] pools over a mask *operand*, so a
+//! plan whose mask leaf is rebound or derived per replay
+//! ([`LeafBinding::Derived`]) pools over each replay's own structure. Op
+//! payloads carry only input-independent arguments (shapes, slice ranges,
+//! scalars, drop rates), so a tape replays correctly once every leaf that
+//! changes between inputs is bound.
 
 mod exec;
 mod fuse;

@@ -200,23 +200,29 @@ fn dropout_replay_consumes_rng_stream_like_eager() {
 
 #[test]
 fn structured_ops_replay_bit_identical() {
-    // rows_max_pool (traced groups) + concat_cols + broadcasts — the ops
+    // rows_max_pool (constant mask) + concat_cols + broadcasts — the ops
     // whose backward routes gradients through recorded structure.
     let mut rng = StdRng::seed_from_u64(17);
     let (r, c) = (8, 5);
     let mut pset = ParamSet::new();
     let w = pset.add("w", random_tensor(&mut rng, c, c));
-    let groups: Vec<Vec<usize>> = vec![vec![0, 3, 5], vec![1, 2], vec![4, 6, 7]];
+    // Output rows pool input rows {0,3,5}, {1,2} and {4,6,7}.
+    let mut mask = Tensor::zeros(Shape::matrix(3, r));
+    for (i, group) in [&[0, 3, 5][..], &[1, 2], &[4, 6, 7]].iter().enumerate() {
+        for &j in *group {
+            mask.data_mut()[i * r + j] = 1.0;
+        }
+    }
 
     let build = |g: &Graph, x: &Var, col: &Var, wv: &Var| -> Var {
         let h = x.matmul(wv).relu();
-        let pooled = h.rows_max_pool(&groups);
+        let pooled = h.rows_max_pool(&g.leaf(mask.clone()));
         let both = g.concat_cols(&[&pooled, &pooled.neg()]);
         both.mul_col_broadcast(col).square().mean_all()
     };
 
     let trace_x = random_tensor(&mut rng, r, c);
-    let trace_col = random_tensor(&mut rng, groups.len(), 1);
+    let trace_col = random_tensor(&mut rng, 3, 1);
     let g = Graph::new();
     let xl = g.leaf(trace_x.clone());
     let cl = g.leaf(trace_col.clone());
@@ -239,7 +245,7 @@ fn structured_ops_replay_bit_identical() {
 
     for _ in 0..3 {
         let x = random_tensor(&mut rng, r, c);
-        let col = random_tensor(&mut rng, groups.len(), 1);
+        let col = random_tensor(&mut rng, 3, 1);
 
         pset.zero_grads();
         let ge = Graph::new();
@@ -259,6 +265,89 @@ fn structured_ops_replay_bit_identical() {
             "structured root",
         );
         w.with_grad(|pg| assert_bits_eq(pg, &eager_grad, "structured grad"));
+    }
+}
+
+#[test]
+fn max_pool_replays_the_structure_each_input_derives() {
+    // The pooling groups are data: a mask derived from an upstream
+    // activation, as the FCG max aggregator pools over each slot's flow
+    // graph. A plan traced on one input must pool over the mask each
+    // replayed input derives, not over the traced one.
+    let (n, c) = (6, 3);
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut pset = ParamSet::new();
+    let w = pset.add("w", random_tensor(&mut rng, c, c));
+
+    // Row i pools itself and every row whose first feature has its sign.
+    let mask_of = move |h: &Tensor| {
+        let mut m = Tensor::zeros(Shape::matrix(n, n));
+        for i in 0..n {
+            for j in 0..n {
+                if i == j || (h.get2(i, 0) > 0.0) == (h.get2(j, 0) > 0.0) {
+                    m.data_mut()[i * n + j] = 1.0;
+                }
+            }
+        }
+        m
+    };
+
+    let build = |g: &Graph, x: &Tensor, wv: &Var| -> (Var, Var, Var) {
+        let xl = g.leaf(x.clone());
+        let h = xl.matmul(wv).tanh();
+        let mask = g.leaf(mask_of(&h.value()));
+        let root = h.rows_max_pool(&mask).square().mean_all();
+        (xl, mask, root)
+    };
+
+    let trace_x = random_tensor(&mut rng, n, c);
+    let g = Graph::new();
+    let wv = g.param(&w);
+    let (xl, mask, root) = build(&g, &trace_x, &wv);
+    let traced_mask = mask.value();
+    let h_id = mask.id() - 1; // tanh node traced immediately before the mask leaf
+    let plan = Plan::compile(
+        &g.snapshot(),
+        &pset,
+        PlanSpec {
+            bindings: vec![
+                (xl.id(), LeafBinding::Input(0)),
+                (
+                    mask.id(),
+                    LeafBinding::derived(vec![h_id], move |values| Ok(mask_of(&values[h_id]))),
+                ),
+            ],
+            roots: vec![root.id()],
+            loss: Some(root.id()),
+        },
+    )
+    .unwrap();
+    let mut exec = plan.executor();
+
+    for _ in 0..3 {
+        let x = random_tensor(&mut rng, n, c);
+
+        pset.zero_grads();
+        let ge = Graph::new();
+        let we = ge.param(&w);
+        let (_, emask, eroot) = build(&ge, &x, &we);
+        assert_ne!(
+            emask.value().data(),
+            traced_mask.data(),
+            "the replayed input must derive a different mask"
+        );
+        eroot.backward();
+        let eager_value = eroot.value();
+        let eager_grad = w.grad();
+
+        pset.zero_grads();
+        plan.step(&mut exec, &[x], 1.0).unwrap();
+        assert_bits_eq(
+            &plan.outputs(&exec).pop().unwrap(),
+            &eager_value,
+            "max-pool root",
+        );
+        w.with_grad(|pg| assert_bits_eq(pg, &eager_grad, "max-pool grad"));
     }
 }
 

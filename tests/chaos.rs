@@ -15,7 +15,8 @@
 //! |------------------------------------|-----------------------------------|
 //! | TRAIN-CRASH-RESUME                 | panic mid-epoch, resume, bit-same |
 //! | ATOMIC-WRITE-NEVER-TEARS           | torn rename leaves old weights    |
-//! | SERVE-PANIC-IS-CONTAINED           | forward panic → error reply, live |
+//! | SERVE-PANIC-IS-CONTAINED           | forward panic or replay error →   |
+//! |                                    | error reply, live                 |
 //! | SWAP-FAULT-KEEPS-OLD-WEIGHTS       | failed hot-swap serves old model  |
 //! | DELAY-FAULTS-ARE-SEMANTICALLY-INERT| delay-only plan changes no bits   |
 //! | CORRUPT-CHECKPOINT-IS-REJECTED     | damage → typed error, no panic    |
@@ -183,34 +184,44 @@ fn serve_fixture(seed: u64) -> (Arc<BikeDataset>, Server, usize) {
 }
 
 /// Named invariant: SERVE-PANIC-IS-CONTAINED. A panic inside the batched
-/// forward pass is converted into an error reply for the batch that hit it;
-/// the worker thread survives and the very next request is served normally.
+/// forward pass, or an error from its plan replay, is converted into an
+/// error reply for the batch that hit it; the worker thread survives,
+/// rebuilds its model copy, and the very next request is served normally.
 #[test]
 fn forward_pass_panic_fails_one_request_and_the_server_keeps_serving() {
-    let _chaos =
-        scoped(FaultPlan::new().with("serve::forward", FaultSpec::panic(Trigger::OnHit(1))));
-    let (_data, mut server, t) = serve_fixture(143);
-    let addr = server.addr();
-    let path = format!("/predict?model=stgnn&slot={t}&deadline_ms=30000");
+    for (site, spec) in [
+        ("serve::forward", FaultSpec::panic(Trigger::OnHit(1))),
+        ("plan::replay", FaultSpec::io(Trigger::OnHit(1))),
+    ] {
+        let _chaos = scoped(FaultPlan::new().with(site, spec));
+        let (_data, mut server, t) = serve_fixture(143);
+        let addr = server.addr();
+        let path = format!("/predict?model=stgnn&slot={t}&deadline_ms=30000");
 
-    let hit = client::get(addr, &path).unwrap();
-    assert_eq!(hit.status, 400, "{}", hit.body);
-    assert!(hit.body.contains("forward pass failed"), "{}", hit.body);
+        let hit = client::get(addr, &path).unwrap();
+        assert_eq!(hit.status, 400, "{site}: {}", hit.body);
+        assert!(
+            hit.body.contains("forward pass failed"),
+            "{site}: {}",
+            hit.body
+        );
 
-    // The worker contained the panic; the retry goes through the full
-    // forward path (the failed batch never populated the cache).
-    let ok = client::get(addr, &path).unwrap();
-    assert_eq!(ok.status, 200, "{}", ok.body);
-    assert_eq!(ok.json_field("degraded").unwrap(), "false");
+        // The worker contained the failure; the retry goes through the full
+        // forward path (the failed batch never populated the cache).
+        let ok = client::get(addr, &path).unwrap();
+        assert_eq!(ok.status, 200, "{site}: {}", ok.body);
+        assert_eq!(ok.json_field("degraded").unwrap(), "false");
 
-    let s = server.metrics_snapshot();
-    // The one failed request is counted at the worker and again by the HTTP
-    // reply layer; the successful retry contributes the one forward pass.
-    assert_eq!(s.errors, 2, "snapshot: {s:?}");
-    assert_eq!(s.requests, 2, "snapshot: {s:?}");
-    assert_eq!(s.forward_passes, 1, "snapshot: {s:?}");
-    assert_eq!(stgnn_djd::faults::fired("serve::forward"), 1);
-    server.shutdown();
+        let s = server.metrics_snapshot();
+        // The one failed request is counted at the worker and again by the
+        // HTTP reply layer; the successful retry contributes the one
+        // forward pass.
+        assert_eq!(s.errors, 2, "{site}: snapshot: {s:?}");
+        assert_eq!(s.requests, 2, "{site}: snapshot: {s:?}");
+        assert_eq!(s.forward_passes, 1, "{site}: snapshot: {s:?}");
+        assert_eq!(stgnn_djd::faults::fired(site), 1, "{site}");
+        server.shutdown();
+    }
 }
 
 /// Named invariant: SWAP-FAULT-KEEPS-OLD-WEIGHTS. A fault during hot-swap

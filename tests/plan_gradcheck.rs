@@ -8,8 +8,9 @@
 //! gradients [`Plan::backward`] deposits. Every case runs with the
 //! optimizer off (the shared op table alone) and on (the plan-only GEMM,
 //! fused-chain and in-place backward paths wherever the passes fire), and
-//! three extra cases pin one fused chain, one matmul of an elided
-//! transpose and one in-place rewrite.
+//! extra cases pin a fused chain of every lead kind, one matmul of an
+//! elided transpose, and an in-place rewrite at every (op, slot) pair a
+//! training plan allows.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,8 +96,14 @@ fn case_for(op: &Op) -> Case {
         Op::MulColBroadcast => case(vec![mat(3, 2, 1), mat(3, 1, 2)], |_, x| {
             x[0].mul_col_broadcast(&x[1])
         }),
-        Op::RowsMaxPool { .. } => case(vec![mat(3, 2, 1)], |_, x| {
-            x[0].rows_max_pool(&[vec![0, 1], vec![1, 2], vec![0, 2]])
+        Op::RowsMaxPool => case(vec![mat(3, 2, 1)], |g, x| {
+            let mask = Tensor::from_rows(&[
+                &[1.0, 1.0, 0.0],
+                &[0.0, 1.0, 1.0],
+                &[1.0, 0.0, 1.0],
+                &[1.0, 1.0, 1.0],
+            ]);
+            x[0].rows_max_pool(&g.leaf(mask))
         }),
         Op::SumAll => case(vec![mat(2, 3, 1)], |_, x| x[0].square().sum_all()),
         Op::MeanAll => case(vec![mat(2, 3, 1)], |_, x| x[0].square().mean_all()),
@@ -137,7 +144,7 @@ fn every_op() -> Vec<Op> {
         Op::AddRowBroadcast,
         Op::AddColBroadcast,
         Op::MulColBroadcast,
-        Op::RowsMaxPool { groups: Vec::new() },
+        Op::RowsMaxPool,
         Op::SumAll,
         Op::MeanAll,
         Op::SumCols,
@@ -250,4 +257,92 @@ fn in_place_rewrite_backward_matches_finite_differences() {
     });
     let (report, _) = check(&in_place, PlanOptions::all(), "in-place rewrite");
     assert!(report.in_place_nodes >= 1, "{report}");
+}
+
+#[test]
+fn fused_chain_of_every_lead_kind_backward_matches_finite_differences() {
+    // The zip lead is covered above; these lead with a unary map and with
+    // each broadcast, two map stages apiece.
+    let chains = [
+        (
+            "unary map lead",
+            case(vec![mat(3, 4, 1)], |_, x| x[0].tanh().mul_scalar(0.5).exp()),
+        ),
+        (
+            "+row lead",
+            case(vec![mat(3, 4, 1), mat(1, 4, 2)], |_, x| {
+                x[0].add_row_broadcast(&x[1]).sigmoid().square()
+            }),
+        ),
+        (
+            "+col lead",
+            case(vec![mat(3, 4, 1), mat(3, 1, 2)], |_, x| {
+                x[0].add_col_broadcast(&x[1]).elu().mul_scalar(1.5)
+            }),
+        ),
+        (
+            "×col lead",
+            case(vec![mat(3, 4, 1), mat(3, 1, 2)], |_, x| {
+                x[0].mul_col_broadcast(&x[1]).tanh().neg()
+            }),
+        ),
+    ];
+    for (what, chain) in &chains {
+        let (report, _) = check(chain, PlanOptions::all(), what);
+        assert_eq!(report.fused_chains, 1, "{what}: {report}");
+    }
+}
+
+#[test]
+fn in_place_rewrite_at_every_training_slot_matches_finite_differences() {
+    // `mm` is the one parent each rewrite may steal: a single-reader
+    // matmul whose own backward survives the steal. Every other operand is
+    // a parameter, which is never stolen, so exactly one in-place node
+    // means the rewrite took `mm` at the slot under test.
+    fn mm(x: &[Var]) -> Var {
+        x[0].matmul(&x[1])
+    }
+    let two = || vec![mat(2, 3, 1), mat(3, 2, 2)];
+    let three = |third: Tensor| vec![mat(2, 3, 1), mat(3, 2, 2), third];
+    let rewrites = [
+        (
+            "add slot 0",
+            case(three(mat(2, 2, 3)), |_, x| mm(x).add(&x[2])),
+        ),
+        (
+            "add slot 1",
+            case(three(mat(2, 2, 3)), |_, x| x[2].add(&mm(x))),
+        ),
+        (
+            "sub slot 0",
+            case(three(mat(2, 2, 3)), |_, x| mm(x).sub(&x[2])),
+        ),
+        (
+            "sub slot 1",
+            case(three(mat(2, 2, 3)), |_, x| x[2].sub(&mm(x))),
+        ),
+        ("add_scalar", case(two(), |_, x| mm(x).add_scalar(0.7))),
+        ("mul_scalar", case(two(), |_, x| mm(x).mul_scalar(-1.3))),
+        ("neg", case(two(), |_, x| mm(x).neg())),
+        ("elu", case(two(), |_, x| mm(x).elu())),
+        ("sigmoid", case(two(), |_, x| mm(x).sigmoid())),
+        ("tanh", case(two(), |_, x| mm(x).tanh())),
+        ("exp", case(two(), |_, x| mm(x).exp())),
+        (
+            "sqrt",
+            case(vec![pos(2, 3, 1), pos(3, 2, 2)], |_, x| mm(x).sqrt()),
+        ),
+        (
+            "add_row_broadcast",
+            case(three(mat(1, 2, 3)), |_, x| mm(x).add_row_broadcast(&x[2])),
+        ),
+        (
+            "add_col_broadcast",
+            case(three(mat(2, 1, 3)), |_, x| mm(x).add_col_broadcast(&x[2])),
+        ),
+    ];
+    for (what, rewrite) in &rewrites {
+        let (report, _) = check(rewrite, PlanOptions::all(), what);
+        assert_eq!(report.in_place_nodes, 1, "{what}: {report}");
+    }
 }

@@ -1,6 +1,7 @@
 //! Compiled-plan replay must be **bit-identical** to eager execution for
 //! the full STGNN-DJD model — values, losses, and parameter gradients —
-//! and configurations that cannot replay must fall back to eager cleanly.
+//! in every configuration, including those whose graph structure derives
+//! from each slot's data.
 //!
 //! Identical seeds give identical parameter initialisation and identical
 //! dropout RNG streams, so two fresh models with the same config are
@@ -134,25 +135,64 @@ fn training_plan_batch_matches_eager_bitwise() {
     }
 }
 
-/// The FCG max aggregator pools over input-dependent neighbour lists —
-/// structure the plan cannot rebind — so compilation must decline and the
-/// trainer must fall back to eager (and still train).
+/// The FCG max aggregator pools over each slot's FCG mask, and the "No FC"
+/// ablation derives that mask from the raw short-term windows: structure
+/// that changes per slot, which the plan re-derives on every replay.
+/// Predictions over several slots, and one training batch's radicand and
+/// every parameter gradient, must match eager bitwise at 1 and 4 threads.
 #[test]
-fn fcg_max_configuration_falls_back_to_eager() {
+fn fcg_max_and_no_fc_replay_their_per_slot_structure_bitwise() {
     let data = dataset(303);
-    let mut config = StgnnConfig::test_tiny(6, 2);
-    config.fcg_aggregator = FcgAggregator::Max;
-    config.epochs = 2;
-    config.max_batches_per_epoch = Some(2);
-    let model = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
-    let t = data.slots(Split::Train)[0];
-    assert!(model.compile_training_plan(&data, t).unwrap().is_none());
-    assert!(model.compile_inference_plan(&data, t).unwrap().is_none());
-
-    let mut model = model;
-    let report = Trainer::new(config).train(&mut model, &data).unwrap();
-    assert!(!report.used_compiled_plan);
-    assert_eq!(report.epochs_run, 2);
+    let mut fcg_max = StgnnConfig::test_tiny(6, 2);
+    fcg_max.fcg_aggregator = FcgAggregator::Max;
+    let no_fc = StgnnConfig::test_tiny(6, 2).without_flow_conv();
+    for (name, mut config) in [("fcg-max", fcg_max), ("no-fc", no_fc)] {
+        // Two layers per branch put dropout draws between them.
+        config.dropout = 0.2;
+        config.fcg_layers = 2;
+        config.pcg_layers = 2;
+        let (radicand_e, grads_e) = eager_reference(&data, &config);
+        let model = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
+        let slots = data.slots(Split::Test);
+        for threads in [1usize, 4] {
+            stgnn_tensor::par::set_thread_override(Some(threads));
+            let plan = model
+                .compile_inference_plan(&data, slots[0])
+                .unwrap()
+                .expect("every configuration compiles");
+            let mut exec = plan.executor();
+            for &t in slots.iter().take(6) {
+                let eager = model.predict_horizon(&data, t);
+                let replay = model
+                    .plan_predict_horizon(&plan, &mut exec, &data, t)
+                    .unwrap();
+                assert_eq!(eager.len(), replay.len());
+                for (e, r) in eager.iter().zip(&replay) {
+                    for (a, b) in e.demand.iter().zip(&r.demand) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} demand");
+                    }
+                    for (a, b) in e.supply.iter().zip(&r.supply) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} supply");
+                    }
+                }
+            }
+            let (radicand_p, grads_p) = plan_run(&data, &config, PlanOptions::all());
+            assert_eq!(
+                radicand_e.to_bits(),
+                radicand_p.to_bits(),
+                "{name}: radicand at {threads} thread(s)"
+            );
+            assert_eq!(grads_e.len(), grads_p.len());
+            for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
+                assert_bits_eq(
+                    ge,
+                    gp,
+                    &format!("{name}: param {i} grad at {threads} thread(s)"),
+                );
+            }
+        }
+    }
+    stgnn_tensor::par::set_thread_override(None);
 }
 
 /// The FCG mean aggregator's row-normalised adjacency derives from the

@@ -1,6 +1,7 @@
-//! Allocation gate: a standard-configuration training run must reach a
-//! **zero-pool-miss steady state** — `allocs_per_step == 0` over the final
-//! epoch's batch loop, as reported by [`stgnn_core::TrainReport`] — and
+//! Allocation gate: a training run must reach a **zero-pool-miss steady
+//! state** — `allocs_per_step == 0` over the final epoch's batch loop, as
+//! reported by [`stgnn_core::TrainReport`] — in the standard configuration
+//! and in those whose FCG structure derives from each slot's data, and
 //! the tensor pool must keep only what it can hand out again: adopted
 //! storage goes back to the allocator, and a lane's gradients die with its
 //! backward sweep.
@@ -10,7 +11,7 @@
 //! threads, so any sibling test would race the measurement windows. A
 //! dedicated integration binary gives the measurement its own process.
 
-use stgnn_core::{StgnnConfig, StgnnDjd, Trainer};
+use stgnn_core::{FcgAggregator, StgnnConfig, StgnnDjd, Trainer};
 use stgnn_data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_data::synthetic::{CityConfig, SyntheticCity};
 use stgnn_tensor::{pool, Shape, Tensor};
@@ -37,7 +38,9 @@ fn training_reaches_zero_pool_misses_after_warm_up() {
     config.patience = 4;
     config.max_batches_per_epoch = Some(4);
     let mut model = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
-    let report = Trainer::new(config).train(&mut model, &data).unwrap();
+    let report = Trainer::new(config.clone())
+        .train(&mut model, &data)
+        .unwrap();
     assert!(
         report.used_compiled_plan,
         "standard config must route through the compiled plan"
@@ -78,4 +81,20 @@ fn training_reaches_zero_pool_misses_after_warm_up() {
          still live)",
         after_backward - after_forward
     );
+
+    // The FCG max aggregator pools over each slot's mask, and "No FC"
+    // derives that mask from the raw windows; both replay like the rest.
+    let mut fcg_max = config.clone();
+    fcg_max.fcg_aggregator = FcgAggregator::Max;
+    let no_fc = config.clone().without_flow_conv();
+    for (name, c) in [("fcg-max", fcg_max), ("no-fc", no_fc)] {
+        let mut m = StgnnDjd::new(c.clone(), data.n_stations()).unwrap();
+        let report = Trainer::new(c).train(&mut m, &data).unwrap();
+        assert!(report.used_compiled_plan, "{name}");
+        assert!(report.epochs_run >= 2, "{name}: no post-warm-up epoch");
+        assert_eq!(
+            report.allocs_per_step, 0.0,
+            "{name}: steady-state training must not miss the pool"
+        );
+    }
 }
