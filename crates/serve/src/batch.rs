@@ -1,18 +1,23 @@
 //! Micro-batching request queue and worker pool.
 //!
-//! Concurrent queries for the same `(model, slot)` are coalesced: one worker
-//! takes the first queued request, lingers briefly so concurrent arrivals
-//! can pile in, drains every matching request, and serves them all from a
-//! single forward pass — a replay of the model's compiled inference plan.
-//! The result lands in the [`SlotCache`], so stragglers (and every later
-//! query until the slot rolls over) skip the forward pass entirely.
+//! A query takes the shortest path that can answer it:
 //!
-//! Two mechanisms bound the work per `(model, version, slot)` key to **one
-//! forward pass total**:
+//! 1. **Cache hit at submit.** [`WorkerPool::submit`] looks the slot up in
+//!    the [`SlotCache`] on the caller's thread and answers a hit there —
+//!    no queue lock, no worker, no wait.
+//! 2. **Queue.** A miss joins a FIFO queue and wakes one worker.
+//! 3. **Same-key drain.** A worker pops the oldest request and takes every
+//!    request for the same `(model, slot)` already queued behind it; that
+//!    is the whole batch. No timer holds the batch open: requests that
+//!    arrive while the workers are busy pile up and leave together.
+//! 4. **In-flight wait.** A worker whose key another worker is computing
+//!    waits for it, then answers from the cache that worker filled.
+//! 5. **One forward.** Otherwise the worker replays the model's compiled
+//!    inference plan once, caches the result, and answers the batch.
 //!
-//! 1. every batch checks the cache before computing, and
-//! 2. an in-flight set (mutex + condvar) makes concurrent workers with the
-//!    same key wait for the one computing it, then re-read the cache.
+//! The cache check before computing and the in-flight set (mutex +
+//! condvar) bound the work per `(model, version, graph epoch, slot)` key to
+//! **one forward pass total**, however many workers race.
 //!
 //! Models are **thread-confined**: each worker materialises its own
 //! [`StgnnDjd`] per registered name, compiles its inference plan against
@@ -26,10 +31,11 @@ use crate::ServeError;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use stgnn_core::compiled::InferencePlan;
 use stgnn_core::StgnnDjd;
 use stgnn_data::dataset::BikeDataset;
@@ -44,7 +50,6 @@ pub type BatchReply = Result<CachedPrediction, ServeError>;
 pub struct PredictRequest {
     pub model: String,
     pub slot: usize,
-    pub enqueued: Instant,
     respond: mpsc::Sender<BatchReply>,
 }
 
@@ -53,11 +58,6 @@ pub struct PredictRequest {
 pub struct PoolConfig {
     /// Worker threads (each owns its materialised models).
     pub workers: usize,
-    /// How long a worker waits after picking up a request before draining
-    /// the queue, so concurrent arrivals coalesce into one batch.
-    pub batch_linger: Duration,
-    /// Upper bound on requests served by one forward pass.
-    pub max_batch: usize,
     /// Test hook: artificial delay inserted before every forward pass, to
     /// exercise the deadline/degradation path deterministically.
     pub forward_delay: Option<Duration>,
@@ -67,21 +67,18 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             workers: 2,
-            batch_linger: Duration::from_millis(2),
-            max_batch: 64,
             forward_delay: None,
         }
     }
 }
 
-struct QueueState {
-    deque: VecDeque<PredictRequest>,
-    shutdown: bool,
-}
-
 struct Shared {
-    queue: Mutex<QueueState>,
+    queue: Mutex<VecDeque<PredictRequest>>,
     queue_cv: Condvar,
+    /// Set once by [`WorkerPool::shutdown`], while holding `queue`, so a
+    /// worker that checks it under that lock cannot miss the wake-up.
+    /// `submit` reads it without the lock to refuse cache hits too.
+    shutdown: AtomicBool,
     inflight: Mutex<HashSet<SlotKey>>,
     inflight_cv: Condvar,
     registry: Arc<ModelRegistry>,
@@ -110,11 +107,9 @@ impl WorkerPool {
         // passes route their matmul/softmax kernels through it.
         par::init();
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                deque: VecDeque::new(),
-                shutdown: false,
-            }),
+            queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
             inflight: Mutex::new(HashSet::new()),
             inflight_cv: Condvar::new(),
             registry,
@@ -138,33 +133,53 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// Enqueues a query and returns the channel the reply will arrive on.
-    /// The caller decides how long to wait (and what to do on deadline).
+    /// Submits a query and returns the channel its reply arrives on. A
+    /// cached slot is answered before this returns, on the caller's
+    /// thread; anything else is queued for a worker. The caller decides
+    /// how long to wait (and what to do on deadline).
     pub fn submit(&self, model: impl Into<String>, slot: usize) -> mpsc::Receiver<BatchReply> {
-        let (tx, rx) = mpsc::channel();
-        self.shared.metrics.inc_requests();
+        let shared = &self.shared;
+        let (respond, rx) = mpsc::channel();
+        shared.metrics.inc_requests();
+        let model = model.into();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            let _ = respond.send(Err(ServeError::Shutdown));
+            return rx;
+        }
+        let hit = shared.registry.get(&model).and_then(|entry| {
+            shared
+                .cache
+                .get(&slot_key(&model, &entry.checkpoint(), slot))
+        });
+        if let Some(hit) = hit {
+            shared.metrics.inc_cache_hits(1);
+            let _ = respond.send(Ok(hit));
+            return rx;
+        }
         let req = PredictRequest {
-            model: model.into(),
+            model,
             slot,
-            enqueued: Instant::now(),
-            respond: tx,
+            respond,
         };
-        let mut q = self.shared.queue.lock();
-        if q.shutdown {
+        let mut queue = shared.queue.lock();
+        if shared.shutdown.load(Ordering::SeqCst) {
             // sound: allow(S002): UNBOUNDED-SEND-NONBLOCKING — respond is an
             // unbounded mpsc; send() only enqueues, it cannot block while the
             // queue lock is held, and the receiver is the caller of submit.
             let _ = req.respond.send(Err(ServeError::Shutdown));
         } else {
-            q.deque.push_back(req);
-            self.shared.queue_cv.notify_one();
+            queue.push_back(req);
+            shared.queue_cv.notify_one();
         }
         rx
     }
 
     /// Stops accepting work, drains the queue, and joins the workers.
     pub fn shutdown(&mut self) {
-        self.shared.queue.lock().shutdown = true;
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.queue_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -241,38 +256,38 @@ fn worker_loop(shared: &Shared) {
     // version they were built from.
     let mut local: HashMap<String, LocalModel> = HashMap::new();
     loop {
-        let first = {
-            let mut q = shared.queue.lock();
-            loop {
-                if let Some(req) = q.deque.pop_front() {
+        let batch = {
+            let mut queue = shared.queue.lock();
+            let first = loop {
+                if let Some(req) = queue.pop_front() {
                     break req;
                 }
-                if q.shutdown {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                shared.queue_cv.wait(&mut q);
-            }
+                shared.queue_cv.wait(&mut queue);
+            };
+            // The batch is every request for the same key already queued.
+            let (same, rest): (VecDeque<_>, VecDeque<_>) = queue
+                .drain(..)
+                .partition(|req| req.model == first.model && req.slot == first.slot);
+            *queue = rest;
+            let mut batch = vec![first];
+            batch.extend(same);
+            batch
         };
-        // Linger so concurrent arrivals for the same key can join the batch.
-        if !shared.config.batch_linger.is_zero() {
-            thread::sleep(shared.config.batch_linger);
-        }
-        let (model, slot) = (first.model.clone(), first.slot);
-        let mut batch = vec![first];
-        {
-            let mut q = shared.queue.lock();
-            let mut rest = VecDeque::new();
-            while let Some(req) = q.deque.pop_front() {
-                if batch.len() < shared.config.max_batch && req.model == model && req.slot == slot {
-                    batch.push(req);
-                } else {
-                    rest.push_back(req);
-                }
-            }
-            q.deque = rest;
-        }
         process_batch(shared, &mut local, batch);
     }
+}
+
+/// The cache key of `slot` under `model`'s serving `checkpoint`.
+fn slot_key(model: &str, checkpoint: &Checkpoint, slot: usize) -> SlotKey {
+    (
+        model.to_string(),
+        checkpoint.version,
+        checkpoint.graph_epoch,
+        slot,
+    )
 }
 
 fn respond_all(batch: &[PredictRequest], reply: &BatchReply) {
@@ -333,15 +348,9 @@ fn process_batch(
         }
     };
     let checkpoint = entry.checkpoint();
-    let key: SlotKey = (
-        model_name.clone(),
-        checkpoint.version,
-        checkpoint.graph_epoch,
-        slot,
-    );
+    let key = slot_key(&model_name, &checkpoint, slot);
 
-    // Fast path: someone already computed this slot at this version and
-    // graph epoch.
+    // The slot may have been computed since these requests were submitted.
     if let Some(hit) = shared.cache.get(&key) {
         shared.metrics.inc_cache_hits(batch.len() as u64);
         respond_all(&batch, &Ok(hit));
@@ -501,13 +510,7 @@ mod tests {
     #[test]
     fn same_slot_requests_share_one_forward_pass() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(
-            &data,
-            PoolConfig {
-                batch_linger: Duration::from_millis(20),
-                ..PoolConfig::default()
-            },
-        );
+        let (pool, _, metrics, _) = pool_with(&data, PoolConfig::default());
         let t = data.slots(Split::Test)[0];
         let receivers: Vec<_> = (0..12).map(|_| pool.submit("stgnn", t)).collect();
         let first = receivers[0].recv().unwrap().unwrap();
@@ -527,8 +530,9 @@ mod tests {
         let (pool, _, metrics, _) = pool_with(&data, PoolConfig::default());
         let t = data.slots(Split::Test)[0];
         pool.submit("stgnn", t).recv().unwrap().unwrap();
-        pool.submit("stgnn", t).recv().unwrap().unwrap();
-        pool.submit("stgnn", t).recv().unwrap().unwrap();
+        // A hit is answered on the submitting thread, before submit returns.
+        pool.submit("stgnn", t).try_recv().unwrap().unwrap();
+        pool.submit("stgnn", t).try_recv().unwrap().unwrap();
         let s = metrics.snapshot();
         assert_eq!(s.forward_passes, 1);
         assert!(s.cache_hits >= 2, "snapshot: {s:?}");
@@ -738,13 +742,23 @@ mod tests {
         assert_eq!(metrics.snapshot().errors, 1);
     }
 
+    /// After shutdown every query is refused, a cached slot included: the
+    /// cache-hit path at submit must not outlive the pool.
     #[test]
     fn shutdown_rejects_new_work() {
         let data = dataset();
-        let (mut pool, _, _, _) = pool_with(&data, PoolConfig::default());
+        let (mut pool, _, _, cache) = pool_with(&data, PoolConfig::default());
+        let slots = data.slots(Split::Test);
+        let cached = slots[1];
+        pool.submit("stgnn", cached).recv().unwrap().unwrap();
+        assert_eq!(cache.len(), 1);
         pool.shutdown();
-        let t = data.slots(Split::Test)[0];
-        let reply = pool.submit("stgnn", t).recv().unwrap();
-        assert!(matches!(reply, Err(ServeError::Shutdown)));
+        for t in [slots[0], cached] {
+            let reply = pool.submit("stgnn", t).recv().unwrap();
+            assert!(
+                matches!(reply, Err(ServeError::Shutdown)),
+                "slot {t}: {reply:?}"
+            );
+        }
     }
 }

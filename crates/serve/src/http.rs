@@ -102,8 +102,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     // A delay here models a slow-loris client holding its handler thread;
     // the socket read timeout bounds how long that can last.
     stgnn_faults::failpoint!("serve::read");
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let line = read_capped_line(&mut reader)?.ok_or_else(|| {
+    parse_request(&mut BufReader::new(stream.try_clone()?))
+}
+
+/// Parses one request from `reader` under the bounds [`read_request`]
+/// promises.
+fn parse_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
+    let line = read_capped_line(reader)?.ok_or_else(|| {
         RequestError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "closed before a request line",
@@ -122,7 +127,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     let mut content_length = 0usize;
     let mut headers = 0usize;
     loop {
-        let header = read_capped_line(&mut reader)?
+        let header = read_capped_line(reader)?
             .ok_or(RequestError::Malformed("headers end before a blank line"))?;
         let header = header.trim_end();
         if header.is_empty() {
@@ -234,6 +239,7 @@ pub fn json_f32_array(values: &[f32]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::Strategy;
     use std::net::{Shutdown, TcpListener, TcpStream};
     use std::thread;
 
@@ -331,6 +337,124 @@ mod tests {
             "{err}"
         );
         assert_eq!(err.status(), Some(400));
+    }
+
+    /// A well-formed request; the property test below mutates it.
+    const VALID: &[u8] =
+        b"POST /models/m/swap?x=1&y=abc HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nhello";
+
+    /// Pieces of HTTP that random sequences of them are built from.
+    const TOKENS: [&[u8]; 14] = [
+        b"GET",
+        b"POST",
+        b" ",
+        b"/predict?model=m&slot=5&",
+        b"HTTP/1.1",
+        b"\r\n",
+        b"\n",
+        b"Content-Length:",
+        b"content-length: ",
+        b"5",
+        b"99999999999999999999",
+        b"-1",
+        b"hello",
+        b"\xff",
+    ];
+
+    /// No input makes the parser panic: random bytes, random sequences of
+    /// HTTP tokens, and valid requests cut short, given huge or unparsable
+    /// `Content-Length`s, flooded with headers, stretched around the line
+    /// cap, or spliced with non-UTF-8 bytes all yield a `Request` or a
+    /// typed `RequestError`, and the mutations with a known verdict get
+    /// exactly it.
+    #[test]
+    fn hostile_bytes_yield_a_request_or_a_typed_error() {
+        let cases = (
+            0u8..7,
+            0usize..1 << 16,
+            proptest::collection::vec(0u8..=255, 0..256),
+        );
+        let mut rng = proptest::TestRng::for_test("http::hostile_bytes");
+        let head_len = VALID.len() - b"hello".len();
+        for _ in 0..4096 {
+            let (kind, n, noise) = cases.generate(&mut rng);
+            let input: Vec<u8> = match kind {
+                0 => noise,
+                1 => VALID[..n % (VALID.len() + 1)].to_vec(),
+                2 => {
+                    let declared = match n % 4 {
+                        0 => ((64 << 20) + 1 + n).to_string(),
+                        1 => u64::MAX.to_string(),
+                        2 => "99999999999999999999999".to_string(),
+                        _ => (n / 4 % 8).to_string(),
+                    };
+                    format!("POST / HTTP/1.1\r\nContent-Length: {declared}\r\n\r\nhello")
+                        .into_bytes()
+                }
+                3 => {
+                    let mut raw = String::from("GET / HTTP/1.1\r\n");
+                    for i in 0..n % 200 {
+                        raw.push_str(&format!("X-H{i}: v\r\n"));
+                    }
+                    raw.push_str("\r\n");
+                    raw.into_bytes()
+                }
+                4 => {
+                    let at = n % (VALID.len() + 1);
+                    let mut raw = VALID.to_vec();
+                    raw.splice(at..at, [0xff, 0xfe].into_iter().chain(noise));
+                    raw
+                }
+                5 => {
+                    let target = "a".repeat((8 << 10) - 32 + n % 32);
+                    format!("GET /{target} HTTP/1.1\r\n\r\n").into_bytes()
+                }
+                _ => noise
+                    .iter()
+                    .flat_map(|&b| TOKENS[usize::from(b) % TOKENS.len()])
+                    .copied()
+                    .collect(),
+            };
+            let result = parse_request(&mut &input[..]);
+            match &result {
+                Ok(req) => {
+                    assert!(req.body.len() <= input.len());
+                    assert!(!req.method.is_empty() && !req.path.is_empty());
+                }
+                Err(RequestError::Io(_)) => assert!(input.is_empty(), "{input:?}"),
+                Err(e) => assert!(e.status().is_some(), "{e}"),
+            }
+            match kind {
+                1 => assert_eq!(result.is_ok(), input.len() == VALID.len(), "{input:?}"),
+                2 => match n % 4 {
+                    0 | 1 => assert!(matches!(result, Err(RequestError::BodyTooLarge(_)))),
+                    2 => assert!(matches!(result, Err(RequestError::Malformed(_)))),
+                    _ if n / 4 % 8 <= 5 => {
+                        assert_eq!(result.unwrap().body, &b"hello"[..n / 4 % 8])
+                    }
+                    _ => assert!(matches!(result, Err(RequestError::BodyTruncated { .. }))),
+                },
+                3 if n % 200 > 100 => {
+                    assert!(matches!(result, Err(RequestError::TooManyHeaders)))
+                }
+                3 => assert!(result.is_ok()),
+                4 if n % (VALID.len() + 1) < head_len => {
+                    assert!(
+                        matches!(result, Err(RequestError::Malformed(_))),
+                        "{input:?}"
+                    )
+                }
+                5 => {
+                    let line = input.len() - 2;
+                    assert_eq!(
+                        matches!(result, Err(RequestError::LineTooLong)),
+                        line > 8 << 10,
+                        "request line of {line} bytes"
+                    );
+                }
+                _ => {}
+            }
+        }
     }
 
     #[test]

@@ -9,14 +9,18 @@
 //!                 ┌────▼─────┐     deadline missed?
 //!    per-request  │  server  │──────────────────────► HA fallback
 //!    handler      └────┬─────┘                         (degraded)
-//!                      │ enqueue
-//!                 ┌────▼─────┐  coalesce same (model, slot)
-//!                 │  queue   │─────────────┐
-//!                 └────┬─────┘             │
-//!               ┌──────▼───────┐     ┌─────▼─────┐
-//!               │ worker pool  │────►│ slot cache│  (hits skip forward)
-//!               │ (own models) │     └───────────┘
-//!               └──────┬───────┘
+//!                      │ submit
+//!                 ┌────▼─────┐  hit: answered on the handler's
+//!                 │slot cache│  own thread, no worker involved
+//!                 └────┬─────┘
+//!                      │ miss: enqueue
+//!                 ┌────▼─────┐  a free worker takes the oldest request
+//!                 │  queue   │  plus every queued one for the same
+//!                 └────┬─────┘  (model, slot): that is the batch
+//!               ┌──────▼───────┐
+//!               │ worker pool  │  in-flight wait on a key another worker
+//!               │ (own models) │  computes, else one forward pass whose
+//!               └──────┬───────┘  result fills the slot cache
 //!                ┌─────▼─────┐  versioned checkpoints,
 //!                │ registry  │  atomic hot-swap
 //!                └───────────┘
@@ -30,8 +34,8 @@
 //!   instance and refreshes it when the registry's version moves.
 //! * **Predictions for a slot are immutable** until the slot rolls over or
 //!   the FCG/PCG graph window is refreshed, so the [`cache`] keys on
-//!   `(model, checkpoint version, graph epoch, slot)` and cache hits bypass
-//!   the forward pass entirely.
+//!   `(model, checkpoint version, graph epoch, slot)` and a cache hit
+//!   bypasses the queue, the workers and the forward pass entirely.
 //! * **Tail latency is bounded** by a per-request deadline: the HTTP handler
 //!   waits on the batch result only up to the deadline, then answers from the
 //!   Historical-Average table and tags the response `degraded`.

@@ -11,15 +11,48 @@ use std::time::Duration;
 /// Batch-size histogram buckets: upper bounds `1, 2, 4, 8, 16, 32, ∞`.
 pub const BATCH_BUCKETS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 
-/// Latency histogram: power-of-two microsecond buckets, `1 µs … 2³⁰ µs (~18 min)`.
-const LATENCY_BUCKETS: usize = 31;
+/// Latency sub-buckets per power of two (log-linear): each bucket spans at
+/// most an eighth of its lower edge, so a percentile read from it is at
+/// most 12.5 % above the true value.
+const LATENCY_SUB_BUCKETS: u64 = 8;
+
+/// Latency buckets covering `0 µs … 2³⁰ µs (~18 min)`; slower requests land
+/// in the last bucket.
+const LATENCY_BUCKETS: usize = 28 * LATENCY_SUB_BUCKETS as usize;
+
+/// Bucket of a latency of `us` microseconds. Below 16 µs every value has
+/// its own bucket; above, `[2ᵏ, 2ᵏ⁺¹)` splits into 8 equal sub-buckets.
+fn latency_bucket(us: u64) -> usize {
+    let shift = (63 - us.max(1).leading_zeros() as u64).saturating_sub(3);
+    let idx = shift * LATENCY_SUB_BUCKETS + (us >> shift);
+    (idx as usize).min(LATENCY_BUCKETS - 1)
+}
+
+/// Largest latency, in microseconds, that [`latency_bucket`] maps to `idx`.
+fn latency_bucket_max(idx: usize) -> u64 {
+    let idx = idx as u64;
+    let shift = (idx / LATENCY_SUB_BUCKETS).saturating_sub(1);
+    let mantissa = idx - shift * LATENCY_SUB_BUCKETS;
+    ((mantissa + 1) << shift) - 1
+}
+
+/// End-to-end request latency histogram over [`latency_bucket`]s.
+#[derive(Debug)]
+struct LatencyHistogram([AtomicU64; LATENCY_BUCKETS]);
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
 
 /// Live counters shared by every serving component.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     /// Prediction requests accepted (HTTP or in-process).
     requests: AtomicU64,
-    /// Requests answered straight from the slot cache (no queue wait).
+    /// Requests answered from the slot cache: at submit, or by a worker
+    /// once another worker's forward pass filled it.
     cache_hits: AtomicU64,
     /// Requests answered from a coalesced batch (shared one forward pass).
     batched: AtomicU64,
@@ -39,8 +72,8 @@ pub struct ServeMetrics {
     queue_depth: AtomicU64,
     /// Batch-size histogram (bucket i counts batches ≤ BATCH_BUCKETS[i]).
     batch_hist: [AtomicU64; BATCH_BUCKETS.len() + 1],
-    /// End-to-end request latency histogram (power-of-two µs buckets).
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
+    /// End-to-end request latency histogram (log-linear µs buckets).
+    latency_hist: LatencyHistogram,
 }
 
 impl ServeMetrics {
@@ -112,15 +145,19 @@ impl ServeMetrics {
 
     /// Records one request's end-to-end latency.
     pub fn record_latency(&self, latency: Duration) {
-        let us = latency.as_micros().max(1) as u64;
-        let idx = (63 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        // lint: allow(L004): idx is clamped to LATENCY_BUCKETS - 1 above.
-        self.latency_hist[idx].fetch_add(1, Relaxed);
+        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+        // lint: allow(L004): latency_bucket clamps to LATENCY_BUCKETS - 1.
+        self.latency_hist.0[latency_bucket(us)].fetch_add(1, Relaxed);
     }
 
     /// A consistent-enough point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let latency: Vec<u64> = self.latency_hist.iter().map(|c| c.load(Relaxed)).collect();
+        let latency: Vec<u64> = self
+            .latency_hist
+            .0
+            .iter()
+            .map(|c| c.load(Relaxed))
+            .collect();
         MetricsSnapshot {
             requests: self.requests.load(Relaxed),
             cache_hits: self.cache_hits.load(Relaxed),
@@ -138,8 +175,8 @@ impl ServeMetrics {
     }
 }
 
-/// Upper-bound estimate of the q-quantile from a power-of-two histogram:
-/// returns the upper edge (2^(i+1) µs) of the bucket holding the quantile.
+/// Upper-bound estimate of the q-quantile from the latency histogram: the
+/// largest latency the bucket holding the quantile covers.
 fn percentile(hist: &[u64], q: f64) -> u64 {
     let total: u64 = hist.iter().sum();
     if total == 0 {
@@ -150,10 +187,10 @@ fn percentile(hist: &[u64], q: f64) -> u64 {
     for (i, &count) in hist.iter().enumerate() {
         seen += count;
         if seen >= rank {
-            return 1u64 << (i + 1);
+            return latency_bucket_max(i);
         }
     }
-    1u64 << hist.len()
+    latency_bucket_max(hist.len().saturating_sub(1))
 }
 
 /// Plain-struct metrics snapshot (the programmatic surface; the HTTP
@@ -174,9 +211,11 @@ pub struct MetricsSnapshot {
     /// Batch-size histogram; bucket `i` counts batches with size ≤
     /// [`BATCH_BUCKETS`]`[i]`, last bucket is the overflow.
     pub batch_hist: Vec<u64>,
-    /// Estimated p50 end-to-end latency (upper bucket edge), microseconds.
+    /// Estimated p50 end-to-end latency (upper bucket edge, at most 12.5 %
+    /// high), microseconds.
     pub latency_p50_us: u64,
-    /// Estimated p99 end-to-end latency (upper bucket edge), microseconds.
+    /// Estimated p99 end-to-end latency (upper bucket edge, at most 12.5 %
+    /// high), microseconds.
     pub latency_p99_us: u64,
 }
 
@@ -286,14 +325,34 @@ mod tests {
     fn latency_percentiles_bracket_recorded_values() {
         let m = ServeMetrics::new();
         for _ in 0..99 {
-            m.record_latency(Duration::from_micros(100)); // bucket edge 128
+            m.record_latency(Duration::from_micros(100)); // bucket [96, 104)
         }
         m.record_latency(Duration::from_millis(80)); // way out in the tail
         let s = m.snapshot();
-        assert_eq!(s.latency_p50_us, 128);
-        assert!(s.latency_p99_us <= 256, "p99 {}", s.latency_p99_us);
+        assert_eq!(s.latency_p50_us, 103);
+        assert_eq!(s.latency_p99_us, 103, "p99 {}", s.latency_p99_us);
         // The single outlier must not drag p50 up.
         assert!(s.latency_p50_us < s.latency_p99_us * 2);
+    }
+
+    /// Log-linear buckets read a percentile at most 12.5 % high; the
+    /// power-of-two buckets they replaced read 2,048 µs for 1,100 µs.
+    #[test]
+    fn latency_percentiles_read_at_most_an_eighth_high() {
+        let m = ServeMetrics::new();
+        for _ in 0..1000 {
+            m.record_latency(Duration::from_micros(1100));
+        }
+        let s = m.snapshot();
+        for p in [s.latency_p50_us, s.latency_p99_us] {
+            assert!((1100..=1100 + 1100 / 8).contains(&p), "percentile {p} µs");
+        }
+        // Every latency up to the histogram's range reads back in
+        // [us, us + us/8].
+        for us in (0..100_000).chain([(1 << 29) + 12_345, (1 << 30) - 1]) {
+            let max = latency_bucket_max(latency_bucket(us));
+            assert!(us <= max && max - us <= us / 8, "{us} µs reads {max}");
+        }
     }
 
     #[test]

@@ -35,13 +35,16 @@ use stgnn_data::predictor::DemandSupplyPredictor;
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub bind: String,
-    /// Worker threads in the batching pool.
+    /// Worker threads in the batching pool. A request for a cached slot is
+    /// answered on its own handler thread and never waits for a worker. A
+    /// miss is queued; a free worker takes it together with every queued
+    /// request for the same slot, waits out another worker already
+    /// computing that slot, or else runs one forward pass for the batch.
+    /// No timer holds a batch open: batches form only from requests that
+    /// queued while every worker was busy.
     pub workers: usize,
-    /// Coalescing window for concurrent same-slot queries.
-    pub batch_linger: Duration,
-    /// Max requests served by one forward pass.
-    pub max_batch: usize,
-    /// Slot-cache capacity (distinct `(model, version, slot)` entries).
+    /// Slot-cache capacity (distinct `(model, version, graph epoch, slot)`
+    /// entries).
     pub cache_capacity: usize,
     /// Deadline applied when a request doesn't pass `deadline_ms`.
     pub default_deadline: Duration,
@@ -62,8 +65,6 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: "127.0.0.1:0".into(),
             workers: 2,
-            batch_linger: Duration::from_millis(2),
-            max_batch: 64,
             cache_capacity: 256,
             default_deadline: Duration::from_millis(250),
             read_timeout: Duration::from_secs(2),
@@ -113,8 +114,6 @@ impl Server {
             Arc::clone(&dataset),
             PoolConfig {
                 workers: config.workers,
-                batch_linger: config.batch_linger,
-                max_batch: config.max_batch,
                 forward_delay: config.forward_delay,
             },
         ));

@@ -5,10 +5,13 @@
 //! ```text
 //! cargo run --release --example serve_demo
 //! ```
+//!
+//! It exits nonzero unless the eight concurrent same-slot queries cost one
+//! forward pass, no answer is degraded, and the query after the swap
+//! recomputes.
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use stgnn_djd::data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_djd::data::synthetic::{CityConfig, SyntheticCity};
@@ -42,13 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Boot the server on an ephemeral port and register the model.
-    let mut server = Server::start(
-        Arc::clone(&data),
-        ServeConfig {
-            batch_linger: Duration::from_millis(10),
-            ..ServeConfig::default()
-        },
-    )?;
+    let mut server = Server::start(Arc::clone(&data), ServeConfig::default())?;
     let spec = ModelSpec::new(config.clone(), data.n_stations());
     server.registry().register("stgnn", spec, checkpoint)?;
     let addr = server.addr();
@@ -63,8 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {d}");
     }
 
-    // 4. Concurrent clients query the same upcoming slot — the pool
-    //    coalesces them into one forward pass, the rest hit the slot cache.
+    // 4. Concurrent clients query the same upcoming slot — one forward pass
+    //    answers them: queries queued while it runs join its batch or wait
+    //    for it, and later ones hit the slot cache.
     let t = data.slots(Split::Test)[0];
     let handles: Vec<_> = (0..8)
         .map(|i| {
@@ -75,15 +73,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
         })
         .collect();
+    let mut degraded = 0;
     for h in handles {
         let (i, r) = h.join().expect("client thread");
+        let tag = r.json_field("degraded").unwrap_or_default();
         println!(
-            "  station {i}: demand {} supply {} (degraded {})",
+            "  station {i}: demand {} supply {} (degraded {tag})",
             r.json_field("demand").unwrap_or_default(),
             r.json_field("supply").unwrap_or_default(),
-            r.json_field("degraded").unwrap_or_default(),
         );
+        degraded += usize::from(tag != "false");
     }
+    let concurrent_forwards = server.metrics_snapshot().forward_passes;
 
     // 5. Hot-swap a freshly initialised checkpoint over HTTP; the same slot
     //    is recomputed at the new version on the next query.
@@ -100,11 +101,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  station 0 after swap: demand {}",
         r.json_field("demand").unwrap_or_default()
     );
+    degraded += usize::from(r.json_field("degraded").unwrap_or_default() != "false");
 
     // 6. The metrics surface shows what the pool actually did.
     println!("\n{}", client::get(addr, "/metrics")?.body);
+    let forwards = server.metrics_snapshot().forward_passes;
 
     server.shutdown();
     std::fs::remove_file(&ckpt_path).ok();
+
+    let mut failed = Vec::new();
+    if concurrent_forwards != 1 {
+        failed.push(format!(
+            "{concurrent_forwards} forward passes for 8 same-slot queries, not 1"
+        ));
+    }
+    if degraded != 0 {
+        failed.push(format!("{degraded} answers were degraded"));
+    }
+    if forwards != 2 {
+        failed.push(format!("{forwards} forward passes after the swap, not 2"));
+    }
+    if !failed.is_empty() {
+        return Err(failed.join("; ").into());
+    }
+    println!("checks passed: one forward for 8 queries, none degraded, swap recomputed");
     Ok(())
 }

@@ -41,11 +41,6 @@ fn concurrent_queries_batch_into_one_forward_pass_and_swap_changes_them() {
     let mut server = Server::start(
         Arc::clone(&data),
         ServeConfig {
-            // A long linger so 16 client threads racing through the TCP
-            // stack reliably land inside one coalescing window (the
-            // exactly-once machinery makes the assertion hold regardless —
-            // the linger just makes real batches, not only cache hits).
-            batch_linger: Duration::from_millis(50),
             default_deadline: Duration::from_secs(30),
             ..ServeConfig::default()
         },
@@ -129,6 +124,111 @@ fn concurrent_queries_batch_into_one_forward_pass_and_swap_changes_them() {
     let unknown = client::get(addr, &format!("/predict?model=nope&slot={t}")).unwrap();
     assert_eq!(unknown.status, 404, "{}", unknown.body);
 
+    server.shutdown();
+}
+
+/// A server with one worker whose every forward pass takes 200 ms.
+fn one_slow_worker(data: &Arc<BikeDataset>) -> Server {
+    let server = Server::start(
+        Arc::clone(data),
+        ServeConfig {
+            workers: 1,
+            forward_delay: Some(Duration::from_millis(200)),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    register_model(&server, data, 7);
+    server
+}
+
+/// Sends a query for slot `t` that occupies the server's only worker, and
+/// returns once it is submitted: the queue is first in, first out, so the
+/// worker takes it before anything submitted later.
+fn hold_the_only_worker(server: &Server, t: usize) -> thread::JoinHandle<client::Response> {
+    let before = server.metrics_snapshot().requests;
+    let addr = server.addr();
+    let holder = thread::spawn(move || {
+        client::get(
+            addr,
+            &format!("/predict?model=stgnn&slot={t}&deadline_ms=30000"),
+        )
+        .unwrap()
+    });
+    while server.metrics_snapshot().requests == before {
+        thread::sleep(Duration::from_millis(1));
+    }
+    holder
+}
+
+/// No timer holds a batch open: a batch is every same-slot request queued
+/// while the workers were busy. Eight slot-B queries that arrive while a
+/// slot-A forward holds the only worker leave the queue together and cost
+/// one forward pass.
+#[test]
+fn requests_queued_behind_a_busy_worker_share_one_forward_pass() {
+    let data = dataset();
+    let slots = data.slots(Split::Test);
+    let (a, b) = (slots[0], slots[1]);
+    let mut server = one_slow_worker(&data);
+    let addr = server.addr();
+    let holder = hold_the_only_worker(&server, a);
+
+    let path = format!("/predict?model=stgnn&slot={b}&deadline_ms=30000");
+    let handles: Vec<_> = (0..8)
+        .map(|_| {
+            let path = path.clone();
+            thread::spawn(move || client::get(addr, &path).unwrap())
+        })
+        .collect();
+    for r in handles.into_iter().map(|h| h.join().unwrap()) {
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.json_field("degraded").unwrap(), "false", "{}", r.body);
+    }
+    assert_eq!(holder.join().unwrap().status, 200);
+
+    let s = server.metrics_snapshot();
+    assert_eq!(s.forward_passes, 2, "snapshot: {s:?}");
+    assert!(s.max_batch_observed() >= 8, "snapshot: {s:?}");
+    server.shutdown();
+}
+
+/// A cached slot is answered when it is submitted, so it never waits
+/// behind a forward pass: while the only worker spends 200 ms on slot A, a
+/// query for the already cached slot C meets a 100 ms deadline with the
+/// model's answer.
+#[test]
+fn a_cached_slot_never_queues_behind_a_forward_pass() {
+    let data = dataset();
+    let slots = data.slots(Split::Test);
+    let (a, c) = (slots[0], slots[2]);
+    let mut server = one_slow_worker(&data);
+    let addr = server.addr();
+    let cached = client::get(
+        addr,
+        &format!("/predict?model=stgnn&slot={c}&deadline_ms=30000"),
+    )
+    .unwrap();
+    assert_eq!(
+        cached.json_field("degraded").unwrap(),
+        "false",
+        "{}",
+        cached.body
+    );
+    let holder = hold_the_only_worker(&server, a);
+
+    let r = client::get(
+        addr,
+        &format!("/predict?model=stgnn&slot={c}&deadline_ms=100"),
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.json_field("degraded").unwrap(), "false", "{}", r.body);
+    assert_eq!(r.json_field("demand"), cached.json_field("demand"));
+    assert_eq!(holder.join().unwrap().status, 200);
+
+    let s = server.metrics_snapshot();
+    assert_eq!((s.forward_passes, s.fallbacks), (2, 0), "snapshot: {s:?}");
     server.shutdown();
 }
 
