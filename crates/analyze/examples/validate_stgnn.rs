@@ -2,9 +2,9 @@
 //! inference (demand/supply roots) — and prints the analyzer reports with
 //! their FLOP/memory cost tables. Then compiles the training and the
 //! inference plan of every configuration `StgnnConfig` offers: the 3×3
-//! grid of FCG × PCG aggregators plus the three §VII-F ablations.
-//! Compilation validates the traced tape and the optimized plan
-//! (`A008`/`A009`) and refuses a `Deny`, so a compile error covers both.
+//! grid of FCG × PCG aggregators plus the three §VII-F ablations, and
+//! prints each plan's in-place rewrite count. Compilation validates the
+//! traced tape and refuses a `Deny`, so a compile error covers both.
 //! Exits nonzero if either tape carries a `Deny` diagnostic or any
 //! configuration fails to compile a plan, so CI can run this as a smoke
 //! gate:

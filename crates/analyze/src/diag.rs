@@ -8,7 +8,9 @@
 use std::fmt;
 
 /// Stable diagnostic codes of the tape validator (`A0xx`). Source-lint codes
-/// (`L0xx`) live in [`crate::lint`].
+/// (`L0xx`) live in [`crate::lint`]. Codes `A008` (optimized-plan
+/// structure) and `A009` (pass-report drift) are retired with the plan
+/// passes whose rewrites they checked; they are not reused.
 pub mod codes {
     /// Symbolic shape inference failed or disagrees with the recorded shape
     /// (operand fan-in mismatch, wrong rank, inconsistent tape).
@@ -28,13 +30,6 @@ pub mod codes {
     pub const MASKED_SOFTMAX: &str = "A006";
     /// A recorded forward value is already non-finite (NaN/±inf).
     pub const NONFINITE: &str = "A007";
-    /// An optimized plan breaks a structural invariant the replay executor
-    /// depends on (stale-slot read, inconsistent GEMM layout, malformed
-    /// fused chain). See [`crate::plan::validate_plan`].
-    pub const PLAN_STRUCTURE: &str = "A008";
-    /// A plan's pass report disagrees with the roles actually annotated on
-    /// its nodes — some pass rewrote nodes it did not account for.
-    pub const PLAN_REPORT_DRIFT: &str = "A009";
 }
 
 /// How a diagnostic gates the pipeline that requested validation.

@@ -1,6 +1,6 @@
 //! # stgnn-analyze
 //!
-//! Static analysis for the STGNN-DJD stack, in two coordinated passes:
+//! Static analysis for the STGNN-DJD stack, in three parts:
 //!
 //! * [`tape`] — a **pre-execution tape validator**. STGNN-DJD builds its
 //!   graphs *from data* every slot (FCG Eq 10, PCG Eqs 11–12), so a
@@ -15,12 +15,6 @@
 //!   [`diag::codes`] code (`A001`…). `Trainer::train` fails fast on `Deny`
 //!   before epoch 0, and the serve registry refuses to hot-swap a candidate
 //!   whose probe tape carries one.
-//! * [`plan`] — a **compiled-plan validator**: checks the structural
-//!   invariants the plan optimizer's passes (constant folding, transpose
-//!   elision, chain fusion, probe caching) must preserve, and re-prices the
-//!   replay's FLOPs per *fused* op so the saving over the eager tape is
-//!   quantified. Findings use the same [`diag::codes`] vocabulary
-//!   (`A008`/`A009`).
 //! * [`lint`] — **`stgnn-lint`**, a hand-rolled lexer-based source checker
 //!   (no crates.io dependencies, like `stgnn_tensor::par`'s hand-rolled
 //!   pool) that walks `crates/*/src` and forbids panic-paths
@@ -48,11 +42,9 @@
 pub mod diag;
 pub(crate) mod lex;
 pub mod lint;
-pub mod plan;
 pub mod sound;
 pub mod tape;
 
 pub use diag::{codes, Diagnostic, OpCost, Report, Severity};
-pub use plan::validate_plan;
 pub use sound::{analyze_sources, analyze_workspace, SoundReport};
 pub use tape::{infer_shape, lower_bounds, validate_tape};

@@ -1,6 +1,6 @@
 //! Prints the analyze-layer cost table for the quick-scale training tape
-//! plus wall-clock forward/backward splits of the compiled plan — the map
-//! used to decide which optimizer pass to spend effort on.
+//! plus wall-clock forward/backward splits of the compiled plan and the
+//! eager tape — the map of where a training step's time goes.
 //!
 //! ```text
 //! cargo run --release -p stgnn-bench --example plan_profile
@@ -67,10 +67,8 @@ fn main() {
     }
 
     // Wall-clock split: plan forward vs backward vs eager fwd/bwd.
-    let mut opts = stgnn_tensor::plan::PlanOptions::all();
-    opts.fuse = std::env::var("PROFILE_NO_FUSE").is_err();
     let plan = model
-        .compile_training_plan_with(&data, t0, opts)
+        .compile_training_plan(&data, t0)
         .expect("compile")
         .expect("compiles");
     println!("\npass report: {}", plan.pass_report());

@@ -23,7 +23,6 @@ use stgnn_core::{StgnnConfig, StgnnDjd};
 use stgnn_data::dataset::{BikeDataset, Split};
 use stgnn_data::synthetic::SyntheticCity;
 use stgnn_tensor::autograd::Graph;
-use stgnn_tensor::plan::PlanOptions;
 use stgnn_tensor::{par, pool};
 
 /// Measurements for one (path, thread-count) cell.
@@ -47,15 +46,6 @@ impl Cell {
     fn serve_speedup(&self) -> f64 {
         self.serve_eager_p50_ms / self.serve_plan_p50_ms.max(1e-9)
     }
-}
-
-/// One timing for a plan compiled with a single optimizer pass (or none, or
-/// all) — the ablation row quantifying what each pass buys on its own.
-struct AblationCell {
-    passes: &'static str,
-    train_step_ms: f64,
-    speedup_vs_eager: f64,
-    pass_report: String,
 }
 
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
@@ -85,136 +75,6 @@ fn jnum(v: f64, precision: usize) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// The ablation ladder: no passes, each pass alone, every pass together.
-fn ablation_variants() -> [(&'static str, PlanOptions); 7] {
-    [
-        ("none", PlanOptions::none()),
-        (
-            "fold_constants",
-            PlanOptions {
-                fold_constants: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "elide_transposes",
-            PlanOptions {
-                elide_transposes: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "fuse",
-            PlanOptions {
-                fuse: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "in_place",
-            PlanOptions {
-                in_place: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "cache_probes",
-            PlanOptions {
-                cache_probes: true,
-                ..PlanOptions::none()
-            },
-        ),
-        ("all", PlanOptions::all()),
-    ]
-}
-
-/// Times the training step once per optimizer-pass variant against a shared
-/// eager baseline, all at `threads` kernel threads.
-fn measure_ablation(
-    data: &BikeDataset,
-    config: &StgnnConfig,
-    threads: usize,
-    train_iters: usize,
-) -> Vec<AblationCell> {
-    par::set_thread_override(Some(threads));
-    let model = StgnnDjd::new(config.clone(), data.n_stations()).expect("config");
-    let train_slots: Vec<usize> = data.slots(Split::Train);
-    let probe = train_slots[0];
-    let horizon = config.horizon;
-    let grad_scale = 0.5f32;
-
-    let eager_step = |t: usize| {
-        model.params().zero_grads();
-        let g = Graph::new();
-        let inputs = ModelInputs::from_dataset(data, t);
-        let out = model.forward(&g, &inputs, true);
-        let (dt, st) = data.targets_horizon(t, horizon).expect("targets");
-        let sq = model.squared_loss(&g, &out, &dt, &st);
-        sq.mul_scalar(grad_scale).backward();
-    };
-
-    // One compiled plan + persistent executor per variant, measured
-    // round-robin against the eager step within every iteration so all
-    // eight timings share the same noise environment (see `median_ms`).
-    let variants = ablation_variants();
-    let plans: Vec<_> = variants
-        .iter()
-        .map(|(_, opts)| {
-            model
-                .compile_training_plan_with(data, probe, *opts)
-                .expect("compile")
-                .expect("standard config compiles")
-        })
-        .collect();
-    let mut execs: Vec<_> = plans.iter().map(|p| p.executor()).collect();
-    let plan_step = |plan: &stgnn_core::compiled::TrainingPlan,
-                     exec: &mut stgnn_tensor::plan::PlanExec,
-                     t: usize| {
-        model.params().zero_grads();
-        model
-            .plan_step_forward(plan, exec, data, t)
-            .expect("plan forward");
-        model
-            .plan_step_backward(plan, exec, grad_scale)
-            .expect("plan backward");
-    };
-    for &t in train_slots.iter().cycle().take(3) {
-        eager_step(t);
-        for (plan, exec) in plans.iter().zip(execs.iter_mut()) {
-            plan_step(plan, exec, t);
-        }
-    }
-    let mut eager_tr: Vec<f64> = Vec::with_capacity(train_iters);
-    let mut variant_tr: Vec<Vec<f64>> = vec![Vec::with_capacity(train_iters); variants.len()];
-    for &t in train_slots.iter().cycle().take(train_iters) {
-        let s = Instant::now();
-        eager_step(t);
-        eager_tr.push(s.elapsed().as_secs_f64() * 1e3);
-        for (v, (plan, exec)) in plans.iter().zip(execs.iter_mut()).enumerate() {
-            let s = Instant::now();
-            plan_step(plan, exec, t);
-            variant_tr[v].push(s.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    let eager_ms = median_ms(&eager_tr);
-    let cells = variants
-        .iter()
-        .zip(&plans)
-        .zip(&variant_tr)
-        .map(|(((passes, _), plan), samples)| {
-            let train_step_ms = median_ms(samples);
-            AblationCell {
-                passes,
-                train_step_ms,
-                speedup_vs_eager: eager_ms / train_step_ms.max(1e-9),
-                pass_report: plan.pass_report().to_string(),
-            }
-        })
-        .collect();
-    par::set_thread_override(None);
-    cells
 }
 
 /// One full measurement pass with the kernel pool pinned to `threads`.
@@ -358,23 +218,6 @@ fn json_cell(c: &Cell) -> String {
     )
 }
 
-fn json_ablation(a: &AblationCell) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"passes\": \"{}\",\n",
-            "      \"train_step_ms\": {},\n",
-            "      \"speedup_vs_eager\": {},\n",
-            "      \"pass_report\": \"{}\"\n",
-            "    }}"
-        ),
-        a.passes,
-        jnum(a.train_step_ms, 4),
-        jnum(a.speedup_vs_eager, 3),
-        a.pass_report,
-    )
-}
-
 fn main() {
     let smoke = std::env::var("STGNN_BENCH_SMOKE").is_ok();
     let (train_iters, serve_iters) = if smoke { (6, 16) } else { (40, 200) };
@@ -428,34 +271,13 @@ fn main() {
     }
     table.finish("steady_state");
 
-    eprintln!("[steady_state] measuring per-pass ablation…");
-    let ablation = measure_ablation(&data, &config, pool_threads, train_iters);
-    let mut atab = TableWriter::new(
-        "Per-pass ablation: train step vs eager",
-        &["Passes", "Train (ms)", "Speedup", "Pass report"],
-    );
-    for a in &ablation {
-        atab.row(&[
-            a.passes.to_string(),
-            format!("{:.3}", a.train_step_ms),
-            format!("{:.2}x", a.speedup_vs_eager),
-            a.pass_report.clone(),
-        ]);
-    }
-    atab.finish("steady_state_ablation");
-
     let body = format!(
-        "{{\n  \"benchmark\": \"steady_state\",\n  \"scale\": \"{:?}\",\n  \"smoke\": {},\n  \"train_iters\": {},\n  \"serve_iters\": {},\n  \"cells\": [\n{}\n  ],\n  \"ablation\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"steady_state\",\n  \"scale\": \"{:?}\",\n  \"smoke\": {},\n  \"train_iters\": {},\n  \"serve_iters\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
         scale,
         smoke,
         train_iters,
         serve_iters,
         cells.iter().map(json_cell).collect::<Vec<_>>().join(",\n"),
-        ablation
-            .iter()
-            .map(json_ablation)
-            .collect::<Vec<_>>()
-            .join(",\n"),
     );
     // Atomic: the driver diffs this file across runs, so a crashed bench
     // must never leave a truncated JSON behind.

@@ -451,9 +451,12 @@ impl TrainCheckpoint {
         let shuffle_rng = parse_rng(next_line(&mut lines, "shuffle_rng")?, "shuffle_rng")?;
         let dropout_rng = parse_rng(next_line(&mut lines, "dropout_rng")?, "dropout_rng")?;
         let adam_t = field_usize(next_line(&mut lines, "adam_t")?, "adam_t")? as u64;
+        // Counts come from the file: nothing is sized from them up front.
+        // Each entry is parsed from lines that must be present, so a hostile
+        // count ends the loop at the end of the payload instead.
         let n_adam = field_usize(next_line(&mut lines, "adam_params")?, "adam_params")?;
-        let mut m = Vec::with_capacity(n_adam);
-        let mut v = Vec::with_capacity(n_adam);
+        let mut m = Vec::new();
+        let mut v = Vec::new();
         for i in 0..n_adam {
             let (name, t) = parse_tensor(&mut lines, &format!("adam m[{i}]"))?;
             if name != "m" {
@@ -471,7 +474,7 @@ impl TrainCheckpoint {
             v.push(t);
         }
         let n_params = field_usize(next_line(&mut lines, "params")?, "params")?;
-        let mut params = Vec::with_capacity(n_params);
+        let mut params = Vec::new();
         for i in 0..n_params {
             params.push(parse_tensor(&mut lines, &format!("param[{i}]"))?);
         }
@@ -485,7 +488,7 @@ impl TrainCheckpoint {
                 let n: usize = n
                     .parse()
                     .map_err(|_| CheckpointError::Malformed("bad best_snapshot count".into()))?;
-                let mut snap = Vec::with_capacity(n);
+                let mut snap = Vec::new();
                 for i in 0..n {
                     snap.push(parse_tensor(&mut lines, &format!("snapshot[{i}]"))?.1);
                 }
@@ -645,7 +648,9 @@ fn next_line<'a>(lines: &mut std::str::Lines<'a>, what: &str) -> Result<&'a str,
 }
 
 /// Parses one `<name> <dim>...` header line plus one hex-bit-words data
-/// line into a tensor, checking the element count against the shape.
+/// line into a tensor, checking the element count against the shape. The
+/// dims multiply with checked arithmetic: a header whose product overflows
+/// is malformed, not a panic or a wrapped count.
 fn parse_tensor(
     lines: &mut std::str::Lines<'_>,
     what: &str,
@@ -660,13 +665,24 @@ fn parse_tensor(
         .map(|w| w.parse())
         .collect::<Result<_, _>>()
         .map_err(|_| CheckpointError::Malformed(format!("{what}: bad dims in {header:?}")))?;
-    let shape = Shape::from_dims(&dims);
+    let len = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| {
+            CheckpointError::Malformed(format!("{what}: dims {dims:?} overflow an element count"))
+        })?;
     let data: Vec<f32> = next_line(lines, what)?
         .split_whitespace()
         .map(|w| u32::from_str_radix(w, 16).map(f32::from_bits))
         .collect::<Result<_, _>>()
         .map_err(|_| CheckpointError::Malformed(format!("{what}: bad data word")))?;
-    let tensor = Tensor::from_vec(shape, data)
+    if data.len() != len {
+        return Err(CheckpointError::Malformed(format!(
+            "{what}: dims {dims:?} hold {len} values, found {}",
+            data.len()
+        )));
+    }
+    let tensor = Tensor::from_vec(Shape::from_dims(&dims), data)
         .map_err(|e| CheckpointError::Malformed(format!("{what}: {e}")))?;
     Ok((name, tensor))
 }

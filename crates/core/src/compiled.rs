@@ -34,7 +34,7 @@ use stgnn_data::dataset::BikeDataset;
 use stgnn_data::error::{Error, Result};
 use stgnn_data::predictor::Prediction;
 use stgnn_tensor::autograd::{Graph, Var};
-use stgnn_tensor::plan::{LeafBinding, PassReport, Plan, PlanExec, PlanOptions, PlanSpec};
+use stgnn_tensor::plan::{LeafBinding, PassReport, Plan, PlanExec, PlanSpec};
 use stgnn_tensor::Tensor;
 
 /// The leaf bindings recorded while tracing one forward pass: how each
@@ -51,8 +51,8 @@ pub struct ForwardTrace {
 /// Puts `recipe(deps)` on the tape as a leaf — structure computed from
 /// forward values, carrying no gradient — and records in `trace` that a
 /// replay re-derives it from the live values of `deps`. The declared deps
-/// pin those value slots, so the plan optimizer never erases or steals
-/// what the recipe reads.
+/// pin those value slots, so an in-place rewrite never steals what the
+/// recipe reads.
 pub(crate) fn derived_leaf<const K: usize>(
     g: &Graph,
     trace: Option<&mut ForwardTrace>,
@@ -100,17 +100,9 @@ impl TrainingPlan {
         self.plan.needs_rng()
     }
 
-    /// What the plan optimizer did to this tape.
+    /// What the plan compiler rewrote in this tape.
     pub fn pass_report(&self) -> PassReport {
         self.plan.pass_report()
-    }
-
-    /// For every probe-cached matmul in the plan: `(checked, agreeing)`
-    /// between the executor's cached density verdict and a fresh probe of
-    /// the current slot values. The parity suite asserts these never
-    /// diverge on real replay data.
-    pub fn cached_probe_agreement(&self, exec: &PlanExec) -> (usize, usize) {
-        probe_agreement(&self.plan, exec)
     }
 }
 
@@ -127,45 +119,14 @@ impl InferencePlan {
         self.plan.executor()
     }
 
-    /// What the plan optimizer did to this tape.
+    /// What the plan compiler rewrote in this tape.
     pub fn pass_report(&self) -> PassReport {
         self.plan.pass_report()
     }
-
-    /// See [`TrainingPlan::cached_probe_agreement`].
-    pub fn cached_probe_agreement(&self, exec: &PlanExec) -> (usize, usize) {
-        probe_agreement(&self.plan, exec)
-    }
-}
-
-fn probe_agreement(plan: &Plan, exec: &PlanExec) -> (usize, usize) {
-    let (mut checked, mut agree) = (0, 0);
-    for id in plan.cached_probe_nodes() {
-        if let (Some(cached), Some(fresh)) = (exec.probe_verdict(id), plan.fresh_probe(exec, id)) {
-            checked += 1;
-            if cached == fresh {
-                agree += 1;
-            }
-        }
-    }
-    (checked, agree)
 }
 
 fn plan_err(e: stgnn_tensor::Error) -> Error {
     Error::InvalidConfig(format!("compiled plan: {e}"))
-}
-
-/// Re-validates the optimizer's structural invariants (`A008`/`A009`) on
-/// the compiled plan. An unsound optimized plan is refused outright.
-fn check_plan_structure(plan: &Plan) -> Result<()> {
-    let report = stgnn_analyze::validate_plan(&plan.summary());
-    if !report.is_clean() {
-        return Err(Error::InvalidConfig(format!(
-            "refusing an optimized plan the validator denies: {}",
-            report.summary()
-        )));
-    }
-    Ok(())
 }
 
 impl StgnnDjd {
@@ -181,20 +142,7 @@ impl StgnnDjd {
         data: &BikeDataset,
         t: usize,
     ) -> Result<Option<TrainingPlan>> {
-        self.compile_training_plan_with(data, t, PlanOptions::default())
-    }
-
-    /// [`Self::compile_training_plan`] with explicit optimizer passes —
-    /// each pass in [`PlanOptions`] is individually toggleable, and every
-    /// combination replays bit-identically to eager (the parity suite
-    /// asserts this per pass).
-    pub fn compile_training_plan_with(
-        &self,
-        data: &BikeDataset,
-        t: usize,
-        opts: PlanOptions,
-    ) -> Result<Option<TrainingPlan>> {
-        let (plan, tape) = self.compile_plan(data, t, true, opts)?;
+        let (plan, tape) = self.compile_plan(data, t, true)?;
         Ok(Some(TrainingPlan { plan, tape }))
     }
 
@@ -207,30 +155,19 @@ impl StgnnDjd {
         data: &BikeDataset,
         t: usize,
     ) -> Result<Option<InferencePlan>> {
-        self.compile_inference_plan_with(data, t, PlanOptions::default())
-    }
-
-    /// [`Self::compile_inference_plan`] with explicit optimizer passes.
-    pub fn compile_inference_plan_with(
-        &self,
-        data: &BikeDataset,
-        t: usize,
-        opts: PlanOptions,
-    ) -> Result<Option<InferencePlan>> {
-        let (plan, _) = self.compile_plan(data, t, false, opts)?;
+        let (plan, _) = self.compile_plan(data, t, false)?;
         Ok(Some(InferencePlan { plan }))
     }
 
     /// The one compile path of both plan kinds: traces a forward at slot
     /// `t` (plus the Eq 21 radicand as the loss when `train`), validates
-    /// the tape, and compiles it with `opts` and the leaf bindings the
-    /// trace recorded. Returns the plan and the tape's validation report.
+    /// the tape, and compiles it with the leaf bindings the trace
+    /// recorded. Returns the plan and the tape's validation report.
     fn compile_plan(
         &self,
         data: &BikeDataset,
         t: usize,
         train: bool,
-        opts: PlanOptions,
     ) -> Result<(Plan, stgnn_analyze::Report)> {
         self.check_compatible(data)?;
         let g = Graph::new();
@@ -273,8 +210,7 @@ impl StgnnDjd {
             roots,
             loss,
         };
-        let plan = Plan::compile_with(&snapshot, self.params(), spec, opts).map_err(plan_err)?;
-        check_plan_structure(&plan)?;
+        let plan = Plan::compile(&snapshot, self.params(), spec).map_err(plan_err)?;
         Ok((plan, tape))
     }
 

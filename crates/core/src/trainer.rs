@@ -47,9 +47,8 @@ pub struct TrainReport {
     /// Whether training replayed a compiled plan. Always true: every
     /// configuration compiles, and training has no other executor.
     pub used_compiled_plan: bool,
-    /// The plan optimizer's pass report for the compiled training tape
-    /// (folds, elided transposes, fused chains, in-place rewrites, cached
-    /// probes), rendered.
+    /// The compiled training plan's pass report (its in-place rewrite
+    /// count), rendered.
     pub plan_passes: String,
     /// Tensor-pool misses per optimizer step over the final epoch's batch
     /// loop — fresh heap allocations the buffer pool could not serve. The
@@ -229,26 +228,8 @@ impl Trainer {
                 ))
                 .into());
             }
-            let params = model.params().params();
-            if params.len() != ckpt.params.len() {
-                return Err(CheckpointError::Incompatible(format!(
-                    "checkpoint has {} parameter tensors, model has {}",
-                    ckpt.params.len(),
-                    params.len()
-                ))
-                .into());
-            }
-            for (p, (name, t)) in params.iter().zip(&ckpt.params) {
-                if p.name() != name || p.value().shape() != t.shape() {
-                    return Err(CheckpointError::Incompatible(format!(
-                        "parameter mismatch: model has {:?} {}, checkpoint has {:?} {}",
-                        p.name(),
-                        p.value().shape(),
-                        name,
-                        t.shape()
-                    ))
-                    .into());
-                }
+            check_restorable(&ckpt, model, &train_slots)?;
+            for (p, (_, t)) in model.params().params().iter().zip(&ckpt.params) {
                 p.set_value(t.clone());
             }
             opt.restore(ckpt.adam);
@@ -428,6 +409,67 @@ impl Trainer {
         }
         (total / slots.len().max(1) as f64) as f32
     }
+}
+
+/// Checks, before anything is restored, that every tensor a checkpoint
+/// carries fits the model being resumed: parameter names and shapes, one
+/// Adam moment pair and (if present) one best-snapshot tensor per parameter
+/// with that parameter's shape, and an epoch slot order drawn from the
+/// training slots. A CRC-valid file can still disagree with the model on
+/// any of these; each disagreement is [`CheckpointError::Incompatible`],
+/// never a partial load or a panic on the first resumed step.
+fn check_restorable(
+    ckpt: &TrainCheckpoint,
+    model: &StgnnDjd,
+    train_slots: &[usize],
+) -> std::result::Result<(), CheckpointError> {
+    let params = model.params().params();
+    let fits = |what: &str, tensors: Vec<&Tensor>| {
+        if tensors.len() != params.len() {
+            return Err(CheckpointError::Incompatible(format!(
+                "checkpoint has {} {what} tensors, model has {} parameters",
+                tensors.len(),
+                params.len()
+            )));
+        }
+        for (p, t) in params.iter().zip(tensors) {
+            if p.value().shape() != t.shape() {
+                return Err(CheckpointError::Incompatible(format!(
+                    "{what} tensor for {:?} has shape {}, the parameter has {}",
+                    p.name(),
+                    t.shape(),
+                    p.value().shape()
+                )));
+            }
+        }
+        Ok(())
+    };
+    fits("parameter", ckpt.params.iter().map(|(_, t)| t).collect())?;
+    if let Some((p, (name, _))) = params
+        .iter()
+        .zip(&ckpt.params)
+        .find(|(p, (name, _))| p.name() != name)
+    {
+        return Err(CheckpointError::Incompatible(format!(
+            "parameter mismatch: model has {:?}, checkpoint has {name:?}",
+            p.name()
+        )));
+    }
+    fits("adam m", ckpt.adam.m.iter().collect())?;
+    fits("adam v", ckpt.adam.v.iter().collect())?;
+    if let Some(snapshot) = &ckpt.best_snapshot {
+        fits("best snapshot", snapshot.iter().collect())?;
+    }
+    if let Some(t) = ckpt
+        .epoch_slots
+        .iter()
+        .find(|t| train_slots.binary_search(t).is_err())
+    {
+        return Err(CheckpointError::Incompatible(format!(
+            "epoch slot order names slot {t}, which is not a training slot"
+        )));
+    }
+    Ok(())
 }
 
 /// One gradient batch, replayed through the compiled plan: Eq 21 over the

@@ -29,7 +29,9 @@
 //!   forward) stop touching the system allocator once warm.
 //! * [`plan`] — a tape compiler: one traced [`autograd::Graph::snapshot`]
 //!   becomes a [`plan::Plan`] that replays forward+backward over
-//!   preallocated node slots, bit-identical to eager execution.
+//!   preallocated node slots through the op table, with every matmul on
+//!   the blocked GEMM and in-place rewrites where a parent's value dies,
+//!   bit-identical to eager execution.
 //!
 //! The engine is deliberately CPU-only and `f32`-only: the model operates on
 //! `n×n` station matrices (n in the tens to hundreds), where a cache-friendly

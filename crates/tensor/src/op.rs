@@ -6,8 +6,7 @@
 //! [`crate::autograd::Var`] builders and the compiled [`crate::plan::Plan`]
 //! replay. The elementwise ops' scalar bodies ([`MapOp`], [`ZipOp`]) live
 //! here too and are the only definition of those formulas: the [`Tensor`]
-//! kernels, the unfused backward, the plan's in-place rewrites and its
-//! fused sweeps all call them.
+//! kernels, the backward and the plan's in-place rewrites all call them.
 
 use crate::error::{Error, Result};
 use crate::par;
@@ -396,9 +395,8 @@ pub(crate) fn with_operands<'a, R>(
 }
 
 /// A unary elementwise op. `fwd` and `bwd` are the only definition of
-/// these formulas: the [`Tensor`] kernels, [`MapOp::grad`], the plan's
-/// in-place rewrites and its fused sweeps all call them, so every path
-/// produces the same bits.
+/// these formulas: the [`Tensor`] kernels, [`MapOp::grad`] and the plan's
+/// in-place rewrites all call them, so every path produces the same bits.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum MapOp {
     Relu,
@@ -417,7 +415,7 @@ pub(crate) enum MapOp {
 impl MapOp {
     /// The unary elementwise ops. Dropout is deliberately absent: its
     /// forward draws from the caller's RNG in node order, so the plan must
-    /// keep it an op-at-a-time node to keep the stream contract.
+    /// run it through [`Op::eval`] to keep the stream contract.
     pub(crate) fn from_op(op: &Op) -> Option<MapOp> {
         Some(match op {
             Op::Relu => MapOp::Relu,
@@ -433,15 +431,6 @@ impl MapOp {
             Op::MulScalar(s) => MapOp::MulScalar(*s),
             _ => return None,
         })
-    }
-
-    /// Per-element FLOP weight of this op, matching the tape cost model
-    /// (`stgnn-analyze` weights transcendental-heavy ops ×8).
-    pub(crate) fn cost_weight(self) -> u64 {
-        match self {
-            MapOp::Elu | MapOp::Sigmoid | MapOp::Tanh | MapOp::Exp | MapOp::Sqrt => 8,
-            _ => 1,
-        }
     }
 
     /// The forward formula for one element.
@@ -574,10 +563,9 @@ impl ZipOp {
 
 /// Applies `m.fwd` to every element of `buf` in place, with the op match
 /// hoisted out of the element loop: each arm closes over a constant
-/// variant, so the dispatch folds away and LLVM vectorizes the sweep.
-/// (Dispatching `MapOp::fwd` per element measured as a net fusion
-/// *slowdown* — the branch in the inner loop defeats the autovectorizer.)
-/// Per-element results are exactly `m.fwd(x)`.
+/// variant, so the dispatch folds away and LLVM vectorizes the sweep (a
+/// branch in the inner loop defeats the autovectorizer). Per-element
+/// results are exactly `m.fwd(x)`.
 #[inline]
 pub(crate) fn sweep_fwd(m: MapOp, buf: &mut [f32]) {
     #[inline(always)]
@@ -626,24 +614,5 @@ pub(crate) fn sweep_bwd(m: MapOp, g: &mut [f32], x_in: &[f32], x_out: &[f32]) {
         Neg => each(g, x_in, x_out, |gv, xi, xo| Neg.bwd(gv, xi, xo)),
         AddScalar(s) => each(g, x_in, x_out, |gv, xi, xo| AddScalar(s).bwd(gv, xi, xo)),
         MulScalar(s) => each(g, x_in, x_out, |gv, xi, xo| MulScalar(s).bwd(gv, xi, xo)),
-    }
-}
-
-/// The zip forward over a chunk: `out[i] = z.fwd(a[i], b[i])`, dispatch
-/// hoisted.
-#[inline]
-pub(crate) fn sweep_zip(z: ZipOp, out: &mut [f32], a: &[f32], b: &[f32]) {
-    #[inline(always)]
-    fn each(out: &mut [f32], a: &[f32], b: &[f32], f: impl Fn(f32, f32) -> f32) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
-        }
-    }
-    use ZipOp::*;
-    match z {
-        Add => each(out, a, b, |x, y| Add.fwd(x, y)),
-        Sub => each(out, a, b, |x, y| Sub.fwd(x, y)),
-        Mul => each(out, a, b, |x, y| Mul.fwd(x, y)),
-        Div => each(out, a, b, |x, y| Div.fwd(x, y)),
     }
 }

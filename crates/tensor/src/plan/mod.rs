@@ -2,7 +2,7 @@
 // the tape once in `Plan::compile`; replay then indexes the per-node slot
 // vectors with those proven-in-bounds ids on the hot path.
 //! Compiled tape replay: execute one traced graph many times without
-//! rebuilding it — now through an optimizing compiler.
+//! rebuilding it.
 //!
 //! STGNN-DJD's tape has a fixed structure for a given station count and
 //! window configuration — every training step and every serve forward
@@ -14,40 +14,32 @@
 //! turns it into a static schedule: ops in topological (= insertion) order,
 //! leaf **bindings** that say how each leaf gets its value on replay
 //! (rebound input, recomputed derived value, re-read parameter, or frozen
-//! constant), and parameter links for gradient writeback. Nodes the
-//! optimizer leaves alone run the same [`Op`] forward and backward as the
-//! eager tape — one op table serves both executors. A [`PlanExec`]
-//! holds the per-node value/gradient/saved-state slots; replaying overwrites the
-//! slots in place, so each step's outputs recycle the previous step's
-//! buffers through the [`crate::pool`] and the steady state performs **zero
-//! pool misses** — the allocator is never touched.
+//! constant), and parameter links for gradient writeback. A [`PlanExec`]
+//! holds the per-node value/gradient/saved-state slots; replaying
+//! overwrites the slots in place, so each step's outputs recycle the
+//! previous step's buffers through the [`crate::pool`] and the steady
+//! state performs **zero pool misses** — the allocator is never touched.
 //!
-//! On top of the schedule, [`Plan::compile_with`] runs an optimizer
-//! pipeline ([`PlanOptions`] gates each pass; see `DESIGN.md` §12):
+//! Every node runs the same [`Op`] forward and backward as the eager tape
+//! — one op table serves both executors — with two exceptions, each kept
+//! because it moves a measured number (`DESIGN.md` §12):
 //!
-//! 1. **Constant folding** — compute subtrees reachable only from constant
-//!    leaves are frozen at their traced values and skipped entirely.
-//! 2. **Transpose elision** — a single-consumer `Transpose` feeding a
-//!    `Matmul` becomes a layout flag on a blocked GEMM microkernel, and
-//!    every matmul's backward runs through the same layout-flag kernel,
-//!    eliding the two gradient transposes eager backward materialises.
-//! 3. **Elementwise fusion** — chains of zip/broadcast/unary elementwise
-//!    ops collapse into one cache-resident sweep; backward recomputes the
-//!    chain per element and releases the folded gradient at the chain
-//!    head's original sweep position.
-//! 4. **In-place rewrites** — where liveness allows, an op overwrites its
+//! 1. **Blocked GEMM** — every `Matmul` node runs its forward as the
+//!    blocked `nn` GEMM kernel and its backward as `g·bᵀ` (`nt`) and
+//!    `aᵀ·g` (`tn`) through the layout-flag kernels of
+//!    [`Tensor::matmul_layout`], which never materialise the two
+//!    transposes eager backward builds.
+//! 2. **In-place rewrites** — where liveness allows, an op overwrites its
 //!    dying parent's buffer instead of cycling a fresh one through the
 //!    pool, and gradient accumulation adds into the existing slot.
-//! 5. **Probe caching** — matmul lhs density probes against stable
-//!    (constant/derived/folded) operands run once per executor.
 //!
 //! Replay remains **bit-identical** to eager execution at any thread
-//! count: every pass preserves each output element's exact f32 operation
+//! count: both preserve each output element's exact f32 operation
 //! sequence and every gradient deposit's sweep position (see the legality
-//! notes on each pass). Dropout nodes are never folded, fused or elided,
-//! so a plan step consumes the RNG stream exactly like the eager step it
-//! replaces. The parity suite in `tests/plan_parity.rs` proves
-//! this per pass, per thread count, down to the bit, and
+//! notes on each). Dropout nodes run the op table in node order, so a plan
+//! step consumes the RNG stream exactly like the eager step it replaces.
+//! The parity suite in `tests/plan_parity.rs` proves this for every model
+//! configuration, at 1 and 4 threads, down to the bit, and
 //! `tests/plan_gradcheck.rs` checks every op's plan gradient against
 //! finite differences.
 //!
@@ -60,20 +52,16 @@
 //! changes between inputs is bound.
 
 mod exec;
-mod fuse;
 mod ir;
 mod passes;
 
 pub use exec::PlanExec;
-pub use ir::{
-    DerivedFn, DerivedSpec, LeafBinding, PassReport, PlanNodeSummary, PlanOpKind, PlanOptions,
-    PlanSpec, PlanSummary,
-};
+pub use ir::{DerivedFn, DerivedSpec, LeafBinding, PassReport, PlanSpec};
 
 use crate::autograd::{Op, Param, ParamSet, TapeSnapshot};
 use crate::error::{Error, Result};
 use crate::tensor::Tensor;
-use ir::{FusedChain, NodeBinding, PlanNode, Role};
+use ir::{NodeBinding, PlanNode};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -90,18 +78,12 @@ pub struct Plan {
     pub(crate) loss: Option<usize>,
     pub(crate) num_inputs: usize,
     pub(crate) has_dropout: bool,
-    /// Node ids any derived closure reads — pinned against erasure and
-    /// in-place clobbering.
+    /// Node ids any derived closure reads — pinned against in-place
+    /// clobbering.
     pub(crate) derived_deps: Vec<usize>,
-    /// Fused chains, indexed by [`Role::FusedOut`].
-    pub(crate) chains: Vec<FusedChain>,
     /// Per node: the parent slot whose buffer this node steals and
     /// overwrites in place (`None` = normal output).
     pub(crate) in_place: Vec<Option<usize>>,
-    /// Per node: whether the matmul/GEMM lhs density probe is cached in the
-    /// executor instead of re-run each replay.
-    pub(crate) probe_cached: Vec<bool>,
-    pub(crate) options: PlanOptions,
     pub(crate) report: PassReport,
     /// Shared scalar parked in a slot whose buffer was stolen — cloning it
     /// is an `Arc` bump, so in-place rewrites stay allocation-free.
@@ -109,24 +91,14 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Compiles a traced tape into a replayable plan with every optimizer
-    /// pass enabled ([`PlanOptions::default`]).
+    /// Compiles a traced tape into a replayable plan and marks its in-place
+    /// rewrites.
     ///
     /// Validates the tape topology (parents strictly precede children),
     /// resolves every `Param` node against `params` by name, and checks the
     /// spec's bindings point at leaf nodes. Returns
     /// [`Error::InvalidArgument`] on any structural defect.
     pub fn compile(snapshot: &TapeSnapshot, params: &ParamSet, spec: PlanSpec) -> Result<Self> {
-        Self::compile_with(snapshot, params, spec, PlanOptions::default())
-    }
-
-    /// [`Plan::compile`] with an explicit optimizer-pass selection.
-    pub fn compile_with(
-        snapshot: &TapeSnapshot,
-        params: &ParamSet,
-        spec: PlanSpec,
-        options: PlanOptions,
-    ) -> Result<Self> {
         let n = snapshot.nodes.len();
         if n == 0 {
             return Err(Error::InvalidArgument(
@@ -218,7 +190,6 @@ impl Plan {
                 parents: info.parents.clone(),
                 shape: info.shape.clone(),
                 binding,
-                role: Role::Eager,
             });
             init_values.push(info.value.clone());
         }
@@ -244,43 +215,12 @@ impl Plan {
             num_inputs,
             has_dropout,
             derived_deps,
-            chains: Vec::new(),
             in_place: vec![None; n],
-            probe_cached: vec![false; n],
-            options,
             report: PassReport::default(),
             placeholder: Tensor::from_scalar(0.0),
         };
-        plan.optimize();
+        plan.report.in_place_nodes = passes::mark_in_place(&mut plan);
         Ok(plan)
-    }
-
-    /// Runs the enabled optimizer passes, in dependency order: folding
-    /// first (so later passes see frozen subtrees), then structural
-    /// rewrites (elision, fusion), then the purely-local passes (in-place,
-    /// probe marks) over the final roles.
-    fn optimize(&mut self) {
-        let mut report = PassReport::default();
-        if self.options.fold_constants {
-            report.folded = passes::fold_constants(self);
-        }
-        if self.options.elide_transposes {
-            let (elided, gemms) = passes::elide_transposes(self);
-            report.elided_transposes = elided;
-            report.gemm_nodes = gemms;
-        }
-        if self.options.fuse {
-            let (chains, ops) = fuse::fuse_chains(self);
-            report.fused_chains = chains;
-            report.fused_ops = ops;
-        }
-        if self.options.in_place {
-            report.in_place_nodes = passes::mark_in_place(self);
-        }
-        if self.options.cache_probes {
-            report.probe_cached = passes::mark_probe_cache(self);
-        }
-        self.report = report;
     }
 
     /// Number of nodes in the compiled schedule.
@@ -304,113 +244,8 @@ impl Plan {
         self.has_dropout
     }
 
-    /// The optimizer options this plan was compiled with.
-    pub fn options(&self) -> PlanOptions {
-        self.options
-    }
-
-    /// What each optimizer pass did at compile time.
+    /// What the compiler rewrote.
     pub fn pass_report(&self) -> PassReport {
         self.report
-    }
-
-    /// Node ids whose lhs density probe is cached per executor (matmul /
-    /// GEMM nodes over stable operands). Exposed for the probe-agreement
-    /// tests.
-    pub fn cached_probe_nodes(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&id| self.probe_cached[id])
-            .collect()
-    }
-
-    /// Recomputes the probe verdict for node `id` from the executor's
-    /// current slot values — what an uncached replay would decide right
-    /// now. `None` when the node is not a probe-cached matmul/GEMM.
-    pub fn fresh_probe(&self, exec: &PlanExec, id: usize) -> Option<bool> {
-        if !self.probe_cached.get(id).copied().unwrap_or(false) {
-            return None;
-        }
-        let node = &self.nodes[id];
-        match node.role {
-            Role::Gemm { ta, ua, .. } => {
-                let lhs = exec.value(ua)?;
-                Some(if ta {
-                    lhs.probe_dense_t().ok()?
-                } else {
-                    lhs.probe_dense()
-                })
-            }
-            _ => Some(exec.value(node.parents[0])?.probe_dense()),
-        }
-    }
-
-    /// A structural summary for external validators (`stgnn-analyze`): one
-    /// entry per node with its optimizer classification and *effective*
-    /// parent reads.
-    pub fn summary(&self) -> PlanSummary {
-        let nodes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(id, node)| {
-                let (kind, parents) = match (&node.binding, node.role) {
-                    (NodeBinding::Constant, _) => (PlanOpKind::Constant, node.parents.clone()),
-                    (NodeBinding::Input(_), _) => (PlanOpKind::Input, node.parents.clone()),
-                    (NodeBinding::Derived(_), _) => (PlanOpKind::Derived, node.parents.clone()),
-                    (NodeBinding::Param(_), _) => (PlanOpKind::Param, node.parents.clone()),
-                    (NodeBinding::Compute, role) => match role {
-                        Role::Eager => (PlanOpKind::Eager, node.parents.clone()),
-                        Role::Folded => (PlanOpKind::Folded, node.parents.clone()),
-                        Role::Erased => (PlanOpKind::Erased, node.parents.clone()),
-                        Role::FusedLead { .. } => (PlanOpKind::FusedLead, node.parents.clone()),
-                        Role::FusedOut { chain } => (
-                            PlanOpKind::FusedOut {
-                                stages: self.chains[chain].stages.len(),
-                            },
-                            {
-                                let src = self.chains[chain].src;
-                                let mut p = vec![src.0];
-                                p.extend(src.1);
-                                p
-                            },
-                        ),
-                        Role::Gemm { ta, tb, ua, ub } => (
-                            PlanOpKind::Gemm {
-                                ta,
-                                tb,
-                                probe_cached: self.probe_cached[id],
-                            },
-                            vec![ua, ub],
-                        ),
-                        Role::ElidedTranspose => {
-                            (PlanOpKind::ElidedTranspose, node.parents.clone())
-                        }
-                    },
-                };
-                let fused_cost_per_elem = match node.role {
-                    Role::FusedOut { chain } => {
-                        let c = &self.chains[chain];
-                        let lead = match c.kind {
-                            ir::LeadKind::Map(m) => m.cost_weight(),
-                            _ => 1,
-                        };
-                        lead + c.stages.iter().map(|m| m.cost_weight()).sum::<u64>()
-                    }
-                    _ => 0,
-                };
-                PlanNodeSummary {
-                    op: node.op.name(),
-                    kind,
-                    parents,
-                    shape: node.shape.clone(),
-                    fused_cost_per_elem,
-                }
-            })
-            .collect();
-        PlanSummary {
-            nodes,
-            report: self.report,
-            options: self.options,
-        }
     }
 }

@@ -1,22 +1,20 @@
-// lint: allow-file(L004): passes walk node/parent ids already validated
+// lint: allow-file(L004): the pass walks node/parent ids already validated
 // against the tape by `Plan::compile`; indexing with them cannot miss.
-//! Optimizer passes over the plan IR: constant folding, transpose elision,
-//! in-place rewrites and probe caching. Chain fusion lives in
-//! [`super::fuse`].
+//! The plan's one rewrite: in-place buffer steals.
 //!
-//! Every pass only *annotates* roles — node ids, parents and the sweep
-//! order never change, which is what keeps gradient deposits at the eager
-//! sweep positions. Each pass's legality condition is documented on the
-//! pass and mirrored in `DESIGN.md` §12.
+//! The pass only *annotates* nodes — node ids, parents and the sweep order
+//! never change, which is what keeps gradient deposits at the eager sweep
+//! positions. Its legality condition is documented below and mirrored in
+//! `DESIGN.md` §12.
 
-use super::ir::{NodeBinding, Role};
+use super::ir::NodeBinding;
 use super::Plan;
 use crate::autograd::Op;
 
 /// Which nodes' value slots must stay live and untouched: spec roots, the
 /// loss, and every declared dependency of a derived-leaf closure. Pinned
-/// nodes are never erased by fusion, never stolen by an in-place rewrite.
-pub(crate) fn pinned(plan: &Plan) -> Vec<bool> {
+/// nodes are never stolen by an in-place rewrite.
+fn pinned(plan: &Plan) -> Vec<bool> {
     let mut pinned = vec![false; plan.nodes.len()];
     for &r in plan.roots.iter().chain(plan.loss.iter()) {
         pinned[r] = true;
@@ -27,142 +25,28 @@ pub(crate) fn pinned(plan: &Plan) -> Vec<bool> {
     pinned
 }
 
-/// Who reads each node's value slot on replay, under the current roles:
-/// one entry per (consumer node, parent slot) occurrence. A GEMM node reads
-/// its *effective* operands (`ua`/`ub`); fused chains read their lead's
-/// parents from the chain's out node; folded, erased, lead and
-/// elided-transpose nodes read nothing (their compute is skipped or
-/// absorbed). Derived leaves read their declared deps.
-pub(crate) fn value_readers(plan: &Plan) -> Vec<Vec<usize>> {
+/// Who reads each node's value slot on replay: one entry per (consumer
+/// node, parent slot) occurrence. Derived leaves read their declared deps.
+fn value_readers(plan: &Plan) -> Vec<Vec<usize>> {
     let mut readers: Vec<Vec<usize>> = vec![Vec::new(); plan.nodes.len()];
     for (id, node) in plan.nodes.iter().enumerate() {
         match &node.binding {
+            // Conservative: the closure may read any declared dep on every
+            // replay.
             NodeBinding::Derived(_) => {
-                // Conservative: the closure may read any declared dep on
-                // every replay.
                 for &d in &plan.derived_deps {
                     readers[d].push(id);
                 }
-                continue;
             }
-            NodeBinding::Compute => {}
-            _ => continue,
-        }
-        match node.role {
-            Role::Eager => {
+            NodeBinding::Compute => {
                 for &p in &node.parents {
                     readers[p].push(id);
                 }
             }
-            Role::Gemm { ua, ub, .. } => {
-                readers[ua].push(id);
-                readers[ub].push(id);
-            }
-            Role::FusedOut { chain } => {
-                let src = plan.chains[chain].src;
-                readers[src.0].push(id);
-                if let Some(b) = src.1 {
-                    readers[b].push(id);
-                }
-            }
-            Role::Folded | Role::Erased | Role::FusedLead { .. } | Role::ElidedTranspose => {}
-        }
-    }
-    readers
-}
-
-/// Constant folding: a compute node all of whose ancestors are constant
-/// leaves keeps its traced value forever — forward skips it, backward
-/// skips it (a constant subtree contains no params, inputs or derived
-/// leaves, so no observable gradient is lost).
-///
-/// Legality: every parent constant/folded, and the op is not `Dropout` —
-/// dropout must resample from the caller's RNG in node order to keep the
-/// stream contract, however constant its input.
-pub(crate) fn fold_constants(plan: &mut Plan) -> usize {
-    let n = plan.nodes.len();
-    let mut is_const = vec![false; n];
-    let mut folded = 0;
-    for id in 0..n {
-        let node = &plan.nodes[id];
-        match &node.binding {
-            NodeBinding::Constant => is_const[id] = true,
-            NodeBinding::Compute
-                if !matches!(node.op, Op::Dropout { .. })
-                    && !node.parents.is_empty()
-                    && node.parents.iter().all(|&p| is_const[p]) =>
-            {
-                is_const[id] = true;
-                plan.nodes[id].role = Role::Folded;
-                folded += 1;
-            }
             _ => {}
         }
     }
-    folded
-}
-
-/// Transpose elision: a `Transpose` whose value is read only by one
-/// `Matmul` folds into that matmul as a layout flag on the blocked GEMM
-/// microkernel — the transpose is never materialised, in forward *or*
-/// backward. Every matmul additionally becomes a [`Role::Gemm`] node so
-/// its backward runs through the layout-flag kernel too, eliding the
-/// `bᵀ`/`aᵀ` materialisations of the eager gradient formulas.
-///
-/// Bit-identity: the GEMM layout kernels walk the same multiply pairs in
-/// the same ascending-contraction order as `matmul` over a materialised
-/// transpose, with the same density-probe verdict
-/// ([`crate::tensor::Tensor::probe_dense_t`] samples exactly the elements
-/// a materialised transpose probe would). The elided transpose node keeps
-/// its eager backward (`gᵀ`), so the gradient deposit into the underlying
-/// matrix stays at its eager sweep position.
-///
-/// Legality (per operand): the parent is a `Transpose`, compute-bound,
-/// still [`Role::Eager`], not pinned, and read by this matmul alone.
-pub(crate) fn elide_transposes(plan: &mut Plan) -> (usize, usize) {
-    let readers = value_readers(plan);
-    let pinned = pinned(plan);
-    let elidable = |plan: &Plan, t: usize, consumer: usize| -> bool {
-        let node = &plan.nodes[t];
-        matches!(node.op, Op::Transpose)
-            && matches!(node.binding, NodeBinding::Compute)
-            && node.role == Role::Eager
-            && !pinned[t]
-            && readers[t].len() == 1
-            && readers[t][0] == consumer
-    };
-    let (mut elided, mut gemms) = (0, 0);
-    for id in 0..plan.nodes.len() {
-        let node = &plan.nodes[id];
-        if !matches!(node.op, Op::Matmul)
-            || !matches!(node.binding, NodeBinding::Compute)
-            || node.role != Role::Eager
-        {
-            continue;
-        }
-        let (a, b) = (node.parents[0], node.parents[1]);
-        let (ta, ua) = if elidable(plan, a, id) {
-            (true, plan.nodes[a].parents[0])
-        } else {
-            (false, a)
-        };
-        let (tb, ub) = if elidable(plan, b, id) {
-            (true, plan.nodes[b].parents[0])
-        } else {
-            (false, b)
-        };
-        plan.nodes[id].role = Role::Gemm { ta, tb, ua, ub };
-        gemms += 1;
-        if ta {
-            plan.nodes[a].role = Role::ElidedTranspose;
-            elided += 1;
-        }
-        if tb {
-            plan.nodes[b].role = Role::ElidedTranspose;
-            elided += 1;
-        }
-    }
-    (elided, gemms)
+    readers
 }
 
 /// Parent slots an op may overwrite in place, given whether the plan
@@ -192,58 +76,48 @@ fn in_place_slots(op: &Op, training: bool) -> &'static [usize] {
     }
 }
 
-/// Whether a node's *own* backward can still run after its value slot was
+/// Whether an op's *own* backward can still run after its value slot was
 /// handed to a consumer (the slot then holds the shared placeholder).
 /// True when the backward formula never reads the node's output value or
-/// shape. GEMM nodes never read their output in backward, so they always
-/// qualify; fused-out nodes do NOT — their backward reads the stored out
-/// value as the final stage's output instead of recomputing the whole
-/// chain (recomputing a transcendental stage costs far more than keeping
-/// one buffer live).
-fn backward_survives_steal(plan: &Plan, q: usize) -> bool {
-    match plan.nodes[q].role {
-        Role::Gemm { .. } => true,
-        Role::Eager => matches!(
-            plan.nodes[q].op,
-            Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::Div
-                | Op::AddScalar(_)
-                | Op::MulScalar(_)
-                | Op::Neg
-                | Op::Matmul
-                | Op::Transpose
-                | Op::SliceRows { .. }
-                | Op::Relu
-                | Op::Square
-                | Op::Abs
-                | Op::AddRowBroadcast
-                | Op::AddColBroadcast
-                | Op::MulColBroadcast
-                | Op::SumAll
-                | Op::MeanAll
-                | Op::SumCols
-                | Op::SumRows
-        ),
-        _ => false,
-    }
+/// shape.
+fn backward_survives_steal(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Add
+            | Op::Sub
+            | Op::Mul
+            | Op::Div
+            | Op::AddScalar(_)
+            | Op::MulScalar(_)
+            | Op::Neg
+            | Op::Matmul
+            | Op::Transpose
+            | Op::SliceRows { .. }
+            | Op::Relu
+            | Op::Square
+            | Op::Abs
+            | Op::AddRowBroadcast
+            | Op::AddColBroadcast
+            | Op::MulColBroadcast
+            | Op::SumAll
+            | Op::MeanAll
+            | Op::SumCols
+            | Op::SumRows
+    )
 }
 
 /// In-place rewrites: a node whose parent's value dies at this op (single
 /// reader, unpinned, recomputed every forward) steals that parent's buffer
 /// and overwrites it instead of cycling a fresh one through the pool —
-/// one less stream of memory traffic per op.
+/// one less live buffer per op.
 ///
 /// Bit-identity: the in-place kernels apply the identical scalar formula
 /// per element (`out[i] = a[i] ⊕ b[i]` becomes `a[i] = a[i] ⊕ b[i]`); no
 /// accumulation order changes.
 ///
-/// Legality: the stolen parent `q` is compute-bound, recomputed each
-/// forward ([`Role::Eager`] / [`Role::FusedOut`] / [`Role::Gemm`] — never
-/// [`Role::Folded`], whose frozen value would be clobbered permanently),
-/// unpinned, read by this node alone (exactly once), same shape as the
-/// output, its own backward survives the steal
+/// Legality: the stolen parent `q` is compute-bound (recomputed each
+/// forward), unpinned, read by this node alone (exactly once), same shape
+/// as the output, its own backward survives the steal
 /// ([`backward_survives_steal`]), its buffer is not shared (`Reshape`
 /// aliases its parent's storage, so reshapes are excluded as `q`), and
 /// this op's backward never reads the stolen value ([`in_place_slots`]).
@@ -254,18 +128,13 @@ pub(crate) fn mark_in_place(plan: &mut Plan) -> usize {
     let mut marked = 0;
     for id in 0..plan.nodes.len() {
         let node = &plan.nodes[id];
-        if !matches!(node.binding, NodeBinding::Compute) || node.role != Role::Eager {
+        if !matches!(node.binding, NodeBinding::Compute) {
             continue;
         }
         for &slot in in_place_slots(&node.op, training) {
             let q = node.parents[slot];
             let qn = &plan.nodes[q];
-            let q_recomputed = matches!(qn.binding, NodeBinding::Compute)
-                && matches!(
-                    qn.role,
-                    Role::Eager | Role::FusedOut { .. } | Role::Gemm { .. }
-                );
-            if q_recomputed
+            if matches!(qn.binding, NodeBinding::Compute)
                 && !matches!(
                     qn.op,
                     Op::Reshape(_) | Op::SliceRows { .. } | Op::Dropout { .. }
@@ -273,47 +142,12 @@ pub(crate) fn mark_in_place(plan: &mut Plan) -> usize {
                 && !pinned[q]
                 && readers[q].len() == 1
                 && qn.shape == node.shape
-                && (!training || backward_survives_steal(plan, q))
+                && (!training || backward_survives_steal(&qn.op))
             {
                 plan.in_place[id] = Some(slot);
                 marked += 1;
                 break;
             }
-        }
-    }
-    marked
-}
-
-/// Probe caching: a matmul/GEMM whose lhs operand is *stable* — a constant
-/// leaf, a folded subtree, or a derived leaf (whose density pattern is
-/// structural: the flow-conservation mask) — probes its density once per
-/// executor and replays the verdict.
-///
-/// The parity tests assert the cached and fresh verdicts agree on real
-/// replay data; a disagreement would mean the operand's density crossed
-/// the probe threshold between replays, which the stability condition is
-/// chosen to preclude.
-pub(crate) fn mark_probe_cache(plan: &mut Plan) -> usize {
-    let stable = |plan: &Plan, v: usize| -> bool {
-        matches!(
-            plan.nodes[v].binding,
-            NodeBinding::Constant | NodeBinding::Derived(_)
-        ) || plan.nodes[v].role == Role::Folded
-    };
-    let mut marked = 0;
-    for id in 0..plan.nodes.len() {
-        let node = &plan.nodes[id];
-        if !matches!(node.binding, NodeBinding::Compute) {
-            continue;
-        }
-        let lhs = match node.role {
-            Role::Gemm { ua, .. } => ua,
-            Role::Eager if matches!(node.op, Op::Matmul) => node.parents[0],
-            _ => continue,
-        };
-        if stable(plan, lhs) {
-            plan.probe_cached[id] = true;
-            marked += 1;
         }
     }
     marked

@@ -384,16 +384,6 @@ impl Tensor {
     /// depends only on the lhs values, never on the thread count, so the
     /// bitwise-determinism contract is unaffected.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.matmul_probed(rhs, None)
-    }
-
-    /// [`Tensor::matmul`] with an optional pre-computed density verdict for
-    /// the lhs, so compiled-plan replay can probe a stable operand once and
-    /// reuse the verdict. `None` probes as usual; `Some(dense)` must equal
-    /// what [`Tensor::probe_dense`] would return **right now** — the two
-    /// inner loops produce different bits on `±0.0`/non-finite operands, so
-    /// a stale verdict would break the bit-identity contract.
-    pub fn matmul_probed(&self, rhs: &Tensor, probe: Option<bool>) -> Result<Tensor> {
         let (m, k) = self.shape.as_matrix("matmul")?;
         let (k2, n) = rhs.shape.as_matrix("matmul")?;
         if k != k2 {
@@ -411,7 +401,7 @@ impl Tensor {
         }
         let a = self.data();
         let b = rhs.data();
-        let dense = probe.unwrap_or_else(|| lhs_is_dense(a));
+        let dense = lhs_is_dense(a);
         let mut out = Buffer::zeroed(m * n);
         let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
         par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
@@ -441,22 +431,6 @@ impl Tensor {
         Ok(Tensor::from_buffer(Shape::matrix(m, n), out))
     }
 
-    /// The deterministic density verdict [`Tensor::matmul`] would derive
-    /// for this tensor as a lhs operand. Exposed so compiled-plan replay
-    /// can probe a stable operand once, cache the verdict, and hand it back
-    /// through [`Tensor::matmul_probed`].
-    pub fn probe_dense(&self) -> bool {
-        lhs_is_dense(self.data())
-    }
-
-    /// [`Tensor::probe_dense`] for this tensor *read transposed* — exactly
-    /// the verdict probing a materialised `self.transpose()` would give,
-    /// without materialising it.
-    pub fn probe_dense_t(&self) -> Result<bool> {
-        let (r, c) = self.shape.as_matrix("probe_dense_t")?;
-        Ok(lhs_is_dense_t(self.data(), r, c))
-    }
-
     /// Matrix product with layout flags: computes `op(self) · op(rhs)`
     /// where `op` transposes its operand when the flag is set, **without
     /// materialising the transpose**. `matmul_layout(b, true, false)` is
@@ -467,19 +441,16 @@ impl Tensor {
     /// sparse-path zero-skips match. The inner loops are 8-wide
     /// hand-unrolled lanes under [`GEMM_KC`] blocking, parallelised over
     /// output rows through [`par`] like every other kernel.
+    ///
+    /// The layouts are `nn` (the plan's matmul forward), `nt` and `tn`
+    /// (its backward, `g·bᵀ` and `aᵀ·g`). Transposing both operands
+    /// returns [`Error::InvalidArgument`]: no caller needs it.
     pub fn matmul_layout(&self, rhs: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
-        self.matmul_layout_probed(rhs, ta, tb, None)
-    }
-
-    /// [`Tensor::matmul_layout`] with an optional pre-computed density
-    /// verdict (see [`Tensor::matmul_probed`] for the staleness contract).
-    pub fn matmul_layout_probed(
-        &self,
-        rhs: &Tensor,
-        ta: bool,
-        tb: bool,
-        probe: Option<bool>,
-    ) -> Result<Tensor> {
+        if ta && tb {
+            return Err(Error::InvalidArgument(
+                "matmul_layout: the tt layout (both operands transposed) is not supported".into(),
+            ));
+        }
         let (ar, ac) = self.shape.as_matrix("matmul")?;
         let (br, bc) = rhs.shape.as_matrix("matmul")?;
         let (m, k) = if ta { (ac, ar) } else { (ar, ac) };
@@ -496,13 +467,11 @@ impl Tensor {
         }
         let a = self.data();
         let b = rhs.data();
-        let dense = probe.unwrap_or_else(|| {
-            if ta {
-                lhs_is_dense_t(a, ar, ac)
-            } else {
-                lhs_is_dense(a)
-            }
-        });
+        let dense = if ta {
+            lhs_is_dense_t(a, ar, ac)
+        } else {
+            lhs_is_dense(a)
+        };
         let mut out = Buffer::zeroed(m * n);
         let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
         par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
@@ -510,19 +479,19 @@ impl Tensor {
                 gemm_window_nt(window, first_row, a, b, k, n, dense);
                 return;
             }
-            if dense && !(ta && tb) {
+            if dense {
                 // Dense lhs and a streaming rhs: the register-blocked path.
-                // (The sparse path must take the per-row zero-skips, and the
-                // tt layout is cold — both keep the streaming kernels.)
+                // (The sparse path must take the per-row zero-skips, so it
+                // keeps the streaming kernels.)
                 gemm_window_blocked(window, first_row, a, b, k, n, ta, ac);
                 return;
             }
             for (r, o_row) in window.chunks_mut(n).enumerate() {
                 let i = first_row + r;
-                match (ta, tb) {
-                    (false, false) => gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, k, n, dense),
-                    (true, false) => gemm_row_tn(o_row, a, i, ac, b, k, n, dense),
-                    _ => gemm_row_tt(o_row, a, i, ac, b, bc, k, n, dense),
+                if ta {
+                    gemm_row_tn(o_row, a, i, ac, b, k, n, dense);
+                } else {
+                    gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, k, n, dense);
                 }
             }
         });
@@ -1239,33 +1208,6 @@ fn gemm_row_tn(
     }
 }
 
-/// One output row of `aᵀ·bᵀ` — both operands strided. Rare (no hot path
-/// produces it), kept for completeness with the same ordering contract.
-#[allow(clippy::too_many_arguments)]
-fn gemm_row_tt(
-    o_row: &mut [f32],
-    a: &[f32],
-    i: usize,
-    a_cols: usize,
-    b: &[f32],
-    b_cols: usize,
-    k: usize,
-    _n: usize,
-    dense: bool,
-) {
-    for (j, o) in o_row.iter_mut().enumerate() {
-        let mut acc = *o;
-        for p in 0..k {
-            let av = a[p * a_cols + i];
-            if !dense && av == 0.0 {
-                continue;
-            }
-            acc += av * b[j * b_cols + p];
-        }
-        *o = acc;
-    }
-}
-
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor(shape={}, ", self.shape)?;
@@ -1571,8 +1513,9 @@ mod tests {
     }
 
     /// The layout-flag GEMM must be bit-identical to materialising the
-    /// transpose and calling plain `matmul`, for every (ta, tb) combination,
-    /// for dense *and* sparse lhs (both probe branches), at 1 and 4 threads.
+    /// transpose and calling plain `matmul`, for the `nn`, `nt` and `tn`
+    /// layouts, for dense *and* sparse lhs (both probe branches), at 1 and 4
+    /// threads; the unsupported `tt` layout is a typed error.
     #[test]
     fn gemm_layout_flags_match_materialized_transpose_bitwise() {
         let _serial = par::override_lock();
@@ -1607,9 +1550,13 @@ mod tests {
                     a_nat.matmul_layout(&b_nat, false, false).unwrap(),
                     a_nat.matmul_layout(&b_t, false, true).unwrap(),
                     a_t.matmul_layout(&b_nat, true, false).unwrap(),
-                    a_t.matmul_layout(&b_t, true, true).unwrap(),
                 ];
+                let tt = a_t.matmul_layout(&b_t, true, true);
                 par::set_thread_override(None);
+                assert!(
+                    matches!(tt, Err(Error::InvalidArgument(_))),
+                    "the tt layout must be refused, got {tt:?}"
+                );
                 for (i, got) in cases.iter().enumerate() {
                     let same = want
                         .data()
@@ -1626,7 +1573,7 @@ mod tests {
         }
     }
 
-    /// `probe_dense_t` (virtual-transpose density probe) must agree with
+    /// `lhs_is_dense_t` (virtual-transpose density probe) must agree with
     /// materialising the transpose and probing it, because the kernel branch
     /// it picks must match what eager replay would have picked.
     #[test]
@@ -1648,30 +1595,11 @@ mod tests {
         for zero_every in [2u32, 3, 100] {
             let a = fill(zero_every, zero_every);
             assert_eq!(
-                a.probe_dense_t().unwrap(),
-                a.transpose().unwrap().probe_dense(),
+                lhs_is_dense_t(a.data(), 40, 33),
+                lhs_is_dense(a.transpose().unwrap().data()),
                 "virtual and materialized transpose probes disagree \
                  (zero_every={zero_every})"
             );
         }
-    }
-
-    /// A cached probe verdict injected into `matmul_probed` must reproduce
-    /// the fresh-probe result bitwise — both when the hint agrees with the
-    /// probe and (same kernel contract) when forced to the other branch on
-    /// an all-dense matrix, where both branches do identical work.
-    #[test]
-    fn cached_probe_verdict_matches_fresh() {
-        let a = t(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 0.0]]);
-        let b = t(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let fresh = a.matmul(&b).unwrap();
-        let verdict = a.probe_dense();
-        let cached = a.matmul_probed(&b, Some(verdict)).unwrap();
-        assert_eq!(fresh.data(), cached.data());
-        // Sparse-skip only elides exact-zero terms, so even the "wrong"
-        // branch is numerically identical here; the contract is that a
-        // cached verdict selects the same code path a fresh probe would.
-        let other = a.matmul_probed(&b, Some(!verdict)).unwrap();
-        assert_eq!(fresh.data(), other.data());
     }
 }

@@ -20,6 +20,8 @@
 //! | SWAP-FAULT-KEEPS-OLD-WEIGHTS       | failed hot-swap serves old model  |
 //! | DELAY-FAULTS-ARE-SEMANTICALLY-INERT| delay-only plan changes no bits   |
 //! | CORRUPT-CHECKPOINT-IS-REJECTED     | damage → typed error, no panic    |
+//! | HOSTILE-CHECKPOINT-IS-TYPED        | CRC-valid hostile counts, dims,   |
+//! |                                    | moments, mutations → Ok or typed  |
 //! | PROMOTE-CRASH-RESUMES              | kill mid-promotion; registry holds|
 //! |                                    | exactly one model, loop resumes   |
 //! | POISONED-CANDIDATE-ROLLS-BACK      | RMSE watchdog restores incumbent  |
@@ -30,11 +32,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use stgnn_djd::data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_djd::data::error::Error;
 use stgnn_djd::data::synthetic::{CityConfig, SyntheticCity};
 use stgnn_djd::faults::{scoped, FaultPlan, FaultSpec, Trigger};
-use stgnn_djd::model::{StgnnConfig, StgnnDjd, Trainer};
+use stgnn_djd::model::{CheckpointError, StgnnConfig, StgnnDjd, TrainCheckpoint, Trainer};
 use stgnn_djd::online::{CycleOutcome, OnlineConfig, OnlineLoop, Phase};
 use stgnn_djd::serve::client;
 use stgnn_djd::serve::registry::ModelRegistry;
@@ -384,6 +389,233 @@ fn damaged_checkpoints_are_rejected_without_touching_the_model() {
     std::fs::write(&path, pristine).unwrap();
     let mut fresh = StgnnDjd::new(config, data.n_stations()).unwrap();
     assert!(trainer.resume_from(&path, &mut fresh, &data).is_ok());
+}
+
+/// Frames `payload` as an `stgnn-ckpt v1` file whose CRC and length are
+/// correct, so the loader gets past the checksum to the payload parser.
+fn framed(payload: &str) -> Vec<u8> {
+    let crc = stgnn_djd::faults::fsio::crc32(payload.as_bytes());
+    format!(
+        "stgnn-ckpt v1\ncrc32 {crc:08x} len {}\n{payload}",
+        payload.len()
+    )
+    .into_bytes()
+}
+
+/// `payload` with line `i` replaced by `f(line)` (or removed on `None`).
+fn edit_line(payload: &str, i: usize, f: impl Fn(&str) -> Option<String>) -> String {
+    payload
+        .lines()
+        .enumerate()
+        .filter_map(|(k, l)| if k == i { f(l) } else { Some(l.to_string()) })
+        .map(|l| l + "\n")
+        .collect()
+}
+
+/// One seeded mutation of a checkpoint payload: a byte overwritten, a
+/// token replaced by a hostile number, a line dropped or doubled, or a cut.
+fn mutate(payload: &str, rng: &mut StdRng) -> String {
+    const BYTES: &[u8] = b"0123456789abcdef -\nxz";
+    const TOKENS: &[&str] = &[
+        "0",
+        "1",
+        "-1",
+        "4294967296",
+        "18446744073709551615",
+        "ffffffff",
+        "",
+    ];
+    let n_lines = payload.lines().count().max(1);
+    match rng.gen_range(0..5) {
+        0 => {
+            let mut b = payload.as_bytes().to_vec();
+            let at = rng.gen_range(0..b.len());
+            b[at] = BYTES[rng.gen_range(0..BYTES.len())];
+            String::from_utf8(b).unwrap()
+        }
+        1 => {
+            let line = rng.gen_range(0..n_lines);
+            let token = TOKENS[rng.gen_range(0..TOKENS.len())];
+            let pick: usize = rng.gen_range(0..8);
+            edit_line(payload, line, |l| {
+                let mut words: Vec<&str> = l.split(' ').collect();
+                let at = pick % words.len();
+                words[at] = token;
+                Some(words.join(" "))
+            })
+        }
+        2 => edit_line(payload, rng.gen_range(0..n_lines), |_| None),
+        3 => edit_line(payload, rng.gen_range(0..n_lines), |l| {
+            Some(format!("{l}\n{l}"))
+        }),
+        _ => payload[..rng.gen_range(0..payload.len())].to_string(),
+    }
+}
+
+/// Named invariant: HOSTILE-CHECKPOINT-IS-TYPED. A checkpoint whose CRC and
+/// length are correct but whose payload is hostile — counts that would
+/// size a huge allocation, tensor dims whose product overflows, moments or
+/// a best snapshot that do not fit the model, seeded mutations of a real
+/// payload — loads to `Ok` or a typed [`CheckpointError`], never an abort
+/// or a panic; and what loads but does not fit is refused by
+/// `resume_from` as incompatible before the model is touched.
+#[test]
+fn hostile_checkpoints_get_a_typed_error_never_a_panic() {
+    let _quiet = scoped(FaultPlan::new());
+    let data = dataset(147);
+    let config = tiny_config();
+    let path = scratch_dir("hostile").join("train.ckpt");
+    let trainer = Trainer::new(config.clone()).with_checkpointing(&path, 1);
+    let mut model = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
+    trainer.train(&mut model, &data).unwrap();
+    let file = String::from_utf8(std::fs::read(&path).unwrap()).unwrap();
+    let real = file.splitn(3, '\n').nth(2).unwrap().to_string();
+    let line_of = |prefix: &str| {
+        real.lines()
+            .position(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("the real payload has no {prefix:?} line"))
+    };
+    let load = |label: &str, payload: &str| -> Result<TrainCheckpoint, CheckpointError> {
+        std::fs::write(&path, framed(payload)).unwrap();
+        catch_unwind(AssertUnwindSafe(|| TrainCheckpoint::load(&path)))
+            .unwrap_or_else(|_| panic!("{label}: the checkpoint loader panicked"))
+    };
+    assert!(load("real", &real).is_ok(), "the real payload must load");
+
+    // Counts that would size an allocation from the file, and tensor dims
+    // whose product overflows: malformed, with nothing allocated up front.
+    let mut hostile: Vec<(String, String)> = [
+        ("adam_params", "1000000000000"),
+        ("adam_params", "18446744073709551615"),
+        ("params", "18446744073709551615"),
+        ("best_snapshot", "18446744073709551615"),
+    ]
+    .iter()
+    .map(|(key, n)| {
+        let payload = edit_line(&real, line_of(&format!("{key} ")), |_| {
+            Some(format!("{key} {n}"))
+        });
+        (format!("{key} {n}"), payload)
+    })
+    .collect();
+    hostile.push((
+        "m 4294967296 4294967296".into(),
+        edit_line(&real, line_of("m "), |_| {
+            Some("m 4294967296 4294967296".into())
+        }),
+    ));
+    for (label, payload) in &hostile {
+        match load(label, payload) {
+            Err(CheckpointError::Malformed(_)) => {}
+            other => panic!(
+                "{label}: expected a malformed-checkpoint error, got {:?}",
+                other.map(|_| "a checkpoint")
+            ),
+        }
+    }
+
+    // Payloads that parse but do not fit the model: resume refuses them as
+    // incompatible and leaves every parameter untouched.
+    let moment = real
+        .lines()
+        .position(|l| {
+            let d: Vec<&str> = l.split(' ').collect();
+            d.len() == 3 && d[0] == "m" && d[1] != d[2]
+        })
+        .expect("a non-square adam moment");
+    let adam_params: usize = real
+        .lines()
+        .nth(line_of("adam_params "))
+        .and_then(|l| l.split(' ').nth(1))
+        .and_then(|n| n.parse().ok())
+        .unwrap();
+    let snapshot = line_of("best_snapshot ");
+    let snapshots: usize = real
+        .lines()
+        .nth(snapshot)
+        .and_then(|l| l.split(' ').nth(1))
+        .and_then(|n| n.parse().ok())
+        .expect("two epochs leave a best snapshot");
+    let without = |lines: std::ops::Range<usize>, count_line: usize, key: &str, n: usize| {
+        real.lines()
+            .enumerate()
+            .filter(|(k, _)| !lines.contains(k))
+            .map(|(k, l)| {
+                if k == count_line {
+                    format!("{key} {}\n", n - 1)
+                } else {
+                    format!("{l}\n")
+                }
+            })
+            .collect::<String>()
+    };
+    let params_line = line_of("params ");
+    let slots_line = line_of("epoch_slots ");
+    let misfits = [
+        (
+            "permuted moment dims",
+            edit_line(&real, moment, |l| {
+                let d: Vec<&str> = l.split(' ').collect();
+                Some(format!("m {} {}", d[2], d[1]))
+            }),
+        ),
+        (
+            "one adam moment pair short",
+            without(
+                params_line - 4..params_line,
+                line_of("adam_params "),
+                "adam_params",
+                adam_params,
+            ),
+        ),
+        (
+            "one best-snapshot tensor short",
+            without(
+                snapshot + 2 * snapshots - 1..snapshot + 2 * snapshots + 1,
+                snapshot,
+                "best_snapshot",
+                snapshots,
+            ),
+        ),
+        (
+            "epoch slot outside the training split",
+            edit_line(&real, slots_line, |l| {
+                let mut w: Vec<String> = l.split(' ').map(str::to_string).collect();
+                w[2] = "999999".into();
+                Some(w.join(" "))
+            }),
+        ),
+    ];
+    for (label, payload) in &misfits {
+        assert!(load(label, payload).is_ok(), "{label}: must parse");
+        let mut victim = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
+        let before = param_bits(&victim);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            trainer.resume_from(&path, &mut victim, &data)
+        }));
+        let result = outcome.unwrap_or_else(|_| panic!("{label}: resume panicked"));
+        let err = result.expect_err(label);
+        assert!(
+            err.to_string().contains("incompatible checkpoint"),
+            "{label}: expected an incompatible-checkpoint error, got {err}"
+        );
+        assert_eq!(before, param_bits(&victim), "{label}: partially loaded");
+    }
+
+    // Seeded mutations of the real payload, CRC recomputed: each loads or
+    // fails typed.
+    let mut rng = StdRng::seed_from_u64(0x5eed_c4e7);
+    let (mut loaded, mut refused) = (0, 0);
+    for case in 0..256 {
+        match load(&format!("mutation {case}"), &mutate(&real, &mut rng)) {
+            Ok(_) => loaded += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(
+        refused > 0 && loaded > 0,
+        "mutations should both load and fail: {loaded} loaded, {refused} refused"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -3,20 +3,20 @@
 //! The eager tape and the plan share each op's forward and backward, so
 //! comparing the two cannot catch a wrong backward formula. These checks
 //! can: for every [`Op`] variant a small scalar tape is compiled with
-//! [`Plan::compile_with`], its parameter cells are perturbed and the plan
+//! [`Plan::compile`], its parameter cells are perturbed and the plan
 //! replayed, and central differences of the replayed loss must match the
-//! gradients [`Plan::backward`] deposits. Every case runs with the
-//! optimizer off (the shared op table alone) and on (the plan-only GEMM,
-//! fused-chain and in-place backward paths wherever the passes fire), and
-//! extra cases pin a fused chain of every lead kind, one matmul of an
-//! elided transpose, and an in-place rewrite at every (op, slot) pair a
-//! training plan allows.
+//! gradients [`Plan::backward`] deposits. The plan runs the op table's
+//! backward for every op but `Matmul`, whose backward goes through the
+//! plan's layout-flag GEMM (the op-table `Matmul` backward keeps its own
+//! finite-difference check in `stgnn-tensor`'s autograd tests), plus the
+//! in-place rewrites wherever liveness allows them. Extra cases pin an
+//! in-place rewrite at every (op, slot) pair a training plan allows.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::rc::Rc;
 use stgnn_djd::tensor::autograd::{Graph, Op, Param, ParamSet, Var};
-use stgnn_djd::tensor::plan::{PassReport, Plan, PlanExec, PlanOptions, PlanSpec};
+use stgnn_djd::tensor::plan::{PassReport, Plan, PlanExec, PlanSpec};
 use stgnn_djd::tensor::{Shape, Tensor};
 
 /// Central-difference step: large, because the loss is f32.
@@ -164,11 +164,11 @@ fn replay(plan: &Plan, exec: &mut PlanExec) -> f32 {
 }
 
 /// Traces `case`, weights its output with a fixed non-uniform leaf (so no
-/// gradient is trivially uniform), compiles the scalar loss with
-/// `options`, and compares the plan gradient of every parameter element
-/// with a central difference of replayed losses. Returns the plan's pass
-/// report and op names so callers can check what the tape exercised.
-fn check(case: &Case, options: PlanOptions, what: &str) -> (PassReport, Vec<&'static str>) {
+/// gradient is trivially uniform), compiles the scalar loss, and compares
+/// the plan gradient of every parameter element with a central difference
+/// of replayed losses. Returns the plan's pass report and the traced op
+/// names so callers can check what the tape exercised.
+fn check(case: &Case, what: &str) -> (PassReport, Vec<&'static str>) {
     let mut set = ParamSet::new();
     let params: Vec<Rc<Param>> = case
         .params
@@ -185,7 +185,9 @@ fn check(case: &Case, options: PlanOptions, what: &str) -> (PassReport, Vec<&'st
         loss: Some(loss.id()),
         ..PlanSpec::default()
     };
-    let plan = Plan::compile_with(&g.snapshot(), &set, spec, options).unwrap();
+    let snapshot = g.snapshot();
+    let names = snapshot.nodes.iter().map(|n| n.op.name()).collect();
+    let plan = Plan::compile(&snapshot, &set, spec).unwrap();
     let mut exec = plan.executor();
     replay(&plan, &mut exec);
     set.zero_grads();
@@ -205,48 +207,23 @@ fn check(case: &Case, options: PlanOptions, what: &str) -> (PassReport, Vec<&'st
             let a = auto.data()[i];
             assert!(
                 (a - num).abs() <= TOL * (1.0 + num.abs()),
-                "{what} ({options:?}): param {pi} element {i}: plan gradient {a} vs \
-                 central difference {num}"
+                "{what}: param {pi} element {i}: plan gradient {a} vs central \
+                 difference {num}"
             );
         }
     }
-    let names = plan.summary().nodes.iter().map(|n| n.op).collect();
     (plan.pass_report(), names)
 }
 
 #[test]
 fn every_op_gradient_matches_finite_differences_through_the_plan() {
     for op in every_op() {
-        let case = case_for(&op);
-        for options in [PlanOptions::none(), PlanOptions::all()] {
-            let (_, names) = check(&case, options, op.name());
-            assert!(
-                names.contains(&op.name()),
-                "the {op} case never records a {op} node: {names:?}"
-            );
-        }
+        let (_, names) = check(&case_for(&op), op.name());
+        assert!(
+            names.contains(&op.name()),
+            "the {op} case never records a {op} node: {names:?}"
+        );
     }
-}
-
-#[test]
-fn fused_chain_backward_matches_finite_differences() {
-    // add → ×0.5 → tanh → exp: a zip lead and three map stages, one sweep.
-    let chain = case(vec![mat(3, 4, 1), mat(3, 4, 2)], |_, x| {
-        x[0].add(&x[1]).mul_scalar(0.5).tanh().exp()
-    });
-    let (report, _) = check(&chain, PlanOptions::all(), "fused chain");
-    assert_eq!(report.fused_chains, 1, "{report}");
-}
-
-#[test]
-fn elided_transpose_matmul_backward_matches_finite_differences() {
-    // aᵀ·b: the transpose folds into the GEMM's layout flag, and the
-    // gradient of `a` comes back through the layout-flag backward.
-    let gemm = case(vec![mat(4, 3, 1), mat(4, 2, 2)], |_, x| {
-        x[0].transpose().matmul(&x[1])
-    });
-    let (report, _) = check(&gemm, PlanOptions::all(), "elided transpose");
-    assert_eq!(report.elided_transposes, 1, "{report}");
 }
 
 #[test]
@@ -255,42 +232,8 @@ fn in_place_rewrite_backward_matches_finite_differences() {
     let in_place = case(vec![mat(3, 4, 1), mat(3, 4, 2), mat(3, 4, 3)], |_, x| {
         x[0].mul(&x[1]).add(&x[2])
     });
-    let (report, _) = check(&in_place, PlanOptions::all(), "in-place rewrite");
+    let (report, _) = check(&in_place, "in-place rewrite");
     assert!(report.in_place_nodes >= 1, "{report}");
-}
-
-#[test]
-fn fused_chain_of_every_lead_kind_backward_matches_finite_differences() {
-    // The zip lead is covered above; these lead with a unary map and with
-    // each broadcast, two map stages apiece.
-    let chains = [
-        (
-            "unary map lead",
-            case(vec![mat(3, 4, 1)], |_, x| x[0].tanh().mul_scalar(0.5).exp()),
-        ),
-        (
-            "+row lead",
-            case(vec![mat(3, 4, 1), mat(1, 4, 2)], |_, x| {
-                x[0].add_row_broadcast(&x[1]).sigmoid().square()
-            }),
-        ),
-        (
-            "+col lead",
-            case(vec![mat(3, 4, 1), mat(3, 1, 2)], |_, x| {
-                x[0].add_col_broadcast(&x[1]).elu().mul_scalar(1.5)
-            }),
-        ),
-        (
-            "×col lead",
-            case(vec![mat(3, 4, 1), mat(3, 1, 2)], |_, x| {
-                x[0].mul_col_broadcast(&x[1]).tanh().neg()
-            }),
-        ),
-    ];
-    for (what, chain) in &chains {
-        let (report, _) = check(chain, PlanOptions::all(), what);
-        assert_eq!(report.fused_chains, 1, "{what}: {report}");
-    }
 }
 
 #[test]
@@ -342,7 +285,7 @@ fn in_place_rewrite_at_every_training_slot_matches_finite_differences() {
         ),
     ];
     for (what, rewrite) in &rewrites {
-        let (report, _) = check(rewrite, PlanOptions::all(), what);
+        let (report, _) = check(rewrite, what);
         assert_eq!(report.in_place_nodes, 1, "{what}: {report}");
     }
 }

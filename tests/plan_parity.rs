@@ -7,13 +7,12 @@
 //! dropout RNG streams, so two fresh models with the same config are
 //! exact twins; one runs eager, the other through the plan.
 
-use stgnn_core::config::{FcgAggregator, StgnnConfig};
+use stgnn_core::config::{FcgAggregator, PcgAggregator, StgnnConfig};
 use stgnn_core::model::{ModelInputs, StgnnDjd};
 use stgnn_core::Trainer;
 use stgnn_data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_data::synthetic::{CityConfig, SyntheticCity};
 use stgnn_tensor::autograd::Graph;
-use stgnn_tensor::plan::PlanOptions;
 use stgnn_tensor::Tensor;
 
 fn dataset(seed: u64) -> BikeDataset {
@@ -176,7 +175,7 @@ fn fcg_max_and_no_fc_replay_their_per_slot_structure_bitwise() {
                     }
                 }
             }
-            let (radicand_p, grads_p) = plan_run(&data, &config, PlanOptions::all());
+            let (radicand_p, grads_p) = plan_run(&data, &config);
             assert_eq!(
                 radicand_e.to_bits(),
                 radicand_p.to_bits(),
@@ -225,7 +224,7 @@ fn fcg_mean_configuration_replays_through_derived_adjacency() {
     }
 }
 
-/// The eager reference for the optimizer-pass parity tests: one training
+/// The eager reference for the training-batch parity tests: one training
 /// batch (3 slots, dropout on, 2 GNN layers per branch) run with the
 /// trainer's exact recipe. Returns the batch radicand and every parameter
 /// gradient.
@@ -259,16 +258,16 @@ fn eager_reference(data: &BikeDataset, config: &StgnnConfig) -> (f64, Vec<Tensor
     (radicand, grads)
 }
 
-/// Runs the same batch on a twin model through a plan compiled with `opts`
+/// Runs the same batch on a twin model through a compiled training plan
 /// and returns the radicand and gradients.
-fn plan_run(data: &BikeDataset, config: &StgnnConfig, opts: PlanOptions) -> (f64, Vec<Tensor>) {
+fn plan_run(data: &BikeDataset, config: &StgnnConfig) -> (f64, Vec<Tensor>) {
     let twin = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
     let train = data.slots(Split::Train);
     let batch: Vec<usize> = train.iter().take(3).copied().collect();
     let plan = twin
-        .compile_training_plan_with(data, batch[0], opts)
+        .compile_training_plan(data, batch[0])
         .unwrap()
-        .expect("standard config must compile");
+        .expect("every configuration compiles");
     twin.params().zero_grads();
     let mut lanes: Vec<_> = batch.iter().map(|_| plan.executor()).collect();
     let mut radicand = 0.0f64;
@@ -292,108 +291,62 @@ fn plan_run(data: &BikeDataset, config: &StgnnConfig, opts: PlanOptions) -> (f64
     (radicand, grads)
 }
 
-/// Every optimizer pass — individually and all together — must leave the
-/// full model's training batch bit-identical to eager: the radicand and
-/// every parameter gradient, at 1 *and* 4 kernel threads. This is the
-/// contract that lets the optimizer default to on.
+/// The twelve configurations `validate_stgnn` compiles: the 3×3 grid of
+/// FCG × PCG aggregators and the three §VII-F ablations, each with two GNN
+/// layers per branch and dropout 0.2 between them.
+fn every_configuration() -> Vec<(String, StgnnConfig)> {
+    let mut base = StgnnConfig::test_tiny(6, 2);
+    base.dropout = 0.2;
+    base.fcg_layers = 2;
+    base.pcg_layers = 2;
+    let mut configs = Vec::new();
+    for fcg in [FcgAggregator::Flow, FcgAggregator::Mean, FcgAggregator::Max] {
+        for pcg in [
+            PcgAggregator::Attention,
+            PcgAggregator::Mean,
+            PcgAggregator::Max,
+        ] {
+            let mut config = base.clone();
+            config.fcg_aggregator = fcg;
+            config.pcg_aggregator = pcg;
+            configs.push((format!("fcg={fcg:?} pcg={pcg:?}"), config));
+        }
+    }
+    configs.push(("without_flow_conv".into(), base.clone().without_flow_conv()));
+    configs.push(("without_fcg".into(), base.clone().without_fcg()));
+    configs.push(("without_pcg".into(), base.without_pcg()));
+    configs
+}
+
+/// The plan's rewrites — blocked GEMM for every matmul, in-place buffer
+/// steals wherever liveness allows — must leave one dropout training batch
+/// bit-identical to eager in every configuration: the radicand and every
+/// parameter gradient, at 1 *and* 4 kernel threads.
 #[test]
 fn every_optimizer_pass_is_bitwise_parity_preserving() {
     let data = dataset(306);
-    let mut config = StgnnConfig::test_tiny(6, 2);
-    config.dropout = 0.2; // dropout between layers exercises the RNG contract
-    config.fcg_layers = 2;
-    config.pcg_layers = 2;
-    let (radicand_e, grads_e) = eager_reference(&data, &config);
-
-    let variants: [(&str, PlanOptions); 7] = [
-        ("none", PlanOptions::none()),
-        (
-            "fold_constants",
-            PlanOptions {
-                fold_constants: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "elide_transposes",
-            PlanOptions {
-                elide_transposes: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "fuse",
-            PlanOptions {
-                fuse: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "in_place",
-            PlanOptions {
-                in_place: true,
-                ..PlanOptions::none()
-            },
-        ),
-        (
-            "cache_probes",
-            PlanOptions {
-                cache_probes: true,
-                ..PlanOptions::none()
-            },
-        ),
-        ("all", PlanOptions::all()),
-    ];
-    for threads in [1usize, 4] {
-        stgnn_tensor::par::set_thread_override(Some(threads));
-        for (name, opts) in &variants {
-            let (radicand_p, grads_p) = plan_run(&data, &config, *opts);
+    let configs = every_configuration();
+    assert_eq!(configs.len(), 12);
+    for (name, config) in &configs {
+        let (radicand_e, grads_e) = eager_reference(&data, config);
+        for threads in [1usize, 4] {
+            stgnn_tensor::par::set_thread_override(Some(threads));
+            let (radicand_p, grads_p) = plan_run(&data, config);
+            stgnn_tensor::par::set_thread_override(None);
             assert_eq!(
                 radicand_e.to_bits(),
                 radicand_p.to_bits(),
-                "radicand drifted under pass `{name}` at {threads} thread(s)"
+                "{name}: radicand drifted at {threads} thread(s)"
             );
             assert_eq!(grads_e.len(), grads_p.len());
             for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
                 assert_bits_eq(
                     ge,
                     gp,
-                    &format!("param {i} grad under pass `{name}` at {threads} thread(s)"),
+                    &format!("{name}: param {i} grad at {threads} thread(s)"),
                 );
             }
         }
-    }
-    stgnn_tensor::par::set_thread_override(None);
-}
-
-/// Probe-cached matmuls (constant / derived / folded lhs) must reach the
-/// same density verdict a fresh probe of the live replay values reaches —
-/// on real model data, across slots. The mean aggregator's derived
-/// adjacency puts cached probes on the inference tape.
-#[test]
-fn cached_probe_verdicts_agree_with_fresh_probes_on_replay_data() {
-    let data = dataset(307);
-    let mut config = StgnnConfig::test_tiny(6, 2);
-    config.fcg_aggregator = FcgAggregator::Mean;
-    let model = StgnnDjd::new(config, data.n_stations()).unwrap();
-    let slots = data.slots(Split::Test);
-    let plan = model
-        .compile_inference_plan(&data, slots[0])
-        .unwrap()
-        .expect("mean aggregator must compile");
-    assert!(
-        plan.pass_report().probe_cached > 0,
-        "derived adjacency must yield cached probes: {}",
-        plan.pass_report()
-    );
-    let mut exec = plan.executor();
-    for &t in slots.iter().take(4) {
-        model
-            .plan_predict_horizon(&plan, &mut exec, &data, t)
-            .unwrap();
-        let (checked, agreeing) = plan.cached_probe_agreement(&exec);
-        assert!(checked > 0, "slot {t}: no cached probes checked");
-        assert_eq!(checked, agreeing, "slot {t}: a cached verdict went stale");
     }
 }
 
