@@ -11,31 +11,28 @@
 //!
 //! ## On-disk format (`stgnn-ckpt v1`)
 //!
-//! ```text
-//! stgnn-ckpt v1\n
-//! crc32 <8-hex> len <payload bytes>\n
-//! <payload>
-//! ```
-//!
-//! The header carries a CRC-32 (IEEE) and exact byte length of the payload,
-//! so truncation and bit-flips are told apart and both are rejected with a
-//! typed [`CheckpointError`] — never a panic, never a partial load. The
-//! payload is line-oriented text; every float is stored as its IEEE-754 bit
-//! pattern in hex (`f32`→8 digits, `f64`→16), because bitwise resume
-//! fidelity is the whole point and decimal round-tripping is an avoidable
-//! risk. Files are written via `stgnn_faults::fsio::atomic_write`, so a
-//! crash mid-write leaves the previous checkpoint intact.
+//! A record of the shared format (`stgnn_faults::fsio`): the magic line,
+//! a `crc32 … len …` header, then a payload of `key value` lines, with the
+//! tensors as `stgnn_tensor::serialize` writes them. Truncation, bit-flips,
+//! version skew and structural damage each map to a typed
+//! [`CheckpointError`] — never a panic, never a partial load. Every float is
+//! stored as its IEEE-754 bit pattern in hex (`f32`→8 digits, `f64`→16),
+//! because bitwise resume fidelity is the whole point. Files are written
+//! via `stgnn_faults::fsio::atomic_write`, so a crash mid-write leaves the
+//! previous checkpoint intact.
 
 use rand::rngs::StdRng;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
-use stgnn_faults::fsio::{atomic_write, crc32};
+use stgnn_faults::fsio::{
+    atomic_write, decimal, f32_bits, f64_bits, fnv1a, frame, push_list, push_rng, rng_words,
+    unframe, Bits, Fields, RecordError, FNV_OFFSET,
+};
 use stgnn_tensor::optim::AdamState;
-use stgnn_tensor::shape::Shape;
+use stgnn_tensor::serialize::{parse_params, parse_tensor, push_params, push_tensor};
 use stgnn_tensor::Tensor;
 
 const MAGIC: &str = "stgnn-ckpt v1";
-const MAGIC_PREFIX: &str = "stgnn-ckpt ";
 
 /// Why a checkpoint could not be loaded. `resume_from` surfaces these as
 /// typed errors so callers (and the corruption tests) can tell apart
@@ -129,6 +126,21 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+impl From<RecordError> for CheckpointError {
+    fn from(e: RecordError) -> Self {
+        match e {
+            RecordError::Truncated { expected, actual } => {
+                CheckpointError::Truncated { expected, actual }
+            }
+            RecordError::ChecksumMismatch { expected, actual } => {
+                CheckpointError::ChecksumMismatch { expected, actual }
+            }
+            RecordError::VersionSkew { found } => CheckpointError::VersionSkew { found },
+            RecordError::Malformed(msg) => CheckpointError::Malformed(msg),
+        }
+    }
+}
+
 impl From<CheckpointError> for stgnn_data::error::Error {
     fn from(e: CheckpointError) -> Self {
         match e {
@@ -201,15 +213,6 @@ pub struct GraphTopology {
     pub pcg: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(state: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(state, |h, b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
 impl GraphTopology {
     /// Computes both hashes from the dataset the run trains on. Exact: all
     /// floats are hashed as IEEE-754 bit patterns, so two datasets collide
@@ -225,15 +228,15 @@ impl GraphTopology {
         let mut fcg = FNV_OFFSET;
         let mut pcg = FNV_OFFSET;
         for d in dims {
-            fcg = fnv1a(fcg, d.to_le_bytes());
-            pcg = fnv1a(pcg, d.to_le_bytes());
+            fcg = fnv1a(fcg, &d.to_le_bytes());
+            pcg = fnv1a(pcg, &d.to_le_bytes());
         }
         for t in 0..flows.num_slots() {
             for v in flows.inflow(t).data().iter().chain(flows.outflow(t).data()) {
-                fcg = fnv1a(fcg, v.to_bits().to_le_bytes());
+                fcg = fnv1a(fcg, &v.to_bits().to_le_bytes());
             }
             for v in flows.demand_at(t).iter().chain(flows.supply_at(t)) {
-                pcg = fnv1a(pcg, v.to_bits().to_le_bytes());
+                pcg = fnv1a(pcg, &v.to_bits().to_le_bytes());
             }
         }
         GraphTopology { fcg, pcg }
@@ -297,16 +300,9 @@ impl TrainCheckpoint {
     /// Serialises and writes the checkpoint atomically: the destination
     /// only ever holds the previous complete checkpoint or this one.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        if let Some(e) = stgnn_faults::check_io("checkpoint::write") {
-            return Err(CheckpointError::Io(e));
-        }
+        stgnn_faults::failpoint!("checkpoint::write", io);
         let payload = self.to_payload();
-        let crc = crc32(&payload);
-        atomic_write(path, |w| {
-            writeln!(w, "{MAGIC}")?;
-            writeln!(w, "crc32 {crc:08x} len {}", payload.len())?;
-            w.write_all(&payload)
-        })?;
+        atomic_write(path, |w| frame(w, MAGIC, payload.as_bytes()))?;
         Ok(())
     }
 
@@ -314,206 +310,91 @@ impl TrainCheckpoint {
     /// file, bit rot, foreign version, structural damage — is a typed
     /// error; a returned checkpoint is completely parsed.
     pub fn load(path: impl AsRef<Path>) -> Result<TrainCheckpoint, CheckpointError> {
-        if let Some(e) = stgnn_faults::check_io("checkpoint::read") {
-            return Err(CheckpointError::Io(e));
-        }
+        stgnn_faults::failpoint!("checkpoint::read", io);
         let bytes = std::fs::read(path)?;
-        let (magic, rest) = split_line(&bytes)
-            .ok_or_else(|| CheckpointError::Malformed("missing magic line".into()))?;
-        if magic != MAGIC {
-            if magic.starts_with(MAGIC_PREFIX) {
-                return Err(CheckpointError::VersionSkew {
-                    found: magic.to_string(),
-                });
-            }
-            return Err(CheckpointError::Malformed(format!(
-                "not a checkpoint file (first line {magic:?})"
-            )));
-        }
-        let (crc_line, payload) = split_line(rest)
-            .ok_or_else(|| CheckpointError::Malformed("missing crc header line".into()))?;
-        let mut f = crc_line.split_whitespace();
-        let (expected_crc, expected_len) = match (f.next(), f.next(), f.next(), f.next(), f.next())
-        {
-            (Some("crc32"), Some(crc), Some("len"), Some(len), None) => {
-                let crc = u32::from_str_radix(crc, 16)
-                    .map_err(|_| CheckpointError::Malformed("bad crc field".into()))?;
-                let len: usize = len
-                    .parse()
-                    .map_err(|_| CheckpointError::Malformed("bad len field".into()))?;
-                (crc, len)
-            }
-            _ => {
-                return Err(CheckpointError::Malformed(format!(
-                    "bad crc header line {crc_line:?}"
-                )))
-            }
-        };
-        if payload.len() < expected_len {
-            return Err(CheckpointError::Truncated {
-                expected: expected_len,
-                actual: payload.len(),
-            });
-        }
-        let payload = &payload[..expected_len];
-        let actual_crc = crc32(payload);
-        if actual_crc != expected_crc {
-            return Err(CheckpointError::ChecksumMismatch {
-                expected: expected_crc,
-                actual: actual_crc,
-            });
-        }
-        Self::from_payload(payload)
+        Ok(Self::from_record(unframe(&bytes, MAGIC)?)?)
     }
 
-    fn to_payload(&self) -> Vec<u8> {
+    fn to_payload(&self) -> String {
         let mut out = String::new();
-        use fmt::Write as _;
-        let mut line = |s: String| {
-            out.push_str(&s);
-            out.push('\n');
-        };
-        line(format!("fingerprint {}", self.fingerprint));
-        line(format!("epoch {}", self.cursor.epoch));
-        line(format!("next_batch {}", self.cursor.next_batch));
-        line(format!(
-            "epoch_loss {:016x}",
-            self.cursor.epoch_loss.to_bits()
-        ));
-        line(join_f32_bits("train_losses", &self.train_losses));
-        line(join_f32_bits("val_losses", &self.val_losses));
-        line(format!("best_val {:08x}", self.best_val_loss.to_bits()));
-        line(format!("epochs_since_best {}", self.epochs_since_best));
-        let mut slots = format!("epoch_slots {}", self.epoch_slots.len());
-        for s in &self.epoch_slots {
-            let _ = write!(slots, " {s}");
-        }
-        line(slots);
-        line(join_rng("shuffle_rng", self.shuffle_rng));
-        line(join_rng("dropout_rng", self.dropout_rng));
-        line(format!("adam_t {}", self.adam.t));
-        line(format!("adam_params {}", self.adam.m.len()));
+        let c = &self.cursor;
+        let _ = writeln!(
+            out,
+            "fingerprint {}\nepoch {}\nnext_batch {}\nepoch_loss {:016x}",
+            self.fingerprint,
+            c.epoch,
+            c.next_batch,
+            c.epoch_loss.to_bits()
+        );
+        push_list(
+            &mut out,
+            "train_losses",
+            self.train_losses.iter().map(|&v| Bits(v)),
+        );
+        push_list(
+            &mut out,
+            "val_losses",
+            self.val_losses.iter().map(|&v| Bits(v)),
+        );
+        let _ = writeln!(
+            out,
+            "best_val {}\nepochs_since_best {}",
+            Bits(self.best_val_loss),
+            self.epochs_since_best
+        );
+        push_list(&mut out, "epoch_slots", self.epoch_slots.iter());
+        push_rng(&mut out, "shuffle_rng", self.shuffle_rng);
+        push_rng(&mut out, "dropout_rng", self.dropout_rng);
+        let _ = writeln!(
+            out,
+            "adam_t {}\nadam_params {}",
+            self.adam.t,
+            self.adam.m.len()
+        );
         for (m, v) in self.adam.m.iter().zip(&self.adam.v) {
-            line(tensor_header("m", m));
-            line(tensor_bits(m));
-            line(tensor_header("v", v));
-            line(tensor_bits(v));
+            push_tensor(&mut out, "m", m);
+            push_tensor(&mut out, "v", v);
         }
-        line(format!("params {}", self.params.len()));
-        for (name, t) in &self.params {
-            line(tensor_header(name, t));
-            line(tensor_bits(t));
-        }
+        push_params(
+            &mut out,
+            self.params
+                .iter()
+                .map(|(name, t)| (name.as_str(), t.clone())),
+        );
         match &self.best_snapshot {
-            None => line("best_snapshot none".into()),
+            None => out.push_str("best_snapshot none\n"),
             Some(snap) => {
-                line(format!("best_snapshot {}", snap.len()));
+                let _ = writeln!(out, "best_snapshot {}", snap.len());
                 for t in snap {
-                    line(tensor_header("snap", t));
-                    line(tensor_bits(t));
+                    push_tensor(&mut out, "snap", t);
                 }
             }
         }
-        out.into_bytes()
+        out
     }
 
-    fn from_payload(payload: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| CheckpointError::Malformed("payload is not UTF-8".into()))?;
-        let mut lines = text.lines();
-
-        let fingerprint = next_line(&mut lines, "fingerprint")?
-            .strip_prefix("fingerprint ")
-            .ok_or_else(|| CheckpointError::Malformed("expected fingerprint line".into()))?
-            .to_string();
-        let cursor = Cursor {
-            epoch: field_usize(next_line(&mut lines, "epoch")?, "epoch")?,
-            next_batch: field_usize(next_line(&mut lines, "next_batch")?, "next_batch")?,
-            epoch_loss: f64::from_bits(field_u64_hex(
-                next_line(&mut lines, "epoch_loss")?,
-                "epoch_loss",
-            )?),
+    fn from_record(mut r: Fields<'_>) -> Result<TrainCheckpoint, RecordError> {
+        // Struct fields are evaluated as written: in the payload's order.
+        let checkpoint = TrainCheckpoint {
+            fingerprint: r.field("fingerprint")?.to_string(),
+            cursor: Cursor {
+                epoch: r.value("epoch", decimal)?,
+                next_batch: r.value("next_batch", decimal)?,
+                epoch_loss: r.value("epoch_loss", f64_bits)?,
+            },
+            train_losses: r.list("train_losses", f32_bits)?,
+            val_losses: r.list("val_losses", f32_bits)?,
+            best_val_loss: r.value("best_val", f32_bits)?,
+            epochs_since_best: r.value("epochs_since_best", decimal)?,
+            epoch_slots: r.list("epoch_slots", decimal)?,
+            shuffle_rng: r.value("shuffle_rng", rng_words)?,
+            dropout_rng: r.value("dropout_rng", rng_words)?,
+            adam: parse_adam(&mut r)?,
+            params: parse_params(&mut r)?,
+            best_snapshot: parse_snapshot(&mut r)?,
         };
-        let train_losses = parse_f32_bits(next_line(&mut lines, "train_losses")?, "train_losses")?;
-        let val_losses = parse_f32_bits(next_line(&mut lines, "val_losses")?, "val_losses")?;
-        let best_val_loss = f32::from_bits(
-            u32::try_from(field_u64_hex(
-                next_line(&mut lines, "best_val")?,
-                "best_val",
-            )?)
-            .map_err(|_| CheckpointError::Malformed("best_val out of range".into()))?,
-        );
-        let epochs_since_best = field_usize(
-            next_line(&mut lines, "epochs_since_best")?,
-            "epochs_since_best",
-        )?;
-        let epoch_slots = parse_usize_list(next_line(&mut lines, "epoch_slots")?, "epoch_slots")?;
-        let shuffle_rng = parse_rng(next_line(&mut lines, "shuffle_rng")?, "shuffle_rng")?;
-        let dropout_rng = parse_rng(next_line(&mut lines, "dropout_rng")?, "dropout_rng")?;
-        let adam_t = field_usize(next_line(&mut lines, "adam_t")?, "adam_t")? as u64;
-        // Counts come from the file: nothing is sized from them up front.
-        // Each entry is parsed from lines that must be present, so a hostile
-        // count ends the loop at the end of the payload instead.
-        let n_adam = field_usize(next_line(&mut lines, "adam_params")?, "adam_params")?;
-        let mut m = Vec::new();
-        let mut v = Vec::new();
-        for i in 0..n_adam {
-            let (name, t) = parse_tensor(&mut lines, &format!("adam m[{i}]"))?;
-            if name != "m" {
-                return Err(CheckpointError::Malformed(format!(
-                    "expected adam moment 'm', found {name:?}"
-                )));
-            }
-            m.push(t);
-            let (name, t) = parse_tensor(&mut lines, &format!("adam v[{i}]"))?;
-            if name != "v" {
-                return Err(CheckpointError::Malformed(format!(
-                    "expected adam moment 'v', found {name:?}"
-                )));
-            }
-            v.push(t);
-        }
-        let n_params = field_usize(next_line(&mut lines, "params")?, "params")?;
-        let mut params = Vec::new();
-        for i in 0..n_params {
-            params.push(parse_tensor(&mut lines, &format!("param[{i}]"))?);
-        }
-        let snap_header = next_line(&mut lines, "best_snapshot")?;
-        let best_snapshot = match snap_header
-            .strip_prefix("best_snapshot ")
-            .ok_or_else(|| CheckpointError::Malformed("expected best_snapshot line".into()))?
-        {
-            "none" => None,
-            n => {
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| CheckpointError::Malformed("bad best_snapshot count".into()))?;
-                let mut snap = Vec::new();
-                for i in 0..n {
-                    snap.push(parse_tensor(&mut lines, &format!("snapshot[{i}]"))?.1);
-                }
-                Some(snap)
-            }
-        };
-        if lines.next().is_some() {
-            return Err(CheckpointError::Malformed(
-                "trailing data after best_snapshot section".into(),
-            ));
-        }
-        Ok(TrainCheckpoint {
-            fingerprint,
-            cursor,
-            epoch_slots,
-            shuffle_rng,
-            dropout_rng,
-            train_losses,
-            val_losses,
-            best_val_loss,
-            epochs_since_best,
-            adam: AdamState { t: adam_t, m, v },
-            params,
-            best_snapshot,
-        })
+        r.finish()?;
+        Ok(checkpoint)
     }
 
     /// A restored shuffle RNG continuing the checkpointed stream.
@@ -527,169 +408,47 @@ impl TrainCheckpoint {
     }
 }
 
-fn split_line(bytes: &[u8]) -> Option<(&str, &[u8])> {
-    let nl = bytes.iter().position(|&b| b == b'\n')?;
-    let line = std::str::from_utf8(&bytes[..nl]).ok()?;
-    Some((line, &bytes[nl + 1..]))
-}
+// Counts come from the file: nothing is sized from them up front. Each
+// entry is parsed from lines that must be present, so a hostile count ends
+// the loop at the end of the payload instead.
 
-fn join_f32_bits(key: &str, values: &[f32]) -> String {
-    use fmt::Write as _;
-    let mut s = format!("{key} {}", values.len());
-    for v in values {
-        let _ = write!(s, " {:08x}", v.to_bits());
-    }
-    s
-}
-
-fn join_rng(key: &str, state: [u64; 4]) -> String {
-    format!(
-        "{key} {:016x} {:016x} {:016x} {:016x}",
-        state[0], state[1], state[2], state[3]
-    )
-}
-
-fn tensor_header(name: &str, t: &Tensor) -> String {
-    use fmt::Write as _;
-    let mut s = name.to_string();
-    for d in t.shape().dims() {
-        let _ = write!(s, " {d}");
-    }
-    s
-}
-
-fn tensor_bits(t: &Tensor) -> String {
-    use fmt::Write as _;
-    let mut s = String::with_capacity(t.data().len() * 9);
-    for (i, v) in t.data().iter().enumerate() {
-        if i > 0 {
-            s.push(' ');
+fn parse_adam(r: &mut Fields<'_>) -> Result<AdamState, RecordError> {
+    let t = r.value("adam_t", decimal)?;
+    let n: usize = r.value("adam_params", decimal)?;
+    let (mut m, mut v) = (Vec::new(), Vec::new());
+    for i in 0..n {
+        for (key, moments) in [("m", &mut m), ("v", &mut v)] {
+            let (name, moment) = parse_tensor(r, &format!("adam {key}[{i}]"))?;
+            if name != key {
+                return Err(RecordError::Malformed(format!(
+                    "expected adam moment {key:?}, found {name:?}"
+                )));
+            }
+            moments.push(moment);
         }
-        let _ = write!(s, "{:08x}", v.to_bits());
     }
-    s
+    Ok(AdamState { t, m, v })
 }
 
-fn field_usize(line: &str, key: &str) -> Result<usize, CheckpointError> {
-    line.strip_prefix(key)
-        .map(str::trim)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| CheckpointError::Malformed(format!("bad {key} line {line:?}")))
-}
-
-fn field_u64_hex(line: &str, key: &str) -> Result<u64, CheckpointError> {
-    line.strip_prefix(key)
-        .map(str::trim)
-        .and_then(|v| u64::from_str_radix(v, 16).ok())
-        .ok_or_else(|| CheckpointError::Malformed(format!("bad {key} line {line:?}")))
-}
-
-fn parse_f32_bits(line: &str, key: &str) -> Result<Vec<f32>, CheckpointError> {
-    let mut fields = line
-        .strip_prefix(key)
-        .ok_or_else(|| CheckpointError::Malformed(format!("expected {key} line")))?
-        .split_whitespace();
-    let n: usize = fields
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| CheckpointError::Malformed(format!("bad {key} count")))?;
-    let values: Vec<f32> = fields
-        .map(|w| u32::from_str_radix(w, 16).map(f32::from_bits))
-        .collect::<Result<_, _>>()
-        .map_err(|_| CheckpointError::Malformed(format!("bad {key} value")))?;
-    if values.len() != n {
-        return Err(CheckpointError::Malformed(format!(
-            "{key}: expected {n} values, found {}",
-            values.len()
-        )));
+fn parse_snapshot(r: &mut Fields<'_>) -> Result<Option<Vec<Tensor>>, RecordError> {
+    let Some(n) = r.value("best_snapshot", |n| match n {
+        "none" => Some(None),
+        n => decimal::<usize>(n).map(Some),
+    })?
+    else {
+        return Ok(None);
+    };
+    let mut snapshot = Vec::new();
+    for i in 0..n {
+        snapshot.push(parse_tensor(r, &format!("snapshot[{i}]"))?.1);
     }
-    Ok(values)
-}
-
-fn parse_usize_list(line: &str, key: &str) -> Result<Vec<usize>, CheckpointError> {
-    let mut fields = line
-        .strip_prefix(key)
-        .ok_or_else(|| CheckpointError::Malformed(format!("expected {key} line")))?
-        .split_whitespace();
-    let n: usize = fields
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| CheckpointError::Malformed(format!("bad {key} count")))?;
-    let values: Vec<usize> = fields
-        .map(|w| w.parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| CheckpointError::Malformed(format!("bad {key} value")))?;
-    if values.len() != n {
-        return Err(CheckpointError::Malformed(format!(
-            "{key}: expected {n} values, found {}",
-            values.len()
-        )));
-    }
-    Ok(values)
-}
-
-fn parse_rng(line: &str, key: &str) -> Result<[u64; 4], CheckpointError> {
-    let words: Vec<u64> = line
-        .strip_prefix(key)
-        .ok_or_else(|| CheckpointError::Malformed(format!("expected {key} line")))?
-        .split_whitespace()
-        .map(|w| u64::from_str_radix(w, 16))
-        .collect::<Result<_, _>>()
-        .map_err(|_| CheckpointError::Malformed(format!("bad {key} word")))?;
-    words
-        .try_into()
-        .map_err(|_| CheckpointError::Malformed(format!("{key} must have 4 words")))
-}
-
-fn next_line<'a>(lines: &mut std::str::Lines<'a>, what: &str) -> Result<&'a str, CheckpointError> {
-    lines
-        .next()
-        .ok_or_else(|| CheckpointError::Malformed(format!("payload ends before {what}")))
-}
-
-/// Parses one `<name> <dim>...` header line plus one hex-bit-words data
-/// line into a tensor, checking the element count against the shape. The
-/// dims multiply with checked arithmetic: a header whose product overflows
-/// is malformed, not a panic or a wrapped count.
-fn parse_tensor(
-    lines: &mut std::str::Lines<'_>,
-    what: &str,
-) -> Result<(String, Tensor), CheckpointError> {
-    let header = next_line(lines, what)?;
-    let mut fields = header.split_whitespace();
-    let name = fields
-        .next()
-        .ok_or_else(|| CheckpointError::Malformed(format!("{what}: empty tensor header")))?
-        .to_string();
-    let dims: Vec<usize> = fields
-        .map(|w| w.parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| CheckpointError::Malformed(format!("{what}: bad dims in {header:?}")))?;
-    let len = dims
-        .iter()
-        .try_fold(1usize, |n, &d| n.checked_mul(d))
-        .ok_or_else(|| {
-            CheckpointError::Malformed(format!("{what}: dims {dims:?} overflow an element count"))
-        })?;
-    let data: Vec<f32> = next_line(lines, what)?
-        .split_whitespace()
-        .map(|w| u32::from_str_radix(w, 16).map(f32::from_bits))
-        .collect::<Result<_, _>>()
-        .map_err(|_| CheckpointError::Malformed(format!("{what}: bad data word")))?;
-    if data.len() != len {
-        return Err(CheckpointError::Malformed(format!(
-            "{what}: dims {dims:?} hold {len} values, found {}",
-            data.len()
-        )));
-    }
-    let tensor = Tensor::from_vec(Shape::from_dims(&dims), data)
-        .map_err(|e| CheckpointError::Malformed(format!("{what}: {e}")))?;
-    Ok((name, tensor))
+    Ok(Some(snapshot))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stgnn_faults::fsio::crc32;
     use stgnn_tensor::shape::Shape;
 
     fn tmp(label: &str) -> std::path::PathBuf {

@@ -414,14 +414,27 @@ impl StgnnDjd {
     /// configuration* (names and shapes must match exactly) and marks it
     /// trained.
     pub fn load_weights(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.load_weights_from_reader(std::fs::File::open(path)?)
+        self.load_weights_from_bytes(&std::fs::read(path)?)
     }
 
     /// Loads weights from any `Read` source (same contract as
-    /// [`Self::load_weights`]); used by the serving registry to validate and
-    /// materialise checkpoints without touching the filesystem.
-    pub fn load_weights_from_reader(&mut self, reader: impl std::io::Read) -> std::io::Result<()> {
-        stgnn_tensor::serialize::load_params(&self.params, reader)?;
+    /// [`Self::load_weights`]).
+    pub fn load_weights_from_reader(
+        &mut self,
+        mut reader: impl std::io::Read,
+    ) -> std::io::Result<()> {
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        self.load_weights_from_bytes(&bytes)
+    }
+
+    /// Loads weights from a serialized record (the inverse of
+    /// [`Self::weights_to_bytes`]; same contract as [`Self::load_weights`]).
+    /// The serving registry validates and materialises checkpoints through
+    /// it: reading the bytes in place, not through a reader's copy, keeps
+    /// each worker's model build from holding a second copy of the record.
+    pub fn load_weights_from_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        stgnn_tensor::serialize::load_params(&self.params, bytes)?;
         self.trained = true;
         Ok(())
     }

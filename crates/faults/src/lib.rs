@@ -43,8 +43,13 @@
 //!
 //! The [`fsio`] module carries the [`fsio::atomic_write`] helper (temp
 //! file + fsync + rename — a reader can only ever observe the old or the
-//! new file, never a torn one) and [`fsio::crc32`], both themselves
-//! instrumented with failpoints so torn-write scenarios are scriptable.
+//! new file, never a torn one), instrumented with failpoints so torn-write
+//! scenarios are scriptable. It also holds the one record format that
+//! weights, training checkpoints and the online loop's state share
+//! ([`fsio::frame`] / [`fsio::unframe`]: a magic line, a [`fsio::crc32`]
+//! and length header, then `key value` lines read through
+//! [`fsio::Fields`]) and the FNV-1a hash ([`fsio::fnv1a`]) behind ring
+//! placement and graph fingerprints.
 
 pub mod fsio;
 

@@ -3,14 +3,16 @@
 //! The loop's observable promise — "a crash in any phase resumes to a
 //! well-defined state" — rests on this file. It is written with
 //! `fsio::atomic_write` (so the path only ever holds the previous complete
-//! state or the new one, never a torn one) in the same
-//! magic + CRC-32 + line-oriented style as `stgnn-ckpt v1`, and every
-//! defect on read — truncation, bit rot, version skew — is a typed error.
+//! state or the new one, never a torn one) as a record of the shared
+//! format (`stgnn_faults::fsio`), `stgnn-online v1`: the magic line, a
+//! `crc32 … len …` header, then six `key value` lines. Every defect on
+//! read — truncation, bit rot, version skew, a bad field — is a typed
+//! [`OnlineError::State`].
 
 use crate::{OnlineError, Result};
 use std::fmt;
 use std::path::Path;
-use stgnn_faults::fsio::{atomic_write, crc32};
+use stgnn_faults::fsio::{atomic_write, decimal, frame, unframe, RecordError};
 
 /// Format magic; bump on any layout change.
 const MAGIC: &str = "stgnn-online v1";
@@ -47,19 +49,11 @@ impl Phase {
         }
     }
 
-    fn parse(s: &str) -> Result<Phase> {
-        Ok(match s {
-            "ingesting" => Phase::Ingesting,
-            "training" => Phase::Training,
-            "shadowing" => Phase::Shadowing,
-            "promoted" => Phase::Promoted,
-            "rolled-back" => Phase::RolledBack,
-            other => {
-                return Err(OnlineError::State(format!(
-                    "unknown phase {other:?} in state file"
-                )))
-            }
-        })
+    fn parse(s: &str) -> Option<Phase> {
+        use Phase::*;
+        [Ingesting, Training, Shadowing, Promoted, RolledBack]
+            .into_iter()
+            .find(|p| p.as_str() == s)
     }
 }
 
@@ -101,11 +95,10 @@ impl LoopState {
         }
     }
 
-    fn to_payload(&self) -> Vec<u8> {
-        let candidate = match self.candidate_version {
-            Some(v) => format!("{v}"),
-            None => "none".into(),
-        };
+    fn to_payload(&self) -> String {
+        let candidate = self
+            .candidate_version
+            .map_or_else(|| "none".into(), |v| v.to_string());
         format!(
             "phase {}\ncycle {}\nday_cursor {}\ngraph_epoch {}\nincumbent {}\ncandidate {}\n",
             self.phase,
@@ -115,19 +108,13 @@ impl LoopState {
             self.incumbent_version,
             candidate
         )
-        .into_bytes()
     }
 
     /// Atomically persists the state: the file only ever holds the
     /// previous complete state or this one.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         let payload = self.to_payload();
-        let crc = crc32(&payload);
-        atomic_write(path, |w| {
-            writeln!(w, "{MAGIC}")?;
-            writeln!(w, "crc32 {crc:08x} len {}", payload.len())?;
-            w.write_all(&payload)
-        })?;
+        atomic_write(path, |w| frame(w, MAGIC, payload.as_bytes()))?;
         Ok(())
     }
 
@@ -139,106 +126,28 @@ impl LoopState {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(OnlineError::Io(e)),
         };
-        let text = String::from_utf8_lossy(&bytes);
-        let mut lines = text.lines();
-        let magic = lines.next().unwrap_or_default();
-        if magic != MAGIC {
-            return Err(OnlineError::State(format!(
-                "version skew: this build reads {MAGIC:?}, file starts with {magic:?}"
-            )));
-        }
-        let header = lines.next().unwrap_or_default();
-        let (crc_stated, len_stated) = parse_header(header)?;
-        // Payload begins after the second newline (magic line + header).
-        let payload_start = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .and_then(|first| {
-                let second = bytes.get(first + 1..)?.iter().position(|&b| b == b'\n')?;
-                Some(first + 1 + second + 1)
-            })
-            .ok_or_else(|| OnlineError::State("missing payload".into()))?;
-        let payload = bytes.get(payload_start..).unwrap_or(&[]);
-        if payload.len() != len_stated {
-            return Err(OnlineError::State(format!(
-                "truncated: header promises {len_stated} payload bytes, found {}",
-                payload.len()
-            )));
-        }
-        let crc_actual = crc32(payload);
-        if crc_actual != crc_stated {
-            return Err(OnlineError::State(format!(
-                "checksum mismatch: header says {crc_stated:08x}, payload hashes to {crc_actual:08x}"
-            )));
-        }
-        parse_payload(payload).map(Some)
+        Self::from_record(&bytes)
+            .map(Some)
+            .map_err(|e| OnlineError::State(e.to_string()))
     }
-}
 
-fn parse_header(line: &str) -> Result<(u32, usize)> {
-    let mut parts = line.split_whitespace();
-    let (Some("crc32"), Some(crc), Some("len"), Some(len)) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(OnlineError::State(format!("malformed header {line:?}")));
-    };
-    let crc =
-        u32::from_str_radix(crc, 16).map_err(|_| OnlineError::State(format!("bad crc {crc:?}")))?;
-    let len = len
-        .parse()
-        .map_err(|_| OnlineError::State(format!("bad len {len:?}")))?;
-    Ok((crc, len))
-}
-
-fn parse_payload(payload: &[u8]) -> Result<LoopState> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| OnlineError::State("payload is not UTF-8".into()))?;
-    let mut phase = None;
-    let mut cycle = None;
-    let mut day_cursor = None;
-    let mut graph_epoch = None;
-    let mut incumbent = None;
-    let mut candidate = None;
-    for line in text.lines() {
-        let Some((key, value)) = line.split_once(' ') else {
-            return Err(OnlineError::State(format!("malformed line {line:?}")));
+    /// Reads the six fields in the order [`Self::to_payload`] writes them.
+    fn from_record(bytes: &[u8]) -> std::result::Result<LoopState, RecordError> {
+        let mut r = unframe(bytes, MAGIC)?;
+        let state = LoopState {
+            phase: r.value("phase", Phase::parse)?,
+            cycle: r.value("cycle", decimal)?,
+            day_cursor: r.value("day_cursor", decimal)?,
+            graph_epoch: r.value("graph_epoch", decimal)?,
+            incumbent_version: r.value("incumbent", decimal)?,
+            candidate_version: r.value("candidate", |v| match v {
+                "none" => Some(None),
+                v => decimal(v).map(Some),
+            })?,
         };
-        match key {
-            "phase" => phase = Some(Phase::parse(value)?),
-            "cycle" => cycle = Some(parse_num(value, "cycle")?),
-            "day_cursor" => day_cursor = Some(parse_num(value, "day_cursor")? as usize),
-            "graph_epoch" => graph_epoch = Some(parse_num(value, "graph_epoch")?),
-            "incumbent" => incumbent = Some(parse_num(value, "incumbent")?),
-            "candidate" => {
-                candidate = Some(if value == "none" {
-                    None
-                } else {
-                    Some(parse_num(value, "candidate")?)
-                })
-            }
-            other => {
-                return Err(OnlineError::State(format!("unknown field {other:?}")));
-            }
-        }
+        r.finish()?;
+        Ok(state)
     }
-    Ok(LoopState {
-        phase: need(phase, "phase")?,
-        cycle: need(cycle, "cycle")?,
-        day_cursor: need(day_cursor, "day_cursor")?,
-        graph_epoch: need(graph_epoch, "graph_epoch")?,
-        incumbent_version: need(incumbent, "incumbent")?,
-        candidate_version: need(candidate, "candidate")?,
-    })
-}
-
-fn parse_num(value: &str, key: &str) -> Result<u64> {
-    value
-        .parse()
-        .map_err(|_| OnlineError::State(format!("bad {key} value {value:?}")))
-}
-
-fn need<T>(v: Option<T>, key: &str) -> Result<T> {
-    v.ok_or_else(|| OnlineError::State(format!("missing field {key:?}")))
 }
 
 #[cfg(test)]

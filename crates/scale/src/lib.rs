@@ -41,7 +41,7 @@ pub use fleet::{Answer, Fleet, FleetConfig, FleetStats, PredictOutcome};
 pub use loadgen::{LoadCurve, LoadReport};
 pub use parity::{halo_complete, induce_rows, induce_square, mask_closure};
 pub use plan::{Shard, ShardPlan};
-pub use ring::{fnv1a64, HashRing};
+pub use ring::HashRing;
 pub use subcity::SubCity;
 
 /// Errors surfaced by the scale layer.

@@ -8,8 +8,9 @@
 //! * **Determinism** — the ring is a pure function of the replica names and
 //!   the vnode count. Any process (router, replica, debugger) rebuilds the
 //!   identical ring and agrees on every station's home; there is no routing
-//!   table to distribute. The hash is FNV-1a, pinned here byte-for-byte, so
-//!   placements survive recompilation and cross-machine comparison.
+//!   table to distribute. The hash is FNV-1a (`stgnn_faults::fsio::fnv1a`,
+//!   whose vectors are pinned bit for bit), so placements survive
+//!   recompilation and cross-machine comparison.
 //! * **Minimal disruption** — removing a replica reassigns only the
 //!   stations that hashed to it (≈ 1/N of the keyspace with enough vnodes);
 //!   every other station keeps its home, so replica loss does not
@@ -19,15 +20,7 @@
 //! a station's point — the failover sequence the router walks when a
 //! replica is down; the first candidate is exactly [`HashRing::route_station`].
 
-/// 64-bit FNV-1a over `bytes` — stable across platforms and builds.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use stgnn_faults::fsio::{fnv1a, FNV_OFFSET};
 
 /// A consistent-hash ring mapping station ids to replica indices.
 #[derive(Debug, Clone)]
@@ -45,7 +38,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(names.len() * vnodes);
         for (idx, name) in names.iter().enumerate() {
             for v in 0..vnodes {
-                points.push((fnv1a64(format!("{name}#{v}").as_bytes()), idx));
+                points.push((fnv1a(FNV_OFFSET, format!("{name}#{v}").as_bytes()), idx));
             }
         }
         points.sort_unstable();
@@ -76,7 +69,7 @@ impl HashRing {
         if self.points.is_empty() {
             return None;
         }
-        let h = fnv1a64(key);
+        let h = fnv1a(FNV_OFFSET, key);
         let at = self.points.partition_point(|&(p, _)| p < h) % self.points.len();
         self.points.get(at).map(|&(_, idx)| idx)
     }
@@ -93,7 +86,7 @@ impl HashRing {
         if self.points.is_empty() {
             return Vec::new();
         }
-        let h = fnv1a64(format!("station:{station}").as_bytes());
+        let h = fnv1a(FNV_OFFSET, format!("station:{station}").as_bytes());
         let start = self.points.partition_point(|&(p, _)| p < h) % self.points.len();
         let mut seen = vec![false; self.names.len()];
         let mut out = Vec::with_capacity(self.names.len());
@@ -130,15 +123,6 @@ mod tests {
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("replica-{i}")).collect()
-    }
-
-    #[test]
-    fn fnv_vectors_are_pinned() {
-        // Classic FNV-1a reference vectors: placements must survive any
-        // refactor of the hash, so the constants are pinned bit-for-bit.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

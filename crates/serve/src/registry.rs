@@ -39,7 +39,7 @@ impl ModelSpec {
     pub fn materialize_with(&self, checkpoint: &Checkpoint) -> Result<StgnnDjd, ServeError> {
         let mut model = self.materialize()?;
         model
-            .load_weights_from_reader(checkpoint.bytes.as_slice())
+            .load_weights_from_bytes(&checkpoint.bytes)
             .map_err(|e| ServeError::BadCheckpoint(e.to_string()))?;
         Ok(model)
     }

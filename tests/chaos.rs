@@ -22,6 +22,9 @@
 //! | CORRUPT-CHECKPOINT-IS-REJECTED     | damage → typed error, no panic    |
 //! | HOSTILE-CHECKPOINT-IS-TYPED        | CRC-valid hostile counts, dims,   |
 //! |                                    | moments, mutations → Ok or typed  |
+//! | HOSTILE-RECORD-IS-TYPED            | loop state, weights, fault plans: |
+//! |                                    | random, cut, flipped, mutated →   |
+//! |                                    | Ok or typed; model untouched      |
 //! | PROMOTE-CRASH-RESUMES              | kill mid-promotion; registry holds|
 //! |                                    | exactly one model, loop resumes   |
 //! | POISONED-CANDIDATE-ROLLS-BACK      | RMSE watchdog restores incumbent  |
@@ -40,7 +43,7 @@ use stgnn_djd::data::error::Error;
 use stgnn_djd::data::synthetic::{CityConfig, SyntheticCity};
 use stgnn_djd::faults::{scoped, FaultPlan, FaultSpec, Trigger};
 use stgnn_djd::model::{CheckpointError, StgnnConfig, StgnnDjd, TrainCheckpoint, Trainer};
-use stgnn_djd::online::{CycleOutcome, OnlineConfig, OnlineLoop, Phase};
+use stgnn_djd::online::{CycleOutcome, LoopState, OnlineConfig, OnlineLoop, Phase};
 use stgnn_djd::serve::client;
 use stgnn_djd::serve::registry::ModelRegistry;
 use stgnn_djd::serve::{MetricsSnapshot, ModelSpec, ServeConfig, Server};
@@ -394,12 +397,21 @@ fn damaged_checkpoints_are_rejected_without_touching_the_model() {
 /// Frames `payload` as an `stgnn-ckpt v1` file whose CRC and length are
 /// correct, so the loader gets past the checksum to the payload parser.
 fn framed(payload: &str) -> Vec<u8> {
-    let crc = stgnn_djd::faults::fsio::crc32(payload.as_bytes());
-    format!(
-        "stgnn-ckpt v1\ncrc32 {crc:08x} len {}\n{payload}",
-        payload.len()
-    )
-    .into_bytes()
+    framed_as("stgnn-ckpt v1", payload.as_bytes())
+}
+
+/// Frames `payload` as a `magic` record whose CRC and length are correct.
+fn framed_as(magic: &str, payload: &[u8]) -> Vec<u8> {
+    let crc = stgnn_djd::faults::fsio::crc32(payload);
+    let mut bytes = format!("{magic}\ncrc32 {crc:08x} len {}\n", payload.len()).into_bytes();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// A record's payload: everything after its magic and crc32 header lines.
+fn payload_of(record: &[u8]) -> String {
+    let text = String::from_utf8(record.to_vec()).unwrap();
+    text.splitn(3, '\n').nth(2).unwrap().to_string()
 }
 
 /// `payload` with line `i` replaced by `f(line)` (or removed on `None`).
@@ -616,6 +628,276 @@ fn hostile_checkpoints_get_a_typed_error_never_a_panic() {
         refused > 0 && loaded > 0,
         "mutations should both load and fail: {loaded} loaded, {refused} refused"
     );
+}
+
+/// Every hostile variant of one real record, as `(label, bytes)`: random
+/// bytes, every truncation, 512 seeded single-bit flips, and 256 CRC-valid
+/// [`mutate`]d payloads.
+fn hostile_variants(real: &[u8], magic: &str, seed: u64) -> Vec<(String, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cases = Vec::new();
+    for i in 0..64 {
+        let len = rng.gen_range(0..2 * real.len());
+        let bytes = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+        cases.push((format!("random bytes {i}"), bytes));
+    }
+    for cut in 0..real.len() {
+        cases.push((format!("cut at {cut}"), real[..cut].to_vec()));
+    }
+    for i in 0..512 {
+        let mut bytes = real.to_vec();
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] ^= 1 << rng.gen_range(0..8);
+        cases.push((format!("bit flip {i} at byte {at}"), bytes));
+    }
+    let payload = payload_of(real);
+    for i in 0..256 {
+        let mutated = mutate(&payload, &mut rng);
+        cases.push((
+            format!("mutation {i}"),
+            framed_as(magic, mutated.as_bytes()),
+        ));
+    }
+    cases
+}
+
+/// Whether a [`hostile_variants`] case, or a hand-made hostile edit, must
+/// be refused: a bit flip can land on the case of a hex digit and a mutation
+/// or random bytes can stay valid, but a cut or an edit cannot.
+fn must_fail(label: &str) -> bool {
+    !["bit flip", "mutation", "random"]
+        .iter()
+        .any(|p| label.starts_with(p))
+}
+
+/// Named invariant: HOSTILE-RECORD-IS-TYPED. The loop-state and weights
+/// records, and the `STGNN_FAULTS` grammar, turn hostile input — random
+/// bytes, every truncation of a real file, seeded bit flips, CRC-valid
+/// mutations, hostile counts and dims, NaN bit patterns, non-UTF-8 bytes —
+/// into `Ok` or a typed error, never a panic or an abort. A weights load
+/// that fails leaves every parameter bit-identical; one that succeeds on a
+/// bit-flipped file loaded exactly the real weights; a changed value is a
+/// checksum mismatch, and a record whose last parameter misfits sets no
+/// parameter at all.
+#[test]
+fn hostile_records_get_a_typed_error_never_a_panic() {
+    let _quiet = scoped(FaultPlan::new());
+    let data = dataset(148);
+    let config = tiny_config();
+    let dir = scratch_dir("hostile-record");
+
+    // Loop state: every variant loads to the real state or fails typed.
+    let path = dir.join("loop.state");
+    let state = LoopState {
+        phase: Phase::Promoted,
+        cycle: 3,
+        day_cursor: 17,
+        graph_epoch: 9,
+        incumbent_version: 4,
+        candidate_version: Some(5),
+    };
+    state.save(&path).unwrap();
+    let real_state = std::fs::read(&path).unwrap();
+    let state_payload = payload_of(&real_state);
+    let mut cases = hostile_variants(&real_state, "stgnn-online v1", 0x5eed_57a7);
+    for (label, payload) in [
+        ("overflowing cycle", "cycle 18446744073709551616"),
+        ("overflowing day cursor", "day_cursor 18446744073709551616"),
+        ("unknown phase", "phase paused"),
+        ("NaN cycle", "cycle NaN"),
+        ("negative incumbent", "incumbent -1"),
+    ] {
+        let key = payload.split(' ').next().unwrap();
+        let line = state_payload
+            .lines()
+            .position(|l| l.starts_with(key))
+            .unwrap();
+        let edited = edit_line(&state_payload, line, |_| Some(payload.to_string()));
+        cases.push((
+            label.into(),
+            framed_as("stgnn-online v1", edited.as_bytes()),
+        ));
+    }
+    let mut non_utf8 = state_payload.clone().into_bytes();
+    non_utf8.insert(6, 0xff);
+    cases.push(("non-UTF-8".into(), framed_as("stgnn-online v1", &non_utf8)));
+    let (mut loaded, mut refused) = (0, 0);
+    for (label, bytes) in &cases {
+        std::fs::write(&path, bytes).unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| LoopState::load(&path)))
+            .unwrap_or_else(|_| panic!("{label}: the loop-state loader panicked"));
+        match outcome {
+            Ok(Some(s)) => {
+                loaded += 1;
+                assert!(!must_fail(label), "{label}: loaded {s:?}");
+                if label.starts_with("bit flip") {
+                    assert_eq!(s, state, "{label}: a flipped bit loaded another state");
+                }
+            }
+            Err(stgnn_djd::online::OnlineError::State(_)) => refused += 1,
+            other => panic!("{label}: expected a state or a typed state error, got {other:?}"),
+        }
+    }
+    assert!(
+        loaded > 0 && refused > 0,
+        "{loaded} loaded, {refused} refused"
+    );
+
+    // Weights: every variant loads or fails typed, and a failure touches
+    // no parameter.
+    let model = |seed_offset: u64| {
+        let mut c = config.clone();
+        c.seed += seed_offset;
+        StgnnDjd::new(c, data.n_stations()).unwrap()
+    };
+    let real = model(0).weights_to_bytes();
+    let real_bits = param_bits(&model(0));
+    let payload = payload_of(&real);
+    let magic = "stgnn-params v2";
+    let mut target = model(1);
+    assert_ne!(param_bits(&target), real_bits);
+    let mut load = |label: &str, bytes: &[u8]| {
+        let before = param_bits(&target);
+        let outcome = catch_unwind(AssertUnwindSafe(|| target.load_weights_from_reader(bytes)))
+            .unwrap_or_else(|_| panic!("{label}: the weights loader panicked"));
+        if let Err(e) = &outcome {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{label}: {e}");
+            assert_eq!(before, param_bits(&target), "{label}: partially loaded");
+        }
+        outcome.map(|()| param_bits(&target))
+    };
+    assert_eq!(load("real", &real).unwrap(), real_bits);
+
+    let mut cases = hostile_variants(&real, magic, 0x5eed_3e16);
+    let first_values = 2;
+    let nan_row = payload
+        .lines()
+        .nth(first_values)
+        .unwrap()
+        .split(' ')
+        .map(|_| "7fc00000");
+    let first_name = payload.lines().nth(1).unwrap().split(' ').next().unwrap();
+    for (label, line, edited) in [
+        (
+            "hostile count",
+            0,
+            "params 18446744073709551615".to_string(),
+        ),
+        (
+            "overflowing dims",
+            1,
+            format!("{first_name} 4294967296 4294967296"),
+        ),
+        (
+            "NaN bit pattern",
+            first_values,
+            nan_row.collect::<Vec<_>>().join(" "),
+        ),
+    ] {
+        let edited = edit_line(&payload, line, |_| Some(edited.clone()));
+        cases.push((label.into(), framed_as(magic, edited.as_bytes())));
+    }
+    let mut non_utf8 = payload.clone().into_bytes();
+    non_utf8.insert(3, 0xff);
+    cases.push(("non-UTF-8".into(), framed_as(magic, &non_utf8)));
+    let (mut loaded, mut refused) = (0, 0);
+    for (label, bytes) in &cases {
+        match load(label, bytes) {
+            Ok(bits) => {
+                loaded += 1;
+                assert!(!must_fail(label), "{label}: loaded");
+                if label.starts_with("bit flip") {
+                    assert_eq!(
+                        bits, real_bits,
+                        "{label}: a flipped bit loaded other weights"
+                    );
+                }
+            }
+            Err(e) => {
+                refused += 1;
+                assert!(
+                    !label.starts_with("NaN") || e.to_string().contains("non-finite"),
+                    "{e}"
+                );
+            }
+        }
+    }
+    assert!(
+        loaded > 0 && refused > 0,
+        "{loaded} loaded, {refused} refused"
+    );
+
+    // One value character changed: a checksum mismatch, not other weights.
+    let mut changed = real.clone();
+    let at = changed.len() - 2;
+    changed[at] = if changed[at] == b'0' { b'1' } else { b'0' };
+    let err = load("one value character changed", &changed).unwrap_err();
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
+
+    // A CRC-valid record whose last parameter misfits the model sets no
+    // parameter, the first one included.
+    let other = model(2);
+    load("other weights", &other.weights_to_bytes()).unwrap();
+    let last_header = payload.lines().count() - 2;
+    let misfit = edit_line(&payload, last_header, |l| {
+        let mut words = l.split(' ');
+        let name = words.next().unwrap();
+        let len: usize = words.map(|d| d.parse::<usize>().unwrap()).product();
+        Some(format!("{name} 1 {len}"))
+    });
+    assert_ne!(
+        misfit.lines().nth(last_header),
+        payload.lines().nth(last_header)
+    );
+    let err = load(
+        "last parameter misfits",
+        &framed_as(magic, misfit.as_bytes()),
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("shape mismatch"), "{err}");
+    assert_eq!(
+        param_bits(&target),
+        param_bits(&other),
+        "a parameter was overwritten"
+    );
+
+    // The STGNN_FAULTS grammar: seeded strings of its own tokens parse to a
+    // plan or an error string, never a panic.
+    const TOKENS: &[&str] = &[
+        ";",
+        "=",
+        "@",
+        ":",
+        "io",
+        "panic",
+        "delay",
+        "hit",
+        "first",
+        "prob",
+        "every",
+        "NaN",
+        "-",
+        "0",
+        "7",
+        "1.5",
+        "0.25",
+        "18446744073709551616",
+        "site::x",
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5eed_fa17);
+    let (mut plans, mut errors) = (0, 0);
+    for case in 0..4096 {
+        let n = rng.gen_range(0..12);
+        let spec: String = (0..n)
+            .map(|_| TOKENS[rng.gen_range(0..TOKENS.len())])
+            .collect();
+        match catch_unwind(|| FaultPlan::parse(&spec)) {
+            Ok(Ok(_)) => plans += 1,
+            Ok(Err(_)) => errors += 1,
+            Err(_) => panic!("case {case}: FaultPlan::parse({spec:?}) panicked"),
+        }
+    }
+    assert!(plans > 0 && errors > 0, "{plans} plans, {errors} errors");
 }
 
 // ---------------------------------------------------------------------------
