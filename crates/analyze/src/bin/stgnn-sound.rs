@@ -1,5 +1,6 @@
-//! CI entry point for the whole-workspace soundness analyzer. See
-//! [`stgnn_analyze::sound`] for the passes, codes and escape grammar.
+//! CI entry point for the workspace's one source analyzer (crate policy
+//! L-codes and soundness S-codes). See [`stgnn_analyze::sound`] for the
+//! passes, codes and escape grammar.
 //!
 //! Usage: `cargo run -p stgnn-analyze --bin stgnn-sound [workspace-root]`
 //!

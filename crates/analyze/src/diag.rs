@@ -1,14 +1,14 @@
 //! Diagnostic vocabulary of the tape validator: stable codes, severities,
 //! and the [`Report`] a validation pass returns.
 //!
-//! Codes are *stable*: tests, CI logs and `// lint: allow(...)` escapes key
-//! on them, so a code is never renumbered or reused. See `DESIGN.md` for the
+//! Codes are *stable*: tests and CI logs key on them, so a code is never
+//! renumbered or reused. See `DESIGN.md` for the
 //! mapping from each code to the paper equation it guards.
 
 use std::fmt;
 
-/// Stable diagnostic codes of the tape validator (`A0xx`). Source-lint codes
-/// (`L0xx`) live in [`crate::lint`]. Codes `A008` (optimized-plan
+/// Stable diagnostic codes of the tape validator (`A0xx`). Source codes
+/// (`L0xx`, `S0xx`) live in [`crate::sound::codes`]. Codes `A008` (optimized-plan
 /// structure) and `A009` (pass-report drift) are retired with the plan
 /// passes whose rewrites they checked; they are not reused.
 pub mod codes {

@@ -1,49 +1,28 @@
-//! Shared lexical substrate for the source analyzers.
+//! The lexical substrate of the source analyzer ([`crate::sound`]).
 //!
-//! Both [`crate::lint`] (per-line policy scanning) and [`crate::sound`]
-//! (whole-workspace lock-order / taint / panic-reachability passes) work on
-//! the same *masked* view of a Rust source file: comments, string literals,
-//! char literals and raw strings are replaced by spaces — byte offsets and
-//! line structure preserved — so plain substring scans never trip over
+//! Every pass works on a *masked* view of a Rust source file: comments,
+//! string literals, char literals and raw strings are replaced by spaces —
+//! byte offsets and line structure preserved — so a scan never trips over
 //! `"call .unwrap() and panic!()"` inside a string. The masking pass also
-//! harvests the two escape-comment namespaces:
+//! harvests the one escape-comment namespace, for L- and S-codes alike:
 //!
-//! * `// lint: allow(L001)` / `// lint: allow-file(L004): why` — the
-//!   [`crate::lint`] escapes (free-form justification).
-//! * `// sound: allow(S002): INVARIANT-NAME — why` — the [`crate::sound`]
-//!   escapes. These are stricter: an escape **must** carry a *named
-//!   invariant* (an upper-case `NAME-LIKE-THIS` token right after the code)
-//!   or it does not suppress anything; the soundness report lists every
-//!   escape with its invariant so reviewers can audit the full trusted
-//!   base.
+//! * `// sound: allow(L004): INVARIANT-NAME — why` on the offending line
+//!   or alone above it, or `// sound: allow-file(S005): NAME — why` for a
+//!   whole file. An escape **must** carry a *named invariant* (an
+//!   upper-case `NAME-LIKE-THIS` token right after the code) or it
+//!   suppresses nothing; the report lists every escape with its invariant,
+//!   so the full trusted base is auditable.
 //!
 //! `#[cfg(test)]` modules and `#[test]` functions are tracked as byte
-//! ranges; both analyzers exempt them — the policies protect request and
+//! ranges; every pass exempts them — the policies protect request and
 //! training paths, not assertions.
 
-/// Per-line allow state for the `lint:` namespace, parsed from
-/// `// lint: allow(...)` comments.
-#[derive(Default)]
-pub(crate) struct Allows {
-    /// Codes allowed for the whole file.
-    pub file: Vec<String>,
-    /// `(line, code)` pairs (0-based lines).
-    pub lines: Vec<(usize, String)>,
-}
-
-impl Allows {
-    pub(crate) fn permits(&self, line: usize, code: &str) -> bool {
-        self.file.iter().any(|c| c == code)
-            || self.lines.iter().any(|(l, c)| *l == line && c == code)
-    }
-}
-
-/// One `// sound: allow(...)` escape. Unlike lint escapes, these only
-/// suppress when [`SoundAllow::invariant`] parsed to a name; a nameless
-/// escape is reported as malformed by the soundness passes.
+/// One `// sound: allow(...)` escape. It suppresses only when
+/// [`SoundAllow::invariant`] parsed to a name; a nameless escape is
+/// reported as malformed (`S000`).
 #[derive(Debug, Clone)]
 pub(crate) struct SoundAllow {
-    /// The S-code the escape targets.
+    /// The code the escape targets.
     pub code: String,
     /// 0-based line the escape applies to (`usize::MAX` for file-level).
     pub line: usize,
@@ -57,12 +36,10 @@ pub(crate) struct SoundAllow {
 }
 
 /// The masked source: comments and literals replaced by spaces (newlines
-/// kept), the allow-escapes of both namespaces, and the byte ranges of
-/// test-only code.
+/// kept), the escapes, and the byte ranges of test-only code.
 pub(crate) struct MaskedSource {
     pub text: Vec<u8>,
     pub line_starts: Vec<usize>,
-    pub allows: Allows,
     pub sound_allows: Vec<SoundAllow>,
     pub test_ranges: Vec<(usize, usize)>,
 }
@@ -98,7 +75,7 @@ impl MaskedSource {
             .trim_end_matches('\n')
     }
 
-    /// The well-formed sound escape covering `line` for `code`, if any.
+    /// The well-formed escape covering `line` for `code`, if any.
     /// Escapes without a named invariant never match — the caller reports
     /// them as malformed instead.
     pub(crate) fn sound_permits(&self, line: usize, code: &str) -> Option<&SoundAllow> {
@@ -107,7 +84,7 @@ impl MaskedSource {
             .find(|a| a.invariant.is_some() && a.code == code && (a.file_level || a.line == line))
     }
 
-    /// Sound escapes that failed to parse a named invariant (audited as
+    /// Escapes that failed to parse a named invariant (audited as
     /// deny-level findings: an unnamed escape is an unreviewable one).
     pub(crate) fn malformed_sound_allows(&self) -> impl Iterator<Item = &SoundAllow> {
         self.sound_allows.iter().filter(|a| a.invariant.is_none())
@@ -115,11 +92,10 @@ impl MaskedSource {
 }
 
 /// Masks comments, strings and char literals out of `src`, harvesting the
-/// escape comments of both namespaces along the way.
+/// escape comments along the way.
 pub(crate) fn mask(src: &str) -> MaskedSource {
     let bytes = src.as_bytes();
     let mut out = bytes.to_vec();
-    let mut allows = Allows::default();
     let mut sound_allows: Vec<SoundAllow> = Vec::new();
     let mut line_starts = vec![0usize];
     for (i, &b) in bytes.iter().enumerate() {
@@ -153,7 +129,6 @@ pub(crate) fn mask(src: &str) -> MaskedSource {
                 // A comment alone on its line annotates the next line;
                 // a trailing comment annotates its own.
                 let standalone = src[line_starts[line]..i].trim().is_empty();
-                harvest_lint_allows(comment, line, standalone, &mut allows);
                 harvest_sound_allows(comment, line, standalone, &mut sound_allows);
                 blank(&mut out, i..end);
                 i = end;
@@ -203,7 +178,7 @@ pub(crate) fn mask(src: &str) -> MaskedSource {
         }
     }
 
-    // Resolve standalone allow comments to the next line that carries code
+    // Resolve standalone escapes to the next line that carries code
     // (in the masked text, comment continuation lines are all blank), so a
     // multi-line invariant comment still annotates the statement below it.
     let masked_line_blank = |l: usize| {
@@ -223,9 +198,6 @@ pub(crate) fn mask(src: &str) -> MaskedSource {
             *line = l;
         }
     };
-    for (line, _) in allows.lines.iter_mut() {
-        resolve(line);
-    }
     for a in sound_allows.iter_mut() {
         if !a.file_level {
             resolve(&mut a.line);
@@ -236,34 +208,8 @@ pub(crate) fn mask(src: &str) -> MaskedSource {
     MaskedSource {
         text: out,
         line_starts,
-        allows,
         sound_allows,
         test_ranges,
-    }
-}
-
-fn harvest_lint_allows(comment: &str, line: usize, standalone: bool, allows: &mut Allows) {
-    for (marker, file_level) in [("lint: allow-file(", true), ("lint: allow(", false)] {
-        let Some(pos) = comment.find(marker) else {
-            continue;
-        };
-        let rest = &comment[pos + marker.len()..];
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        for code in rest[..close].split(',') {
-            let code = code.trim().to_string();
-            if code.is_empty() {
-                continue;
-            }
-            if file_level {
-                allows.file.push(code);
-            } else {
-                let target = if standalone { line + 1 } else { line };
-                allows.lines.push((target, code));
-            }
-        }
-        return; // one marker per comment
     }
 }
 
@@ -290,10 +236,9 @@ fn harvest_sound_allows(
     standalone: bool,
     allows: &mut Vec<SoundAllow>,
 ) {
-    // Unlike lint escapes, a sound escape must be the comment's *leading*
-    // content — doc comments discussing the grammar (`…carry `// sound:
-    // allow(S005)` escapes…`) must not harvest as escapes of the analyzer's
-    // own sources.
+    // An escape must be the comment's *leading* content — doc comments
+    // discussing the grammar (`…carry `// sound: allow(S005)` escapes…`)
+    // must not harvest as escapes of the analyzer's own sources.
     let body = comment
         .trim_start_matches('/')
         .trim_start_matches('!')

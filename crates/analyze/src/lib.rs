@@ -1,6 +1,6 @@
 //! # stgnn-analyze
 //!
-//! Static analysis for the STGNN-DJD stack, in three parts:
+//! Static analysis for the STGNN-DJD stack, in two parts:
 //!
 //! * [`tape`] — a **pre-execution tape validator**. STGNN-DJD builds its
 //!   graphs *from data* every slot (FCG Eq 10, PCG Eqs 11–12), so a
@@ -15,24 +15,21 @@
 //!   [`diag::codes`] code (`A001`…). `Trainer::train` fails fast on `Deny`
 //!   before epoch 0, and the serve registry refuses to hot-swap a candidate
 //!   whose probe tape carries one.
-//! * [`lint`] — **`stgnn-lint`**, a hand-rolled lexer-based source checker
-//!   (no crates.io dependencies, like `stgnn_tensor::par`'s hand-rolled
-//!   pool) that walks `crates/*/src` and forbids panic-paths
-//!   (`unwrap()`/`expect()`/`panic!`/slice-indexing) in non-test code of
-//!   the hot-path crates and raw `File::create` on persistence paths, and
-//!   honors `// lint: allow(<code>)` escapes. Run as a CI gate via
-//!   `cargo run -p stgnn-analyze --bin stgnn-lint`.
-//! * [`sound`] — **`stgnn-sound`**, a deeper soundness pass built on the
-//!   same lexical substrate ([`lex`]): a per-function event parser feeding
-//!   an interprocedural lock-order analysis (may-hold-while-acquiring
-//!   graph, cycle = potential deadlock), a determinism-taint analysis
-//!   (wall-clock/thread-identity/hash-order sources must not reach tensor
-//!   values, RNG seeds, checkpoint bytes, or `BENCH_*.json` numerics), and
-//!   a panic-reachability-under-lock check. Diagnostics use `S001`…`S006`,
-//!   escapes require a *named invariant*
-//!   (`// sound: allow(S002): NAME — why`), and the run emits a
-//!   machine-readable `SOUND_REPORT.json`. CI gate:
-//!   `cargo run -p stgnn-analyze --bin stgnn-sound`.
+//! * [`sound`] — **`stgnn-sound`**, the one source analyzer, built on a
+//!   hand-rolled lexical substrate ([`lex`]; no crates.io parser, like
+//!   `stgnn_tensor::par`'s hand-rolled pool). One per-function event parse
+//!   of every `crates/*/src` file feeds four passes: the crate source
+//!   policy (`L001`–`L004`: no `unwrap()`/`expect()`/`panic!`/slice
+//!   indexing in non-test code of the hot-path crates; `L006`: no raw
+//!   `File::create` on persistence paths), an interprocedural lock-order
+//!   analysis (may-hold-while-acquiring graph, cycle = potential
+//!   deadlock), a determinism-taint analysis (wall-clock/thread-identity/
+//!   hash-order sources must not reach tensor values, RNG seeds,
+//!   checkpoint bytes, or `BENCH_*.json` numerics), and a
+//!   panic-reachability-under-lock check (`S000`…`S006`). Every escape
+//!   names an invariant (`// sound: allow(L004): NAME — why`), and the run
+//!   emits a machine-readable `SOUND_REPORT.json` listing them all. CI
+//!   gate: `cargo run -p stgnn-analyze --bin stgnn-sound`.
 //!
 //! The crate depends only on `stgnn-tensor`, so every model-level crate
 //! (core, serve, bench) can embed the validator without a dependency cycle;
@@ -41,7 +38,6 @@
 
 pub mod diag;
 pub(crate) mod lex;
-pub mod lint;
 pub mod sound;
 pub mod tape;
 

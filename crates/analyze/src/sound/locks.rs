@@ -269,7 +269,7 @@ pub(crate) fn analyze_locks(
                     Ev::Acquire {
                         lock,
                         guard,
-                        poison_unwrap,
+                        poison,
                         line,
                         depth,
                     } => {
@@ -283,7 +283,7 @@ pub(crate) fn analyze_locks(
                                 });
                             }
                         }
-                        if *poison_unwrap {
+                        if !poison.is_empty() {
                             push(
                                 &mut findings,
                                 &mut finding_seen,
@@ -400,6 +400,7 @@ pub(crate) fn analyze_locks(
                             }
                         }
                     }
+                    Ev::Index { .. } | Ev::FileCreate { .. } => {}
                 }
             }
         }

@@ -1,11 +1,15 @@
-//! `stgnn-sound`: whole-workspace soundness analysis.
+//! `stgnn-sound`: the workspace's one source analyzer.
 //!
-//! Three passes over a lightweight item/block parse of every crate's
-//! sources (see [`parser`]), sharing the [`crate::lex`] masked-text
-//! substrate with `stgnn-lint`:
+//! Four passes over one item/block parse of every crate's sources (see
+//! [`parser`]), built on the [`crate::lex`] masked text:
 //!
 //! | code | pass | finding |
 //! |------|------|---------|
+//! | `L001` | [`policy`] | `.unwrap()` in non-test code of a hot-path crate |
+//! | `L002` | [`policy`] | `.expect(...)` in non-test code of a hot-path crate |
+//! | `L003` | [`policy`] | `panic!`/`unreachable!`/`todo!`/`unimplemented!` there |
+//! | `L004` | [`policy`] | slice/array indexing `x[...]` there |
+//! | `L006` | [`policy`] | raw `File::create` in a hot-path or persistence crate |
 //! | `S000` | escapes | malformed `// sound: allow(...)` (no named invariant) |
 //! | `S001` | [`locks`] | lock-order cycle in the may-hold-while-acquiring graph |
 //! | `S002` | [`locks`] | lock held across a `send`/`failpoint!`/`forward` boundary |
@@ -13,6 +17,11 @@
 //! | `S004` | [`taint`] | nondeterminism flows into persisted checkpoint bytes |
 //! | `S005` | [`taint`] | wall-clock flows into a `BENCH_*.json` field |
 //! | `S006` | [`locks`]+[`panics`] | panic reachable while a lock guard is live |
+//!
+//! Hot-path crates (`tensor`, `graph`, `serve`, `scale`, `online`) enforce
+//! every L-code; persistence crates (`core`, `bench`, `faults`) enforce
+//! `L006` only; the S-passes cover every crate. `L005` (a guard held across
+//! `forward`) is retired in favour of `S002`.
 //!
 //! Every finding is deny-level: the `validate_sound` CI gate fails on any
 //! active diagnostic. The only way past the gate is an escape comment
@@ -30,15 +39,29 @@
 pub(crate) mod locks;
 pub(crate) mod panics;
 pub(crate) mod parser;
+pub(crate) mod policy;
 pub(crate) mod taint;
 
 use crate::lex::{mask, MaskedSource};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Stable soundness codes (`S0xx`).
+/// Stable source codes: the crate policy (`L0xx`) and the soundness passes
+/// (`S0xx`).
 pub mod codes {
+    /// `.unwrap()` on a request/training path.
+    pub const UNWRAP: &str = "L001";
+    /// `.expect(...)` on a request/training path.
+    pub const EXPECT: &str = "L002";
+    /// `panic!(...)` on a request/training path.
+    pub const PANIC: &str = "L003";
+    /// Panicking slice/array indexing on a request/training path.
+    pub const INDEX: &str = "L004";
+    /// Raw `File::create` on a persistence path: a crash mid-write leaves a
+    /// truncated file. `stgnn_faults::fsio::atomic_write` is the sanctioned
+    /// writer (temp sibling + fsync + rename).
+    pub const RAW_FILE_CREATE: &str = "L006";
     /// A `// sound: allow(...)` escape without a named invariant.
     pub const MALFORMED_ESCAPE: &str = "S000";
     /// Lock-order cycle — a deadlock witness.
@@ -84,7 +107,7 @@ pub struct SoundDiagnostic {
 /// One well-formed escape, published so the trusted base is auditable.
 #[derive(Debug, Clone)]
 pub struct EscapeRecord {
-    /// The S-code the escape targets.
+    /// The code the escape targets.
     pub code: String,
     /// Workspace-relative file.
     pub file: String,
@@ -258,6 +281,11 @@ pub fn analyze_sources(files: &[(String, String)]) -> SoundReport {
     let may_panic = panics::may_panic(&fns, &resolver);
     let (mut findings, edges) = locks::analyze_locks(&fns, &resolver, &may_panic);
     findings.extend(locks::lock_order_cycles(&edges));
+    let enforced: Vec<&[&str]> = files
+        .iter()
+        .map(|(label, _)| policy::enforced(policy::crate_of(label)))
+        .collect();
+    findings.extend(policy::violations(&fns, &enforced));
     let taint_files: Vec<taint::TaintFile<'_>> = files
         .iter()
         .enumerate()
@@ -370,12 +398,34 @@ pub fn analyze_sources(files: &[(String, String)]) -> SoundReport {
     }
 }
 
+/// Recursively collects `.rs` files under `dir`, sorted for deterministic
+/// output. `tests/`, `benches/` and `examples/` subtrees are skipped —
+/// the policy exempts test code.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if matches!(name, "tests" | "benches" | "examples" | "target") {
+                continue;
+            }
+            rust_sources(&path, out)?;
+        } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
 /// Scans every crate's `src/` tree under `<root>/crates` (all crates, not
-/// just the linted ones — taint flows through `core`, `data` and `bench`
+/// just the policed ones — taint flows through `core`, `data` and `bench`
 /// too) and runs [`analyze_sources`].
 pub fn analyze_workspace(root: &Path) -> std::io::Result<SoundReport> {
     let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<std::path::PathBuf> = std::fs::read_dir(&crates_dir)?
+    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.is_dir())
         .collect();
@@ -387,7 +437,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<SoundReport> {
             continue;
         }
         let mut paths = Vec::new();
-        crate::lint::rust_sources(&src_dir, &mut paths)?;
+        rust_sources(&src_dir, &mut paths)?;
         for path in paths {
             let src = std::fs::read_to_string(&path)?;
             let label = path
@@ -429,6 +479,24 @@ mod tests {
         let codes: Vec<&str> = r.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"S000"), "{codes:?}");
         assert!(codes.contains(&"S002"), "{codes:?}");
+    }
+
+    #[test]
+    fn source_walk_descends_into_the_plan_module_directory() {
+        // The compiler lives in `tensor/src/plan/{ir,passes,exec}.rs`; the
+        // hot-path policy must reach those files, not just top-level
+        // modules of the crate.
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../tensor/src");
+        let mut files = Vec::new();
+        rust_sources(&src, &mut files).expect("walk tensor src");
+        for module in ["ir.rs", "passes.rs", "exec.rs"] {
+            assert!(
+                files
+                    .iter()
+                    .any(|p| p.ends_with(Path::new("plan").join(module))),
+                "source walk missed plan/{module}"
+            );
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Works on the [`crate::lex`] masked text: finds every `fn` item, then
 //! walks each body once, emitting an ordered **event stream** — lock
 //! acquisitions (with guard-binding and receiver resolution), `drop(...)`
-//! calls, block closes, calls, panic sites, and blocking-boundary sites
-//! (`.send(`, `failpoint!`, `forward`/`predict_horizon`). The passes in
-//! [`crate::sound::locks`], [`crate::sound::taint`] and
-//! [`crate::sound::panics`] interpret the streams; this module only
-//! extracts them.
+//! calls, block closes, calls, panic sites, blocking-boundary sites
+//! (`.send(`, `failpoint!`, `forward`/`predict_horizon`), indexing `[`s and
+//! raw `File::create(` calls. The passes in [`crate::sound::locks`],
+//! [`crate::sound::taint`], [`crate::sound::panics`] and
+//! [`crate::sound::policy`] interpret the streams; this module only
+//! extracts them, so it is the one place that decides what a panic site is.
 //!
 //! Two region kinds change how events are interpreted and are resolved
 //! here, at extraction time:
@@ -41,9 +42,10 @@ pub(crate) enum Ev {
         /// closes or `drop(name)` runs. `None` for statement temporaries
         /// (`x.lock().take()`), released at the `;`.
         guard: Option<String>,
-        /// The acquisition chain ends in `.unwrap()`/`.expect(…)` — a
-        /// poison-propagating acquisition (`S006`).
-        poison_unwrap: bool,
+        /// The chain's `.unwrap()`/`.expect(…)` suffixes with their lines:
+        /// each propagates poisoning (`S006`) and is a panic site
+        /// (`L001`/`L002`), though not an [`Ev::Panic`].
+        poison: Vec<(&'static str, usize)>,
         line: usize,
         depth: usize,
     },
@@ -60,13 +62,19 @@ pub(crate) enum Ev {
     },
     /// A blocking/divergence boundary (`S002` when a guard is live).
     Boundary { kind: Boundary, line: usize },
-    /// A panic site (`S006` when a guard is live and the site is not in a
-    /// `catch_unwind` region).
+    /// A panic site: `.unwrap()`, `.expect(…)`, or a `panic!`,
+    /// `unreachable!`, `todo!` or `unimplemented!` macro (`L001`–`L003`;
+    /// `S006` when a guard is live and the site is not in a `catch_unwind`
+    /// region).
     Panic {
         what: &'static str,
         line: usize,
         caught: bool,
     },
+    /// A `[` that indexes (`L004`).
+    Index { line: usize },
+    /// A raw `File::create(` call (`L006`).
+    FileCreate { line: usize },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -327,6 +335,12 @@ fn scan_region(
                 out.push(Ev::Close { to_depth: depth });
                 i += 1;
             }
+            b'[' => {
+                if indexes(text, i) {
+                    out.push(Ev::Index { line: m.line_of(i) });
+                }
+                i += 1;
+            }
             b'.' => {
                 let (name, after) = ident_after(text, i + 1);
                 if name.is_empty() {
@@ -355,11 +369,7 @@ fn scan_region(
                     }
                     "unwrap" | "expect" => {
                         out.push(Ev::Panic {
-                            what: if name == "unwrap" {
-                                ".unwrap()"
-                            } else {
-                                ".expect(...)"
-                            },
+                            what: unwrap_site(&name),
                             line: m.line_of(i),
                             caught: in_regions(caught, i),
                         });
@@ -388,6 +398,9 @@ fn scan_region(
                 if prev == b'.' || name.is_empty() {
                     i = after.max(i + 1);
                     continue;
+                }
+                if name == "File" && is_create_call(text, after) {
+                    out.push(Ev::FileCreate { line: m.line_of(i) });
                 }
                 // `x!` macros: `panic!`, `failpoint!`, `unreachable!`.
                 if text.get(after) == Some(&b'!') {
@@ -461,6 +474,49 @@ fn scan_region(
             }
             _ => i += 1,
         }
+    }
+}
+
+/// Whether the `[` at `open` indexes: it directly follows an expression —
+/// an identifier, `)` or `]`. Attributes (`#[…]`) and macros (`vec![…]`)
+/// follow `#`/`!`; literals and generics follow `=`/`(`/`<`/whitespace;
+/// keywords (`&mut [f32]`, `in [..]`, `return [..]`) and lifetimes
+/// (`&'a [u8]`) start a type or an expression rather than end one.
+fn indexes(text: &[u8], open: usize) -> bool {
+    let Some(end) = text[..open].iter().rposition(|&b| b != b' ' && b != b'\n') else {
+        return false;
+    };
+    match text[end] {
+        b')' | b']' => true,
+        b if ident_char(b) => {
+            let start = text[..end].iter().rposition(|&b| !ident_char(b));
+            let word = &text[start.map_or(0, |s| s + 1)..=end];
+            let lifetime = start.is_some_and(|s| text[s] == b'\'');
+            !lifetime
+                && !matches!(
+                    word,
+                    b"mut" | b"const" | b"dyn" | b"in" | b"return" | b"break" | b"else" | b"match"
+                )
+        }
+        _ => false,
+    }
+}
+
+/// Whether `::create(` (whitespace allowed before the `(`) starts at
+/// `pos`, right after a `File` identifier.
+fn is_create_call(text: &[u8], pos: usize) -> bool {
+    text[pos..]
+        .strip_prefix(b"::create")
+        .and_then(|rest| rest.iter().find(|&&b| b != b' ' && b != b'\n'))
+        == Some(&b'(')
+}
+
+/// How a panic site reads for an `.unwrap(` or `.expect(` call.
+fn unwrap_site(method: &str) -> &'static str {
+    if method == "unwrap" {
+        ".unwrap()"
+    } else {
+        ".expect(...)"
     }
 }
 
@@ -542,7 +598,7 @@ fn emit_acquire(
     // poisoning but preserve the guard; `.unwrap_or_else(…)` tolerates it;
     // any other method consumes the guard within the statement.
     let mut k = close;
-    let mut poison_unwrap = false;
+    let mut poison = Vec::new();
     let mut guard_preserved = true;
     let resume;
     loop {
@@ -559,7 +615,7 @@ fn emit_acquire(
                     break;
                 }
                 if name != "unwrap_or_else" {
-                    poison_unwrap = true;
+                    poison.push((unwrap_site(&name), m.line_of(k)));
                 }
                 match text.get(after) {
                     Some(&b'(') => match paren_range(text, after) {
@@ -610,7 +666,7 @@ fn emit_acquire(
     out.push(Ev::Acquire {
         lock: format!("{file_stem}::{recv}"),
         guard,
-        poison_unwrap,
+        poison,
         line: m.line_of(site),
         depth,
     });
@@ -710,9 +766,9 @@ mod tests {
                 Ev::Acquire {
                     lock,
                     guard,
-                    poison_unwrap,
+                    poison,
                     ..
-                } => Some((lock.clone(), guard.clone(), *poison_unwrap)),
+                } => Some((lock.clone(), guard.clone(), !poison.is_empty())),
                 _ => None,
             })
             .collect();

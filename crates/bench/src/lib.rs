@@ -201,13 +201,6 @@ pub struct EvalOutcome {
     pub n_slots: usize,
 }
 
-impl EvalOutcome {
-    /// Mean prediction time per slot (the §VII-I efficiency number).
-    pub fn predict_time_per_slot(&self) -> Duration {
-        self.predict_time / self.n_slots.max(1) as u32
-    }
-}
-
 /// Fits `predictor` and evaluates it over `slots`.
 pub fn run_fit_eval(
     predictor: &mut dyn DemandSupplyPredictor,

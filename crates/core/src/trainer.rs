@@ -66,12 +66,13 @@ pub struct TrainReport {
     pub checkpoint_failures: usize,
 }
 
+/// Cap on validation slots per evaluation (validation is forward-only but
+/// still costs a full graph trace per slot).
+const MAX_VAL_SLOTS: usize = 48;
+
 /// Trains an [`StgnnDjd`] on a [`BikeDataset`].
 pub struct Trainer {
     config: StgnnConfig,
-    /// Cap on validation slots per evaluation (validation is forward-only
-    /// but still costs a full graph trace per slot).
-    max_val_slots: usize,
     /// When set, a [`TrainCheckpoint`] is written here (atomically) every
     /// [`Self::checkpoint_every`] batches.
     checkpoint_path: Option<PathBuf>,
@@ -84,16 +85,9 @@ impl Trainer {
     pub fn new(config: StgnnConfig) -> Self {
         Trainer {
             config,
-            max_val_slots: 48,
             checkpoint_path: None,
             checkpoint_every: 32,
         }
-    }
-
-    /// Overrides the validation subsample cap.
-    pub fn with_max_val_slots(mut self, cap: usize) -> Self {
-        self.max_val_slots = cap.max(1);
-        self
     }
 
     /// Enables crash-safe checkpointing: every `every_batches` optimizer
@@ -168,7 +162,7 @@ impl Trainer {
                 .into_iter()
                 .filter(|&t| t <= max_slot)
                 .collect();
-            subsample(&all, self.max_val_slots)
+            subsample(&all, MAX_VAL_SLOTS)
         };
         // One replay executor per batch lane, reused across every batch and
         // epoch — this is what makes the steady state allocation-free.

@@ -3,7 +3,7 @@
 //! FNV-1a) behind them.
 //!
 //! [`atomic_write`] is the one sanctioned way to persist state in this
-//! workspace (stgnn-lint L006 flags raw `File::create` on persistence
+//! workspace (stgnn-sound's L006 flags raw `File::create` on persistence
 //! paths). It guarantees a reader — including a process that comes back
 //! after a crash — observes either the complete previous file or the
 //! complete new one, never a prefix, by writing to a temp sibling,
@@ -53,7 +53,7 @@ where
     let tmp = temp_sibling(path);
     let result = (|| -> io::Result<()> {
         crate::failpoint!("atomic_write::create", io);
-        // lint: allow(L006) — this is the atomic writer itself.
+        // sound: allow(L006): ATOMIC-WRITER-ITSELF — this is the atomic writer.
         let file = File::create(&tmp)?;
         let mut writer = BufWriter::new(file);
         crate::failpoint!("atomic_write::write", io);

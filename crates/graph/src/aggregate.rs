@@ -1,5 +1,5 @@
-// lint: allow-file(L004): neighbourhood indices come from the graph's own
-// node range, and each row chunk is `n` wide.
+// sound: allow-file(L004): NODE-IDS-BELOW-N — neighbourhood indices come from
+// the graph's own node range, and each row chunk is `n` wide.
 //! The GraphSAGE mean aggregator over a fixed [`DiGraph`].
 //!
 //! **Mean** — elementwise mean of the node's own embedding and its

@@ -1,5 +1,5 @@
-// lint: allow-file(L004): flow/correlation matrices are allocated n*n right
-// before the double loops that fill them.
+// sound: allow-file(L004): BUFFERS-SIZED-AT-CONSTRUCTION — flow/correlation
+// matrices are allocated n*n right before the double loops that fill them.
 //! Graph constructions used by the baselines.
 //!
 //! The paper's related-work critique (§II) is that prior models *assume* a

@@ -1,6 +1,6 @@
-// lint: allow-file(L002, L004): adjacency/CSR buffers are sized n*n (or by
-// degree sums) immediately before the loops that index them; `from_vec`
-// receives vectors of exactly that length.
+// sound: allow-file(L002, L004): BUFFERS-SIZED-AT-CONSTRUCTION — adjacency/CSR
+// buffers are sized n*n (or by degree sums) immediately before the loops that
+// index them; `from_vec` receives vectors of exactly that length.
 //! A compact weighted digraph in CSR form.
 
 use stgnn_tensor::{par, Error, Shape, Tensor};

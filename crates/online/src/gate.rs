@@ -84,7 +84,7 @@ fn subsample(slots: &[usize], cap: usize) -> Vec<usize> {
         return slots.to_vec();
     }
     (0..cap)
-        // lint: allow(L004): i < cap ⇒ i * len / cap < len.
+        // sound: allow(L004): STRIDE-INDEX-BELOW-LEN — i < cap ⇒ i * len / cap < len.
         .map(|i| slots[i * slots.len() / cap])
         .collect()
 }
@@ -165,10 +165,11 @@ pub fn shadow_compare(
     let mut latency_us = 0u64;
     for &t in &slots {
         let started = std::time::Instant::now();
-        // lint: allow(L004): predict_horizon returns `horizon` ≥ 1 entries.
+        // sound: allow(L004): HORIZON-AT-LEAST-ONE — predict_horizon returns
+        // `horizon` ≥ 1 entries.
         let cand_pred = &candidate.predict_horizon(data, t)[0];
         latency_us += started.elapsed().as_micros() as u64;
-        // lint: allow(L004): same invariant for the incumbent.
+        // sound: allow(L004): HORIZON-AT-LEAST-ONE — same for the incumbent.
         let inc_pred = &incumbent.predict_horizon(data, t)[0];
         let (true_d, true_s) = data.raw_targets(t);
         acc_cand.add_slot(&cand_pred.demand, &cand_pred.supply, true_d, true_s);

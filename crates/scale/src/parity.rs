@@ -1,5 +1,6 @@
-// lint: allow-file(L004): every index here is a station id or a row/col
-// bound checked against the tensor shapes the caller supplies.
+// sound: allow-file(L004): SHAPE-CHECKED-KERNEL-INDEX — every index here is a
+// station id or a row/col bound checked against the tensor shapes the caller
+// supplies.
 //! Bitwise sharding machinery for the FCG stage, and the parity argument.
 //!
 //! ## Why sharding can be *bit-exact*, not merely approximate

@@ -1,5 +1,6 @@
-// lint: allow-file(L004): every index in this module is a node id below
-// `n = adj.num_nodes()`, the length of every buffer allocated here.
+// sound: allow-file(L004): NODE-IDS-BELOW-N — every index in this module is a
+// node id below `n = adj.num_nodes()`, the length of every buffer allocated
+// here.
 //! The shard planner: balanced edge-cut partition with halo sets.
 //!
 //! Stations are split into K **shards** by a deterministic greedy growth

@@ -94,7 +94,9 @@ impl HashRing {
             let at = (start + off) % self.points.len();
             if let Some(&(_, idx)) = self.points.get(at) {
                 if !seen.get(idx).copied().unwrap_or(true) {
-                    seen[idx] = true; // lint: allow(L004): idx < names.len() by construction
+                    // sound: allow(L004): RING-IDS-BELOW-LEN — idx < names.len()
+                    // by construction.
+                    seen[idx] = true;
                     out.push(idx);
                 }
             }

@@ -45,7 +45,7 @@ impl SubCity {
                     "member station {global} outside city of {n}"
                 )));
             }
-            // lint: allow(L004): global < n checked just above.
+            // sound: allow(L004): NODE-IDS-BELOW-N — global < n checked just above.
             local_of[global] = local;
         }
         let stations: Vec<Station> = members
@@ -66,8 +66,8 @@ impl SubCity {
             .trips
             .iter()
             .filter_map(|t| {
-                // lint: allow(L004): cleansed trip endpoints are < n, the
-                // length of `local_of`.
+                // sound: allow(L004): NODE-IDS-BELOW-N — cleansed trip endpoints
+                // are < n, the length of `local_of`.
                 let (o, d) = (local_of[t.origin], local_of[t.dest]);
                 (o != usize::MAX && d != usize::MAX).then_some(TripRecord {
                     rid: t.rid,

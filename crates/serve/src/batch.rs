@@ -124,9 +124,9 @@ impl WorkerPool {
                 thread::Builder::new()
                     .name(format!("stgnn-serve-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    // lint: allow(L002): construction-time, before any request
-                    // is accepted — a failed spawn is OS resource exhaustion
-                    // at startup, where aborting is the right call.
+                    // sound: allow(L002): SPAWN-FAILS-ONLY-AT-STARTUP — before
+                    // any request is accepted, a failed spawn is OS resource
+                    // exhaustion at startup, where aborting is the right call.
                     .expect("spawn worker")
             })
             .collect();

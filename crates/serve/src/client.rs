@@ -84,7 +84,8 @@ impl Response {
     pub fn json_field(&self, name: &str) -> Option<String> {
         let needle = format!("\"{name}\":");
         let start = self.body.find(&needle)? + needle.len();
-        // lint: allow(L004): `find` located the needle, so start ≤ body.len().
+        // sound: allow(L004): SLICE-AT-FOUND-BOUNDARY — `find` located the
+        // needle, so start ≤ body.len().
         let rest = &self.body[start..];
         let mut depth = 0i32;
         let mut in_string = false;
@@ -100,13 +101,14 @@ impl Response {
                 '[' | '{' if !in_string => depth += 1,
                 ']' | '}' if !in_string => {
                     if depth == 0 {
-                        // lint: allow(L004): i is a char_indices boundary.
+                        // sound: allow(L004): SLICE-AT-FOUND-BOUNDARY — i is a
+                        // char_indices boundary.
                         return Some(rest[..i].trim().to_string());
                     }
                     depth -= 1;
                 }
                 ',' if !in_string && depth == 0 => {
-                    // lint: allow(L004): i is a char_indices boundary.
+                    // sound: allow(L004): SLICE-AT-FOUND-BOUNDARY — i is a char_indices boundary.
                     return Some(rest[..i].trim().to_string());
                 }
                 _ => {}

@@ -138,15 +138,16 @@ impl ServeMetrics {
             .iter()
             .position(|&ub| batch_size as u64 <= ub)
             .unwrap_or(BATCH_BUCKETS.len());
-        // lint: allow(L004): batch_hist has BATCH_BUCKETS.len() + 1 slots,
-        // so the overflow index is in bounds.
+        // sound: allow(L004): BUCKET-INDEX-CLAMPED — batch_hist has
+        // BATCH_BUCKETS.len() + 1 slots, so the overflow index is in bounds.
         self.batch_hist[idx].fetch_add(1, Relaxed);
     }
 
     /// Records one request's end-to-end latency.
     pub fn record_latency(&self, latency: Duration) {
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        // lint: allow(L004): latency_bucket clamps to LATENCY_BUCKETS - 1.
+        // sound: allow(L004): BUCKET-INDEX-CLAMPED — latency_bucket clamps to
+        // LATENCY_BUCKETS - 1.
         self.latency_hist.0[latency_bucket(us)].fetch_add(1, Relaxed);
     }
 

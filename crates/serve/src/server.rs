@@ -365,8 +365,9 @@ fn handle_predict(ctx: &Ctx, req: &Request) -> (u16, &'static str, String) {
                 );
             };
             let (demand, supply) = match station {
-                // lint: allow(L004): station < n_stations checked above, and
-                // predict_horizon emits n_stations entries per step.
+                // sound: allow(L004): STATION-CHECKED-BELOW-N — station <
+                // n_stations checked above, and predict_horizon emits
+                // n_stations entries per step.
                 Some(i) => (format!("{}", step.demand[i]), format!("{}", step.supply[i])),
                 None => (json_f32_array(&step.demand), json_f32_array(&step.supply)),
             };
@@ -405,8 +406,9 @@ fn handle_predict(ctx: &Ctx, req: &Request) -> (u16, &'static str, String) {
             ctx.metrics.inc_fallbacks();
             let pred = ctx.ha.predict(&ctx.dataset, slot);
             let (demand, supply) = match station {
-                // lint: allow(L004): station < n_stations checked above, and
-                // the HA table holds n_stations entries.
+                // sound: allow(L004): STATION-CHECKED-BELOW-N — station <
+                // n_stations checked above, and the HA table holds
+                // n_stations entries.
                 Some(i) => (format!("{}", pred.demand[i]), format!("{}", pred.supply[i])),
                 None => (json_f32_array(&pred.demand), json_f32_array(&pred.supply)),
             };

@@ -1,6 +1,7 @@
-// lint: allow-file(L001, L002, L003, L004): per the documented Panics
-// contract, the backward sweep re-runs ops whose shapes the forward pass
-// already validated; a failure here is a tape-construction bug, not input.
+// sound: allow-file(L002, L003, L004): TAPE-SHAPES-VALIDATED-FORWARD — per the
+// documented Panics contract, the backward sweep re-runs ops whose shapes the
+// forward pass already validated; a failure here is a tape-construction bug,
+// not input.
 //! Tape-based reverse-mode automatic differentiation.
 //!
 //! A [`Graph`] records every operation of one forward pass as a node on a

@@ -1,5 +1,6 @@
-// lint: allow-file(L002, L004): weight tensors are built from vectors whose
-// length is computed from the very shape passed to `from_vec`.
+// sound: allow-file(L002, L004): BUFFERS-SIZED-AT-CONSTRUCTION — weight
+// tensors are built from vectors whose length is computed from the very shape
+// passed to `from_vec`.
 //! The paper's 1×1 "flow convolution" kernel (Eqs 1–4).
 //!
 //! STGNN-DJD treats a station's historical inflow/outflow rows at `k`

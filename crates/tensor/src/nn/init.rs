@@ -1,6 +1,6 @@
-// lint: allow-file(L002, L004): `from_vec` gets a vector of exactly
-// rows*cols elements, the same product the shape encodes, and
-// identity_xavier indexes an n*n buffer it just allocated.
+// sound: allow-file(L002, L004): BUFFERS-SIZED-AT-CONSTRUCTION — `from_vec`
+// gets a vector of exactly rows*cols elements, the same product the shape
+// encodes, and identity_xavier indexes an n*n buffer it just allocated.
 //! Weight initialisers.
 
 use crate::shape::Shape;

@@ -1,6 +1,7 @@
-// lint: allow-file(L004): backward formulas index gradient/output buffers
-// whose lengths the forward pass fixed (slice bounds, argmax rows, concat
-// column offsets), and the sweeps index equal-length chunk slices.
+// sound: allow-file(L004): SHAPE-CHECKED-KERNEL-INDEX — backward formulas index
+// gradient/output buffers whose lengths the forward pass fixed (slice bounds,
+// argmax rows, concat column offsets), and the sweeps index equal-length chunk
+// slices.
 //! The op table: one forward ([`Op::eval`]) and one backward
 //! ([`Op::backprop`]) per tape op, shared by both executors — the eager
 //! [`crate::autograd::Var`] builders and the compiled [`crate::plan::Plan`]

@@ -1,6 +1,6 @@
-// lint: allow-file(L002, L004): optimizer state buffers are created with
-// each parameter's exact shape at construction, so the per-step elementwise
-// ops cannot shape-mismatch.
+// sound: allow-file(L002, L004): BUFFERS-SIZED-AT-CONSTRUCTION — optimizer
+// state buffers are created with each parameter's exact shape at
+// construction, so the per-step elementwise ops cannot shape-mismatch.
 //! First-order optimizers over a [`ParamSet`].
 //!
 //! The paper trains with Adam (§VII-C, lr 0.01); SGD exists for tests and

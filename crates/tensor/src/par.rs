@@ -1,4 +1,3 @@
-// lint: allow-file(L004): chunk bounds derive from slice lengths.
 //! Parallel kernel execution: a persistent, work-chunking thread pool.
 //!
 //! Every hot kernel in this crate — `matmul`, `softmax_rows`, `transpose`,

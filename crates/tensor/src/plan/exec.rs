@@ -1,7 +1,7 @@
-// lint: allow-file(L004): replay indexes the per-node slot vectors with
-// node/parent ids proven in bounds by `Plan::compile`; the in-place kernels
-// index flat buffers whose lengths were validated against the traced
-// shapes.
+// sound: allow-file(L004): PLAN-IDS-VALIDATED-AT-COMPILE — replay indexes the
+// per-node slot vectors with node/parent ids proven in bounds by
+// `Plan::compile`; the in-place kernels index flat buffers whose lengths were
+// validated against the traced shapes.
 //! Plan execution: the forward/backward sweeps over [`PlanExec`] slots,
 //! the blocked-GEMM dispatch of matmul nodes and the in-place buffer
 //! steals.

@@ -1,6 +1,3 @@
-// lint: allow-file(L004): the compiler validates every node/parent id against
-// the tape once in `Plan::compile`; replay then indexes the per-node slot
-// vectors with those proven-in-bounds ids on the hot path.
 //! Compiled tape replay: execute one traced graph many times without
 //! rebuilding it.
 //!

@@ -1,5 +1,6 @@
-// lint: allow-file(L004): the pass walks node/parent ids already validated
-// against the tape by `Plan::compile`; indexing with them cannot miss.
+// sound: allow-file(L004): PLAN-IDS-VALIDATED-AT-COMPILE — the pass walks
+// node/parent ids already validated against the tape by `Plan::compile`;
+// indexing with them cannot miss.
 //! The plan's one rewrite: in-place buffer steals.
 //!
 //! The pass only *annotates* nodes — node ids, parents and the sweep order

@@ -267,16 +267,6 @@ impl PoolStats {
             outstanding_bytes: self.outstanding_bytes,
         }
     }
-
-    /// Fraction of requests served without touching the allocator.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// A snapshot of the cumulative pool counters.

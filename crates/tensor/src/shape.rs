@@ -1,4 +1,5 @@
-// lint: allow-file(L004): accessors index `dims` only after rank checks.
+// sound: allow-file(L004): SHAPE-CHECKED-KERNEL-INDEX — accessors index `dims`
+// only after rank checks.
 //! Shape arithmetic for row-major tensors.
 
 use crate::error::{Error, Result};

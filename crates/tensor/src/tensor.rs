@@ -1,6 +1,7 @@
-// lint: allow-file(L004): row-major kernels index within bounds computed by
-// the `as_matrix`/len checks at each op's entry; hoisting every access through
-// `.get()` would defeat the autovectorizer these loops rely on.
+// sound: allow-file(L004): SHAPE-CHECKED-KERNEL-INDEX — row-major kernels index
+// within bounds computed by the `as_matrix`/len checks at each op's entry;
+// hoisting every access through `.get()` would defeat the autovectorizer these
+// loops rely on.
 //! Dense row-major `f32` tensors with copy-on-write storage.
 //!
 //! `Tensor` clones are O(1) (an `Arc` bump); mutation goes through
@@ -825,7 +826,7 @@ pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
     let mut zeros = 0u32;
     let mut idx = 0;
     while idx < a.len() {
-        // lint: allow(L004): idx < a.len() is the loop condition.
+        // idx < a.len() is the loop condition.
         if a[idx] == 0.0 {
             zeros += 1;
         }
@@ -858,7 +859,7 @@ pub(crate) fn lhs_is_dense_t(a: &[f32], rows: usize, cols: usize) -> bool {
     let (mut q, mut r) = (0usize, 0usize);
     let mut t = 0;
     while t < a.len() {
-        // lint: allow(L004): t < a.len() = rows·cols bounds r < rows, q < cols.
+        // t < a.len() = rows·cols bounds r < rows, q < cols.
         if a[r * cols + q] == 0.0 {
             zeros += 1;
         }
@@ -976,7 +977,7 @@ fn gemm_block_tile<const NC: usize>(
     let mut acc = [[0f32; NC]; 4];
     for p in 0..k {
         let bvec = &b[p * n + jb..p * n + jb + NC];
-        // lint: allow(L004): p < k and i0+3 < m bound every index.
+        // p < k and i0+3 < m bound every index.
         let avs = if ta {
             let col = &a[p * a_cols..p * a_cols + a_cols];
             [col[i0], col[i0 + 1], col[i0 + 2], col[i0 + 3]]
@@ -1053,7 +1054,7 @@ fn gemm_window_nt(
             for l in 0..8 {
                 let b_row = &b[(jb + l) * k..(jb + l) * k + k];
                 for p in pb..pe {
-                    // lint: allow(L004): (p-pb) < GEMM_KC by tile bounds.
+                    // (p-pb) < GEMM_KC by tile bounds.
                     pack[(p - pb) * 8 + l] = b_row[p];
                 }
             }
@@ -1114,7 +1115,7 @@ fn gemm_rows4_nt_packed(
     }
     for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
         for (r4, accr) in acc.iter_mut().enumerate() {
-            // lint: allow(L004): first_row+r0+3 < m and p < k bound the index.
+            // first_row+r0+3 < m and p < k bound the index.
             let av = a[(first_row + r0 + r4) * k + p];
             if !dense && av == 0.0 {
                 continue;

@@ -17,7 +17,8 @@
 //!   under deadline, and an HTTP/JSON endpoint over `std::net`.
 //! * [`analyze`] — pre-execution static analysis: tape validator (shape
 //!   inference, disconnected parameters, NaN-risk, FLOP/memory costs) and
-//!   the `stgnn-lint` source-policy checker.
+//!   the `stgnn-sound` source analyzer (crate source policy, lock order,
+//!   determinism taint).
 //! * [`faults`] — deterministic fault injection (failpoints), the atomic
 //!   file writer, and CRC32 — the substrate of the chaos test suite and the
 //!   crash-safe checkpoint/resume path.
