@@ -96,97 +96,6 @@ impl FlowSeries {
         })
     }
 
-    /// An all-zero flow series over `num_days` days — the starting point of
-    /// incremental aggregation ([`Self::record_trip`]).
-    pub fn empty(n_stations: usize, num_days: usize, slots_per_day: usize) -> Result<Self> {
-        Self::from_trips(&[], n_stations, num_days, slots_per_day)
-    }
-
-    /// Adds one trip's contributions in place — the incremental counterpart
-    /// of the [`Self::from_trips`] aggregation loop, applying *exactly* the
-    /// same slot arithmetic and endpoint-clipping rules.
-    ///
-    /// Because every flow entry is a small non-negative integer count (and
-    /// demand/supply are sums of such counts), `f32` addition here is exact,
-    /// so any interleaving of `record_trip` / [`Self::retract_trip`] calls
-    /// lands on **bit-identical** matrices to a from-scratch rebuild over
-    /// the same trip multiset. The online refresh-parity suite holds the
-    /// implementation to that.
-    pub fn record_trip(&mut self, trip: &TripRecord) {
-        self.apply_trip(trip, 1.0);
-    }
-
-    /// Removes one previously recorded trip's contributions in place (the
-    /// retirement half of a sliding window). Exact for the same reason as
-    /// [`Self::record_trip`]: counts are integers, and `x - 1.0` on an
-    /// integer-valued `f32` is exact.
-    pub fn retract_trip(&mut self, trip: &TripRecord) {
-        self.apply_trip(trip, -1.0);
-    }
-
-    fn apply_trip(&mut self, trip: &TripRecord, delta: f32) {
-        let n = self.n_stations;
-        let num_slots = self.inflow.len();
-        let out_slot = trip.start_min / self.slot_minutes;
-        let in_slot = trip.end_min / self.slot_minutes;
-        if (0..num_slots as i64).contains(&out_slot) && trip.origin < n && trip.dest < n {
-            let t = out_slot as usize;
-            // lint-style safety: indices bounded by the guards above.
-            let cell = trip.origin * n + trip.dest;
-            if let Some(m) = self.outflow.get_mut(t) {
-                if let Some(v) = m.data_mut().get_mut(cell) {
-                    *v += delta;
-                }
-            }
-            if let Some(v) = self.demand.get_mut(t * n + trip.origin) {
-                *v += delta;
-            }
-        }
-        if (0..num_slots as i64).contains(&in_slot) && trip.origin < n && trip.dest < n {
-            let t = in_slot as usize;
-            let cell = trip.dest * n + trip.origin;
-            if let Some(m) = self.inflow.get_mut(t) {
-                if let Some(v) = m.data_mut().get_mut(cell) {
-                    *v += delta;
-                }
-            }
-            if let Some(v) = self.supply.get_mut(t * n + trip.dest) {
-                *v += delta;
-            }
-        }
-    }
-
-    /// Slides the horizon forward by `days` whole days: the oldest `days`
-    /// days of slots are dropped, the remaining slots shift to the front,
-    /// and fresh all-zero slots open at the tail. Trips recorded afterwards
-    /// must use minutes rebased to the new window start.
-    ///
-    /// Sliding by the full horizon (or more) clears every slot.
-    pub fn advance_days(&mut self, days: usize) {
-        let shift = (days * self.slots_per_day).min(self.num_slots());
-        let n = self.n_stations;
-        let num_slots = self.num_slots();
-        let zero = Tensor::zeros(Shape::matrix(n, n));
-        self.inflow.rotate_left(shift);
-        self.outflow.rotate_left(shift);
-        for t in num_slots - shift..num_slots {
-            if let Some(m) = self.inflow.get_mut(t) {
-                *m = zero.clone();
-            }
-            if let Some(m) = self.outflow.get_mut(t) {
-                *m = zero.clone();
-            }
-        }
-        self.demand.rotate_left(shift * n);
-        self.supply.rotate_left(shift * n);
-        for v in self.demand.iter_mut().skip((num_slots - shift) * n) {
-            *v = 0.0;
-        }
-        for v in self.supply.iter_mut().skip((num_slots - shift) * n) {
-            *v = 0.0;
-        }
-    }
-
     /// A windowed copy covering the whole days `days` (a `Range` of day
     /// indices): slot `t` of the view is slot
     /// `days.start * slots_per_day + t` of `self`, cloned bit-for-bit.
@@ -400,79 +309,6 @@ mod tests {
         assert!(FlowSeries::from_trips(&[], 0, 1, 4).is_err());
         assert!(FlowSeries::from_trips(&[], 2, 1, 7).is_err()); // 7 ∤ 1440
         assert!(FlowSeries::from_trips(&[], 2, 1, 0).is_err());
-    }
-
-    fn bits(f: &FlowSeries) -> Vec<u32> {
-        let mut out = Vec::new();
-        for t in 0..f.num_slots() {
-            out.extend(f.inflow(t).data().iter().map(|v| v.to_bits()));
-            out.extend(f.outflow(t).data().iter().map(|v| v.to_bits()));
-            out.extend(f.demand_at(t).iter().map(|v| v.to_bits()));
-            out.extend(f.supply_at(t).iter().map(|v| v.to_bits()));
-        }
-        out
-    }
-
-    #[test]
-    fn incremental_recording_matches_from_trips_bit_for_bit() {
-        let trips = vec![
-            trip(0, 1, 10, 30),
-            trip(0, 1, 370, 400),
-            trip(1, 2, 350, 380),
-            trip(2, 0, 1500, 1550),
-            trip(0, 1, 10, 30), // duplicate counts twice
-        ];
-        let rebuilt = FlowSeries::from_trips(&trips, 3, 2, 4).unwrap();
-        let mut inc = FlowSeries::empty(3, 2, 4).unwrap();
-        for t in &trips {
-            inc.record_trip(t);
-        }
-        assert_eq!(bits(&inc), bits(&rebuilt));
-    }
-
-    #[test]
-    fn retracting_a_trip_undoes_it_exactly() {
-        let trips = vec![trip(0, 1, 10, 30), trip(1, 2, 350, 380)];
-        let mut inc = FlowSeries::empty(3, 2, 4).unwrap();
-        for t in &trips {
-            inc.record_trip(t);
-        }
-        inc.retract_trip(&trips[1]);
-        let rebuilt = FlowSeries::from_trips(&trips[..1], 3, 2, 4).unwrap();
-        assert_eq!(bits(&inc), bits(&rebuilt));
-    }
-
-    #[test]
-    fn out_of_horizon_endpoints_are_clipped_like_from_trips() {
-        // Starts inside the horizon, returns outside it.
-        let edge = trip(0, 1, 1430, 1500);
-        let rebuilt = FlowSeries::from_trips(std::slice::from_ref(&edge), 2, 1, 4).unwrap();
-        let mut inc = FlowSeries::empty(2, 1, 4).unwrap();
-        inc.record_trip(&edge);
-        assert_eq!(bits(&inc), bits(&rebuilt));
-    }
-
-    #[test]
-    fn advance_days_slides_and_zeroes_the_tail() {
-        let mut f = series();
-        let day1_out = f.outflow(4).clone();
-        f.advance_days(1);
-        assert_eq!(f.num_slots(), 8, "horizon length is preserved");
-        // Old day 1 is now day 0 …
-        assert_eq!(f.outflow(0).data(), day1_out.data());
-        assert_eq!(f.demand_at(0), &[0.0, 0.0, 1.0]);
-        // … and the fresh tail day is all zero.
-        for t in 4..8 {
-            assert!(f.outflow(t).data().iter().all(|&v| v == 0.0));
-            assert!(f.demand_at(t).iter().all(|&v| v == 0.0));
-        }
-        // A rebased trip recorded into the fresh tail matches a rebuild.
-        let tail = trip(1, 0, 1440 + 10, 1440 + 40); // day 1 of the new window
-        f.record_trip(&tail);
-        assert_eq!(f.outflow(4).get2(1, 0), 1.0);
-        // Sliding past the horizon clears everything.
-        f.advance_days(10);
-        assert_eq!(bits(&f), bits(&FlowSeries::empty(3, 2, 4).unwrap()));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!    `fsio::atomic_write` *after* the action it records (swap first, then
 //!    persist `Promoted`) so it never claims more than happened.
 //! 3. **Ingestion is replayable.** Trips come from a seeded deterministic
-//!    source; `day_cursor` in the state file is enough to rebuild the
-//!    window bit-identically (asserted by the refresh-parity invariant).
+//!    source, and the window's flows are the aggregation of its buffered
+//!    days; `day_cursor` in the state file is enough to rebuild the window
+//!    bit-identically.
 //!
 //! Reconciling 1 against 2 on restart yields a well-defined resume state
 //! for every crash window; see [`OnlineLoop::new`].
@@ -146,15 +147,14 @@ impl OnlineLoop {
 
         // Replay ingestion up to the persisted cursor: deterministic in
         // the source seed, so the window contents are bit-identical to the
-        // pre-crash window (the refresh-parity invariant re-checks this).
+        // pre-crash window.
         let mut window = TripWindow::new(
             source.registry.len(),
             config.window_days,
             source.config.slots_per_day,
         )?;
         for day in 0..state.day_cursor {
-            let trips = trips_by_day.get(day).cloned().unwrap_or_default();
-            window.push_day(&trips);
+            window.push_day(trips_by_day.get(day).map(Vec::as_slice).unwrap_or_default());
         }
         window.restore_graph_epoch(state.graph_epoch);
         state.graph_epoch = window.graph_epoch();
@@ -231,26 +231,29 @@ impl OnlineLoop {
         self.persist()
     }
 
-    /// One full cycle: ingest a day, refresh-and-verify the window, and —
-    /// once the window is full — fine-tune, gate, shadow and promote a
-    /// candidate. Returns what happened; promotion leaves the loop in
-    /// `Promoted` awaiting [`Self::check_watchdogs`].
+    /// One full cycle: ingest a day into the window (which re-aggregates
+    /// its flows), and — once the window is full — fine-tune, gate, shadow
+    /// and promote a candidate. Returns what happened; promotion leaves the
+    /// loop in `Promoted` awaiting [`Self::check_watchdogs`].
     pub fn run_cycle(&mut self) -> Result<CycleOutcome> {
         // ---- ingest ------------------------------------------------
         self.state.candidate_version = None;
         self.transition(Phase::Ingesting)?;
         failpoint!("online::ingest", io);
         let day = self.state.day_cursor;
-        let trips = self.trips_by_day.get(day).cloned().unwrap_or_default();
-        self.window.push_day(&trips);
+        self.window.push_day(
+            self.trips_by_day
+                .get(day)
+                .map(Vec::as_slice)
+                .unwrap_or_default(),
+        );
         self.state.day_cursor += 1;
         self.state.graph_epoch = self.window.graph_epoch();
 
         // ---- refresh -----------------------------------------------
-        // The incremental FCG/PCG refresh is only sound while provably
-        // equal to a rebuild; verify before anything trains on it.
+        // `push_day` re-aggregated the FCG/PCG inputs; persist the
+        // advanced cursor and epoch before anything trains on them.
         failpoint!("online::refresh", io);
-        self.window.verify()?;
         self.persist()?;
 
         if !self.window.is_full() {
@@ -414,6 +417,7 @@ impl OnlineLoop {
 mod tests {
     use super::*;
     use stgnn_data::synthetic::CityConfig;
+    use stgnn_data::FlowSeries;
 
     fn no_faults() -> stgnn_faults::ScopedPlan {
         stgnn_faults::scoped(stgnn_faults::FaultPlan::new())
@@ -445,7 +449,8 @@ mod tests {
 
     fn fixture(label: &str, seed: u64) -> (OnlineConfig, Arc<ModelRegistry>, SyntheticCity) {
         let source = city(seed);
-        let registry = Arc::new(ModelRegistry::new());
+        let probe = BikeDataset::from_city(&source, DatasetConfig::small(6, 2)).unwrap();
+        let registry = Arc::new(ModelRegistry::new(Arc::new(probe)));
         let spec = stgnn_serve::ModelSpec::new(train_config(), source.registry.len());
         let initial = StgnnDjd::new(train_config(), source.registry.len())
             .unwrap()
@@ -562,32 +567,69 @@ mod tests {
         assert!(matches!(err, OnlineError::BadPhase(_)), "{err}");
     }
 
+    /// Every `f32` of a flow series (inflow, outflow, demand, supply, in
+    /// slot order) as exact bit patterns.
+    fn bits_of(flows: &FlowSeries) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for t in 0..flows.num_slots() {
+            bits.extend(flows.inflow(t).data().iter().map(|v| v.to_bits()));
+            bits.extend(flows.outflow(t).data().iter().map(|v| v.to_bits()));
+            bits.extend(flows.demand_at(t).iter().map(|v| v.to_bits()));
+            bits.extend(flows.supply_at(t).iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
     /// Restarting from a persisted mid-cycle state resumes to the named
-    /// `Ingesting` state with the window replayed bit-identically.
+    /// `Ingesting` state with the window replayed bit-identically — and
+    /// that window, two slides in, is the aggregation of exactly the last
+    /// `window_days` days of the source.
     #[test]
     fn restart_mid_cycle_resumes_to_ingesting_with_identical_window() {
         let _quiet = no_faults();
         let (config, registry, source) = fixture("restart", 72);
         let mut looper = OnlineLoop::new(config.clone(), Arc::clone(&registry), &source).unwrap();
-        for _ in 0..5 {
+        for _ in 0..10 {
             looper.run_cycle().unwrap();
         }
-        let window_before = crate::window::flow_bits(looper.window().flows());
+        let window_before = bits_of(looper.window().flows());
         let cursor = looper.state().day_cursor;
         // Simulate a crash in the training phase: persist the phase the
         // loop would have been in, then abandon the instance.
         looper.transition(Phase::Training).unwrap();
         drop(looper);
 
-        let revived = OnlineLoop::new(config, registry, &source).unwrap();
+        let revived = OnlineLoop::new(config.clone(), registry, &source).unwrap();
         assert_eq!(revived.resumed_from(), Some(Phase::Training));
         assert_eq!(revived.state().phase, Phase::Ingesting);
         assert_eq!(revived.state().day_cursor, cursor);
         assert_eq!(
-            crate::window::flow_bits(revived.window().flows()),
+            bits_of(revived.window().flows()),
             window_before,
             "replayed window must be bit-identical"
         );
-        revived.window().verify().unwrap();
+
+        let first = cursor - config.window_days;
+        let offset = first as i64 * MINUTES_PER_DAY;
+        let last_days: Vec<TripRecord> = source
+            .trips
+            .iter()
+            .filter(|t| {
+                (first as i64..cursor as i64).contains(&t.start_min.div_euclid(MINUTES_PER_DAY))
+            })
+            .map(|t| TripRecord {
+                start_min: t.start_min - offset,
+                end_min: t.end_min - offset,
+                ..*t
+            })
+            .collect();
+        let expected = FlowSeries::from_trips(
+            &last_days,
+            source.registry.len(),
+            config.window_days,
+            source.config.slots_per_day,
+        )
+        .unwrap();
+        assert_eq!(bits_of(revived.window().flows()), bits_of(&expected));
     }
 }

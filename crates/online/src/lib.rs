@@ -2,15 +2,16 @@
 //!
 //! The paper's FCG/PCG graphs are data-driven but frozen per training run;
 //! a deployed docked-bike system drifts daily. This crate closes the loop:
-//! it streams trips through a sliding window, refreshes the graph inputs
-//! incrementally, fine-tunes the serving model on a cadence, and promotes
-//! the result through a gate that a bad candidate cannot pass — with an
-//! automatic, bit-identical rollback if one slips through anyway.
+//! it streams trips through a sliding window, re-aggregates the graph
+//! inputs over the window's days, fine-tunes the serving model on a
+//! cadence, and promotes the result through a gate that a bad candidate
+//! cannot pass — with an automatic, bit-identical rollback if one slips
+//! through anyway.
 //!
 //! ```text
 //!   trips ──► [window]  ──► [refresh]  ──► [fine-tune] ──► [gate] ──► [shadow]
-//!             sliding        incremental    Trainer +       tape +      mirrored
-//!             TripWindow     FCG/PCG        checkpoints     holdout     traffic
+//!             sliding        FCG/PCG        Trainer +       tape +      mirrored
+//!             TripWindow     inputs         checkpoints     holdout     traffic
 //!                                                              │
 //!                          rollback ◄── [watchdog] ◄── [promote: swap_at_epoch]
 //!                          (restore       SLO / error        serve registry,
@@ -18,8 +19,8 @@
 //! ```
 //!
 //! * [`window`] — [`window::TripWindow`]: a whole-day sliding buffer whose
-//!   [`stgnn_data::FlowSeries`] is maintained **incrementally** (record /
-//!   retract / slide) and proven bit-identical to a from-scratch rebuild.
+//!   [`stgnn_data::FlowSeries`] is re-aggregated from the buffered trips
+//!   on every ingested day.
 //! * [`state`] — the loop's phase machine, persisted crash-safely with
 //!   `fsio::atomic_write` in the same CRC-stamped style as `stgnn-ckpt`.
 //! * [`gate`] — the promotion pipeline: `stgnn-analyze` tape validation,
@@ -57,9 +58,6 @@ pub enum OnlineError {
     Serve(stgnn_serve::ServeError),
     /// A persisted state file is damaged or from a foreign version.
     State(String),
-    /// The incremental FCG/PCG refresh diverged from a from-scratch
-    /// rebuild — the window's integrity invariant is broken.
-    RefreshDivergence(String),
     /// A phase was entered from a state that does not permit it.
     BadPhase(String),
 }
@@ -71,9 +69,6 @@ impl fmt::Display for OnlineError {
             OnlineError::Data(e) => write!(f, "online loop data error: {e}"),
             OnlineError::Serve(e) => write!(f, "online loop serve error: {e}"),
             OnlineError::State(m) => write!(f, "online loop state error: {m}"),
-            OnlineError::RefreshDivergence(m) => {
-                write!(f, "incremental refresh diverged from rebuild: {m}")
-            }
             OnlineError::BadPhase(m) => write!(f, "phase violation: {m}"),
         }
     }

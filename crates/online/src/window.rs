@@ -1,27 +1,17 @@
-//! Sliding whole-day ingestion window with incremental FCG/PCG refresh.
+//! Sliding whole-day ingestion window: the FCG/PCG inputs of the online
+//! loop.
 //!
 //! The paper derives its graphs from the flow matrices: the FCG edge set
 //! from inflow/outflow, the PCG attention from demand/supply. Refreshing
-//! the graphs online therefore means maintaining a [`FlowSeries`] over the
-//! most recent `window_days` of trips. [`TripWindow`] does that
-//! **incrementally** — `±1.0` per trip endpoint, a rotate-and-zero per day
-//! slide — instead of re-aggregating the whole window per day.
-//!
-//! Incremental maintenance is only admissible because it is *provably
-//! bit-identical* to a from-scratch rebuild: every flow entry is a small
-//! non-negative integer held exactly in `f32`, so increments, retractions
-//! and row sums are exact in any order. [`TripWindow::verify`] checks the
-//! invariant against [`TripWindow::rebuild`] (and the refresh-parity
-//! property test drives it across random trip streams); a divergence is a
-//! typed error, not a silent drift.
-//!
-//! Two subtleties, both at the slide and both caught by the parity test:
-//! a trip can start in the departing day and end in a later one — sliding
-//! by rotate-and-zero alone would orphan its drop-off, so the slide first
-//! *retracts* every buffered trip of the departing day; and a trip's
-//! drop-off can lie *beyond* the horizon (clipped when recorded) until a
-//! slide moves it inside, so each slide re-records the buffered trips
-//! whose drop-off crosses into the horizon at that slide.
+//! the graphs online therefore means holding a [`FlowSeries`] over the
+//! most recent `window_days` of trips. [`TripWindow`] buffers whole days of
+//! trips and, on every [`TripWindow::push_day`], re-aggregates the buffered
+//! trips with [`FlowSeries::from_trips`], rebased so that window day 0 is
+//! the oldest buffered day. The window's flows are therefore exactly the
+//! batch aggregation of its trips, with the same clipping at both ends of
+//! the horizon: a trip whose drop-off falls in a later day counts there
+//! only while its pickup day is buffered, and a drop-off past the horizon
+//! counts once a slide brings it inside.
 
 use crate::{OnlineError, Result};
 use std::collections::VecDeque;
@@ -30,19 +20,18 @@ use stgnn_data::{FlowSeries, TripRecord};
 /// Minutes per day (trips carry absolute minutes-from-epoch timestamps).
 const MINUTES_PER_DAY: i64 = 24 * 60;
 
-/// A sliding window of whole days of trips, with its flow aggregation kept
-/// incrementally and a monotone graph epoch that advances on every
-/// mutation of the FCG/PCG inputs.
+/// A sliding window of whole days of trips, with their flow aggregation
+/// and a monotone graph epoch that advances on every change of the
+/// FCG/PCG inputs.
 #[derive(Debug, Clone)]
 pub struct TripWindow {
-    n_stations: usize,
-    slots_per_day: usize,
-    window_days: usize,
     /// Absolute day index of window day 0.
     start_day: usize,
     /// Buffered trips per window day, in absolute minutes, keyed by the
     /// day their pickup falls in.
     days: VecDeque<Vec<TripRecord>>,
+    /// Aggregation of the buffered days over a horizon of the window's
+    /// length.
     flows: FlowSeries,
     graph_epoch: u64,
 }
@@ -53,11 +42,8 @@ impl TripWindow {
         if window_days == 0 {
             return Err(OnlineError::BadPhase("window_days must be ≥ 1".into()));
         }
-        let flows = FlowSeries::empty(n_stations, window_days, slots_per_day)?;
+        let flows = FlowSeries::from_trips(&[], n_stations, window_days, slots_per_day)?;
         Ok(TripWindow {
-            n_stations,
-            slots_per_day,
-            window_days,
             start_day: 0,
             days: VecDeque::new(),
             flows,
@@ -65,123 +51,44 @@ impl TripWindow {
         })
     }
 
-    /// Rebases an absolute-minute trip onto the window's local horizon
-    /// (day 0 = `start_day`). Endpoints outside the horizon are clipped by
-    /// the flow aggregation itself, identically for the incremental path
-    /// and a rebuild.
-    fn rebase(&self, trip: &TripRecord) -> TripRecord {
-        let offset = self.start_day as i64 * MINUTES_PER_DAY;
-        TripRecord {
-            rid: trip.rid,
-            origin: trip.origin,
-            dest: trip.dest,
-            start_min: trip.start_min - offset,
-            end_min: trip.end_min - offset,
-        }
-    }
-
     /// Ingests one whole day of trips (the day after the newest buffered
-    /// one). When the window is full it slides first: the departing day's
-    /// trips are retracted (removing cross-day drop-off contributions
-    /// exactly), then the flow horizon rotates one day.
+    /// one). When the window is full the oldest day leaves first, and the
+    /// flows are re-aggregated over the buffered days.
     pub fn push_day(&mut self, trips: &[TripRecord]) {
-        if self.days.len() == self.window_days {
-            if let Some(departing) = self.days.pop_front() {
-                for trip in &departing {
-                    let rebased = self.rebase(trip);
-                    self.flows.retract_trip(&rebased);
-                }
-            }
-            // A still-buffered trip whose drop-off lay *beyond* the horizon
-            // was clipped when recorded; this slide may move the drop-off
-            // into the horizon, where a rebuild would count it. Retract the
-            // trip under the old rebase (only its pickup half was applied)
-            // and re-record it under the new one so the deferred drop-off
-            // lands exactly where the rebuild puts it.
-            let horizon_min = self.window_days as i64 * MINUTES_PER_DAY;
-            let old_offset = self.start_day as i64 * MINUTES_PER_DAY;
-            let deferred: Vec<TripRecord> = self
-                .days
-                .iter()
-                .flatten()
-                .filter(|t| {
-                    let end = t.end_min - old_offset;
-                    end >= horizon_min && end - MINUTES_PER_DAY < horizon_min
-                })
-                .cloned()
-                .collect();
-            for trip in &deferred {
-                let rebased = self.rebase(trip);
-                self.flows.retract_trip(&rebased);
-            }
-            self.flows.advance_days(1);
+        if self.is_full() {
+            self.days.pop_front();
             self.start_day += 1;
-            for trip in &deferred {
-                let rebased = self.rebase(trip);
-                self.flows.record_trip(&rebased);
-            }
-        }
-        for trip in trips {
-            let rebased = self.rebase(trip);
-            self.flows.record_trip(&rebased);
         }
         self.days.push_back(trips.to_vec());
-        self.graph_epoch += 1;
-    }
-
-    /// Records one late-arriving trip into the window (its pickup day must
-    /// already be buffered).
-    pub fn record(&mut self, trip: &TripRecord) -> Result<()> {
-        let day = self.buffered_day_of(trip)?;
-        let rebased = self.rebase(trip);
-        self.flows.record_trip(&rebased);
-        if let Some(bucket) = self.days.get_mut(day) {
-            bucket.push(*trip);
+        let offset = self.start_day as i64 * MINUTES_PER_DAY;
+        let rebased: Vec<TripRecord> = self
+            .days
+            .iter()
+            .flatten()
+            .map(|t| TripRecord {
+                start_min: t.start_min - offset,
+                end_min: t.end_min - offset,
+                ..*t
+            })
+            .collect();
+        // `new` aggregated with these same dimensions, so this cannot fail.
+        if let Ok(flows) = FlowSeries::from_trips(
+            &rebased,
+            self.flows.n_stations(),
+            self.flows.num_days(),
+            self.flows.slots_per_day(),
+        ) {
+            self.flows = flows;
         }
         self.graph_epoch += 1;
-        Ok(())
     }
 
-    /// Retracts a previously recorded trip (a correction): removed from
-    /// the buffer by id and subtracted from the flows.
-    pub fn retract(&mut self, trip: &TripRecord) -> Result<()> {
-        let day = self.buffered_day_of(trip)?;
-        let Some(bucket) = self.days.get_mut(day) else {
-            return Err(OnlineError::BadPhase(format!("day {day} not buffered")));
-        };
-        let Some(at) = bucket.iter().position(|t| t.rid == trip.rid) else {
-            return Err(OnlineError::BadPhase(format!(
-                "trip {} not buffered in day {day}",
-                trip.rid
-            )));
-        };
-        bucket.swap_remove(at);
-        let rebased = self.rebase(trip);
-        self.flows.retract_trip(&rebased);
-        self.graph_epoch += 1;
-        Ok(())
-    }
-
-    fn buffered_day_of(&self, trip: &TripRecord) -> Result<usize> {
-        let day = trip.start_min.div_euclid(MINUTES_PER_DAY);
-        let local = day - self.start_day as i64;
-        if local < 0 || local as usize >= self.days.len() {
-            return Err(OnlineError::BadPhase(format!(
-                "trip {} starts on day {day}, window covers days {}..{}",
-                trip.rid,
-                self.start_day,
-                self.start_day + self.days.len()
-            )));
-        }
-        Ok(local as usize)
-    }
-
-    /// The incrementally maintained flow aggregation over the window.
+    /// The flow aggregation over the window.
     pub fn flows(&self) -> &FlowSeries {
         &self.flows
     }
 
-    /// Monotone FCG/PCG input generation; bumps on every mutation.
+    /// Monotone FCG/PCG input generation; bumps on every ingested day.
     pub fn graph_epoch(&self) -> u64 {
         self.graph_epoch
     }
@@ -206,71 +113,16 @@ impl TripWindow {
 
     /// Whether the window has a full `window_days` of data.
     pub fn is_full(&self) -> bool {
-        self.days.len() == self.window_days
+        self.days.len() == self.flows.num_days()
     }
 
-    /// From-scratch re-aggregation of the buffered trips — the reference
-    /// the incremental flows must match bit-for-bit.
-    pub fn rebuild(&self) -> Result<FlowSeries> {
-        let all: Vec<TripRecord> = self.days.iter().flatten().map(|t| self.rebase(t)).collect();
-        Ok(FlowSeries::from_trips(
-            &all,
-            self.n_stations,
-            self.window_days,
-            self.slots_per_day,
-        )?)
-    }
-
-    /// Asserts the incremental-refresh invariant: the maintained flows are
-    /// bit-identical to [`Self::rebuild`]. A divergence means an ingestion
-    /// bug (e.g. a dropped trip) and poisons every graph derived from the
-    /// window — the loop treats it as fatal for the cycle.
+    /// Always `Ok(())`: the flows are re-aggregated by every
+    /// [`Self::push_day`], so there is nothing left to check. Kept only
+    /// because the repository benchmark (`perfbench/src/online.rs`) calls
+    /// it as a step of its cycle replay.
     pub fn verify(&self) -> Result<()> {
-        let rebuilt = self.rebuild()?;
-        let incremental = flow_bits(&self.flows);
-        let reference = flow_bits(&rebuilt);
-        if incremental != reference {
-            let first = incremental
-                .iter()
-                .zip(&reference)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(OnlineError::RefreshDivergence(format!(
-                "window days {}..{}: first differing f32 at flat index {first} of {}",
-                self.start_day,
-                self.start_day + self.window_days,
-                reference.len()
-            )));
-        }
         Ok(())
     }
-
-    /// Test-only fault injector: silently drops a buffered trip *without*
-    /// retracting its flow contributions, simulating the ingestion bug the
-    /// parity check exists to catch. Returns whether a trip was dropped.
-    #[doc(hidden)]
-    pub fn corrupt_drop_buffered_trip(&mut self, rid: u64) -> bool {
-        for bucket in &mut self.days {
-            if let Some(at) = bucket.iter().position(|t| t.rid == rid) {
-                bucket.swap_remove(at);
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Every `f32` of a flow series (inflow, outflow, demand, supply, in slot
-/// order) as exact bit patterns.
-pub(crate) fn flow_bits(flows: &FlowSeries) -> Vec<u32> {
-    let mut bits = Vec::new();
-    for t in 0..flows.num_slots() {
-        bits.extend(flows.inflow(t).data().iter().map(|v| v.to_bits()));
-        bits.extend(flows.outflow(t).data().iter().map(|v| v.to_bits()));
-        bits.extend(flows.demand_at(t).iter().map(|v| v.to_bits()));
-        bits.extend(flows.supply_at(t).iter().map(|v| v.to_bits()));
-    }
-    bits
 }
 
 #[cfg(test)]
@@ -287,90 +139,88 @@ mod tests {
         }
     }
 
-    /// A deterministic little trip stream for `day` (absolute index).
-    fn day_trips(day: usize, n: usize) -> Vec<TripRecord> {
-        let base = day as i64 * MINUTES_PER_DAY;
-        (0..12)
-            .map(|i| {
-                let o = (day + i) % n;
-                let d = (day + 3 * i + 1) % n;
-                trip(
-                    (day * 100 + i) as u64,
-                    o,
-                    d,
-                    base + (i as i64 * 97) % MINUTES_PER_DAY,
-                    15,
-                )
-            })
-            .collect()
+    /// Sum of every inflow and every outflow entry over the horizon.
+    fn totals(flows: &FlowSeries) -> (f32, f32) {
+        (0..flows.num_slots()).fold((0.0, 0.0), |(i, o), t| {
+            (
+                i + flows.inflow(t).sum_all().scalar(),
+                o + flows.outflow(t).sum_all().scalar(),
+            )
+        })
     }
 
     #[test]
-    fn filling_and_sliding_stay_bit_identical_to_rebuild() {
+    fn filling_and_sliding_track_days_and_epoch() {
         let mut w = TripWindow::new(6, 3, 24).unwrap();
         assert_eq!(w.graph_epoch(), 1);
         for day in 0..7 {
-            w.push_day(&day_trips(day, 6));
-            w.verify().unwrap();
+            let noon = day as i64 * MINUTES_PER_DAY + 720;
+            w.push_day(&[trip(day, 0, 1, noon, 15)]);
+            assert_eq!(w.days_buffered(), (day as usize + 1).min(3));
         }
         assert!(w.is_full());
         assert_eq!(w.start_day(), 4);
         assert_eq!(w.graph_epoch(), 8);
+        // Days 4, 5 and 6 remain, each one trip in its noon slot.
+        assert_eq!(totals(w.flows()), (3.0, 3.0));
+        for day in 0..3 {
+            assert_eq!(w.flows().outflow(day * 24 + 12).get2(0, 1), 1.0);
+        }
+        w.verify().unwrap();
     }
 
-    /// The slide must retract cross-day drop-offs: a trip starting at
-    /// 23:55 of the departing day and ending in the next day leaves an
-    /// inflow contribution in a *surviving* day that rotate-and-zero alone
-    /// would orphan.
+    /// A trip picked up at 23:55 of day 0 and dropped off on day 1 counts
+    /// in day 1's inflow while day 0 is buffered; once day 0 slides out,
+    /// its drop-off leaves the surviving day with it.
     #[test]
-    fn sliding_retracts_cross_day_dropoffs() {
+    fn a_departed_days_overnight_trip_no_longer_counts_in_the_surviving_day() {
         let mut w = TripWindow::new(4, 2, 24).unwrap();
-        let overnight = trip(999, 0, 1, MINUTES_PER_DAY - 5, 30); // day 0 → day 1
-        let mut d0 = day_trips(0, 4);
-        d0.push(overnight);
-        w.push_day(&d0);
-        w.push_day(&day_trips(1, 4));
-        w.verify().unwrap();
-        // Slide day 0 out; the overnight trip's day-1 inflow must go too.
-        w.push_day(&day_trips(2, 4));
-        w.verify().unwrap();
+        let overnight = trip(1, 0, 1, MINUTES_PER_DAY - 5, 30);
+        let morning = trip(2, 2, 3, MINUTES_PER_DAY + 8 * 60 + 10, 30);
+        w.push_day(&[overnight]);
+        w.push_day(&[morning]);
+        let f = w.flows();
+        assert_eq!(f.outflow(23).get2(0, 1), 1.0);
+        assert_eq!(f.inflow(24).get2(1, 0), 1.0);
+        assert_eq!(f.supply_at(24), &[0.0, 1.0, 0.0, 0.0]);
+        assert_eq!(f.outflow(32).get2(2, 3), 1.0);
+        assert_eq!(totals(f), (2.0, 2.0));
+
+        w.push_day(&[]);
         assert_eq!(w.start_day(), 1);
+        let f = w.flows();
+        // Day 1 is window day 0 now: the morning trip moved to its slot 8,
+        // and the overnight drop-off is gone from its slot 0.
+        assert_eq!(f.inflow(0).get2(1, 0), 0.0);
+        assert_eq!(f.supply_at(0), &[0.0; 4]);
+        assert_eq!(f.outflow(8).get2(2, 3), 1.0);
+        assert_eq!(f.demand_at(8), &[0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(totals(f), (1.0, 1.0));
     }
 
+    /// A trip picked up at 22:00 of the newest day and dropped off at
+    /// 02:30 the next day counts only its pickup until the window slides;
+    /// the slide brings the drop-off inside the horizon.
     #[test]
-    fn record_and_retract_round_trip() {
-        let mut w = TripWindow::new(5, 2, 24).unwrap();
-        w.push_day(&day_trips(0, 5));
-        w.push_day(&day_trips(1, 5));
-        let before = flow_bits(w.flows());
-        let epoch = w.graph_epoch();
-
-        let late = trip(7777, 2, 3, MINUTES_PER_DAY + 60, 20);
-        w.record(&late).unwrap();
-        w.verify().unwrap();
-        assert_ne!(flow_bits(w.flows()), before, "recording must change flows");
-        w.retract(&late).unwrap();
-        w.verify().unwrap();
-        assert_eq!(flow_bits(w.flows()), before, "retract must undo exactly");
-        assert_eq!(w.graph_epoch(), epoch + 2);
-
-        // Out-of-window and unknown trips are typed errors.
-        let ancient = trip(1, 0, 1, -MINUTES_PER_DAY, 10);
-        assert!(w.record(&ancient).is_err());
-        assert!(w.retract(&trip(31337, 0, 1, 60, 10)).is_err());
-    }
-
-    #[test]
-    fn dropped_trip_breaks_parity() {
-        let mut w = TripWindow::new(5, 2, 24).unwrap();
-        w.push_day(&day_trips(0, 5));
-        w.verify().unwrap();
-        assert!(w.corrupt_drop_buffered_trip(3));
-        let err = w.verify().unwrap_err();
-        assert!(
-            matches!(err, OnlineError::RefreshDivergence(_)),
-            "wrong error: {err}"
+    fn a_dropoff_past_the_horizon_is_clipped_until_a_slide_brings_it_inside() {
+        let mut w = TripWindow::new(4, 2, 24).unwrap();
+        let overnight = trip(1, 3, 0, MINUTES_PER_DAY - 5, 30);
+        let late = trip(2, 1, 2, MINUTES_PER_DAY + 22 * 60, 4 * 60 + 30);
+        w.push_day(&[overnight]);
+        w.push_day(&[late]);
+        let f = w.flows();
+        assert_eq!(f.outflow(46).get2(1, 2), 1.0);
+        assert_eq!(
+            totals(f),
+            (1.0, 2.0),
+            "only the overnight drop-off is inside"
         );
-        assert!(!w.corrupt_drop_buffered_trip(3), "already dropped");
+
+        w.push_day(&[]);
+        let f = w.flows();
+        assert_eq!(f.outflow(22).get2(1, 2), 1.0);
+        assert_eq!(f.inflow(26).get2(2, 1), 1.0);
+        assert_eq!(f.supply_at(26), &[0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(totals(f), (1.0, 1.0), "the departed overnight trip is gone");
     }
 }

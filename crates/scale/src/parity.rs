@@ -25,10 +25,11 @@
 //! **halo-complete** for the slot), running the stage on the member-induced
 //! submatrices yields owned rows **bit-identical** to the full-city run.
 //! The stage is [`stgnn_core::fcg::FcgNetwork::forward`] itself, which
-//! takes the Eq 10 edge matrix and the feature rows as separate inputs: the
-//! tests run it on `T` for the full city and on `T`'s member-induced
-//! submatrix ([`induce_square`]) and member rows ([`induce_rows`]) for a
-//! shard, and assert bit-equality on owned rows.
+//! takes the Eq 10 edge matrix and the feature rows as separate inputs:
+//! `tests/shard_parity.rs` at the workspace root runs it on `T` for the
+//! full city and on `T`'s member-induced submatrix ([`induce_square`]) and
+//! member rows ([`induce_rows`]) for a shard, and asserts bit-equality on
+//! owned rows.
 //!
 //! The gate/projection stages before (Eqs 5–9) and the PCG branch's dense
 //! attention are global in the station dimension and are *replicated*, not
@@ -103,28 +104,6 @@ pub fn halo_complete(mask: &Tensor, owned: &[usize], members: &[usize], depth: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ShardPlan;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use stgnn_core::config::StgnnConfig;
-    use stgnn_core::fcg::FcgNetwork;
-    use stgnn_core::flow_conv::{fcg_mask, FlowConvolution};
-    use stgnn_data::dataset::{BikeDataset, DatasetConfig};
-    use stgnn_data::synthetic::{CityConfig, SyntheticCity};
-    use stgnn_graph::builders::{trip_correlation_graph, trip_flow_graph};
-    use stgnn_tensor::autograd::{Graph, ParamSet};
-
-    /// The FCG stage in evaluation mode on explicit inputs: `edges` (`m×m`)
-    /// feeds the Eq 10 weights, `features` (`m×n`) the aggregation.
-    fn fcg_stage(fcg: &FcgNetwork, edges: &Tensor, features: &Tensor, mask: &Tensor) -> Tensor {
-        let g = Graph::new();
-        let (edges, features) = (g.leaf(edges.clone()), g.leaf(features.clone()));
-        fcg.forward(&g, &edges, &features, mask, None).value()
-    }
-
-    fn row_bits(t: &Tensor, r: usize) -> Vec<u32> {
-        t.row(r).iter().map(|v| v.to_bits()).collect()
-    }
 
     #[test]
     fn induce_helpers_pick_the_right_entries() {
@@ -157,126 +136,5 @@ mod tests {
         assert_eq!(mask_closure(&mask, &[0], 9), vec![0, 1, 2]);
         assert!(halo_complete(&mask, &[0], &[0, 1, 2], 2));
         assert!(!halo_complete(&mask, &[0], &[0, 1], 2));
-    }
-
-    /// PARITY-LOCAL: on a districted synthetic city, on every halo-complete
-    /// shard, `FcgNetwork::forward` run on member-induced inputs reproduces
-    /// the full-city owned rows bit-for-bit.
-    #[test]
-    fn sharded_fcg_stage_matches_unsharded_bit_for_bit() {
-        let city = SyntheticCity::generate(CityConfig::test_districted(42));
-        let n = city.registry.len();
-        let dataset = BikeDataset::from_city(&city, DatasetConfig::small(6, 2)).unwrap();
-
-        let mut config = StgnnConfig::test_tiny(6, 2);
-        config.fcg_layers = 2;
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let flow = FlowConvolution::new(&mut ps, &mut rng, &config, n);
-        let fcg = FcgNetwork::new(&mut ps, &mut rng, &config, n);
-
-        // Shard over the union trip adjacency with halo depth = fcg_layers.
-        // Because the per-slot mask is a subgraph of this union (positive
-        // fused flow needs observed flow, and conv weights start positive),
-        // these halos dominate every slot's mask closure.
-        let adj = trip_flow_graph(&city.trips, n).union_symmetric(&trip_correlation_graph(
-            &city.trips,
-            n,
-            city.config.days,
-            city.config.slots_per_day,
-            0.95,
-        ));
-        let plan = ShardPlan::partition(&adj, 4, config.fcg_layers).unwrap();
-        plan.validate().unwrap();
-        assert!(
-            plan.shards().iter().any(|s| s.members.len() < n),
-            "vacuous plan: every shard sees the whole city"
-        );
-
-        let first = dataset.first_valid_slot();
-        for slot in [first, first + 7, first + 13] {
-            let (si, so) = dataset.short_term_stacks(slot);
-            let (li, lo) = dataset.long_term_stacks(slot);
-            let g = Graph::new();
-            let out = flow.forward(&g, &si, &so, &li, &lo);
-            let t_val = out.t.value();
-            let mask = fcg_mask(&out.i_hat.value(), &out.o_hat.value());
-            let full = fcg_stage(&fcg, &t_val, &t_val, &mask);
-
-            for shard in plan.shards() {
-                assert!(
-                    halo_complete(&mask, &shard.owned, &shard.members, config.fcg_layers),
-                    "slot {slot}: shard {} not halo-complete",
-                    shard.id
-                );
-                let sharded = fcg_stage(
-                    &fcg,
-                    &induce_square(&t_val, &shard.members),
-                    &induce_rows(&t_val, &shard.members),
-                    &induce_square(&mask, &shard.members),
-                );
-                for &station in &shard.owned {
-                    let local = shard
-                        .members
-                        .binary_search(&station)
-                        .expect("owned ⊆ members");
-                    assert_eq!(
-                        row_bits(&sharded, local),
-                        row_bits(&full, station),
-                        "slot {slot}: shard {} station {station} diverged",
-                        shard.id
-                    );
-                }
-            }
-        }
-    }
-
-    /// Negative control: a shard that is *not* halo-complete must diverge —
-    /// otherwise the parity test above would be vacuous.
-    #[test]
-    fn incomplete_halos_actually_diverge() {
-        let city = SyntheticCity::generate(CityConfig::test_districted(42));
-        let n = city.registry.len();
-        let dataset = BikeDataset::from_city(&city, DatasetConfig::small(6, 2)).unwrap();
-        let mut config = StgnnConfig::test_tiny(6, 2);
-        config.fcg_layers = 2;
-        let mut ps = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let flow = FlowConvolution::new(&mut ps, &mut rng, &config, n);
-        let fcg = FcgNetwork::new(&mut ps, &mut rng, &config, n);
-        assert_eq!(fcg.depth(), 2);
-
-        let slot = dataset.first_valid_slot();
-        let (si, so) = dataset.short_term_stacks(slot);
-        let (li, lo) = dataset.long_term_stacks(slot);
-        let g = Graph::new();
-        let out = flow.forward(&g, &si, &so, &li, &lo);
-        let t_val = out.t.value();
-        let mask = fcg_mask(&out.i_hat.value(), &out.o_hat.value());
-        let full = fcg_stage(&fcg, &t_val, &t_val, &mask);
-
-        // Find a station with at least one non-self mask neighbour and give
-        // it a members set of just itself: not halo-complete at depth 2.
-        let station = (0..n)
-            .find(|&i| {
-                mask.row(i)
-                    .iter()
-                    .enumerate()
-                    .any(|(j, &m)| j != i && m > 0.0)
-            })
-            .expect("some station has flow neighbours");
-        let members = vec![station];
-        assert!(!halo_complete(&mask, &members, &members, config.fcg_layers));
-        let sharded = fcg_stage(
-            &fcg,
-            &induce_square(&t_val, &members),
-            &induce_rows(&t_val, &members),
-            &induce_square(&mask, &members),
-        );
-        assert_ne!(
-            row_bits(&sharded, 0),
-            row_bits(&full, station),
-            "dropping a needed halo should change the owned row"
-        );
     }
 }

@@ -481,7 +481,7 @@ mod tests {
         Arc<ServeMetrics>,
         Arc<SlotCache>,
     ) {
-        let registry = Arc::new(ModelRegistry::new());
+        let registry = Arc::new(ModelRegistry::new(Arc::clone(data)));
         let spec = ModelSpec::new(StgnnConfig::test_tiny(6, 2), data.n_stations());
         let bytes = spec.materialize().unwrap().weights_to_bytes();
         registry.register("stgnn", spec, bytes).unwrap();
@@ -710,7 +710,7 @@ mod tests {
     #[test]
     fn fcg_max_model_serves_eager_identical_predictions() {
         let data = dataset();
-        let registry = Arc::new(ModelRegistry::new());
+        let registry = Arc::new(ModelRegistry::new(Arc::clone(&data)));
         let mut config = StgnnConfig::test_tiny(6, 2);
         config.fcg_aggregator = FcgAggregator::Max;
         let spec = ModelSpec::new(config, data.n_stations());

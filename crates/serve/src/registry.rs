@@ -108,38 +108,34 @@ impl ModelEntry {
 }
 
 /// Thread-safe name → model map.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Arc<ModelEntry>>>,
-    /// When set, every admitted checkpoint is probed with one inference
-    /// tape on this dataset and statically validated first.
-    probe_data: Option<Arc<BikeDataset>>,
+    /// Every admitted checkpoint is probed with one inference tape on this
+    /// dataset and statically validated first.
+    probe: Arc<BikeDataset>,
 }
 
 impl ModelRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enables pre-execution tape validation: [`Self::register`] and
-    /// [`Self::swap`] trace one evaluation forward pass of the candidate on
-    /// `data`'s first servable slot and run the static validator over it.
-    /// A `Deny` diagnostic (shape mismatch, non-finite weights, fully-masked
+    /// An empty registry that admits a checkpoint only after tape
+    /// validation: [`Self::register`] and [`Self::swap`] trace one
+    /// evaluation forward pass of the candidate on `probe`'s first
+    /// servable slot and run the static validator over it. A `Deny`
+    /// diagnostic (shape mismatch, non-finite weights, fully-masked
     /// attention row) rejects the checkpoint before it can serve a request.
-    pub fn with_tape_validation(mut self, data: Arc<BikeDataset>) -> Self {
-        self.probe_data = Some(data);
-        self
+    pub fn new(probe: Arc<BikeDataset>) -> Self {
+        ModelRegistry {
+            models: RwLock::new(HashMap::new()),
+            probe,
+        }
     }
 
     /// Probes `model` (a candidate just materialised from a checkpoint)
-    /// against the validation dataset, if one is configured.
+    /// against the probe dataset.
     fn validate_candidate(&self, model: &StgnnDjd) -> Result<(), ServeError> {
-        let Some(data) = &self.probe_data else {
-            return Ok(());
-        };
-        let slot = data.first_valid_slot();
+        let slot = self.probe.first_valid_slot();
         let report = model
-            .validate_inference_tape(data, slot)
+            .validate_inference_tape(&self.probe, slot)
             .map_err(|e| ServeError::BadCheckpoint(format!("tape probe failed: {e}")))?;
         if !report.is_clean() {
             let denies: Vec<String> = report.at(Severity::Deny).map(|d| d.to_string()).collect();
@@ -350,20 +346,33 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stgnn_data::dataset::DatasetConfig;
+    use stgnn_data::synthetic::{CityConfig, SyntheticCity};
+
+    fn tiny_city() -> CityConfig {
+        CityConfig::test_tiny(77)
+    }
+
+    fn probe() -> Arc<BikeDataset> {
+        let city = SyntheticCity::generate(tiny_city());
+        Arc::new(BikeDataset::from_city(&city, DatasetConfig::small(6, 2)).unwrap())
+    }
 
     fn spec() -> ModelSpec {
-        ModelSpec::new(StgnnConfig::test_tiny(6, 2), 5)
+        ModelSpec::new(StgnnConfig::test_tiny(6, 2), tiny_city().n_stations)
     }
 
     fn checkpoint_bytes(seed: u64) -> Vec<u8> {
         let mut config = StgnnConfig::test_tiny(6, 2);
         config.seed = seed;
-        StgnnDjd::new(config, 5).unwrap().weights_to_bytes()
+        StgnnDjd::new(config, tiny_city().n_stations)
+            .unwrap()
+            .weights_to_bytes()
     }
 
     #[test]
     fn register_validates_and_lists() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("stgnn", spec(), checkpoint_bytes(1)).unwrap();
         assert_eq!(reg.list(), vec![("stgnn".to_string(), 1, 1)]);
         assert_eq!(reg.get("stgnn").unwrap().version(), 1);
@@ -373,7 +382,7 @@ mod tests {
 
     #[test]
     fn register_rejects_corrupt_or_mismatched_checkpoints() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         assert!(matches!(
             reg.register("bad", spec(), b"not a checkpoint".to_vec()),
             Err(ServeError::BadCheckpoint(_))
@@ -388,14 +397,14 @@ mod tests {
 
     #[test]
     fn duplicate_registration_rejected() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
         assert!(reg.register("m", spec(), checkpoint_bytes(2)).is_err());
     }
 
     #[test]
     fn swap_bumps_version_and_replaces_bytes() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
         let entry = reg.get("m").unwrap();
         let before = entry.checkpoint();
@@ -409,7 +418,7 @@ mod tests {
 
     #[test]
     fn failed_swap_keeps_old_weights_serving() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
         assert!(reg.swap("m", b"garbage".to_vec()).is_err());
         assert_eq!(reg.get("m").unwrap().version(), 1);
@@ -425,13 +434,9 @@ mod tests {
     /// leaving the old weights serving.
     #[test]
     fn tape_validation_rejects_hot_swap_of_degenerate_checkpoint() {
-        use stgnn_data::dataset::DatasetConfig;
-        use stgnn_data::synthetic::{CityConfig, SyntheticCity};
-
-        let city = SyntheticCity::generate(CityConfig::test_tiny(77));
-        let data = Arc::new(BikeDataset::from_city(&city, DatasetConfig::small(6, 2)).unwrap());
+        let data = probe();
         let n = data.n_stations();
-        let reg = ModelRegistry::new().with_tape_validation(Arc::clone(&data));
+        let reg = ModelRegistry::new(Arc::clone(&data));
         let spec = ModelSpec::new(StgnnConfig::test_tiny(6, 2), n);
         let good = StgnnDjd::new(StgnnConfig::test_tiny(6, 2), n)
             .unwrap()
@@ -459,7 +464,7 @@ mod tests {
     /// retained handle is consumed so rollback cannot fire twice.
     #[test]
     fn rollback_restores_the_displaced_checkpoint_exactly() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
         let entry = reg.get("m").unwrap();
         assert_eq!(entry.previous_version(), None);
@@ -489,7 +494,7 @@ mod tests {
 
     #[test]
     fn failed_swap_retains_no_rollback_target() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
         assert!(reg.swap("m", b"garbage".to_vec()).is_err());
         // The failed candidate never displaced anything.
@@ -499,7 +504,7 @@ mod tests {
 
     #[test]
     fn pin_blocks_swap_and_rollback_until_unpin() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
         reg.swap("m", checkpoint_bytes(2)).unwrap();
         reg.pin("m").unwrap();
@@ -517,7 +522,7 @@ mod tests {
 
     #[test]
     fn set_graph_epoch_restamps_without_touching_weights() {
-        let reg = ModelRegistry::new();
+        let reg = ModelRegistry::new(probe());
         reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
         let entry = reg.get("m").unwrap();
         let before = entry.checkpoint();

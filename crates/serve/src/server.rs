@@ -104,7 +104,7 @@ impl Server {
         // Every checkpoint admitted through this server — initial
         // registration or the swap endpoint — is statically validated
         // against the serving dataset before it can serve a request.
-        let registry = Arc::new(ModelRegistry::new().with_tape_validation(Arc::clone(&dataset)));
+        let registry = Arc::new(ModelRegistry::new(Arc::clone(&dataset)));
         let cache = Arc::new(SlotCache::new(config.cache_capacity));
         let metrics = Arc::new(ServeMetrics::new());
         let pool = Arc::new(WorkerPool::new(

@@ -1,8 +1,8 @@
 //! Online-loop demo: train-while-serving, end to end. Boots the prediction
 //! server on a seeded synthetic city, then drives the crash-safe control
 //! loop through a full lifecycle — stream trips into the sliding window
-//! (incremental FCG/PCG refresh, verified bit-identical to a rebuild),
-//! fine-tune a candidate from the incumbent, pass the promotion gate
+//! (which re-aggregates the FCG/PCG inputs over its days), fine-tune a
+//! candidate from the incumbent, pass the promotion gate
 //! (tape validator → holdout RMSE → shadow traffic), hot-swap it live,
 //! then inject a live-RMSE regression and watch the watchdog restore the
 //! incumbent bit-identically — all while the server answers requests.

@@ -26,7 +26,7 @@
 //!   bit-exact halos, consistent-hash fleet router with admission control
 //!   and HA load-shedding, and the open-loop diurnal load generator.
 //! * [`online`] — the crash-safe train-while-serving loop: windowed trip
-//!   ingestion with incremental (bit-identical) FCG/PCG refresh, cadenced
+//!   ingestion that re-aggregates the FCG/PCG inputs per day, cadenced
 //!   fine-tuning, a gated promotion pipeline (validator → holdout →
 //!   shadow), hot-swap with retained rollback handle, and post-promotion
 //!   watchdogs that restore the incumbent automatically.

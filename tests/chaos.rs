@@ -1108,7 +1108,8 @@ fn a_crash_at_every_online_failpoint_resumes_to_a_named_state() {
         // POISONED-CANDIDATE scenario).
         config.gate.holdout_tolerance = 10.0;
         config.gate.shadow_tolerance = 10.0;
-        let registry = Arc::new(ModelRegistry::new());
+        let probe = BikeDataset::from_city(&source, config.dataset.clone()).unwrap();
+        let registry = Arc::new(ModelRegistry::new(Arc::new(probe)));
         let spec = ModelSpec::new(config.train.clone(), source.registry.len());
         let bytes_v1 = spec.materialize().unwrap().weights_to_bytes();
         registry.register("stgnn", spec, bytes_v1.clone()).unwrap();
