@@ -12,13 +12,13 @@
 //! A failpoint does nothing until a [`FaultPlan`] is installed — either
 //! programmatically ([`install`] / [`scoped`]) or through the
 //! `STGNN_FAULTS` environment variable (read once, lazily, on the first
-//! check). Each plan entry names a site, an action to inject
-//! ([`FaultAction`]: an `io::Error`, a panic, or a delay) and a
-//! deterministic [`Trigger`] (fire on exactly the Nth hit, the first N
-//! hits, every hit, or with a *seeded* probability). The same plan against
-//! the same execution always injects the same faults, which is what lets
-//! the chaos suite assert exact recovery behaviour instead of "it usually
-//! survives".
+//! check or install; an explicit plan replaces it). Each plan entry names
+//! a site, an action to inject ([`FaultAction`]: an `io::Error`, a panic,
+//! or a delay) and a deterministic [`Trigger`] (fire on exactly the Nth
+//! hit, the first N hits, every hit, or with a *seeded* probability). The
+//! same plan against the same execution always injects the same faults,
+//! which is what lets the chaos suite assert exact recovery behaviour
+//! instead of "it usually survives".
 //!
 //! ## Cost when disabled
 //!
@@ -277,8 +277,30 @@ fn lock_registry() -> MutexGuard<'static, Registry> {
 }
 
 /// Installs `plan`, replacing any previous one and resetting all hit/fired
-/// counters. An empty plan disables every failpoint.
+/// counters. An empty plan disables every failpoint. The `STGNN_FAULTS`
+/// plan is loaded first if it has not been yet, so an explicit plan always
+/// replaces it, never the other way round.
 pub fn install(plan: FaultPlan) {
+    load_env_plan();
+    replace(plan);
+}
+
+/// Installs the `STGNN_FAULTS` plan, if any, once per process: on the first
+/// check or the first [`install`], whichever comes first. Inlined because
+/// [`active`] runs it on every failpoint check, in every crate.
+#[inline]
+fn load_env_plan() {
+    ENV_INIT.call_once(|| {
+        if let Ok(s) = std::env::var("STGNN_FAULTS") {
+            match FaultPlan::parse(&s) {
+                Ok(plan) => replace(plan),
+                Err(e) => eprintln!("[stgnn-faults] ignoring STGNN_FAULTS: {e}"),
+            }
+        }
+    });
+}
+
+fn replace(plan: FaultPlan) {
     let mut reg = lock_registry();
     reg.sites.clear();
     for (site, spec) in plan.entries {
@@ -305,8 +327,9 @@ pub fn clear() {
 }
 
 /// Whether any failpoint is currently configured. The first call (per
-/// process) also reads `STGNN_FAULTS` and installs it if present, so an
-/// externally-scripted chaos run needs no code changes.
+/// process) also reads `STGNN_FAULTS` and installs it if present and no
+/// plan was installed before, so an externally-scripted chaos run needs no
+/// code changes.
 #[inline]
 pub fn active() -> bool {
     #[cfg(stgnn_faults_off)]
@@ -315,14 +338,7 @@ pub fn active() -> bool {
     }
     #[cfg(not(stgnn_faults_off))]
     {
-        ENV_INIT.call_once(|| {
-            if let Ok(s) = std::env::var("STGNN_FAULTS") {
-                match FaultPlan::parse(&s) {
-                    Ok(plan) => install(plan),
-                    Err(e) => eprintln!("[stgnn-faults] ignoring STGNN_FAULTS: {e}"),
-                }
-            }
-        });
+        load_env_plan();
         ACTIVE.load(Ordering::Acquire)
     }
 }

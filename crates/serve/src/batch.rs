@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 use stgnn_core::compiled::InferencePlan;
 use stgnn_core::StgnnDjd;
 use stgnn_data::dataset::BikeDataset;
@@ -53,25 +52,6 @@ pub struct PredictRequest {
     respond: mpsc::Sender<BatchReply>,
 }
 
-/// Tuning knobs for the worker pool.
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Worker threads (each owns its materialised models).
-    pub workers: usize,
-    /// Test hook: artificial delay inserted before every forward pass, to
-    /// exercise the deadline/degradation path deterministically.
-    pub forward_delay: Option<Duration>,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers: 2,
-            forward_delay: None,
-        }
-    }
-}
-
 struct Shared {
     queue: Mutex<VecDeque<PredictRequest>>,
     queue_cv: Condvar,
@@ -85,7 +65,6 @@ struct Shared {
     cache: Arc<SlotCache>,
     metrics: Arc<ServeMetrics>,
     dataset: Arc<BikeDataset>,
-    config: PoolConfig,
 }
 
 /// The worker pool. Dropping it (or calling [`WorkerPool::shutdown`])
@@ -96,12 +75,14 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
+    /// Starts `workers` worker threads (at least one), each owning its
+    /// materialised models.
     pub fn new(
         registry: Arc<ModelRegistry>,
         cache: Arc<SlotCache>,
         metrics: Arc<ServeMetrics>,
         dataset: Arc<BikeDataset>,
-        config: PoolConfig,
+        workers: usize,
     ) -> Self {
         // Warm the tensor kernel pool before the first timed batch: forward
         // passes route their matmul/softmax kernels through it.
@@ -116,9 +97,8 @@ impl WorkerPool {
             cache,
             metrics,
             dataset,
-            config,
         });
-        let handles = (0..shared.config.workers.max(1))
+        let handles = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
@@ -416,9 +396,6 @@ fn process_batch(
         return;
     };
 
-    if let Some(delay) = shared.config.forward_delay {
-        thread::sleep(delay);
-    }
     // Defense in depth: a panic in the forward pass (a shape bug the
     // validation above didn't anticipate) must not take the worker thread
     // down with the whole queue behind it.
@@ -474,7 +451,7 @@ mod tests {
 
     fn pool_with(
         data: &Arc<BikeDataset>,
-        config: PoolConfig,
+        workers: usize,
     ) -> (
         WorkerPool,
         Arc<ModelRegistry>,
@@ -492,7 +469,7 @@ mod tests {
             Arc::clone(&cache),
             Arc::clone(&metrics),
             Arc::clone(data),
-            config,
+            workers,
         );
         (pool, registry, metrics, cache)
     }
@@ -500,7 +477,7 @@ mod tests {
     #[test]
     fn single_request_round_trips() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, PoolConfig::default());
+        let (pool, _, metrics, _) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let reply = pool.submit("stgnn", t).recv().unwrap().unwrap();
         assert_eq!(reply[0].demand.len(), data.n_stations());
@@ -510,7 +487,7 @@ mod tests {
     #[test]
     fn same_slot_requests_share_one_forward_pass() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, PoolConfig::default());
+        let (pool, _, metrics, _) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let receivers: Vec<_> = (0..12).map(|_| pool.submit("stgnn", t)).collect();
         let first = receivers[0].recv().unwrap().unwrap();
@@ -527,7 +504,7 @@ mod tests {
     #[test]
     fn later_requests_hit_the_cache() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, PoolConfig::default());
+        let (pool, _, metrics, _) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         pool.submit("stgnn", t).recv().unwrap().unwrap();
         // A hit is answered on the submitting thread, before submit returns.
@@ -541,7 +518,7 @@ mod tests {
     #[test]
     fn distinct_slots_each_get_a_forward_pass() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, PoolConfig::default());
+        let (pool, _, metrics, _) = pool_with(&data, 2);
         let slots = data.slots(Split::Test);
         pool.submit("stgnn", slots[0]).recv().unwrap().unwrap();
         pool.submit("stgnn", slots[1]).recv().unwrap().unwrap();
@@ -551,7 +528,7 @@ mod tests {
     #[test]
     fn hot_swap_changes_version_and_recomputes() {
         let data = dataset();
-        let (pool, registry, metrics, _) = pool_with(&data, PoolConfig::default());
+        let (pool, registry, metrics, _) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let before = pool.submit("stgnn", t).recv().unwrap().unwrap();
 
@@ -577,13 +554,7 @@ mod tests {
     #[test]
     fn out_of_range_slot_is_an_error_and_the_worker_survives() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(
-            &data,
-            PoolConfig {
-                workers: 1,
-                ..PoolConfig::default()
-            },
-        );
+        let (pool, _, metrics, _) = pool_with(&data, 1);
         // Slot 0 has no history window; slot num_slots+1 is past the data.
         for bad in [0, data.flows().num_slots() + 1] {
             let reply = pool.submit("stgnn", bad).recv().unwrap();
@@ -606,7 +577,7 @@ mod tests {
     #[test]
     fn hot_swap_never_serves_a_stale_cached_prediction() {
         let data = dataset();
-        let (pool, registry, _, cache) = pool_with(&data, PoolConfig::default());
+        let (pool, registry, _, cache) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         // Prime the v1 cache entry.
         let v1 = pool.submit("stgnn", t).recv().unwrap().unwrap();
@@ -650,7 +621,7 @@ mod tests {
     #[test]
     fn graph_epoch_bump_invalidates_cached_predictions() {
         let data = dataset();
-        let (pool, registry, metrics, cache) = pool_with(&data, PoolConfig::default());
+        let (pool, registry, metrics, cache) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
 
         let first = pool.submit("stgnn", t).recv().unwrap().unwrap();
@@ -692,7 +663,7 @@ mod tests {
     #[test]
     fn compiled_plan_serves_eager_identical_predictions() {
         let data = dataset();
-        let (pool, registry, metrics, _) = pool_with(&data, PoolConfig::default());
+        let (pool, registry, metrics, _) = pool_with(&data, 2);
         let entry = registry.get("stgnn").unwrap();
         let reference = entry.spec().materialize_with(&entry.checkpoint()).unwrap();
         let slots = data.slots(Split::Test);
@@ -723,7 +694,7 @@ mod tests {
             Arc::new(SlotCache::new(64)),
             Arc::new(ServeMetrics::new()),
             Arc::clone(&data),
-            PoolConfig::default(),
+            2,
         );
         for &t in data.slots(Split::Test).iter().take(5) {
             let served = pool.submit("max", t).recv().unwrap().unwrap();
@@ -735,7 +706,7 @@ mod tests {
     #[test]
     fn unknown_model_is_an_error_not_a_hang() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, PoolConfig::default());
+        let (pool, _, metrics, _) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let reply = pool.submit("nope", t).recv().unwrap();
         assert!(matches!(reply, Err(ServeError::UnknownModel(_))));
@@ -747,7 +718,7 @@ mod tests {
     #[test]
     fn shutdown_rejects_new_work() {
         let data = dataset();
-        let (mut pool, _, _, cache) = pool_with(&data, PoolConfig::default());
+        let (mut pool, _, _, cache) = pool_with(&data, 2);
         let slots = data.slots(Split::Test);
         let cached = slots[1];
         pool.submit("stgnn", cached).recv().unwrap().unwrap();

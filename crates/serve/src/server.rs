@@ -13,7 +13,7 @@
 //! * `POST /models/NAME/swap` — body is a serialized checkpoint; atomically
 //!   hot-swaps the model's weights and returns the new version.
 
-use crate::batch::{PoolConfig, WorkerPool};
+use crate::batch::WorkerPool;
 use crate::cache::SlotCache;
 use crate::http::{json_escape, json_f32_array, read_request, write_response, Request};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
@@ -56,8 +56,6 @@ pub struct ServeConfig {
     /// drains the response (half-open, zero receive window) cannot wedge its
     /// handler thread.
     pub write_timeout: Duration,
-    /// Test hook: delay every forward pass (exercises degradation).
-    pub forward_delay: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -69,7 +67,6 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_millis(250),
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
-            forward_delay: None,
         }
     }
 }
@@ -112,10 +109,7 @@ impl Server {
             Arc::clone(&cache),
             Arc::clone(&metrics),
             Arc::clone(&dataset),
-            PoolConfig {
-                workers: config.workers,
-                forward_delay: config.forward_delay,
-            },
+            config.workers,
         ));
         let mut ha = HistoricalAverage::new();
         ha.fit(&dataset)

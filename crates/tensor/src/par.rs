@@ -3,16 +3,19 @@
 //! Every hot kernel in this crate — `matmul`, `softmax_rows`, `transpose`,
 //! the elementwise maps and the broadcast helpers — reduces to a loop over
 //! independent output rows (or independent flat elements). This module runs
-//! those loops across a hand-rolled `std::thread` pool:
+//! those loops across a hand-rolled `std::thread` pool through its one
+//! dispatch primitive, [`for_each_row_chunk_mut`]:
 //!
 //! * **Persistent** — worker threads are spawned once (lazily, on the first
 //!   parallel dispatch) and live for the rest of the process, blocking on a
 //!   shared job queue. No per-call spawn cost.
-//! * **Scoped** — [`for_each_chunk`] dispatches closures that borrow the
-//!   caller's stack (input slices, the output buffer) and does not return
-//!   until every chunk has finished, so the borrows never outlive the call.
-//!   A completion latch enforces this even when a chunk panics.
-//! * **Deterministic** — chunks are contiguous index ranges and every kernel
+//! * **Scoped** — a dispatch splits the output buffer into one disjoint row
+//!   window per chunk and moves each window into its job, with a clone of
+//!   one channel sender. The jobs borrow the caller's stack (input slices,
+//!   the body), and the call does not return until every sender is gone. A
+//!   job drops its sender only after its last use of those borrows, so they
+//!   never outlive the call, even when a chunk panics.
+//! * **Deterministic** — chunks are contiguous row ranges and every kernel
 //!   routed through this module computes each output row *independently*
 //!   (accumulation happens per-row, inside one chunk, in the same order as
 //!   the serial loop). Results are therefore bit-for-bit identical for any
@@ -25,57 +28,43 @@
 //! force a thread count at runtime with [`set_thread_override`], which is
 //! safe to flip concurrently precisely because results never depend on it.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Upper bound on worker threads, a guard against absurd `STGNN_THREADS`
 /// values and runaway overrides.
 const MAX_THREADS: usize = 64;
 
-/// A queued unit of work. Jobs borrow the dispatching caller's stack; the
-/// completion latch in [`for_each_chunk`] guarantees they finish before the
-/// borrows go out of scope (see the `transmute` there).
+/// A queued unit of work: one chunk of one dispatch. Jobs borrow the
+/// dispatching caller's stack; the `transmute` in
+/// [`for_each_row_chunk_mut`] says why that is sound.
 type Job = Box<dyn FnOnce() + Send>;
 
-struct Queue {
-    jobs: Mutex<VecDeque<Job>>,
-    available: Condvar,
-}
-
-struct Pool {
-    queue: &'static Queue,
-    /// Worker threads spawned so far (grows on demand, never shrinks).
-    spawned: Mutex<usize>,
-}
+/// Jobs waiting for a worker, and the condvar idle workers sleep on.
+static JOBS: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
+static AVAILABLE: Condvar = Condvar::new();
+/// Worker threads spawned so far (grows on demand, never shrinks).
+static SPAWNED: Mutex<usize> = Mutex::new(0);
 
 /// Ignores lock poisoning: kernel bodies are caught with `catch_unwind`, so
 /// a poisoned pool lock only means some *other* test thread panicked while
 /// holding it, and the protected data (a job deque / a counter) stays valid.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        queue: Box::leak(Box::new(Queue {
-            jobs: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-        })),
-        spawned: Mutex::new(0),
-    })
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `0` = no override; otherwise the forced thread count (benches/tests).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Set while a pool worker (or a dispatching thread) is inside a kernel
-    /// body. Nested dispatches run inline instead of re-entering the queue,
-    /// which would risk all workers blocking on latches at once.
+    /// Set on pool workers, and on a dispatching thread while it runs its
+    /// own chunk. Nested dispatches run inline instead of re-entering the
+    /// queue, so a worker never waits on a job behind it in the queue.
     static IN_PARALLEL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -138,18 +127,16 @@ pub(crate) fn override_lock() -> MutexGuard<'static, ()> {
 /// Makes sure at least `n` workers exist (capped at `MAX_THREADS - 1`) and
 /// returns the number actually running. Spawn failure (thread-resource
 /// exhaustion) stops growing the pool and reports the shortfall instead of
-/// panicking — an unwind here would hold-and-abandon the `spawned` guard,
+/// panicking — an unwind here would hold-and-abandon the `SPAWNED` guard,
 /// and dispatchers can degrade safely because results are bit-identical at
 /// any chunk count (the module's determinism contract).
 fn ensure_workers(n: usize) -> usize {
-    let p = pool();
     let n = n.min(MAX_THREADS - 1);
-    let mut spawned = lock(&p.spawned);
+    let mut spawned = lock(&SPAWNED);
     while *spawned < n {
-        let queue: &'static Queue = p.queue;
         let res = thread::Builder::new()
             .name(format!("stgnn-par-{}", *spawned))
-            .spawn(move || worker_loop(queue));
+            .spawn(worker_loop);
         if res.is_err() {
             break;
         }
@@ -158,148 +145,35 @@ fn ensure_workers(n: usize) -> usize {
     *spawned
 }
 
-fn worker_loop(queue: &'static Queue) {
+fn worker_loop() {
+    IN_PARALLEL.with(|f| f.set(true));
     loop {
-        let job = {
-            let mut jobs = lock(&queue.jobs);
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                jobs = queue
-                    .available
-                    .wait(jobs)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        IN_PARALLEL.with(|f| f.set(true));
-        job();
-        IN_PARALLEL.with(|f| f.set(false));
-    }
-}
-
-/// Completion latch + first-panic capture for one dispatch.
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl Latch {
-    fn arrive(&self, payload: Option<Box<dyn std::any::Any + Send>>) {
-        if let Some(p) = payload {
-            lock(&self.panic).get_or_insert(p);
-        }
-        *lock(&self.remaining) -= 1;
-        self.done.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut remaining = lock(&self.remaining);
-        while *remaining > 0 {
-            remaining = self.done.wait(remaining).unwrap_or_else(|e| e.into_inner());
+        let job = AVAILABLE
+            .wait_while(lock(&JOBS), |jobs| jobs.is_empty())
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop_front();
+        if let Some(job) = job {
+            // A job reports its body's panic itself; this catch only keeps
+            // the worker alive past a panic armed at `par::complete`.
+            let _ = catch_unwind(AssertUnwindSafe(job));
         }
     }
 }
 
-/// Runs `body` over `0..items` split into contiguous chunks executed in
-/// parallel, returning once every chunk is done.
+/// Parallel loop over the rows of a row-major `rows×cols` output buffer.
+/// `body(first_row, window)` receives the starting row index of its chunk
+/// and the mutable window covering exactly that chunk's rows, returning
+/// once every chunk is done.
 ///
-/// `grain` is the minimum number of items worth one dispatch: the call runs
-/// inline (serial, zero overhead beyond one branch) when `items < 2·grain`,
+/// `grain` is the minimum number of rows worth one chunk: the call runs
+/// inline (serial, zero overhead beyond one branch) when `rows ≤ grain`,
 /// when the effective thread count is 1, or when already inside a parallel
 /// body. Panics from `body` are re-raised on the calling thread after all
 /// chunks finish.
 ///
-/// Determinism contract: `body` must compute each item independently of the
+/// Determinism contract: `body` must compute each row independently of the
 /// chunk boundaries (true for every row-parallel kernel in this crate), so
 /// the result is identical for any thread count.
-pub fn for_each_chunk(items: usize, grain: usize, body: impl Fn(Range<usize>) + Sync) {
-    if items == 0 {
-        return;
-    }
-    let threads = effective_threads();
-    let grain = grain.max(1);
-    let chunks = threads.min(items.div_ceil(grain));
-    if chunks <= 1 || IN_PARALLEL.with(|f| f.get()) {
-        body(0..items);
-        return;
-    }
-    // Degraded pool (worker spawn failed): clamp the dispatch to the
-    // workers that exist plus this thread. Chunk boundaries change but
-    // results do not — see the determinism contract above.
-    let chunks = chunks.min(ensure_workers(chunks - 1) + 1);
-    if chunks <= 1 {
-        body(0..items);
-        return;
-    }
-
-    let latch = Latch {
-        remaining: Mutex::new(chunks),
-        done: Condvar::new(),
-        panic: Mutex::new(None),
-    };
-    let latch_ref = &latch;
-    let body_ref: &(dyn Fn(Range<usize>) + Sync) = &body;
-
-    {
-        // Push chunks 1..k to the queue, run chunk 0 on this thread. The
-        // jobs borrow `latch` and `body`; transmuting them to 'static is
-        // sound because `latch.wait()` below does not return until every
-        // job has run to completion (arrive() fires even on panic).
-        let mut jobs = lock(&pool().queue.jobs);
-        for c in 1..chunks {
-            let range = chunk_range(items, chunks, c);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body_ref(range)));
-                latch_ref.arrive(result.err());
-            });
-            let job: Job = unsafe { std::mem::transmute(job) };
-            jobs.push_back(job);
-        }
-        drop(jobs);
-        pool().queue.available.notify_all();
-    }
-
-    IN_PARALLEL.with(|f| f.set(true));
-    let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        body_ref(chunk_range(items, chunks, 0))
-    }));
-    IN_PARALLEL.with(|f| f.set(false));
-    latch.arrive(own.err());
-    latch.wait();
-
-    let payload = lock(&latch.panic).take();
-    if let Some(payload) = payload {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// The `c`-th of `chunks` balanced contiguous ranges covering `0..items`.
-fn chunk_range(items: usize, chunks: usize, c: usize) -> Range<usize> {
-    let base = items / chunks;
-    let rem = items % chunks;
-    let start = c * base + c.min(rem);
-    let len = base + usize::from(c < rem);
-    start..start + len
-}
-
-/// Raw-pointer courier for handing each chunk its disjoint `&mut` window of
-/// one output buffer. Soundness: [`for_each_row_chunk_mut`] hands every
-/// chunk a non-overlapping row range, and the latch keeps the buffer borrow
-/// alive until all chunks finish.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// Parallel loop over the rows of a row-major `rows×cols` output buffer.
-/// `body(first_row, window)` receives the starting row index of its chunk
-/// and the mutable window covering exactly that chunk's rows.
-///
-/// `grain` is in rows; see [`for_each_chunk`] for the serial fallbacks and
-/// the determinism contract.
 pub fn for_each_row_chunk_mut(
     out: &mut [f32],
     cols: usize,
@@ -311,16 +185,73 @@ pub fn for_each_row_chunk_mut(
     }
     let rows = out.len() / cols;
     debug_assert_eq!(out.len(), rows * cols, "buffer is not rows×cols");
-    let base = SendPtr(out.as_mut_ptr());
-    for_each_chunk(rows, grain, move |range| {
-        // Rebind the whole wrapper: 2021 closures would otherwise capture
-        // the bare `base.0` field, which is not Sync.
-        let base = base;
-        let window = unsafe {
-            std::slice::from_raw_parts_mut(base.0.add(range.start * cols), range.len() * cols)
-        };
-        body(range.start, window);
-    });
+    if rows == 0 {
+        return;
+    }
+    let (out, _) = out.split_at_mut(rows * cols);
+    let wanted = effective_threads().min(rows.div_ceil(grain.max(1)));
+    // Degraded pool (worker spawn failed): clamp the dispatch to the
+    // workers that exist plus this thread. Chunk boundaries change but
+    // results do not — see the determinism contract above.
+    let chunks = if wanted > 1 && !IN_PARALLEL.with(|f| f.get()) {
+        wanted.min(ensure_workers(wanted - 1) + 1)
+    } else {
+        1
+    };
+    if chunks == 1 {
+        body(0, out);
+        return;
+    }
+
+    let body: &(dyn Fn(usize, &mut [f32]) + Sync) = &body;
+    let (own, mut rest) = out.split_at_mut(chunk_range(rows, chunks, 0).len() * cols);
+    let (done, finished) = mpsc::channel::<Box<dyn Any + Send>>();
+    for c in 1..chunks {
+        let range = chunk_range(rows, chunks, c);
+        let (window, tail) = std::mem::take(&mut rest).split_at_mut(range.len() * cols);
+        rest = tail;
+        let done = done.clone();
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(range.start, window))) {
+                let _ = done.send(payload);
+            }
+            // The job has reported its panic, if any, but still holds its
+            // sender: the dispatcher must wait out a delay armed here.
+            stgnn_faults::failpoint!("par::complete");
+        });
+        // SAFETY: the job borrows `body` and one window of `out`, which live
+        // until this call returns. The call neither returns nor unwinds
+        // before `finished` reports every sender gone: from here to the end
+        // of the drain nothing can panic outside the `catch_unwind` around
+        // chunk 0 (the splits stay in bounds because the chunk ranges
+        // partition `0..rows`, and no panic payload is dropped before the
+        // drain ends), and the drain ends only at disconnection. A job's
+        // sender drops with the job, after the job's last use of `body` and
+        // its window.
+        let job: Job = unsafe { std::mem::transmute(job) };
+        lock(&JOBS).push_back(job);
+        AVAILABLE.notify_one();
+    }
+    drop(done);
+
+    IN_PARALLEL.with(|f| f.set(true));
+    let own = catch_unwind(AssertUnwindSafe(|| body(0, own)));
+    IN_PARALLEL.with(|f| f.set(false));
+    // Every payload outlives the drain: dropping one may panic, and nothing
+    // may unwind out of this call while a job can still run.
+    let panics: Vec<_> = own.err().into_iter().chain(finished).collect();
+    if let Some(payload) = panics.into_iter().next() {
+        resume_unwind(payload);
+    }
+}
+
+/// The `c`-th of `chunks` balanced contiguous ranges covering `0..items`.
+fn chunk_range(items: usize, chunks: usize, c: usize) -> Range<usize> {
+    let base = items / chunks;
+    let rem = items % chunks;
+    let start = c * base + c.min(rem);
+    let len = base + usize::from(c < rem);
+    start..start + len
 }
 
 #[cfg(test)]
@@ -348,17 +279,17 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_visits_every_item_once() {
+    fn every_row_is_visited_once() {
         let _serial = override_lock();
         set_thread_override(Some(4));
-        let hits: Vec<AtomicU32> = (0..257).map(|_| AtomicU32::new(0)).collect();
-        for_each_chunk(hits.len(), 1, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+        let mut hits = vec![0.0f32; 257];
+        for_each_row_chunk_mut(&mut hits, 1, 1, |_, window| {
+            for h in window {
+                *h += 1.0;
             }
         });
         set_thread_override(None);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert!(hits.iter().all(|&h| h == 1.0));
     }
 
     #[test]
@@ -381,11 +312,12 @@ mod tests {
     #[test]
     fn small_work_runs_inline() {
         let _serial = override_lock();
-        // grain 100 over 10 items must not dispatch: body sees one range.
+        // grain 100 over 10 rows must not dispatch: body sees one window.
         set_thread_override(Some(8));
         let calls = AtomicU32::new(0);
-        for_each_chunk(10, 100, |range| {
-            assert_eq!(range, 0..10);
+        let mut out = vec![0.0f32; 10];
+        for_each_row_chunk_mut(&mut out, 1, 100, |first_row, window| {
+            assert_eq!((first_row, window.len()), (0, 10));
             calls.fetch_add(1, Ordering::Relaxed);
         });
         set_thread_override(None);
@@ -396,20 +328,21 @@ mod tests {
     fn panics_propagate_to_the_caller() {
         let _serial = override_lock();
         set_thread_override(Some(2));
-        let result = std::panic::catch_unwind(|| {
-            for_each_chunk(64, 1, |range| {
-                if range.contains(&63) {
+        let mut out = vec![0.0f32; 64];
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for_each_row_chunk_mut(&mut out, 1, 1, |first_row, window| {
+                if first_row + window.len() == 64 {
                     panic!("boom in chunk");
                 }
             });
-        });
+        }));
         set_thread_override(None);
         assert!(result.is_err(), "chunk panic must reach the dispatcher");
         // The pool must still work after a panic.
         let hits = AtomicU32::new(0);
         set_thread_override(Some(2));
-        for_each_chunk(64, 1, |range| {
-            hits.fetch_add(range.len() as u32, Ordering::Relaxed);
+        for_each_row_chunk_mut(&mut out, 1, 1, |_, window| {
+            hits.fetch_add(window.len() as u32, Ordering::Relaxed);
         });
         set_thread_override(None);
         assert_eq!(hits.load(Ordering::Relaxed), 64);

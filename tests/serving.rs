@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use stgnn_djd::data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_djd::data::synthetic::{CityConfig, SyntheticCity};
+use stgnn_djd::faults::{scoped, FaultPlan, FaultSpec, ScopedPlan, Trigger};
 use stgnn_djd::model::{StgnnConfig, StgnnDjd};
 use stgnn_djd::serve::client;
 use stgnn_djd::serve::{ModelSpec, ServeConfig, Server};
@@ -31,11 +32,19 @@ fn register_model(server: &Server, data: &BikeDataset, seed: u64) -> Vec<u8> {
     bytes
 }
 
+/// Arms `serve::forward` with a delay of `ms` on every forward pass. The
+/// tests here that reach a forward pass without a delay hold an empty
+/// plan, so the delay cannot leak into them.
+fn slow_forwards(ms: u64) -> ScopedPlan {
+    scoped(FaultPlan::new().with("serve::forward", FaultSpec::delay(ms, Trigger::EveryHit)))
+}
+
 /// The acceptance path end to end: concurrent same-slot queries coalesce
 /// into exactly one forward pass, a hot-swapped checkpoint changes the
 /// responses, and the metrics surface makes both observable.
 #[test]
 fn concurrent_queries_batch_into_one_forward_pass_and_swap_changes_them() {
+    let _faults = scoped(FaultPlan::new());
     let data = dataset();
     let t = data.slots(Split::Test)[0];
     let mut server = Server::start(
@@ -127,19 +136,20 @@ fn concurrent_queries_batch_into_one_forward_pass_and_swap_changes_them() {
     server.shutdown();
 }
 
-/// A server with one worker whose every forward pass takes 200 ms.
-fn one_slow_worker(data: &Arc<BikeDataset>) -> Server {
+/// A server with one worker whose every forward pass takes 200 ms, and
+/// the fault plan that slows it: the plan must outlive the server.
+fn one_slow_worker(data: &Arc<BikeDataset>) -> (Server, ScopedPlan) {
+    let slow = slow_forwards(200);
     let server = Server::start(
         Arc::clone(data),
         ServeConfig {
             workers: 1,
-            forward_delay: Some(Duration::from_millis(200)),
             ..ServeConfig::default()
         },
     )
     .unwrap();
     register_model(&server, data, 7);
-    server
+    (server, slow)
 }
 
 /// Sends a query for slot `t` that occupies the server's only worker, and
@@ -170,7 +180,7 @@ fn requests_queued_behind_a_busy_worker_share_one_forward_pass() {
     let data = dataset();
     let slots = data.slots(Split::Test);
     let (a, b) = (slots[0], slots[1]);
-    let mut server = one_slow_worker(&data);
+    let (mut server, _slow) = one_slow_worker(&data);
     let addr = server.addr();
     let holder = hold_the_only_worker(&server, a);
 
@@ -202,7 +212,7 @@ fn a_cached_slot_never_queues_behind_a_forward_pass() {
     let data = dataset();
     let slots = data.slots(Split::Test);
     let (a, c) = (slots[0], slots[2]);
-    let mut server = one_slow_worker(&data);
+    let (mut server, _slow) = one_slow_worker(&data);
     let addr = server.addr();
     let cached = client::get(
         addr,
@@ -238,15 +248,9 @@ fn a_cached_slot_never_queues_behind_a_forward_pass() {
 fn slow_model_degrades_to_ha_within_the_deadline() {
     let data = dataset();
     let t = data.slots(Split::Test)[0];
-    let mut server = Server::start(
-        Arc::clone(&data),
-        ServeConfig {
-            // Every forward pass takes ≥ 400 ms — far past the deadline.
-            forward_delay: Some(Duration::from_millis(400)),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    // Every forward pass takes ≥ 400 ms — far past the deadline.
+    let _slow = slow_forwards(400);
+    let mut server = Server::start(Arc::clone(&data), ServeConfig::default()).unwrap();
     register_model(&server, &data, 7);
 
     let started = Instant::now();
@@ -277,6 +281,7 @@ fn slow_model_degrades_to_ha_within_the_deadline() {
 /// cut the connection after `read_timeout` and keep serving others.
 #[test]
 fn stalled_client_is_dropped_and_does_not_wedge_the_server() {
+    let _faults = scoped(FaultPlan::new());
     let data = dataset();
     let t = data.slots(Split::Test)[0];
     let mut server = Server::start(
@@ -325,6 +330,7 @@ fn stalled_client_is_dropped_and_does_not_wedge_the_server() {
 /// way the server keeps serving everyone else for the whole stall window.
 #[test]
 fn half_open_client_cannot_pin_the_writer() {
+    let _faults = scoped(FaultPlan::new());
     let data = dataset();
     let t = data.slots(Split::Test)[0];
     let write_timeout = Duration::from_millis(100);
@@ -381,6 +387,7 @@ fn half_open_client_cannot_pin_the_writer() {
 /// Per-station projection and slot-range validation over the wire.
 #[test]
 fn station_queries_and_range_checks() {
+    let _faults = scoped(FaultPlan::new());
     let data = dataset();
     let t = data.slots(Split::Test)[0];
     let mut server = Server::start(Arc::clone(&data), ServeConfig::default()).unwrap();
