@@ -12,8 +12,9 @@
 //! factors as `e(i,j) = σ₂(s_i + d_j)` with `s = (F·W₈)·W₉ᵃ` and
 //! `d = (F·W₈)·W₉ᵇ` — one column broadcast plus one row broadcast instead of
 //! materialising n² concatenated vectors. This is exact, not an
-//! approximation, and is the same trick the original GAT uses. The ablation
-//! bench `pcg_attention` measures the win over the naive pairing.
+//! approximation, and is the same trick the original GAT uses. The unit
+//! test `attention_layer_matches_a_literal_eq_15_to_18_evaluation` checks a
+//! layer against plain loops over the literal pairing.
 
 use crate::config::{PcgAggregator, StgnnConfig};
 use rand::rngs::StdRng;
@@ -195,6 +196,119 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f32> = (0..N * N).map(|_| rng.gen_range(-1.0..1.0)).collect();
         Tensor::from_vec(Shape::matrix(N, N), data).unwrap()
+    }
+
+    fn rows_f64(t: &Tensor) -> Vec<Vec<f64>> {
+        (0..t.shape().rows())
+            .map(|i| t.row(i).iter().map(|&v| f64::from(v)).collect())
+            .collect()
+    }
+
+    fn matmul_f64(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        a.iter()
+            .map(|row| {
+                (0..b[0].len())
+                    .map(|j| row.iter().zip(b).map(|(&x, b_row)| x * b_row[j]).sum())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn elu(x: f64) -> f64 {
+        if x > 0.0 {
+            x
+        } else {
+            x.exp_m1()
+        }
+    }
+
+    /// Layer 0 of an attention PCG evaluated literally, in plain f64 loops
+    /// over the parameters read from `ps` by name: every pair's
+    /// `ELU([h_i ‖ h_j]·W₉)` with `h = F·W₈` (Eq 15), the row softmax
+    /// (Eq 16), `ELU(α·F·φ)` per head (Eq 17), and the heads concatenated,
+    /// then multiplied by `W₁₀` (Eq 18). Returns the head-averaged α and
+    /// `F^p`.
+    fn literal_attention_layer(
+        ps: &ParamSet,
+        f: &Tensor,
+        heads: usize,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let param = |name: String| {
+            let p = ps.params().iter().find(|p| p.name() == name);
+            rows_f64(&p.unwrap_or_else(|| panic!("no parameter {name}")).value())
+        };
+        let fm = rows_f64(f);
+        let n = fm.len();
+        let mut alpha_mean = vec![vec![0.0; n]; n];
+        let mut concat = vec![Vec::new(); n];
+        for u in 0..heads {
+            let w8 = param(format!("pcg.0.{u}.w8"));
+            let w9: Vec<f64> = param(format!("pcg.0.{u}.w9a"))
+                .into_iter()
+                .chain(param(format!("pcg.0.{u}.w9b")))
+                .map(|row| row[0])
+                .collect();
+            let phi = param(format!("pcg.0.{u}.phi"));
+            let h = matmul_f64(&fm, &w8);
+            let e: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| {
+                            let pair = h[i].iter().chain(&h[j]);
+                            elu(pair.zip(&w9).map(|(x, w)| x * w).sum())
+                        })
+                        .collect()
+                })
+                .collect();
+            let alpha: Vec<Vec<f64>> = e
+                .iter()
+                .map(|row| {
+                    let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    let ex: Vec<f64> = row.iter().map(|x| (x - max).exp()).collect();
+                    let z: f64 = ex.iter().sum();
+                    ex.iter().map(|x| x / z).collect()
+                })
+                .collect();
+            let out = matmul_f64(&alpha, &matmul_f64(&fm, &phi));
+            for i in 0..n {
+                for j in 0..n {
+                    alpha_mean[i][j] += alpha[i][j] / heads as f64;
+                }
+                concat[i].extend(out[i].iter().map(|&x| elu(x)));
+            }
+        }
+        let fp = matmul_f64(&concat, &param("pcg.0.w10".into()));
+        (alpha_mean, fp)
+    }
+
+    /// The decomposed `σ₂(s_i + d_j)` logits, the two broadcasts and the
+    /// head concatenation must compute Eqs 15–18 as printed.
+    #[test]
+    fn attention_layer_matches_a_literal_eq_15_to_18_evaluation() {
+        let heads = 2;
+        let mut ps = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        let net = PcgNetwork::new(
+            &mut ps,
+            &mut rng,
+            &config(PcgAggregator::Attention, 1, heads),
+            N,
+        );
+        let f = features(14);
+        let g = Graph::new();
+        let (out, attn) = net.forward_with_attention(&g, &g.leaf(f.clone()), None);
+        let (alpha, fp) = literal_attention_layer(&ps, &f, heads);
+        for (what, got, want) in [("α", &attn[0], &alpha), ("F^p", &out.value(), &fp)] {
+            for (i, want_row) in want.iter().enumerate() {
+                for (j, &w) in want_row.iter().enumerate() {
+                    let v = f64::from(got.get2(i, j));
+                    assert!(
+                        (v - w).abs() <= 1e-4,
+                        "{what}[{i}][{j}] = {v}, the literal Eqs 15–18 give {w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! A failpoint does nothing until a [`FaultPlan`] is installed — either
 //! programmatically ([`install`] / [`scoped`]) or through the
 //! `STGNN_FAULTS` environment variable (read once, lazily, on the first
-//! check or install; an explicit plan replaces it). Each plan entry names
+//! check or install; an explicit plan replaces it, and the end of a
+//! [`scoped`] plan reinstalls it). Each plan entry names
 //! a site, an action to inject ([`FaultAction`]: an `io::Error`, a panic,
 //! or a delay) and a deterministic [`Trigger`] (fire on exactly the Nth
 //! hit, the first N hits, every hit, or with a *seeded* probability). The
@@ -58,7 +59,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// What a triggered failpoint injects at its site.
@@ -261,7 +262,7 @@ struct Registry {
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
+static ENV_PLAN: OnceLock<FaultPlan> = OnceLock::new();
 static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
 static TEST_GUARD: OnceLock<Mutex<()>> = OnceLock::new();
 
@@ -285,19 +286,23 @@ pub fn install(plan: FaultPlan) {
     replace(plan);
 }
 
-/// Installs the `STGNN_FAULTS` plan, if any, once per process: on the first
-/// check or the first [`install`], whichever comes first. Inlined because
+/// The `STGNN_FAULTS` plan (empty when the variable is unset or
+/// malformed), parsed and installed once per process: on the first check
+/// or the first [`install`], whichever comes first. Inlined because
 /// [`active`] runs it on every failpoint check, in every crate.
 #[inline]
-fn load_env_plan() {
-    ENV_INIT.call_once(|| {
-        if let Ok(s) = std::env::var("STGNN_FAULTS") {
-            match FaultPlan::parse(&s) {
-                Ok(plan) => replace(plan),
-                Err(e) => eprintln!("[stgnn-faults] ignoring STGNN_FAULTS: {e}"),
-            }
-        }
-    });
+fn load_env_plan() -> &'static FaultPlan {
+    ENV_PLAN.get_or_init(|| {
+        let plan = match std::env::var("STGNN_FAULTS") {
+            Ok(s) => FaultPlan::parse(&s).unwrap_or_else(|e| {
+                eprintln!("[stgnn-faults] ignoring STGNN_FAULTS: {e}");
+                FaultPlan::new()
+            }),
+            Err(_) => FaultPlan::new(),
+        };
+        replace(plan.clone());
+        plan
+    })
 }
 
 fn replace(plan: FaultPlan) {
@@ -319,11 +324,6 @@ fn replace(plan: FaultPlan) {
         );
     }
     ACTIVE.store(!reg.sites.is_empty(), Ordering::Release);
-}
-
-/// Removes the installed plan; every failpoint returns to its no-op state.
-pub fn clear() {
-    install(FaultPlan::new());
 }
 
 /// Whether any failpoint is currently configured. The first call (per
@@ -452,21 +452,24 @@ macro_rules! failpoint {
     };
 }
 
-/// RAII guard from [`scoped`]: clears the plan (and releases the global
-/// test lock) on drop.
+/// RAII guard from [`scoped`]: on drop, reinstalls the `STGNN_FAULTS` plan
+/// (an empty plan when the variable is unset) and releases the global test
+/// lock.
 pub struct ScopedPlan {
     _guard: MutexGuard<'static, ()>,
 }
 
 impl Drop for ScopedPlan {
     fn drop(&mut self) {
-        clear();
+        // Back to the environment's plan, not to none: a soak run through
+        // `STGNN_FAULTS` keeps soaking the tests after a scoped one.
+        install(load_env_plan().clone());
     }
 }
 
 /// Installs `plan` for the lifetime of the returned guard, holding a global
-/// lock so concurrently-running tests cannot see each other's faults. The
-/// plan is cleared when the guard drops.
+/// lock so concurrently-running tests cannot see each other's faults. When
+/// the guard drops, the `STGNN_FAULTS` plan (or none) is back.
 ///
 /// The registry is process-global state; every test that installs a plan
 /// must go through this (or serialise itself some other way).

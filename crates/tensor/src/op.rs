@@ -5,9 +5,11 @@
 //! The op table: one forward ([`Op::eval`]) and one backward
 //! ([`Op::backprop`]) per tape op, shared by both executors — the eager
 //! [`crate::autograd::Var`] builders and the compiled [`crate::plan::Plan`]
-//! replay. The elementwise ops' scalar bodies ([`MapOp`], [`ZipOp`]) live
-//! here too and are the only definition of those formulas: the [`Tensor`]
-//! kernels, the backward and the plan's in-place rewrites all call them.
+//! replay — and so is every kernel behind them: a matmul runs the one
+//! layout-flag GEMM ([`Tensor::matmul_layout`]) forward and backward. The
+//! elementwise ops' scalar bodies ([`MapOp`], [`ZipOp`]) live here too and
+//! are the only definition of those formulas: the [`Tensor`] kernels, the
+//! backward and the plan's in-place rewrites all call them.
 
 use crate::error::{Error, Result};
 use crate::par;
@@ -236,7 +238,12 @@ impl Op {
             (Op::Mul, [a, b]) => vec![g.mul(b)?, g.mul(a)?],
             // d(a/b)/db = −a / b²
             (Op::Div, [a, b]) => vec![g.div(b)?, g.mul(a)?.div(&b.square())?.neg()],
-            (Op::Matmul, [a, b]) => vec![g.matmul(&b.transpose()?)?, a.transpose()?.matmul(g)?],
+            // g·bᵀ and aᵀ·g through the GEMM's layout flags, so neither
+            // transpose is built.
+            (Op::Matmul, [a, b]) => vec![
+                g.matmul_layout(b, false, true)?,
+                a.matmul_layout(g, true, false)?,
+            ],
             (Op::Transpose, [_]) => vec![g.transpose()?],
             (Op::Reshape(_), [a]) => vec![g.reshape(a.shape().clone())?],
             (Op::SliceRows { start, end }, [a]) => {

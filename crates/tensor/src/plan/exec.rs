@@ -2,9 +2,10 @@
 // per-node slot vectors with node/parent ids proven in bounds by
 // `Plan::compile`; the in-place kernels index flat buffers whose lengths were
 // validated against the traced shapes.
-//! Plan execution: the forward/backward sweeps over [`PlanExec`] slots,
-//! the blocked-GEMM dispatch of matmul nodes and the in-place buffer
-//! steals.
+//! Plan execution: the forward/backward sweeps over [`PlanExec`] slots and
+//! the in-place buffer steals. Every node runs the op table's forward and
+//! backward, the kernels eager runs; an in-place node runs the same
+//! per-element formula into the buffer it stole.
 
 use super::ir::NodeBinding;
 use super::Plan;
@@ -117,21 +118,17 @@ impl Plan {
                     t
                 }
                 NodeBinding::Param(p) => p.value(),
-                NodeBinding::Compute => match (&node.op, node.parents.as_slice()) {
-                    // The blocked `nn` GEMM: bit-for-bit `Tensor::matmul`.
-                    (Op::Matmul, &[a, b]) => {
-                        exec.values[a].matmul_layout(&exec.values[b], false, false)?
-                    }
-                    _ if self.in_place[id].is_some() => self.eval_in_place(id, exec)?,
-                    _ => {
-                        let PlanExec { values, saved, .. } = &mut *exec;
-                        with_operands(
-                            &node.parents,
-                            |p| &values[p],
-                            |x| node.op.eval(x, &mut saved[id], draw),
-                        )?
-                    }
-                },
+                NodeBinding::Compute if self.in_place[id].is_some() => {
+                    self.eval_in_place(id, exec)?
+                }
+                NodeBinding::Compute => {
+                    let PlanExec { values, saved, .. } = &mut *exec;
+                    with_operands(
+                        &node.parents,
+                        |p| &values[p],
+                        |x| node.op.eval(x, &mut saved[id], draw),
+                    )?
+                }
             };
             exec.values[id] = v;
         }
@@ -185,14 +182,11 @@ impl Plan {
                 continue; // leaves, params and constants spread no further
             }
             // One contribution per parent, in parent order.
-            let contribs = match (&node.op, node.parents.as_slice()) {
-                (Op::Matmul, &[a, b]) => gemm_backprop(g, &exec.values[a], &exec.values[b])?,
-                _ => with_operands(
-                    &node.parents,
-                    |p| &exec.values[p],
-                    |x| node.op.backprop(g, x, &exec.values[id], &exec.saved[id]),
-                )?,
-            };
+            let contribs = with_operands(
+                &node.parents,
+                |p| &exec.values[p],
+                |x| node.op.backprop(g, x, &exec.values[id], &exec.saved[id]),
+            )?;
             for (k, g) in contribs.into_iter().enumerate() {
                 let pid = node.parents[k];
                 debug_assert!(pid < id, "tape order violated: node {id} feeds {pid}");
@@ -262,56 +256,19 @@ impl Plan {
             });
         } else {
             // The broadcasts, which always overwrite slot 0.
-            let op = match node.op {
-                Op::AddRowBroadcast | Op::AddColBroadcast | Op::MulColBroadcast => &node.op,
+            let other = &exec.values[node.parents[1]];
+            match node.op {
+                Op::AddRowBroadcast => t.add_row_broadcast_assign(other)?,
+                Op::AddColBroadcast => t.add_col_broadcast_assign(other)?,
+                Op::MulColBroadcast => t.mul_col_broadcast_assign(other)?,
                 _ => {
                     return Err(Error::InvalidArgument(format!(
                         "node {id}: op {} has no in-place kernel",
                         node.op
                     )))
                 }
-            };
-            let other = exec.values[node.parents[1]].clone();
-            let v = other.data();
-            let (_, c) = node.shape.as_matrix("in_place_broadcast")?;
-            let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-            par::for_each_row_chunk_mut(t.data_mut(), c, grain, |first_row, window| {
-                for (i, o_row) in window.chunks_mut(c).enumerate() {
-                    match op {
-                        Op::AddRowBroadcast => {
-                            for (o, &b) in o_row.iter_mut().zip(v) {
-                                *o = ZipOp::Add.fwd(*o, b);
-                            }
-                        }
-                        Op::AddColBroadcast => {
-                            let b = v[first_row + i];
-                            for o in o_row.iter_mut() {
-                                *o = ZipOp::Add.fwd(*o, b);
-                            }
-                        }
-                        _ => {
-                            let b = v[first_row + i];
-                            for o in o_row.iter_mut() {
-                                *o = ZipOp::Mul.fwd(*o, b);
-                            }
-                        }
-                    }
-                }
-            });
+            }
         }
         Ok(t)
     }
-}
-
-/// Backward of a matmul node through the layout-flag GEMM: the eager
-/// `g·bᵀ` and `aᵀ·g` formulas as the `nt` and `tn` kernels, which walk
-/// the same multiply pairs in the same ascending contraction order as
-/// `matmul` over a materialised transpose and probe the lhs in its
-/// effective layout — so the contributions are bit-identical without
-/// either transpose being built.
-fn gemm_backprop(g: &Tensor, a: &Tensor, b: &Tensor) -> Result<Vec<Tensor>> {
-    Ok(vec![
-        g.matmul_layout(b, false, true)?,
-        a.matmul_layout(g, true, false)?,
-    ])
 }

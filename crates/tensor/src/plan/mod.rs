@@ -18,22 +18,18 @@
 //! state performs **zero pool misses** — the allocator is never touched.
 //!
 //! Every node runs the same [`Op`] forward and backward as the eager tape
-//! — one op table serves both executors — with two exceptions, each kept
-//! because it moves a measured number (`DESIGN.md` §12):
-//!
-//! 1. **Blocked GEMM** — every `Matmul` node runs its forward as the
-//!    blocked `nn` GEMM kernel and its backward as `g·bᵀ` (`nt`) and
-//!    `aᵀ·g` (`tn`) through the layout-flag kernels of
-//!    [`Tensor::matmul_layout`], which never materialise the two
-//!    transposes eager backward builds.
-//! 2. **In-place rewrites** — where liveness allows, an op overwrites its
-//!    dying parent's buffer instead of cycling a fresh one through the
-//!    pool, and gradient accumulation adds into the existing slot.
+//! — one op table and one set of kernels serve both executors (a matmul is
+//! the layout-flag GEMM of [`Tensor::matmul_layout`] in either) — with one
+//! exception, kept because it moves a measured number (`DESIGN.md` §12):
+//! **in-place rewrites**. Where liveness allows, an op overwrites its dying
+//! parent's buffer with the same per-element formula instead of cycling a
+//! fresh one through the pool, and gradient accumulation adds into the
+//! existing slot.
 //!
 //! Replay remains **bit-identical** to eager execution at any thread
-//! count: both preserve each output element's exact f32 operation
-//! sequence and every gradient deposit's sweep position (see the legality
-//! notes on each). Dropout nodes run the op table in node order, so a plan
+//! count: an in-place node applies each output element's exact f32
+//! operation sequence, and gradient accumulation keeps every deposit's
+//! sweep position (see the legality notes in `passes`). Dropout nodes run the op table in node order, so a plan
 //! step consumes the RNG stream exactly like the eager step it replaces.
 //! The parity suite in `tests/plan_parity.rs` proves this for every model
 //! configuration, at 1 and 4 threads, down to the bit, and

@@ -368,84 +368,28 @@ impl Tensor {
     // Matrix operations
     // ------------------------------------------------------------------
 
-    /// Matrix product of two rank-2 tensors.
-    ///
-    /// Uses an i-k-j loop order so the inner loop streams rows of both the
-    /// output and `rhs` — cache friendly without blocking at the `n ≤ ~1000`
-    /// sizes this reproduction works at. Output rows are computed in
-    /// parallel chunks; each row accumulates independently in the serial
-    /// loop order, so the result is bit-for-bit identical at any thread
-    /// count.
-    ///
-    /// The inner loop comes in two flavours picked by a cheap deterministic
-    /// density probe of the lhs: sparse flow matrices keep the `av == 0.0`
-    /// skip (most of a flow row is zeros — skipping the whole `rhs` row is a
-    /// real win), while dense matrices (weights, hidden states) take a
-    /// branchless loop the autovectorizer handles much better. The probe
-    /// depends only on the lhs values, never on the thread count, so the
-    /// bitwise-determinism contract is unaffected.
+    /// Matrix product of two rank-2 tensors: [`Tensor::matmul_layout`] with
+    /// both operands in natural layout.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        let (m, k) = self.shape.as_matrix("matmul")?;
-        let (k2, n) = rhs.shape.as_matrix("matmul")?;
-        if k != k2 {
-            return Err(Error::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape.dims().to_vec(),
-                rhs: rhs.shape.dims().to_vec(),
-            });
-        }
-        // Degenerate operands (a 0-station shard, an empty horizon slice)
-        // have nothing to accumulate; chunking math below would divide by
-        // zero-sized rows, so they return their all-zero product up front.
-        if m == 0 || n == 0 || k == 0 {
-            return Ok(Tensor::zeros(Shape::matrix(m, n)));
-        }
-        let a = self.data();
-        let b = rhs.data();
-        let dense = lhs_is_dense(a);
-        let mut out = Buffer::zeroed(m * n);
-        let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
-        par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
-            for (r, o_row) in window.chunks_mut(n).enumerate() {
-                let i = first_row + r;
-                let a_row = &a[i * k..(i + 1) * k];
-                if dense {
-                    for (p, &av) in a_row.iter().enumerate() {
-                        let b_row = &b[p * n..(p + 1) * n];
-                        for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
-                } else {
-                    for (p, &av) in a_row.iter().enumerate() {
-                        if av == 0.0 {
-                            continue; // flow matrices are sparse; skipping zeros is a real win
-                        }
-                        let b_row = &b[p * n..(p + 1) * n];
-                        for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-        });
-        Ok(Tensor::from_buffer(Shape::matrix(m, n), out))
+        self.matmul_layout(rhs, false, false)
     }
 
     /// Matrix product with layout flags: computes `op(self) · op(rhs)`
     /// where `op` transposes its operand when the flag is set, **without
-    /// materialising the transpose**. `matmul_layout(b, true, false)` is
-    /// bit-for-bit `self.transpose()?.matmul(b)`: per output element the
-    /// same multiply-add pairs accumulate through one chain in the same
-    /// ascending contraction order, and the density probe samples the lhs
-    /// in its *effective* (possibly transposed) layout, so even the
-    /// sparse-path zero-skips match. The inner loops are 8-wide
-    /// hand-unrolled lanes under [`GEMM_KC`] blocking, parallelised over
-    /// output rows through [`par`] like every other kernel.
+    /// materialising the transpose**. This is the one GEMM kernel of both
+    /// executors: `nn` is [`Tensor::matmul`] (the forward), `nt` and `tn`
+    /// are the matmul backward's `g·bᵀ` and `aᵀ·g`. Transposing both
+    /// operands returns [`Error::InvalidArgument`]: no caller needs it.
     ///
-    /// The layouts are `nn` (the plan's matmul forward), `nt` and `tn`
-    /// (its backward, `g·bᵀ` and `aᵀ·g`). Transposing both operands
-    /// returns [`Error::InvalidArgument`]: no caller needs it.
+    /// Every output element owns one accumulator that starts at `+0.0` and
+    /// adds `a·b` in ascending contraction order, whatever the layout, the
+    /// blocking or the thread count; rows are parallelised through [`par`]
+    /// like every other kernel. A deterministic density probe of the stored
+    /// lhs ([`lhs_is_dense`]) picks the inner loops: a dense lhs (weights,
+    /// hidden states) takes the register-blocked kernel, a sparse one (flow
+    /// matrices) skips its zero elements, which skips most of the work.
+    /// For finite operands the verdict changes no bits: the accumulator
+    /// never becomes `−0.0`, so adding a `±0.0` product is exact.
     pub fn matmul_layout(&self, rhs: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
         if ta && tb {
             return Err(Error::InvalidArgument(
@@ -463,16 +407,15 @@ impl Tensor {
                 rhs: rhs.shape.dims().to_vec(),
             });
         }
+        // Degenerate operands (a 0-station shard, an empty horizon slice)
+        // have nothing to accumulate; chunking math below would divide by
+        // zero-sized rows, so they return their all-zero product up front.
         if m == 0 || n == 0 || k == 0 {
             return Ok(Tensor::zeros(Shape::matrix(m, n)));
         }
         let a = self.data();
         let b = rhs.data();
-        let dense = if ta {
-            lhs_is_dense_t(a, ar, ac)
-        } else {
-            lhs_is_dense(a)
-        };
+        let dense = lhs_is_dense(a);
         let mut out = Buffer::zeroed(m * n);
         let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
         par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
@@ -492,7 +435,7 @@ impl Tensor {
                 if ta {
                     gemm_row_tn(o_row, a, i, ac, b, k, n, dense);
                 } else {
-                    gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, k, n, dense);
+                    gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, n, dense);
                 }
             }
         });
@@ -628,7 +571,16 @@ impl Tensor {
 
     /// Adds a `1×c` row vector to every row of an `r×c` matrix.
     pub fn add_row_broadcast(&self, row: &Tensor) -> Result<Tensor> {
-        let (r, c) = self.shape.as_matrix("add_row_broadcast")?;
+        let mut out = self.clone();
+        out.add_row_broadcast_assign(row)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::add_row_broadcast`] into `self`'s buffer (copy-on-write
+    /// still protects shared storage). The compiled plan's in-place
+    /// rewrites call the three `*_broadcast_assign` forms directly.
+    pub(crate) fn add_row_broadcast_assign(&mut self, row: &Tensor) -> Result<()> {
+        let (_, c) = self.shape.as_matrix("add_row_broadcast")?;
         let (rr, rc) = row.shape.as_matrix("add_row_broadcast")?;
         if rr != 1 || rc != c {
             return Err(Error::ShapeMismatch {
@@ -637,67 +589,70 @@ impl Tensor {
                 rhs: row.shape.dims().to_vec(),
             });
         }
-        let mut out = self.data.as_ref().clone();
         let v = row.data();
         let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-        par::for_each_row_chunk_mut(&mut out, c, grain, |_, window| {
+        par::for_each_row_chunk_mut(self.data_mut(), c, grain, |_, window| {
             for o_row in window.chunks_mut(c) {
                 for (o, &b) in o_row.iter_mut().zip(v) {
                     *o = ZipOp::Add.fwd(*o, b);
                 }
             }
         });
-        Ok(Tensor::from_buffer(Shape::matrix(r, c), out))
+        Ok(())
     }
 
     /// Adds an `r×1` column vector to every column of an `r×c` matrix.
     pub fn add_col_broadcast(&self, col: &Tensor) -> Result<Tensor> {
-        let (r, c) = self.shape.as_matrix("add_col_broadcast")?;
-        let (cr, cc) = col.shape.as_matrix("add_col_broadcast")?;
-        if cc != 1 || cr != r {
-            return Err(Error::ShapeMismatch {
-                op: "add_col_broadcast",
-                lhs: self.shape.dims().to_vec(),
-                rhs: col.shape.dims().to_vec(),
-            });
-        }
-        let mut out = self.data.as_ref().clone();
-        let v = col.data();
-        let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-        par::for_each_row_chunk_mut(&mut out, c, grain, |first_row, window| {
-            for (i, o_row) in window.chunks_mut(c).enumerate() {
-                let b = v[first_row + i];
-                for o in o_row.iter_mut() {
-                    *o = ZipOp::Add.fwd(*o, b);
-                }
-            }
-        });
-        Ok(Tensor::from_buffer(Shape::matrix(r, c), out))
+        let mut out = self.clone();
+        out.add_col_broadcast_assign(col)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::add_col_broadcast`] into `self`'s buffer.
+    pub(crate) fn add_col_broadcast_assign(&mut self, col: &Tensor) -> Result<()> {
+        self.col_broadcast_assign(col, "add_col_broadcast", |o, b| ZipOp::Add.fwd(o, b))
     }
 
     /// Multiplies row `i` of an `r×c` matrix by element `i` of an `r×1` column.
     pub fn mul_col_broadcast(&self, col: &Tensor) -> Result<Tensor> {
-        let (r, c) = self.shape.as_matrix("mul_col_broadcast")?;
-        let (cr, cc) = col.shape.as_matrix("mul_col_broadcast")?;
+        let mut out = self.clone();
+        out.mul_col_broadcast_assign(col)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::mul_col_broadcast`] into `self`'s buffer.
+    pub(crate) fn mul_col_broadcast_assign(&mut self, col: &Tensor) -> Result<()> {
+        self.col_broadcast_assign(col, "mul_col_broadcast", |o, b| ZipOp::Mul.fwd(o, b))
+    }
+
+    /// `self[i][j] = f(self[i][j], col[i])` over an `r×c` matrix and an
+    /// `r×1` column.
+    fn col_broadcast_assign(
+        &mut self,
+        col: &Tensor,
+        op: &'static str,
+        f: impl Fn(f32, f32) -> f32 + Sync,
+    ) -> Result<()> {
+        let (r, c) = self.shape.as_matrix(op)?;
+        let (cr, cc) = col.shape.as_matrix(op)?;
         if cc != 1 || cr != r {
             return Err(Error::ShapeMismatch {
-                op: "mul_col_broadcast",
+                op,
                 lhs: self.shape.dims().to_vec(),
                 rhs: col.shape.dims().to_vec(),
             });
         }
-        let mut out = self.data.as_ref().clone();
         let v = col.data();
         let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-        par::for_each_row_chunk_mut(&mut out, c, grain, |first_row, window| {
+        par::for_each_row_chunk_mut(self.data_mut(), c, grain, |first_row, window| {
             for (i, o_row) in window.chunks_mut(c).enumerate() {
                 let b = v[first_row + i];
                 for o in o_row.iter_mut() {
-                    *o = ZipOp::Mul.fwd(*o, b);
+                    *o = f(*o, b);
                 }
             }
         });
-        Ok(Tensor::from_buffer(Shape::matrix(r, c), out))
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -812,11 +767,11 @@ impl Tensor {
     }
 }
 
-/// Deterministic density probe for [`Tensor::matmul`]'s lhs: samples at most
-/// 1024 evenly-strided elements and calls the matrix dense when fewer than
-/// 1/8 of the samples are exactly zero. Cheap relative to the `m·k·n`
-/// product it steers, and a function of the data alone — never of the
-/// thread count — so kernel determinism is preserved.
+/// Deterministic density probe for [`Tensor::matmul_layout`]'s stored lhs:
+/// samples at most 1024 evenly-strided elements and calls the matrix dense
+/// when fewer than 1/8 of the samples are exactly zero. Cheap relative to
+/// the `m·k·n` product it steers, and a function of the data alone — never
+/// of the thread count.
 pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
     if a.is_empty() {
         return true;
@@ -836,57 +791,17 @@ pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
     zeros * 8 < sampled
 }
 
-/// [`lhs_is_dense`] over the flat layout of `aᵀ` for `a` stored `rows×cols`
-/// row-major, without materialising the transpose. Visits exactly the
-/// elements probing a materialised transpose would visit (same length, same
-/// stride, same order), so the verdict — and therefore the inner-loop
-/// choice — is identical to the eager materialise-then-probe path.
-pub(crate) fn lhs_is_dense_t(a: &[f32], rows: usize, cols: usize) -> bool {
-    if a.is_empty() {
-        return true;
-    }
-    debug_assert_eq!(a.len(), rows * cols);
-    let stride = (a.len() / 1024).max(1);
-    let mut sampled = 0u32;
-    let mut zeros = 0u32;
-    // Flat index `t` of the transposed layout maps to stored element
-    // (t % rows, t / rows). Track the quotient/remainder pair incrementally —
-    // `stride` is constant, so each step adds (stride / rows, stride % rows)
-    // with a single carry — instead of a div+mod per sample. Same positions,
-    // same order, same verdict; this probe runs on every transposed-lhs GEMM
-    // in the compiled backward pass, where the division was measurable.
-    let (dq, dr) = (stride / rows, stride % rows);
-    let (mut q, mut r) = (0usize, 0usize);
-    let mut t = 0;
-    while t < a.len() {
-        // t < a.len() = rows·cols bounds r < rows, q < cols.
-        if a[r * cols + q] == 0.0 {
-            zeros += 1;
-        }
-        sampled += 1;
-        t += stride;
-        q += dq;
-        r += dr;
-        if r >= rows {
-            r -= rows;
-            q += 1;
-        }
-    }
-    zeros * 8 < sampled
-}
-
-/// One output row of `op(a)·op(b)`, both operands in natural layout:
-/// `o[j] += a_row[p]·b[p][j]` with `p` ascending — the reference accumulation
-/// order of [`Tensor::matmul`]. The inner loop is the *same* `zip` streaming
-/// loop as the eager kernel: every output element has its own accumulation
-/// chain, so LLVM vectorizes across `j` without reordering any float adds.
-/// (A hand-unrolled 8-lane version of this loop benchmarked ~4× *slower* —
-/// the indexed lane bodies defeat the autovectorizer; see
-/// `examples/gemm_bench.rs`.)
-fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], _k: usize, n: usize, dense: bool) {
+/// One output row of `a·b`, both operands in natural layout:
+/// `o[j] += a_row[p]·b[p][j]` with `p` ascending. Every output element has
+/// its own accumulation chain, so LLVM vectorizes the `zip` across `j`
+/// without reordering any float adds (a hand-unrolled 8-lane version of
+/// this loop measured ~4× *slower*: the indexed lane bodies defeat the
+/// autovectorizer). It runs the sparse `nn` path and the blocked kernel's
+/// row tail.
+fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], n: usize, dense: bool) {
     for (p, &av) in a_row.iter().enumerate() {
         if !dense && av == 0.0 {
-            continue; // the sparse flow-matrix skip, exactly as matmul takes it
+            continue; // flow matrices are sparse; skipping zeros is a real win
         }
         let b_row = &b[p * n..(p + 1) * n];
         for (o, &bv) in o_row.iter_mut().zip(b_row) {
@@ -899,15 +814,14 @@ fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], _k: usize, n: usize,
 /// blocked: a 4-row × 16-column accumulator tile lives entirely in vector
 /// registers, so each contraction step issues eight fused multiply-adds
 /// against two `b` vector loads instead of re-walking the output row
-/// through memory (the streaming kernels' 1:3 fma-to-memory-op ratio is
-/// what held [`Tensor::matmul`] at ~2.5 GFLOP/s). Works for both the
-/// natural (`ta=false`) and transposed (`ta=true`) lhs — the lhs element
-/// is a scalar broadcast either way, only its address changes.
+/// through memory, as the streaming [`gemm_row_nn`] does. Works for both
+/// the natural (`ta=false`) and transposed (`ta=true`) lhs — the lhs
+/// element is a scalar broadcast either way, only its address changes.
 ///
 /// Bit-identity: every output element still owns exactly one accumulator,
 /// advanced in ascending contraction order — the same per-element chain
-/// the eager dense loop produces; row/column blocking only changes which
-/// *independent* chains run interleaved.
+/// the streaming sparse path produces; row/column blocking only changes
+/// which *independent* chains run interleaved.
 #[allow(clippy::too_many_arguments)]
 fn gemm_window_blocked(
     window: &mut [f32],
@@ -953,7 +867,7 @@ fn gemm_window_blocked(
         if ta {
             gemm_row_tn(o_row, a, i, a_cols, b, k, n, true);
         } else {
-            gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, k, n, true);
+            gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, n, true);
         }
     }
 }
@@ -1033,7 +947,7 @@ fn gemm_blocked_col_tail(
 /// packed lanes then read contiguous memory, so the 8 per-output
 /// accumulation chains vectorize; chains carry across p-tiles with `p`
 /// strictly ascending, which keeps every output element bit-identical to
-/// the eager `transpose()+matmul` pair.
+/// the `nn` product over a materialised `bᵀ`.
 fn gemm_window_nt(
     window: &mut [f32],
     first_row: usize,
@@ -1513,10 +1427,13 @@ mod tests {
         assert_eq!((s.shape().rows(), s.shape().cols()), (5, 0));
     }
 
-    /// The layout-flag GEMM must be bit-identical to materialising the
-    /// transpose and calling plain `matmul`, for the `nn`, `nt` and `tn`
-    /// layouts, for dense *and* sparse lhs (both probe branches), at 1 and 4
-    /// threads; the unsupported `tt` layout is a typed error.
+    /// The GEMM's three layouts must equal an independent reference bit for
+    /// bit: one accumulator per output element, starting at `+0.0` and
+    /// adding `a·b` in ascending `p`, over the materialised operands. For a
+    /// dense *and* a sparse lhs (both probe branches; the sparse path's
+    /// zero-skips must match the reference's `±0.0` adds), at 1 and 4
+    /// threads, at odd dims (lane and row tails) and at a paper-sized shape;
+    /// the unsupported `tt` layout is a typed error.
     #[test]
     fn gemm_layout_flags_match_materialized_transpose_bitwise() {
         let _serial = par::override_lock();
@@ -1535,72 +1452,54 @@ mod tests {
                 .collect();
             Tensor::from_vec(Shape::matrix(r, c), data).unwrap()
         };
-        // Odd dims exercise the non-multiple-of-8 lane tails; > GEMM_KC
-        // contraction would need huge inputs, so rely on the tail loop
-        // equivalence (accumulators carry across blocks regardless).
-        let (m, k, n) = (13, 37, 21);
-        for sparse in [false, true] {
-            let a_nat = fill(7, m, k, sparse); // m×k, natural lhs
-            let a_t = a_nat.transpose().unwrap(); // k×m, lhs for ta=true
-            let b_nat = fill(11, k, n, false); // k×n
-            let b_t = b_nat.transpose().unwrap(); // n×k, rhs for tb=true
-            let want = a_nat.matmul(&b_nat).unwrap();
-            for threads in [1usize, 4] {
-                par::set_thread_override(Some(threads));
-                let cases = [
-                    a_nat.matmul_layout(&b_nat, false, false).unwrap(),
-                    a_nat.matmul_layout(&b_t, false, true).unwrap(),
-                    a_t.matmul_layout(&b_nat, true, false).unwrap(),
-                ];
-                let tt = a_t.matmul_layout(&b_t, true, true);
-                par::set_thread_override(None);
-                assert!(
-                    matches!(tt, Err(Error::InvalidArgument(_))),
-                    "the tt layout must be refused, got {tt:?}"
-                );
-                for (i, got) in cases.iter().enumerate() {
-                    let same = want
-                        .data()
-                        .iter()
-                        .zip(got.data())
-                        .all(|(w, g)| w.to_bits() == g.to_bits());
-                    assert!(
-                        same,
-                        "layout case {i} (sparse={sparse}, threads={threads}) \
-                         diverged from materialized-transpose matmul"
-                    );
+        let reference = |a: &Tensor, b: &Tensor| -> Vec<u32> {
+            let (m, k) = a.shape().as_matrix("reference").unwrap();
+            let n = b.shape().cols();
+            let mut out = Vec::with_capacity(m * n);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += a.get2(i, p) * b.get2(p, j);
+                    }
+                    out.push(acc.to_bits());
                 }
             }
-        }
-    }
-
-    /// `lhs_is_dense_t` (virtual-transpose density probe) must agree with
-    /// materialising the transpose and probing it, because the kernel branch
-    /// it picks must match what eager replay would have picked.
-    #[test]
-    fn transposed_probe_matches_materialized_probe() {
-        let fill = |seed: u32, zero_every: u32| -> Tensor {
-            let mut state = seed;
-            let data = (0..40 * 33)
-                .map(|_| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    if state.is_multiple_of(zero_every) {
-                        0.0
-                    } else {
-                        (state >> 8) as f32 / (1 << 24) as f32
-                    }
-                })
-                .collect();
-            Tensor::from_vec(Shape::matrix(40, 33), data).unwrap()
+            out
         };
-        for zero_every in [2u32, 3, 100] {
-            let a = fill(zero_every, zero_every);
-            assert_eq!(
-                lhs_is_dense_t(a.data(), 40, 33),
-                lhs_is_dense(a.transpose().unwrap().data()),
-                "virtual and materialized transpose probes disagree \
-                 (zero_every={zero_every})"
-            );
+        for (m, k, n) in [(13, 37, 21), (64, 128, 64)] {
+            for sparse in [false, true] {
+                let a_nat = fill(7, m, k, sparse); // m×k, natural lhs
+                let a_t = a_nat.transpose().unwrap(); // k×m, lhs for ta=true
+                let b_nat = fill(11, k, n, false); // k×n
+                let b_t = b_nat.transpose().unwrap(); // n×k, rhs for tb=true
+                assert_eq!(lhs_is_dense(a_nat.data()), !sparse);
+                assert_eq!(lhs_is_dense(a_t.data()), !sparse);
+                let want = reference(&a_nat, &b_nat);
+                for threads in [1usize, 4] {
+                    par::set_thread_override(Some(threads));
+                    let cases = [
+                        ("nn", a_nat.matmul_layout(&b_nat, false, false)),
+                        ("nt", a_nat.matmul_layout(&b_t, false, true)),
+                        ("tn", a_t.matmul_layout(&b_nat, true, false)),
+                    ];
+                    let tt = a_t.matmul_layout(&b_t, true, true);
+                    par::set_thread_override(None);
+                    assert!(
+                        matches!(tt, Err(Error::InvalidArgument(_))),
+                        "the tt layout must be refused, got {tt:?}"
+                    );
+                    for (layout, got) in cases {
+                        let got: Vec<u32> =
+                            got.unwrap().data().iter().map(|v| v.to_bits()).collect();
+                        assert!(
+                            got == want,
+                            "{layout} at {m}×{k}×{n} (sparse={sparse}, threads={threads}) \
+                             diverged from the reference"
+                        );
+                    }
+                }
+            }
         }
     }
 }
