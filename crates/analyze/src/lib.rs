@@ -16,8 +16,8 @@
 //!   before epoch 0, and the serve registry refuses to hot-swap a candidate
 //!   whose probe tape carries one.
 //! * [`sound`] — **`stgnn-sound`**, the one source analyzer, built on a
-//!   hand-rolled lexical substrate ([`lex`]; no crates.io parser, like
-//!   `stgnn_tensor::par`'s hand-rolled pool). One per-function event parse
+//!   hand-rolled lexical substrate ([`lex`]; no crates.io parser). One
+//!   per-function event parse
 //!   of every `crates/*/src` file feeds four passes: the crate source
 //!   policy (`L001`–`L004`: no `unwrap()`/`expect()`/`panic!`/slice
 //!   indexing in non-test code of the hot-path crates; `L006`: no raw

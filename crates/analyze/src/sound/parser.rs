@@ -430,8 +430,9 @@ fn scan_region(
                 }
                 match name.as_str() {
                     "lock" => {
-                        // Free-fn acquisition `lock(&p.spawned)` (the par.rs
-                        // helper): the lock is the arg's last path segment.
+                        // Free-fn acquisition `lock(&p.spawned)` (a
+                        // poison-ignoring helper): the lock is the arg's last
+                        // path segment.
                         if let Some(next) = scan_free_lock(m, i, after, file_stem, depth, out) {
                             i = next;
                             continue;

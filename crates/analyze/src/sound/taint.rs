@@ -1,7 +1,7 @@
 //! Determinism-taint analysis (`S003`–`S005`).
 //!
-//! The repo's parity theorems (DESIGN.md §4: bit-identical results at any
-//! thread count, deterministic dropout streams) hold only while no
+//! The repo's parity theorems (DESIGN.md §9.2: eager ≡ plan bit for bit,
+//! deterministic dropout streams) hold only while no
 //! nondeterministic value reaches a tensor, an RNG seed, a checkpoint
 //! byte, or a benchmark's reported numbers. This pass marks the
 //! **sources** textually:

@@ -1,17 +1,14 @@
 //! Criterion microbenchmarks of the compute kernels under the model:
-//! matmul, the autodiff tape round-trip, flow convolution forward,
-//! spatial-temporal graph generation, and the `par_*` groups comparing
-//! 1-thread vs N-thread kernel-pool dispatch (`STGNN_THREADS` §README).
+//! matmul, the autodiff tape round-trip, flow convolution forward and
+//! spatial-temporal graph generation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stgnn_core::config::StgnnConfig;
 use stgnn_core::flow_conv::{fcg_mask, FlowConvolution};
-use stgnn_graph::aggregate::MeanAggregator;
-use stgnn_graph::digraph::DiGraph;
 use stgnn_tensor::autograd::{Graph, Param, ParamSet};
-use stgnn_tensor::{par, Shape, Tensor};
+use stgnn_tensor::{Shape, Tensor};
 
 fn random_matrix(rng: &mut StdRng, r: usize, c: usize) -> Tensor {
     let data: Vec<f32> = (0..r * c).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -109,81 +106,6 @@ fn bench_graph_generation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Runs `f` once with the kernel pool pinned to `threads`, restoring the
-/// configured default afterwards. Results are bit-identical either way (the
-/// chunking is fixed per row, not per thread), so the comparison is purely
-/// about wall clock.
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    par::set_thread_override(Some(threads));
-    let out = f();
-    par::set_thread_override(None);
-    out
-}
-
-fn bench_par_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("par_matmul");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(6);
-    let pool = par::init();
-    for &n in &[128usize, 512, 1024] {
-        let a = random_matrix(&mut rng, n, n);
-        let b = random_matrix(&mut rng, n, n);
-        for &threads in &[1usize, pool.max(4)] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("n{n}_t{threads}")),
-                &n,
-                |bench, _| {
-                    bench.iter(|| with_threads(threads, || black_box(a.matmul(&b).unwrap())));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-fn bench_par_softmax(c: &mut Criterion) {
-    let mut group = c.benchmark_group("par_softmax_rows");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(7);
-    let pool = par::init();
-    for &n in &[128usize, 512, 1024] {
-        let m = random_matrix(&mut rng, n, n);
-        for &threads in &[1usize, pool.max(4)] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("n{n}_t{threads}")),
-                &n,
-                |bench, _| {
-                    bench.iter(|| with_threads(threads, || black_box(m.softmax_rows().unwrap())));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-fn bench_par_transpose(c: &mut Criterion) {
-    // The 32×32 cache-blocked transpose: tiles keep both the read stream
-    // and the write stream inside L1 instead of striding a whole column
-    // per element, and rows of tiles split across the kernel pool.
-    let mut group = c.benchmark_group("par_transpose");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(8);
-    let pool = par::init();
-    for &n in &[128usize, 512, 1024] {
-        let m = random_matrix(&mut rng, n, n);
-        for &threads in &[1usize, pool.max(4)] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("n{n}_t{threads}")),
-                &n,
-                |bench, _| {
-                    bench.iter(|| with_threads(threads, || black_box(m.transpose().unwrap())));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_matmul_density(c: &mut Criterion) {
     // The density probe: matmul samples the lhs and takes a
     // skip-multiplications-by-zero inner loop when it looks sparse.
@@ -217,29 +139,6 @@ fn bench_matmul_density(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_par_aggregate(c: &mut Criterion) {
-    // MeanAggregator build: the row-parallel neighbourhood-matrix fill.
-    let mut group = c.benchmark_group("par_mean_aggregate");
-    group.sample_size(10);
-    let pool = par::init();
-    for &n in &[128usize, 512, 1024] {
-        let edges: Vec<(usize, usize, f32)> = (0..n)
-            .flat_map(|i| (0..8usize).map(move |k| (i, (i * 7 + k * 13) % n, 1.0)))
-            .collect();
-        let graph = DiGraph::from_edges(n, &edges);
-        for &threads in &[1usize, pool.max(4)] {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("n{n}_t{threads}")),
-                &n,
-                |bench, _| {
-                    bench.iter(|| with_threads(threads, || black_box(MeanAggregator::new(&graph))));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 fn bench_tensor_clone_cow(c: &mut Criterion) {
     // The COW design claim: cloning a big tensor is O(1).
     let mut rng = StdRng::seed_from_u64(5);
@@ -267,11 +166,7 @@ criterion_group!(
     bench_autodiff_round_trip,
     bench_flow_convolution,
     bench_graph_generation,
-    bench_par_matmul,
-    bench_par_softmax,
-    bench_par_transpose,
     bench_matmul_density,
-    bench_par_aggregate,
     bench_tensor_clone_cow,
     bench_param_holder,
 );

@@ -13,11 +13,8 @@ use stgnn_core::StgnnDjd;
 use stgnn_data::dataset::{BikeDataset, Split};
 use stgnn_data::synthetic::SyntheticCity;
 use stgnn_tensor::autograd::Graph;
-use stgnn_tensor::par;
 
 fn main() {
-    par::init();
-    par::set_thread_override(Some(1));
     let scale = Scale::from_env();
     let city = SyntheticCity::generate(scale.chicago_city());
     let data = BikeDataset::from_city(&city, scale.dataset_config()).expect("dataset");
@@ -118,5 +115,4 @@ fn main() {
         med(&mut efwd),
         med(&mut ebwd)
     );
-    par::set_thread_override(None);
 }

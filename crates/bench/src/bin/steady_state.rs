@@ -5,8 +5,9 @@
 //! plan replay, for the training step and the serve forward.
 //!
 //! Emits `BENCH_steady_state.json` (train-step time, serve p50/p99, pool
-//! hit rate, allocations/step, and the plan-over-eager speedup) at
-//! `STGNN_THREADS` ∈ {1, N} — the baseline later PRs must beat.
+//! hit rate, allocations/step, and the plan-over-eager speedup) — the
+//! baseline later PRs must beat. Kernels run on the calling thread, so
+//! there is one cell.
 //!
 //! ```text
 //! cargo run -p stgnn-bench --release --bin steady_state
@@ -23,11 +24,10 @@ use stgnn_core::{StgnnConfig, StgnnDjd};
 use stgnn_data::dataset::{BikeDataset, Split};
 use stgnn_data::synthetic::SyntheticCity;
 use stgnn_tensor::autograd::Graph;
-use stgnn_tensor::{par, pool};
+use stgnn_tensor::pool;
 
-/// Measurements for one (path, thread-count) cell.
+/// One measurement pass: both paths, training step and serve forward.
 struct Cell {
-    threads: usize,
     train_step_eager_ms: f64,
     train_step_plan_ms: f64,
     serve_eager_p50_ms: f64,
@@ -77,15 +77,13 @@ fn jnum(v: f64, precision: usize) -> String {
     }
 }
 
-/// One full measurement pass with the kernel pool pinned to `threads`.
+/// One full measurement pass.
 fn measure(
     data: &BikeDataset,
     config: &StgnnConfig,
-    threads: usize,
     train_iters: usize,
     serve_iters: usize,
 ) -> Cell {
-    par::set_thread_override(Some(threads));
     let model = StgnnDjd::new(config.clone(), data.n_stations()).expect("config");
     let horizon = config.horizon;
     let train_slots: Vec<usize> = data.slots(Split::Train);
@@ -120,7 +118,7 @@ fn measure(
             .expect("plan backward");
     };
     for &t in train_slots.iter().cycle().take(3) {
-        eager_step(t); // warm the kernel pool and the page cache
+        eager_step(t); // warm the tensor pool and the page cache
         plan_step(&mut exec, t); // warm-up: populates every pooled slot
     }
     let mut eager_tr: Vec<f64> = Vec::with_capacity(train_iters);
@@ -173,9 +171,7 @@ fn measure(
     eager_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     plan_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
-    par::set_thread_override(None);
     Cell {
-        threads,
         train_step_eager_ms,
         train_step_plan_ms,
         serve_eager_p50_ms: percentile(&eager_ms, 0.50),
@@ -187,11 +183,13 @@ fn measure(
     }
 }
 
+/// One `cells` entry. `threads` is always 1 (kernels run on the calling
+/// thread); the key stays because CI's speedup gate prints it.
 fn json_cell(c: &Cell) -> String {
     format!(
         concat!(
             "    {{\n",
-            "      \"threads\": {},\n",
+            "      \"threads\": 1,\n",
             "      \"train_step_eager_ms\": {},\n",
             "      \"train_step_plan_ms\": {},\n",
             "      \"train_speedup\": {},\n",
@@ -204,7 +202,6 @@ fn json_cell(c: &Cell) -> String {
             "      \"allocs_per_step\": {}\n",
             "    }}"
         ),
-        c.threads,
         jnum(c.train_step_eager_ms, 4),
         jnum(c.train_step_plan_ms, 4),
         jnum(c.train_speedup(), 3),
@@ -222,9 +219,8 @@ fn main() {
     let smoke = std::env::var("STGNN_BENCH_SMOKE").is_ok();
     let (train_iters, serve_iters) = if smoke { (6, 16) } else { (40, 200) };
     let scale = Scale::from_env();
-    let pool_threads = par::init();
     eprintln!(
-        "[steady_state] {scale:?} scale, {} mode, kernel pool = {pool_threads} threads",
+        "[steady_state] {scale:?} scale, {} mode",
         if smoke { "smoke" } else { "full" }
     );
 
@@ -235,7 +231,6 @@ fn main() {
     let mut table = TableWriter::new(
         "Steady state: eager re-trace vs compiled plan replay",
         &[
-            "Threads",
             "Train eager (ms)",
             "Train plan (ms)",
             "Speedup",
@@ -244,31 +239,18 @@ fn main() {
             "Allocs/step",
         ],
     );
-    // Measure serial, then at the pool's native width — but never wider
-    // than the hardware: pinning 2 kernel threads onto 1 core measures the
-    // scheduler's context-switch cost, not the kernels.
-    let mut thread_counts = vec![1usize];
-    if pool_threads > 1 {
-        thread_counts.push(pool_threads);
-    }
-    let mut cells = Vec::new();
-    for &threads in &thread_counts {
-        eprintln!("[steady_state] measuring at {threads} thread(s)…");
-        let cell = measure(&data, &config, threads, train_iters, serve_iters);
-        table.row(&[
-            cell.threads.to_string(),
-            format!("{:.3}", cell.train_step_eager_ms),
-            format!("{:.3}", cell.train_step_plan_ms),
-            format!("{:.2}x", cell.train_speedup()),
-            format!(
-                "{:.3}/{:.3}",
-                cell.serve_plan_p50_ms, cell.serve_plan_p99_ms
-            ),
-            format!("{:.4}", cell.pool_hit_rate),
-            format!("{:.2}", cell.allocs_per_step),
-        ]);
-        cells.push(cell);
-    }
+    let cell = measure(&data, &config, train_iters, serve_iters);
+    table.row(&[
+        format!("{:.3}", cell.train_step_eager_ms),
+        format!("{:.3}", cell.train_step_plan_ms),
+        format!("{:.2}x", cell.train_speedup()),
+        format!(
+            "{:.3}/{:.3}",
+            cell.serve_plan_p50_ms, cell.serve_plan_p99_ms
+        ),
+        format!("{:.4}", cell.pool_hit_rate),
+        format!("{:.2}", cell.allocs_per_step),
+    ]);
     table.finish("steady_state");
 
     let body = format!(
@@ -277,7 +259,7 @@ fn main() {
         smoke,
         train_iters,
         serve_iters,
-        cells.iter().map(json_cell).collect::<Vec<_>>().join(",\n"),
+        json_cell(&cell),
     );
     // Atomic: the driver diffs this file across runs, so a crashed bench
     // must never leave a truncated JSON behind.
@@ -324,7 +306,6 @@ mod tests {
         // report (speedup divides by `.max(1e-9)`, so the number is huge
         // but finite; the non-finite inputs below are clamped to null).
         let c = Cell {
-            threads: 1,
             train_step_eager_ms: f64::INFINITY,
             train_step_plan_ms: 0.0,
             serve_eager_p50_ms: f64::NAN,

@@ -36,9 +36,6 @@ pub struct TrainReport {
     pub train_losses: Vec<f32>,
     /// Validation loss per epoch.
     pub val_losses: Vec<f32>,
-    /// Threads the tensor kernel pool ran with (`STGNN_THREADS` /
-    /// `available_parallelism()`); results are identical for any value.
-    pub kernel_threads: usize,
     /// The pre-execution validation of the compiled training tape, run
     /// before epoch 0 (shape inference, gradient-path reachability,
     /// NaN-risk, FLOP estimates). Always clean here — a `Deny` finding
@@ -134,9 +131,6 @@ impl Trainer {
         resume: Option<TrainCheckpoint>,
     ) -> Result<TrainReport> {
         model.check_compatible(data)?;
-        // Spin the kernel pool up before the first epoch so worker spawn
-        // cost never lands inside a timed training step.
-        let kernel_threads = stgnn_tensor::par::init();
         let horizon = self.config.horizon;
         let max_slot = data.flows().num_slots().saturating_sub(horizon);
         let train_slots: Vec<usize> = data
@@ -175,7 +169,6 @@ impl Trainer {
             best_val_loss: f32::INFINITY,
             train_losses: Vec::new(),
             val_losses: Vec::new(),
-            kernel_threads,
             tape: train_plan.tape().clone(),
             used_compiled_plan: true,
             plan_passes: train_plan.pass_report().to_string(),

@@ -25,9 +25,6 @@
 //!
 //! With no plan installed the check is two relaxed atomic loads and a
 //! predictable not-taken branch — no lock, no allocation, no site lookup.
-//! For builds that must not carry even that, compiling with
-//! `RUSTFLAGS="--cfg stgnn_faults_off"` turns every check into a literal
-//! no-op and the macro into dead code the optimiser erases.
 //!
 //! ## Environment grammar
 //!
@@ -332,15 +329,8 @@ fn replace(plan: FaultPlan) {
 /// code changes.
 #[inline]
 pub fn active() -> bool {
-    #[cfg(stgnn_faults_off)]
-    {
-        false
-    }
-    #[cfg(not(stgnn_faults_off))]
-    {
-        load_env_plan();
-        ACTIVE.load(Ordering::Acquire)
-    }
+    load_env_plan();
+    ACTIVE.load(Ordering::Acquire)
 }
 
 /// Times a site was reached since the plan was installed (0 if unknown).
@@ -436,16 +426,12 @@ fn check_io_slow(site: &str) -> Option<io::Error> {
 /// * `failpoint!("site", io)` — may additionally `return Err(e.into())`
 ///   from the enclosing function; usable wherever the error type converts
 ///   `From<io::Error>`.
-///
-/// Compiles to a no-op under `--cfg stgnn_faults_off`.
 #[macro_export]
 macro_rules! failpoint {
     ($site:expr) => {
-        #[cfg(not(stgnn_faults_off))]
         $crate::check($site)
     };
     ($site:expr, io) => {
-        #[cfg(not(stgnn_faults_off))]
         if let Some(e) = $crate::check_io($site) {
             return Err(e.into());
         }

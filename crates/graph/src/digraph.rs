@@ -3,7 +3,7 @@
 // index them; `from_vec` receives vectors of exactly that length.
 //! A compact weighted digraph in CSR form.
 
-use stgnn_tensor::{par, Error, Shape, Tensor};
+use stgnn_tensor::{Error, Shape, Tensor};
 
 /// A directed weighted graph over nodes `0..n` stored in compressed sparse
 /// row form. Edges are `(src → dst, weight)`; station graphs in this
@@ -200,14 +200,11 @@ impl DiGraph {
             deg[i] = a[i * n..(i + 1) * n].iter().sum::<f32>();
         }
         let inv_sqrt: Vec<f32> = deg.iter().map(|&d| 1.0 / d.sqrt()).collect();
-        par::for_each_row_chunk_mut(&mut a, n, 16, |first_row, window| {
-            for (r, row) in window.chunks_mut(n).enumerate() {
-                let si = inv_sqrt[first_row + r];
-                for (v, &sj) in row.iter_mut().zip(&inv_sqrt) {
-                    *v *= si * sj;
-                }
+        for (i, &si) in inv_sqrt.iter().enumerate() {
+            for (v, &sj) in a[i * n..(i + 1) * n].iter_mut().zip(&inv_sqrt) {
+                *v *= si * sj;
             }
-        });
+        }
         Tensor::from_vec(Shape::matrix(n, n), a).expect("gcn_normalized shape")
     }
 
@@ -254,19 +251,6 @@ impl DiGraph {
             }
         }
         Tensor::from_vec(Shape::matrix(n, n), m).expect("mask shape")
-    }
-
-    /// Neighbourhood lists including self (for grouped pooling aggregators).
-    pub fn neighborhoods_with_self(&self) -> Vec<Vec<usize>> {
-        (0..self.n)
-            .map(|s| {
-                let mut group: Vec<usize> = std::iter::once(s)
-                    .chain(self.neighbors(s).map(|(d, _)| d))
-                    .collect();
-                group.dedup();
-                group
-            })
-            .collect()
     }
 }
 
@@ -365,29 +349,14 @@ mod tests {
         assert_eq!(m.get2(0, 0), 1.0);
         assert_eq!(m.get2(0, 1), 1.0);
         assert_eq!(m.get2(1, 0), 0.0);
-        let hoods = g.neighborhoods_with_self();
-        assert_eq!(hoods[0], vec![0, 1, 2]);
-        assert_eq!(hoods[3], vec![3]);
+        // Each row is the node's neighbourhood including itself.
+        assert_eq!(m.row(0), &[1.0, 1.0, 1.0, 0.0]);
+        assert_eq!(m.row(3), &[0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_edge_panics() {
         DiGraph::from_edges(2, &[(0, 5, 1.0)]);
-    }
-
-    /// GCN normalisation chunks its row scaling across the kernel pool; the
-    /// output must not depend on the thread count.
-    #[test]
-    fn gcn_normalized_is_bitwise_identical_across_thread_counts() {
-        let n = 64;
-        let edges: Vec<(usize, usize, f32)> = (0..n).map(|i| (i, (i * 31 + 7) % n, 1.0)).collect();
-        let g = DiGraph::from_edges(n, &edges);
-        stgnn_tensor::par::set_thread_override(Some(1));
-        let a1 = g.gcn_normalized();
-        stgnn_tensor::par::set_thread_override(Some(4));
-        let a4 = g.gcn_normalized();
-        stgnn_tensor::par::set_thread_override(None);
-        assert_eq!(a1.data(), a4.data());
     }
 }

@@ -11,9 +11,7 @@
 //! * [`gcn`] — a Kipf–Welling graph convolution layer on the autodiff tape.
 //! * [`gat`] — a single-head graph attention layer with optional edge mask
 //!   and distance prior (GBike's distance-weighted attention).
-//! * [`aggregate`] — the GraphSAGE mean aggregator over a fixed graph.
 
-pub mod aggregate;
 pub mod builders;
 pub mod digraph;
 pub mod gat;

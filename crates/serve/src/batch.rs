@@ -38,7 +38,6 @@ use std::thread::{self, JoinHandle};
 use stgnn_core::compiled::InferencePlan;
 use stgnn_core::StgnnDjd;
 use stgnn_data::dataset::BikeDataset;
-use stgnn_tensor::par;
 use stgnn_tensor::plan::PlanExec;
 
 /// Result delivered to a waiting request: the full-horizon prediction or a
@@ -84,9 +83,6 @@ impl WorkerPool {
         dataset: Arc<BikeDataset>,
         workers: usize,
     ) -> Self {
-        // Warm the tensor kernel pool before the first timed batch: forward
-        // passes route their matmul/softmax kernels through it.
-        par::init();
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),

@@ -20,10 +20,8 @@
 //! * [`optim`] — SGD and Adam (the paper trains with Adam, §VII-C).
 //! * [`loss`] — MSE/MAE building blocks and the paper's joint
 //!   demand–supply loss (Eq 21).
-//! * [`par`] — a persistent work-chunking thread pool the hot kernels
-//!   (`matmul`, `softmax_rows`, the broadcasts) dispatch through; sized by
-//!   `STGNN_THREADS` / `available_parallelism()`, bit-for-bit deterministic
-//!   in the thread count.
+//! * [`par`] — the kernel width, which is one: every kernel runs on the
+//!   calling thread.
 //! * [`pool`] — a size-bucketed recycling pool every tensor's storage is
 //!   leased from; fixed-shape steady states (a training step, a serve
 //!   forward) stop touching the system allocator once warm.
@@ -34,8 +32,8 @@
 //!   bit-identical to eager execution.
 //!
 //! The engine is deliberately CPU-only and `f32`-only: the model operates on
-//! `n×n` station matrices (n in the tens to hundreds), where a cache-friendly
-//! naive matmul is entirely adequate and keeps the code auditable.
+//! `n×n` station matrices (n in the tens to hundreds), where a blocked GEMM on
+//! the calling thread is entirely adequate and keeps the code auditable.
 //!
 //! ## Quick example
 //!

@@ -12,10 +12,9 @@
 //! backward and the plan's in-place rewrites all call them.
 
 use crate::error::{Error, Result};
-use crate::par;
 use crate::pool::Buffer;
 use crate::shape::Shape;
-use crate::tensor::{Tensor, PAR_GRAIN_OPS};
+use crate::tensor::Tensor;
 use std::fmt;
 
 /// The operation a tape node records. Together with the parent ids this is
@@ -527,12 +526,9 @@ impl MapOp {
             // `bwd` is the identity: share `g` instead of copying it.
             AddScalar(_) => return g.clone(),
         };
-        let xv = read.data();
+        let x = read.data();
         let mut out = Buffer::copy_of(g.data());
-        par::for_each_row_chunk_mut(&mut out, 1, PAR_GRAIN_OPS, |first, window| {
-            let x = &xv[first..first + window.len()];
-            sweep_bwd(self, window, x, x);
-        });
+        sweep_bwd(self, &mut out, x, x);
         Tensor::from_buffer(g.shape().clone(), out)
     }
 }
@@ -569,38 +565,9 @@ impl ZipOp {
     }
 }
 
-/// Applies `m.fwd` to every element of `buf` in place, with the op match
-/// hoisted out of the element loop: each arm closes over a constant
-/// variant, so the dispatch folds away and LLVM vectorizes the sweep (a
-/// branch in the inner loop defeats the autovectorizer). Per-element
-/// results are exactly `m.fwd(x)`.
-#[inline]
-pub(crate) fn sweep_fwd(m: MapOp, buf: &mut [f32]) {
-    #[inline(always)]
-    fn each(buf: &mut [f32], f: impl Fn(f32) -> f32) {
-        for o in buf.iter_mut() {
-            *o = f(*o);
-        }
-    }
-    use MapOp::*;
-    match m {
-        Relu => each(buf, |x| Relu.fwd(x)),
-        Elu => each(buf, |x| Elu.fwd(x)),
-        Sigmoid => each(buf, |x| Sigmoid.fwd(x)),
-        Tanh => each(buf, |x| Tanh.fwd(x)),
-        Exp => each(buf, |x| Exp.fwd(x)),
-        Square => each(buf, |x| Square.fwd(x)),
-        Abs => each(buf, |x| Abs.fwd(x)),
-        Sqrt => each(buf, |x| Sqrt.fwd(x)),
-        Neg => each(buf, |x| Neg.fwd(x)),
-        AddScalar(s) => each(buf, |x| AddScalar(s).fwd(x)),
-        MulScalar(s) => each(buf, |x| MulScalar(s).fwd(x)),
-    }
-}
-
 /// Folds the gradient sweep `g` in place through one op: per element,
 /// `g[i] = m.bwd(g[i], x_in[i], x_out[i])`, dispatch hoisted as in
-/// [`sweep_fwd`].
+/// [`Tensor::map_assign`].
 #[inline]
 pub(crate) fn sweep_bwd(m: MapOp, g: &mut [f32], x_in: &[f32], x_out: &[f32]) {
     #[inline(always)]

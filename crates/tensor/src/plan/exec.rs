@@ -1,7 +1,6 @@
 // sound: allow-file(L004): PLAN-IDS-VALIDATED-AT-COMPILE — replay indexes the
 // per-node slot vectors with node/parent ids proven in bounds by
-// `Plan::compile`; the in-place kernels index flat buffers whose lengths were
-// validated against the traced shapes.
+// `Plan::compile`.
 //! Plan execution: the forward/backward sweeps over [`PlanExec`] slots and
 //! the in-place buffer steals. Every node runs the op table's forward and
 //! backward, the kernels eager runs; an in-place node runs the same
@@ -11,9 +10,8 @@ use super::ir::NodeBinding;
 use super::Plan;
 use crate::autograd::Op;
 use crate::error::{Error, Result};
-use crate::op::{sweep_fwd, with_operands, MapOp, Saved, ZipOp};
-use crate::par;
-use crate::tensor::{Tensor, PAR_GRAIN_OPS};
+use crate::op::{with_operands, MapOp, Saved, ZipOp};
+use crate::tensor::Tensor;
 
 /// Per-replay state of a [`Plan`]: one value slot, gradient slot and
 /// saved-state slot (dropout mask, max-pool argmax) per node. Value slots
@@ -237,23 +235,9 @@ impl Plan {
         let mut t = std::mem::replace(&mut exec.values[q], self.placeholder.clone());
         debug_assert_eq!(t.shape(), &node.shape, "in-place steal shape drifted");
         if let Some(z) = ZipOp::from_op(&node.op) {
-            let other = exec.values[node.parents[1 - slot]].clone();
-            let b = other.data();
-            let buf = t.data_mut();
-            par::for_each_row_chunk_mut(buf, 1, PAR_GRAIN_OPS, |first, window| {
-                let end = first + window.len();
-                for (o, &y) in window.iter_mut().zip(&b[first..end]) {
-                    *o = if slot == 0 {
-                        z.fwd(*o, y)
-                    } else {
-                        z.fwd(y, *o)
-                    };
-                }
-            });
+            t.zip_assign(z, &exec.values[node.parents[1 - slot]], slot)?;
         } else if let Some(m) = MapOp::from_op(&node.op) {
-            par::for_each_row_chunk_mut(t.data_mut(), 1, PAR_GRAIN_OPS, |_, window| {
-                sweep_fwd(m, window);
-            });
+            t.map_assign(m);
         } else {
             // The broadcasts, which always overwrite slot 0.
             let other = &exec.values[node.parents[1]];

@@ -26,13 +26,12 @@
 //! fresh one through the pool, and gradient accumulation adds into the
 //! existing slot.
 //!
-//! Replay remains **bit-identical** to eager execution at any thread
-//! count: an in-place node applies each output element's exact f32
+//! Replay remains **bit-identical** to eager execution: an in-place node applies each output element's exact f32
 //! operation sequence, and gradient accumulation keeps every deposit's
 //! sweep position (see the legality notes in `passes`). Dropout nodes run the op table in node order, so a plan
 //! step consumes the RNG stream exactly like the eager step it replaces.
 //! The parity suite in `tests/plan_parity.rs` proves this for every model
-//! configuration, at 1 and 4 threads, down to the bit, and
+//! configuration, down to the bit, and
 //! `tests/plan_gradcheck.rs` checks every op's plan gradient against
 //! finite differences.
 //!

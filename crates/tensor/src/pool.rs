@@ -13,9 +13,8 @@
 //! The pool is deliberately simple:
 //!
 //! * one process-wide [`Mutex`] guards a map from size class to shelf;
-//!   kernels allocate their output *before* fanning out to the `par` worker
-//!   pool, so the lock is taken from one thread at a time on the hot path
-//!   and contention is negligible;
+//!   a kernel allocates its output once, on its calling thread, so only
+//!   concurrent requests (serve workers, fleet replicas) ever contend;
 //! * a request of `n` elements is served from class
 //!   `n.max(MIN_CLASS).next_power_of_two()`, so a shelved vector always has
 //!   enough capacity and `resize` never reallocates;

@@ -11,16 +11,10 @@
 
 use crate::error::{Error, Result};
 use crate::op::{MapOp, ZipOp};
-use crate::par;
 use crate::pool::Buffer;
 use crate::shape::Shape;
 use std::fmt;
 use std::sync::Arc;
-
-/// Minimum per-chunk work (in scalar ops) before a kernel dispatches to the
-/// [`par`] pool. Below this the synchronisation overhead outweighs the loop;
-/// row-grain per kernel is derived as `PAR_GRAIN_OPS / ops-per-row`.
-pub(crate) const PAR_GRAIN_OPS: usize = 4096;
 
 /// Side length of the square tiles `transpose` gathers through: 32×32 f32
 /// tiles (4 KiB working set) keep both the strided reads and the strided
@@ -230,15 +224,12 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// Applies `f` to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let src = self.data();
         let mut out = Buffer::zeroed(src.len());
-        par::for_each_row_chunk_mut(&mut out, 1, PAR_GRAIN_OPS, |first, window| {
-            let end = first + window.len();
-            for (o, &x) in window.iter_mut().zip(&src[first..end]) {
-                *o = f(x);
-            }
-        });
+        for (o, &x) in out.iter_mut().zip(src) {
+            *o = f(x);
+        }
         Tensor::from_buffer(self.shape.clone(), out)
     }
 
@@ -247,7 +238,7 @@ impl Tensor {
         &self,
         rhs: &Tensor,
         op: &'static str,
-        f: impl Fn(f32, f32) -> f32 + Sync,
+        f: impl Fn(f32, f32) -> f32,
     ) -> Result<Tensor> {
         if self.shape != rhs.shape {
             return Err(Error::ShapeMismatch {
@@ -258,12 +249,9 @@ impl Tensor {
         }
         let (a, b) = (self.data(), rhs.data());
         let mut out = Buffer::zeroed(a.len());
-        par::for_each_row_chunk_mut(&mut out, 1, PAR_GRAIN_OPS, |first, window| {
-            let end = first + window.len();
-            for ((o, &x), &y) in window.iter_mut().zip(&a[first..end]).zip(&b[first..end]) {
-                *o = f(x, y);
-            }
-        });
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
+        }
         Ok(Tensor::from_buffer(self.shape.clone(), out))
     }
 
@@ -276,22 +264,74 @@ impl Tensor {
     /// the identical bits to [`Tensor::add`] without cycling a fresh buffer
     /// through the pool; copy-on-write still protects shared storage.
     pub fn add_assign(&mut self, rhs: &Tensor) -> Result<()> {
-        if self.shape != rhs.shape {
+        self.zip_assign(ZipOp::Add, rhs, 0)
+    }
+
+    /// A binary elementwise op into `self`'s buffer, which holds operand
+    /// `slot` of `z`: `self[i] = z(self[i], other[i])` at slot 0 and
+    /// `z(other[i], self[i])` at slot 1. The same bits as the out-of-place
+    /// [`Tensor::zip_map`]; the compiled plan's in-place steals call it
+    /// with the slot they overwrite. The op match is hoisted out of the
+    /// element loop, as in [`Tensor::map_assign`].
+    pub(crate) fn zip_assign(&mut self, z: ZipOp, other: &Tensor, slot: usize) -> Result<()> {
+        if self.shape != other.shape {
             return Err(Error::ShapeMismatch {
-                op: "add_assign",
+                op: "zip_assign",
                 lhs: self.shape.dims().to_vec(),
-                rhs: rhs.shape.dims().to_vec(),
+                rhs: other.shape.dims().to_vec(),
             });
         }
-        let b = rhs.data();
-        let buf = self.data_mut();
-        par::for_each_row_chunk_mut(buf, 1, PAR_GRAIN_OPS, |first, window| {
-            let end = first + window.len();
-            for (o, &y) in window.iter_mut().zip(&b[first..end]) {
-                *o = ZipOp::Add.fwd(*o, y);
+        #[inline(always)]
+        fn each(buf: &mut [f32], b: &[f32], slot: usize, f: impl Fn(f32, f32) -> f32) {
+            if slot == 0 {
+                for (o, &y) in buf.iter_mut().zip(b) {
+                    *o = f(*o, y);
+                }
+            } else {
+                for (o, &y) in buf.iter_mut().zip(b) {
+                    *o = f(y, *o);
+                }
             }
-        });
+        }
+        let b = other.data();
+        let buf = self.data_mut();
+        use ZipOp::*;
+        match z {
+            Add => each(buf, b, slot, |x, y| Add.fwd(x, y)),
+            Sub => each(buf, b, slot, |x, y| Sub.fwd(x, y)),
+            Mul => each(buf, b, slot, |x, y| Mul.fwd(x, y)),
+            Div => each(buf, b, slot, |x, y| Div.fwd(x, y)),
+        }
         Ok(())
+    }
+
+    /// Applies `m.fwd` to every element of `self`'s buffer in place, with
+    /// the op match hoisted out of the element loop: each arm closes over
+    /// a constant variant, so the dispatch folds away and LLVM vectorizes
+    /// the sweep (a branch in the inner loop defeats the autovectorizer).
+    /// Per-element results are exactly `m.fwd(x)`.
+    pub(crate) fn map_assign(&mut self, m: MapOp) {
+        #[inline(always)]
+        fn each(buf: &mut [f32], f: impl Fn(f32) -> f32) {
+            for o in buf.iter_mut() {
+                *o = f(*o);
+            }
+        }
+        let buf = self.data_mut();
+        use MapOp::*;
+        match m {
+            Relu => each(buf, |x| Relu.fwd(x)),
+            Elu => each(buf, |x| Elu.fwd(x)),
+            Sigmoid => each(buf, |x| Sigmoid.fwd(x)),
+            Tanh => each(buf, |x| Tanh.fwd(x)),
+            Exp => each(buf, |x| Exp.fwd(x)),
+            Square => each(buf, |x| Square.fwd(x)),
+            Abs => each(buf, |x| Abs.fwd(x)),
+            Sqrt => each(buf, |x| Sqrt.fwd(x)),
+            Neg => each(buf, |x| Neg.fwd(x)),
+            AddScalar(s) => each(buf, |x| AddScalar(s).fwd(x)),
+            MulScalar(s) => each(buf, |x| MulScalar(s).fwd(x)),
+        }
     }
 
     /// Elementwise difference.
@@ -382,9 +422,8 @@ impl Tensor {
     /// operands returns [`Error::InvalidArgument`]: no caller needs it.
     ///
     /// Every output element owns one accumulator that starts at `+0.0` and
-    /// adds `a·b` in ascending contraction order, whatever the layout, the
-    /// blocking or the thread count; rows are parallelised through [`par`]
-    /// like every other kernel. A deterministic density probe of the stored
+    /// adds `a·b` in ascending contraction order, whatever the layout or
+    /// the blocking. A deterministic density probe of the stored
     /// lhs ([`lhs_is_dense`]) picks the inner loops: a dense lhs (weights,
     /// hidden states) takes the register-blocked kernel, a sparse one (flow
     /// matrices) skips its zero elements, which skips most of the work.
@@ -408,8 +447,8 @@ impl Tensor {
             });
         }
         // Degenerate operands (a 0-station shard, an empty horizon slice)
-        // have nothing to accumulate; chunking math below would divide by
-        // zero-sized rows, so they return their all-zero product up front.
+        // have nothing to accumulate; the row walks below would slice
+        // zero-width rows, so they return their all-zero product up front.
         if m == 0 || n == 0 || k == 0 {
             return Ok(Tensor::zeros(Shape::matrix(m, n)));
         }
@@ -417,63 +456,52 @@ impl Tensor {
         let b = rhs.data();
         let dense = lhs_is_dense(a);
         let mut out = Buffer::zeroed(m * n);
-        let grain = (PAR_GRAIN_OPS / (k * n).max(1)).max(1);
-        par::for_each_row_chunk_mut(&mut out, n, grain, |first_row, window| {
-            if !ta && tb {
-                gemm_window_nt(window, first_row, a, b, k, n, dense);
-                return;
-            }
-            if dense {
-                // Dense lhs and a streaming rhs: the register-blocked path.
-                // (The sparse path must take the per-row zero-skips, so it
-                // keeps the streaming kernels.)
-                gemm_window_blocked(window, first_row, a, b, k, n, ta, ac);
-                return;
-            }
-            for (r, o_row) in window.chunks_mut(n).enumerate() {
-                let i = first_row + r;
+        if !ta && tb {
+            gemm_nt(&mut out, a, b, k, n, dense);
+        } else if dense {
+            // Dense lhs and a streaming rhs: the register-blocked path.
+            // (The sparse path must take the per-row zero-skips, so it
+            // keeps the streaming kernels.)
+            gemm_blocked(&mut out, a, b, k, n, ta, ac);
+        } else {
+            for (i, o_row) in out.chunks_mut(n).enumerate() {
                 if ta {
                     gemm_row_tn(o_row, a, i, ac, b, k, n, dense);
                 } else {
                     gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, n, dense);
                 }
             }
-        });
+        }
         Ok(Tensor::from_buffer(Shape::matrix(m, n), out))
     }
 
     /// Transpose of a rank-2 tensor.
     ///
-    /// Parallel over output rows (input columns); within each chunk the
-    /// gather is tiled in [`TRANSPOSE_TILE`]² blocks so both the contiguous
-    /// reads and the strided writes stay inside L1, instead of walking a
-    /// full strided column of a large matrix per output row.
+    /// The gather is tiled in [`TRANSPOSE_TILE`]² blocks so both the
+    /// contiguous reads and the strided writes stay inside L1, instead of
+    /// walking a full strided column of a large matrix per output row.
     pub fn transpose(&self) -> Result<Tensor> {
         let (r, c) = self.shape.as_matrix("transpose")?;
-        // A 0-row or 0-col matrix has nothing to gather, and the chunking
-        // arithmetic below (`window.len() / r`, grain from `r`) degenerates
-        // on it — return the empty transpose directly.
+        // A 0-row or 0-col matrix has nothing to gather: return the empty
+        // transpose directly.
         if r == 0 || c == 0 {
             return Ok(Tensor::zeros(Shape::matrix(c, r)));
         }
         let data = self.data();
         let mut out = Buffer::zeroed(r * c);
-        let grain = (PAR_GRAIN_OPS / r.max(1)).max(1);
-        par::for_each_row_chunk_mut(&mut out, r, grain, |first_col, window| {
-            let wcols = window.len() / r.max(1);
-            for jb in (0..wcols).step_by(TRANSPOSE_TILE) {
-                let jend = (jb + TRANSPOSE_TILE).min(wcols);
-                for ib in (0..r).step_by(TRANSPOSE_TILE) {
-                    let iend = (ib + TRANSPOSE_TILE).min(r);
-                    for i in ib..iend {
-                        let src_row = &data[i * c..(i + 1) * c];
-                        for jj in jb..jend {
-                            window[jj * r + i] = src_row[first_col + jj];
-                        }
+        let o: &mut [f32] = &mut out;
+        for jb in (0..c).step_by(TRANSPOSE_TILE) {
+            let jend = (jb + TRANSPOSE_TILE).min(c);
+            for ib in (0..r).step_by(TRANSPOSE_TILE) {
+                let iend = (ib + TRANSPOSE_TILE).min(r);
+                for i in ib..iend {
+                    let src_row = &data[i * c..(i + 1) * c];
+                    for j in jb..jend {
+                        o[j * r + i] = src_row[j];
                     }
                 }
             }
-        });
+        }
         Ok(Tensor::from_buffer(Shape::matrix(c, r), out))
     }
 
@@ -589,15 +617,15 @@ impl Tensor {
                 rhs: row.shape.dims().to_vec(),
             });
         }
+        if c == 0 {
+            return Ok(());
+        }
         let v = row.data();
-        let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-        par::for_each_row_chunk_mut(self.data_mut(), c, grain, |_, window| {
-            for o_row in window.chunks_mut(c) {
-                for (o, &b) in o_row.iter_mut().zip(v) {
-                    *o = ZipOp::Add.fwd(*o, b);
-                }
+        for o_row in self.data_mut().chunks_mut(c) {
+            for (o, &b) in o_row.iter_mut().zip(v) {
+                *o = ZipOp::Add.fwd(*o, b);
             }
-        });
+        }
         Ok(())
     }
 
@@ -631,7 +659,7 @@ impl Tensor {
         &mut self,
         col: &Tensor,
         op: &'static str,
-        f: impl Fn(f32, f32) -> f32 + Sync,
+        f: impl Fn(f32, f32) -> f32,
     ) -> Result<()> {
         let (r, c) = self.shape.as_matrix(op)?;
         let (cr, cc) = col.shape.as_matrix(op)?;
@@ -642,16 +670,15 @@ impl Tensor {
                 rhs: col.shape.dims().to_vec(),
             });
         }
+        if c == 0 {
+            return Ok(());
+        }
         let v = col.data();
-        let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-        par::for_each_row_chunk_mut(self.data_mut(), c, grain, |first_row, window| {
-            for (i, o_row) in window.chunks_mut(c).enumerate() {
-                let b = v[first_row + i];
-                for o in o_row.iter_mut() {
-                    *o = f(*o, b);
-                }
+        for (o_row, &b) in self.data_mut().chunks_mut(c).zip(v) {
+            for o in o_row.iter_mut() {
+                *o = f(*o, b);
             }
-        });
+        }
         Ok(())
     }
 
@@ -727,27 +754,22 @@ impl Tensor {
         }
         let data = self.data();
         let mut out = Buffer::zeroed(r * c);
-        let grain = (PAR_GRAIN_OPS / c.max(1)).max(1);
-        par::for_each_row_chunk_mut(&mut out, c, grain, |first_row, window| {
-            for (rr, o_row) in window.chunks_mut(c).enumerate() {
-                let i = first_row + rr;
-                let row = &data[i * c..(i + 1) * c];
-                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                if m == f32::NEG_INFINITY {
-                    o_row.fill(1.0 / c as f32);
-                    continue;
-                }
-                let mut sum = 0.0f32;
-                for (o, &x) in o_row.iter_mut().zip(row) {
-                    let e = (x - m).exp();
-                    *o = e;
-                    sum += e;
-                }
-                for o in o_row.iter_mut() {
-                    *o /= sum;
-                }
+        for (o_row, row) in out.chunks_mut(c).zip(data.chunks(c)) {
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            if m == f32::NEG_INFINITY {
+                o_row.fill(1.0 / c as f32);
+                continue;
             }
-        });
+            let mut sum = 0.0f32;
+            for (o, &x) in o_row.iter_mut().zip(row) {
+                let e = (x - m).exp();
+                *o = e;
+                sum += e;
+            }
+            for o in o_row.iter_mut() {
+                *o /= sum;
+            }
+        }
         Ok(Tensor::from_buffer(Shape::matrix(r, c), out))
     }
 
@@ -770,8 +792,7 @@ impl Tensor {
 /// Deterministic density probe for [`Tensor::matmul_layout`]'s stored lhs:
 /// samples at most 1024 evenly-strided elements and calls the matrix dense
 /// when fewer than 1/8 of the samples are exactly zero. Cheap relative to
-/// the `m·k·n` product it steers, and a function of the data alone — never
-/// of the thread count.
+/// the `m·k·n` product it steers, and a function of the data alone.
 pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
     if a.is_empty() {
         return true;
@@ -810,11 +831,11 @@ fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], n: usize, dense: boo
     }
 }
 
-/// Dense `op(a)·b` over one parallel window of output rows, register
-/// blocked: a 4-row × 16-column accumulator tile lives entirely in vector
-/// registers, so each contraction step issues eight fused multiply-adds
-/// against two `b` vector loads instead of re-walking the output row
-/// through memory, as the streaming [`gemm_row_nn`] does. Works for both
+/// Dense `op(a)·b` into the whole output, register blocked: a 4-row ×
+/// 16-column accumulator tile lives entirely in vector registers, so each
+/// contraction step issues eight fused multiply-adds against two `b`
+/// vector loads instead of re-walking the output row through memory, as
+/// the streaming [`gemm_row_nn`] does. Works for both
 /// the natural (`ta=false`) and transposed (`ta=true`) lhs — the lhs
 /// element is a scalar broadcast either way, only its address changes.
 ///
@@ -822,10 +843,8 @@ fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], n: usize, dense: boo
 /// advanced in ascending contraction order — the same per-element chain
 /// the streaming sparse path produces; row/column blocking only changes
 /// which *independent* chains run interleaved.
-#[allow(clippy::too_many_arguments)]
-fn gemm_window_blocked(
-    window: &mut [f32],
-    first_row: usize,
+fn gemm_blocked(
+    out: &mut [f32],
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -833,37 +852,35 @@ fn gemm_window_blocked(
     ta: bool,
     a_cols: usize,
 ) {
-    let rows = window.len() / n.max(1);
+    let rows = out.len() / n;
     let rb_end = rows - rows % 4;
     let mut r = 0;
     while r < rb_end {
-        let i0 = first_row + r;
         // Descend 16 → 8 → 4-wide column tiles so awkward widths (n = 28:
         // 16 + 8 + 4) stay fully register-blocked; only n % 4 columns fall
         // back to the streaming loop.
         let mut jb = 0;
         while jb + 16 <= n {
-            gemm_block_tile::<16>(window, r, i0, a, b, k, n, jb, ta, a_cols);
+            gemm_block_tile::<16>(out, r, a, b, k, n, jb, ta, a_cols);
             jb += 16;
         }
         if jb + 8 <= n {
-            gemm_block_tile::<8>(window, r, i0, a, b, k, n, jb, ta, a_cols);
+            gemm_block_tile::<8>(out, r, a, b, k, n, jb, ta, a_cols);
             jb += 8;
         }
         if jb + 4 <= n {
-            gemm_block_tile::<4>(window, r, i0, a, b, k, n, jb, ta, a_cols);
+            gemm_block_tile::<4>(out, r, a, b, k, n, jb, ta, a_cols);
             jb += 4;
         }
         if jb < n {
-            for r4 in 0..4 {
-                gemm_blocked_col_tail(window, r + r4, i0 + r4, a, b, k, n, jb, ta, a_cols);
+            for i in r..r + 4 {
+                gemm_blocked_col_tail(out, i, a, b, k, n, jb, ta, a_cols);
             }
         }
         r += 4;
     }
-    for rr in rb_end..rows {
-        let i = first_row + rr;
-        let o_row = &mut window[rr * n..(rr + 1) * n];
+    for i in rb_end..rows {
+        let o_row = &mut out[i * n..(i + 1) * n];
         if ta {
             gemm_row_tn(o_row, a, i, a_cols, b, k, n, true);
         } else {
@@ -872,13 +889,12 @@ fn gemm_window_blocked(
     }
 }
 
-/// One 4-row × `NC`-column register tile of [`gemm_window_blocked`]: `NC`
-/// is a const so the accumulator block is a true fixed-size register
-/// array at every tile width.
+/// One 4-row × `NC`-column register tile of [`gemm_blocked`], rows
+/// `i0..i0 + 4`: `NC` is a const so the accumulator block is a true
+/// fixed-size register array at every tile width.
 #[allow(clippy::too_many_arguments)]
 fn gemm_block_tile<const NC: usize>(
-    window: &mut [f32],
-    r: usize,
+    out: &mut [f32],
     i0: usize,
     a: &[f32],
     b: &[f32],
@@ -910,7 +926,7 @@ fn gemm_block_tile<const NC: usize>(
         }
     }
     for (r4, accr) in acc.iter().enumerate() {
-        window[(r + r4) * n + jb..(r + r4) * n + jb + NC].copy_from_slice(accr);
+        out[(i0 + r4) * n + jb..(i0 + r4) * n + jb + NC].copy_from_slice(accr);
     }
 }
 
@@ -918,8 +934,7 @@ fn gemm_block_tile<const NC: usize>(
 /// same ascending-`p` per-element chains.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked_col_tail(
-    window: &mut [f32],
-    wr: usize,
+    out: &mut [f32],
     i: usize,
     a: &[f32],
     b: &[f32],
@@ -929,7 +944,7 @@ fn gemm_blocked_col_tail(
     ta: bool,
     a_cols: usize,
 ) {
-    let o_tail = &mut window[wr * n + jb..(wr + 1) * n];
+    let o_tail = &mut out[i * n + jb..(i + 1) * n];
     for p in 0..k {
         let av = if ta { a[p * a_cols + i] } else { a[i * k + p] };
         let b_seg = &b[p * n + jb..(p + 1) * n];
@@ -939,25 +954,17 @@ fn gemm_blocked_col_tail(
     }
 }
 
-/// `a·bᵀ` over one parallel window of output rows (`b` stored `n×k`).
+/// `a·bᵀ` into the whole output (`b` stored `n×k`).
 ///
 /// The classic BLAS pack: for each block of 8 output columns, [`GEMM_KC`]
 /// contraction steps of the 8 corresponding `b` rows are copied into an
-/// 8 KiB p-major stack tile, amortised over every row of the window. The
+/// 8 KiB p-major stack tile, amortised over every output row. The
 /// packed lanes then read contiguous memory, so the 8 per-output
 /// accumulation chains vectorize; chains carry across p-tiles with `p`
 /// strictly ascending, which keeps every output element bit-identical to
 /// the `nn` product over a materialised `bᵀ`.
-fn gemm_window_nt(
-    window: &mut [f32],
-    first_row: usize,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    dense: bool,
-) {
-    let rows = window.len() / n.max(1);
+fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, dense: bool) {
+    let rows = out.len() / n;
     let nb = n - n % 8;
     let mut pack = [0f32; 8 * GEMM_KC];
     let mut jb = 0;
@@ -975,13 +982,12 @@ fn gemm_window_nt(
             let rb = rows - rows % 4;
             let mut r = 0;
             while r < rb {
-                gemm_rows4_nt_packed(window, r, first_row, a, &pack, pb, pe, k, n, jb, dense);
+                gemm_rows4_nt_packed(out, r, a, &pack, pb, pe, k, n, jb, dense);
                 r += 4;
             }
-            for r in rb..rows {
-                let i = first_row + r;
+            for i in rb..rows {
                 let a_row = &a[i * k..(i + 1) * k];
-                let acc = &mut window[r * n + jb..r * n + jb + 8];
+                let acc = &mut out[i * n + jb..i * n + jb + 8];
                 gemm_row_nt_packed(acc, a_row, &pack, pb, pe, dense);
             }
             pb = pe;
@@ -989,31 +995,22 @@ fn gemm_window_nt(
         jb += 8;
     }
     if nb < n {
-        for r in 0..rows {
-            let i = first_row + r;
-            gemm_row_nt_tail(
-                &mut window[r * n..(r + 1) * n],
-                &a[i * k..(i + 1) * k],
-                b,
-                k,
-                nb,
-                dense,
-            );
+        for (i, o_row) in out.chunks_mut(n).enumerate() {
+            gemm_row_nt_tail(o_row, &a[i * k..(i + 1) * k], b, k, nb, dense);
         }
     }
 }
 
 /// Four output rows' 8-column accumulator blocks advanced through one
 /// packed p-tile together, so each packed lane load feeds four fused
-/// multiply-adds. Accumulators load from and store back to the output
-/// window — per-element chains still carry across p-tiles in ascending
+/// multiply-adds. Accumulators load from and store back to the output —
+/// per-element chains still carry across p-tiles in ascending
 /// order, and the sparse zero-skip stays per (row, p) exactly as the
 /// single-row kernel takes it.
 #[allow(clippy::too_many_arguments)]
 fn gemm_rows4_nt_packed(
-    window: &mut [f32],
+    out: &mut [f32],
     r0: usize,
-    first_row: usize,
     a: &[f32],
     pack: &[f32],
     pb: usize,
@@ -1025,12 +1022,12 @@ fn gemm_rows4_nt_packed(
 ) {
     let mut acc = [[0f32; 8]; 4];
     for (r4, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&window[(r0 + r4) * n + jb..(r0 + r4) * n + jb + 8]);
+        accr.copy_from_slice(&out[(r0 + r4) * n + jb..(r0 + r4) * n + jb + 8]);
     }
     for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
         for (r4, accr) in acc.iter_mut().enumerate() {
-            // first_row+r0+3 < m and p < k bound the index.
-            let av = a[(first_row + r0 + r4) * k + p];
+            // r0+3 < m and p < k bound the index.
+            let av = a[(r0 + r4) * k + p];
             if !dense && av == 0.0 {
                 continue;
             }
@@ -1040,11 +1037,11 @@ fn gemm_rows4_nt_packed(
         }
     }
     for (r4, accr) in acc.iter().enumerate() {
-        window[(r0 + r4) * n + jb..(r0 + r4) * n + jb + 8].copy_from_slice(accr);
+        out[(r0 + r4) * n + jb..(r0 + r4) * n + jb + 8].copy_from_slice(accr);
     }
 }
 
-/// The inner lanes of [`gemm_window_nt`]: one output row's 8-column
+/// The inner lanes of [`gemm_nt`]: one output row's 8-column
 /// accumulator block advanced through one packed p-tile.
 fn gemm_row_nt_packed(
     acc_slice: &mut [f32],
@@ -1342,61 +1339,32 @@ mod tests {
         assert!((s.row(1).iter().sum::<f32>() - 1.0).abs() < 1e-6);
     }
 
-    /// The determinism contract of `tensor::par`: every parallelised kernel
-    /// must produce bit-for-bit identical buffers at 1 thread and 4 threads.
+    /// The in-place binary kernel equals the out-of-place one bit for bit,
+    /// for every op and either overwritten operand. Sub and Div at slot 1
+    /// are the non-commutative steals inference plans take: the buffer
+    /// holds the rhs, so the formula must keep the operand order.
     #[test]
-    fn kernels_are_bitwise_identical_across_thread_counts() {
-        let _serial = par::override_lock();
-        // Pseudo-random but deterministic inputs, big enough to cross the
-        // parallel dispatch thresholds.
-        let n = 97;
-        let fill = |seed: u32| -> Tensor {
-            let mut state = seed;
-            let data = (0..n * n)
-                .map(|_| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    (state >> 8) as f32 / (1 << 24) as f32 - 0.5
-                })
-                .collect();
-            Tensor::from_vec(Shape::matrix(n, n), data).unwrap()
-        };
-        let a = fill(1);
-        let b = fill(2);
-        let col = a.sum_cols().unwrap();
-        let row = a.sum_rows().unwrap();
-
-        let run = || {
-            vec![
-                a.matmul(&b).unwrap(),
-                a.softmax_rows().unwrap(),
-                a.transpose().unwrap(),
-                a.add(&b).unwrap(),
-                a.map(|x| x.tanh()),
-                a.add_row_broadcast(&row).unwrap(),
-                a.add_col_broadcast(&col).unwrap(),
-                a.mul_col_broadcast(&col).unwrap(),
-            ]
-        };
-        par::set_thread_override(Some(1));
-        let serial = run();
-        par::set_thread_override(Some(4));
-        let parallel = run();
-        par::set_thread_override(None);
-
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(
-                s.data(),
-                p.data(),
-                "thread count changed kernel bits (shape {})",
-                s.shape()
-            );
+    fn zip_assign_matches_zip_map_bitwise() {
+        let a = Tensor::from_slice(&[1.5, -2.0, 0.3, 7.0, -0.0, 1e-3]);
+        let b = Tensor::from_slice(&[0.7, 3.0, -0.9, 2.0, 5.0, -4.0]);
+        for z in [ZipOp::Add, ZipOp::Sub, ZipOp::Mul, ZipOp::Div] {
+            let want = a.zip_map(&b, "zip", |x, y| z.fwd(x, y)).unwrap();
+            let mut lhs = a.clone();
+            lhs.zip_assign(z, &b, 0).unwrap();
+            let mut rhs = b.clone();
+            rhs.zip_assign(z, &a, 1).unwrap();
+            for (slot, got) in [(0, lhs), (1, rhs)] {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{z:?} at slot {slot}");
+            }
         }
+        let mut short = Tensor::from_slice(&[1.0]);
+        assert!(short.zip_assign(ZipOp::Add, &a, 0).is_err());
     }
 
-    /// Regression: 0-row / 0-col matrices used to hit degenerate chunking
-    /// arithmetic (`window.len() / r` with `r = 0`, zero-grain chunk math)
-    /// in `transpose`, `matmul`, and `softmax_rows`. They must return the
-    /// correctly-shaped empty (or zero) result instead.
+    /// 0-row / 0-col matrices must return the correctly-shaped empty (or
+    /// zero) result from `transpose`, `matmul`, `softmax_rows` and the
+    /// broadcasts, never reach a zero-width row walk.
     #[test]
     fn degenerate_empty_shapes() {
         let zr = Tensor::zeros(Shape::matrix(0, 5)); // 0×n
@@ -1425,18 +1393,26 @@ mod tests {
         assert_eq!((s.shape().rows(), s.shape().cols()), (0, 5));
         let s = zc.softmax_rows().unwrap();
         assert_eq!((s.shape().rows(), s.shape().cols()), (5, 0));
+
+        let r = zc
+            .add_row_broadcast(&Tensor::zeros(Shape::matrix(1, 0)))
+            .unwrap();
+        assert_eq!((r.shape().rows(), r.shape().cols()), (5, 0));
+        let r = zc
+            .mul_col_broadcast(&Tensor::ones(Shape::matrix(5, 1)))
+            .unwrap();
+        assert_eq!((r.shape().rows(), r.shape().cols()), (5, 0));
     }
 
     /// The GEMM's three layouts must equal an independent reference bit for
     /// bit: one accumulator per output element, starting at `+0.0` and
     /// adding `a·b` in ascending `p`, over the materialised operands. For a
     /// dense *and* a sparse lhs (both probe branches; the sparse path's
-    /// zero-skips must match the reference's `±0.0` adds), at 1 and 4
-    /// threads, at odd dims (lane and row tails) and at a paper-sized shape;
-    /// the unsupported `tt` layout is a typed error.
+    /// zero-skips must match the reference's `±0.0` adds), at odd dims
+    /// (lane and row tails) and at a paper-sized shape; the unsupported `tt`
+    /// layout is a typed error.
     #[test]
     fn gemm_layout_flags_match_materialized_transpose_bitwise() {
-        let _serial = par::override_lock();
         let fill = |seed: u32, r: usize, c: usize, sparse: bool| -> Tensor {
             let mut state = seed;
             let data = (0..r * c)
@@ -1476,28 +1452,22 @@ mod tests {
                 assert_eq!(lhs_is_dense(a_nat.data()), !sparse);
                 assert_eq!(lhs_is_dense(a_t.data()), !sparse);
                 let want = reference(&a_nat, &b_nat);
-                for threads in [1usize, 4] {
-                    par::set_thread_override(Some(threads));
-                    let cases = [
-                        ("nn", a_nat.matmul_layout(&b_nat, false, false)),
-                        ("nt", a_nat.matmul_layout(&b_t, false, true)),
-                        ("tn", a_t.matmul_layout(&b_nat, true, false)),
-                    ];
-                    let tt = a_t.matmul_layout(&b_t, true, true);
-                    par::set_thread_override(None);
+                let cases = [
+                    ("nn", a_nat.matmul_layout(&b_nat, false, false)),
+                    ("nt", a_nat.matmul_layout(&b_t, false, true)),
+                    ("tn", a_t.matmul_layout(&b_nat, true, false)),
+                ];
+                let tt = a_t.matmul_layout(&b_t, true, true);
+                assert!(
+                    matches!(tt, Err(Error::InvalidArgument(_))),
+                    "the tt layout must be refused, got {tt:?}"
+                );
+                for (layout, got) in cases {
+                    let got: Vec<u32> = got.unwrap().data().iter().map(|v| v.to_bits()).collect();
                     assert!(
-                        matches!(tt, Err(Error::InvalidArgument(_))),
-                        "the tt layout must be refused, got {tt:?}"
+                        got == want,
+                        "{layout} at {m}×{k}×{n} (sparse={sparse}) diverged from the reference"
                     );
-                    for (layout, got) in cases {
-                        let got: Vec<u32> =
-                            got.unwrap().data().iter().map(|v| v.to_bits()).collect();
-                        assert!(
-                            got == want,
-                            "{layout} at {m}×{k}×{n} (sparse={sparse}, threads={threads}) \
-                             diverged from the reference"
-                        );
-                    }
                 }
             }
         }

@@ -138,7 +138,7 @@ fn training_plan_batch_matches_eager_bitwise() {
 /// ablation derives that mask from the raw short-term windows: structure
 /// that changes per slot, which the plan re-derives on every replay.
 /// Predictions over several slots, and one training batch's radicand and
-/// every parameter gradient, must match eager bitwise at 1 and 4 threads.
+/// every parameter gradient, must match eager bitwise.
 #[test]
 fn fcg_max_and_no_fc_replay_their_per_slot_structure_bitwise() {
     let data = dataset(303);
@@ -153,45 +153,37 @@ fn fcg_max_and_no_fc_replay_their_per_slot_structure_bitwise() {
         let (radicand_e, grads_e) = eager_reference(&data, &config);
         let model = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
         let slots = data.slots(Split::Test);
-        for threads in [1usize, 4] {
-            stgnn_tensor::par::set_thread_override(Some(threads));
-            let plan = model
-                .compile_inference_plan(&data, slots[0])
-                .unwrap()
-                .expect("every configuration compiles");
-            let mut exec = plan.executor();
-            for &t in slots.iter().take(6) {
-                let eager = model.predict_horizon(&data, t);
-                let replay = model
-                    .plan_predict_horizon(&plan, &mut exec, &data, t)
-                    .unwrap();
-                assert_eq!(eager.len(), replay.len());
-                for (e, r) in eager.iter().zip(&replay) {
-                    for (a, b) in e.demand.iter().zip(&r.demand) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} demand");
-                    }
-                    for (a, b) in e.supply.iter().zip(&r.supply) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} supply");
-                    }
+        let plan = model
+            .compile_inference_plan(&data, slots[0])
+            .unwrap()
+            .expect("every configuration compiles");
+        let mut exec = plan.executor();
+        for &t in slots.iter().take(6) {
+            let eager = model.predict_horizon(&data, t);
+            let replay = model
+                .plan_predict_horizon(&plan, &mut exec, &data, t)
+                .unwrap();
+            assert_eq!(eager.len(), replay.len());
+            for (e, r) in eager.iter().zip(&replay) {
+                for (a, b) in e.demand.iter().zip(&r.demand) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} demand");
+                }
+                for (a, b) in e.supply.iter().zip(&r.supply) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} supply");
                 }
             }
-            let (radicand_p, grads_p) = plan_run(&data, &config);
-            assert_eq!(
-                radicand_e.to_bits(),
-                radicand_p.to_bits(),
-                "{name}: radicand at {threads} thread(s)"
-            );
-            assert_eq!(grads_e.len(), grads_p.len());
-            for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
-                assert_bits_eq(
-                    ge,
-                    gp,
-                    &format!("{name}: param {i} grad at {threads} thread(s)"),
-                );
-            }
+        }
+        let (radicand_p, grads_p) = plan_run(&data, &config);
+        assert_eq!(
+            radicand_e.to_bits(),
+            radicand_p.to_bits(),
+            "{name}: radicand"
+        );
+        assert_eq!(grads_e.len(), grads_p.len());
+        for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
+            assert_bits_eq(ge, gp, &format!("{name}: param {i} grad"));
         }
     }
-    stgnn_tensor::par::set_thread_override(None);
 }
 
 /// The FCG mean aggregator's row-normalised adjacency derives from the
@@ -321,7 +313,7 @@ fn every_configuration() -> Vec<(String, StgnnConfig)> {
 /// The plan's rewrites — blocked GEMM for every matmul, in-place buffer
 /// steals wherever liveness allows — must leave one dropout training batch
 /// bit-identical to eager in every configuration: the radicand and every
-/// parameter gradient, at 1 *and* 4 kernel threads.
+/// parameter gradient.
 #[test]
 fn every_optimizer_pass_is_bitwise_parity_preserving() {
     let data = dataset(306);
@@ -329,23 +321,15 @@ fn every_optimizer_pass_is_bitwise_parity_preserving() {
     assert_eq!(configs.len(), 12);
     for (name, config) in &configs {
         let (radicand_e, grads_e) = eager_reference(&data, config);
-        for threads in [1usize, 4] {
-            stgnn_tensor::par::set_thread_override(Some(threads));
-            let (radicand_p, grads_p) = plan_run(&data, config);
-            stgnn_tensor::par::set_thread_override(None);
-            assert_eq!(
-                radicand_e.to_bits(),
-                radicand_p.to_bits(),
-                "{name}: radicand drifted at {threads} thread(s)"
-            );
-            assert_eq!(grads_e.len(), grads_p.len());
-            for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
-                assert_bits_eq(
-                    ge,
-                    gp,
-                    &format!("{name}: param {i} grad at {threads} thread(s)"),
-                );
-            }
+        let (radicand_p, grads_p) = plan_run(&data, config);
+        assert_eq!(
+            radicand_e.to_bits(),
+            radicand_p.to_bits(),
+            "{name}: radicand drifted"
+        );
+        assert_eq!(grads_e.len(), grads_p.len());
+        for (i, (ge, gp)) in grads_e.iter().zip(&grads_p).enumerate() {
+            assert_bits_eq(ge, gp, &format!("{name}: param {i} grad"));
         }
     }
 }
