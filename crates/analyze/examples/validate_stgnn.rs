@@ -92,9 +92,9 @@ fn main() -> ExitCode {
         let infer = model.compile_inference_plan(&data, slot);
         match (train, infer) {
             (Ok(Some(train)), Ok(Some(infer))) => println!(
-                "{label}: training plan [{}], inference plan [{}]",
-                train.pass_report(),
-                infer.pass_report()
+                "{label}: training plan [in_place={}], inference plan [in_place={}]",
+                train.in_place_nodes(),
+                infer.in_place_nodes()
             ),
             (Err(e), _) | (_, Err(e)) => {
                 eprintln!("{label}: plan compilation failed: {e}");

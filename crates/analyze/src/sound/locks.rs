@@ -606,11 +606,10 @@ mod tests {
 
     #[test]
     fn same_lock_condvar_wait_makes_no_edges() {
-        let (findings, edges, cycles) = run(
-            "fn pop(&self) {\n    let mut jobs = lock(&self.jobs);\n    \
+        let (findings, edges, cycles) = run("fn pop(&self) {\n    let mut jobs = self.jobs.lock()\
+             .unwrap_or_else(PoisonError::into_inner);\n    \
              while jobs.is_empty() {\n        jobs = self.available.wait(jobs)\
-             .unwrap_or_else(PoisonError::into_inner);\n    }\n}\n",
-        );
+             .unwrap_or_else(PoisonError::into_inner);\n    }\n}\n");
         assert!(edges.is_empty(), "{edges:?}");
         assert!(cycles.is_empty());
         assert!(findings.is_empty(), "{findings:?}");

@@ -33,8 +33,7 @@ pub(crate) type LockKey = String;
 /// One event in a function's body, in source order.
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
-    /// A `.lock()`/`.read()`/`.write()` (empty parens) or free `lock(&x)`
-    /// acquisition.
+    /// A `.lock()`/`.read()`/`.write()` (empty parens) acquisition.
     Acquire {
         lock: LockKey,
         /// `Some(name)` when the statement is `let name = <recv>.lock()…;`
@@ -429,16 +428,6 @@ fn scan_region(
                     continue;
                 }
                 match name.as_str() {
-                    "lock" => {
-                        // Free-fn acquisition `lock(&p.spawned)` (a
-                        // poison-ignoring helper): the lock is the arg's last
-                        // path segment.
-                        if let Some(next) = scan_free_lock(m, i, after, file_stem, depth, out) {
-                            i = next;
-                            continue;
-                        }
-                        i = after;
-                    }
                     "drop" => {
                         if let Some((s, e)) = paren_range(text, after) {
                             let arg = String::from_utf8_lossy(&text[s + 1..e - 1]);
@@ -531,9 +520,10 @@ fn ident_after(text: &[u8], pos: usize) -> (String, usize) {
 }
 
 /// Handles `<recv>.lock()` at the `.` in `dot`; `open` is the `(` after
-/// the method name. Emits the Acquire and returns the resume position, or
-/// `None` when this is not an acquisition (non-empty parens: io `read`/
-/// `write` take buffers, locks take nothing).
+/// the method name. Classifies the suffix chain and the enclosing
+/// statement, emits the Acquire and returns the resume position, or `None`
+/// when this is not an acquisition (non-empty parens: io `read`/`write`
+/// take buffers, locks take nothing).
 fn scan_acquisition(
     m: &MaskedSource,
     dot: usize,
@@ -551,50 +541,6 @@ fn scan_acquisition(
         return None; // `.read(buf)` — io, not a lock
     }
     let recv = receiver_segment(text, dot)?;
-    emit_acquire(m, dot, close, &recv, file_stem, depth, out)
-}
-
-/// Handles the free-fn form `lock(&p.spawned)` at `start`; `open` is the
-/// `(` after the name.
-fn scan_free_lock(
-    m: &MaskedSource,
-    start: usize,
-    open: usize,
-    file_stem: &str,
-    depth: usize,
-    out: &mut Vec<Ev>,
-) -> Option<usize> {
-    let text = &m.text;
-    let (_, close) = paren_range(text, open)?;
-    let arg = &text[open + 1..close - 1];
-    // Last path segment of the argument: `&self.remaining` → `remaining`.
-    let mut end = arg.len();
-    while end > 0 && !ident_char(arg[end - 1]) {
-        end -= 1;
-    }
-    let mut s = end;
-    while s > 0 && ident_char(arg[s - 1]) {
-        s -= 1;
-    }
-    if s == end {
-        return None;
-    }
-    let recv = String::from_utf8_lossy(&arg[s..end]).into_owned();
-    emit_acquire(m, start, close, &recv, file_stem, depth, out)
-}
-
-/// Shared tail of both acquisition forms: classifies the suffix chain and
-/// the enclosing statement, emits the event, returns the resume position.
-fn emit_acquire(
-    m: &MaskedSource,
-    site: usize,
-    close: usize,
-    recv: &str,
-    file_stem: &str,
-    depth: usize,
-    out: &mut Vec<Ev>,
-) -> Option<usize> {
-    let text = &m.text;
     // Suffix chain after the call: `.unwrap()` / `.expect(…)` propagate
     // poisoning but preserve the guard; `.unwrap_or_else(…)` tolerates it;
     // any other method consumes the guard within the statement.
@@ -644,11 +590,11 @@ fn emit_acquire(
         }
     }
     // Guard binding: the statement reads `let <name> = …`.
-    let stmt_start = text[..site]
+    let stmt_start = text[..dot]
         .iter()
         .rposition(|&b| b == b';' || b == b'{' || b == b'}')
         .map_or(0, |p| p + 1);
-    let stmt = String::from_utf8_lossy(&text[stmt_start..site]);
+    let stmt = String::from_utf8_lossy(&text[stmt_start..dot]);
     let stmt = stmt.trim_start();
     let guard = if guard_preserved {
         stmt.strip_prefix("let ").and_then(|rest| {
@@ -668,7 +614,7 @@ fn emit_acquire(
         lock: format!("{file_stem}::{recv}"),
         guard,
         poison,
-        line: m.line_of(site),
+        line: m.line_of(dot),
         depth,
     });
     Some(resume)
@@ -780,21 +726,19 @@ mod tests {
     }
 
     #[test]
-    fn free_lock_helper_and_io_read_write() {
+    fn io_read_write_with_a_buffer_is_not_an_acquisition() {
         let fns = parse(
-            "fn f(&self) {\n    let g = lock(&self.remaining);\n    file.read(&mut buf);\n    \
+            "fn f(&self) {\n    file.read(&mut buf);\n    file.write(&buf);\n    \
              let r = self.map.read();\n}\n",
         );
         let a = acquires(&fns[0]);
-        assert_eq!(a.len(), 2, "{a:?}");
-        assert_eq!(a[0], ("fix::remaining".into(), Some("g".into())));
-        assert_eq!(a[1], ("fix::map".into(), Some("r".into())));
+        assert_eq!(a, vec![("fix::map".into(), Some("r".into()))]);
     }
 
     #[test]
     fn spawn_closures_are_detached() {
         let fns = parse(
-            "fn f(&self) {\n    let g = lock(&self.spawned);\n    \
+            "fn f(&self) {\n    let g = self.spawned.lock();\n    \
              thread::spawn(move || {\n        worker_loop(&queue);\n    });\n    helper();\n}\n",
         );
         let main_calls: Vec<_> = fns[0]

@@ -34,7 +34,7 @@ use stgnn_data::dataset::BikeDataset;
 use stgnn_data::error::{Error, Result};
 use stgnn_data::predictor::Prediction;
 use stgnn_tensor::autograd::{Graph, Var};
-use stgnn_tensor::plan::{LeafBinding, PassReport, Plan, PlanExec, PlanSpec};
+use stgnn_tensor::plan::{LeafBinding, Plan, PlanExec, PlanSpec};
 use stgnn_tensor::Tensor;
 
 /// The leaf bindings recorded while tracing one forward pass: how each
@@ -100,9 +100,9 @@ impl TrainingPlan {
         self.plan.needs_rng()
     }
 
-    /// What the plan compiler rewrote in this tape.
-    pub fn pass_report(&self) -> PassReport {
-        self.plan.pass_report()
+    /// Number of nodes the plan compiler rewrote to run in place.
+    pub fn in_place_nodes(&self) -> usize {
+        self.plan.in_place_nodes()
     }
 }
 
@@ -119,9 +119,9 @@ impl InferencePlan {
         self.plan.executor()
     }
 
-    /// What the plan compiler rewrote in this tape.
-    pub fn pass_report(&self) -> PassReport {
-        self.plan.pass_report()
+    /// Number of nodes the plan compiler rewrote to run in place.
+    pub fn in_place_nodes(&self) -> usize {
+        self.plan.in_place_nodes()
     }
 }
 

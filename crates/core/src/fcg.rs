@@ -175,6 +175,7 @@ pub fn fcg_mean_adj(mask: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pcg::tests::{matmul_f64, rows_f64};
     use rand::SeedableRng;
 
     const N: usize = 5;
@@ -194,6 +195,107 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f32> = (0..N * N).map(|_| rng.gen_range(-1.0..1.0)).collect();
         Tensor::from_vec(Shape::matrix(N, N), data).unwrap()
+    }
+
+    /// `layers` FCG layers evaluated literally, in plain f64 loops over the
+    /// parameters read from `ps` by name: Eq 10's edge weights with the unit
+    /// self-loop, `D⁻¹(ReLU(T)⊙M + I)` with the 1e-6 row-sum guard; the mean
+    /// adjacency `1/|N(i)|`; or the max pool of `ReLU(F·W_fc + b)` over each
+    /// mask row; then Eq 13's `F^k = ReLU(Aggr(F^{k−1})·W^k)`.
+    fn literal_fcg(
+        ps: &ParamSet,
+        agg: FcgAggregator,
+        layers: usize,
+        edges: &Tensor,
+        features: &Tensor,
+        mask: &Tensor,
+    ) -> Vec<Vec<f64>> {
+        let param = |name: String| {
+            let p = ps.params().iter().find(|p| p.name() == name);
+            rows_f64(&p.unwrap_or_else(|| panic!("no parameter {name}")).value())
+        };
+        let relu = |a: Vec<Vec<f64>>| -> Vec<Vec<f64>> {
+            a.into_iter()
+                .map(|row| row.into_iter().map(|x| x.max(0.0)).collect())
+                .collect()
+        };
+        let (t, m) = (rows_f64(edges), rows_f64(mask));
+        let n = m.len();
+        let m = &m;
+        let hood = |i: usize| (0..n).filter(move |&j| m[i][j] > 0.0);
+        let weights: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let raw: Vec<f64> = (0..n)
+                    .map(|j| t[i][j].max(0.0) * m[i][j] + if i == j { 1.0 } else { 0.0 })
+                    .collect();
+                let sum = raw.iter().sum::<f64>() + 1e-6;
+                raw.iter().map(|x| x / sum).collect()
+            })
+            .collect();
+        let mean_adj: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let size = hood(i).count() as f64;
+                (0..n)
+                    .map(|j| if m[i][j] > 0.0 { 1.0 / size } else { 0.0 })
+                    .collect()
+            })
+            .collect();
+        let mut f = rows_f64(features);
+        for k in 0..layers {
+            let aggregated = match agg {
+                FcgAggregator::Flow => matmul_f64(&weights, &f),
+                FcgAggregator::Mean => matmul_f64(&mean_adj, &f),
+                FcgAggregator::Max => {
+                    let b = &param(format!("fcg.{k}.fc.b"))[0];
+                    let fc = matmul_f64(&f, &param(format!("fcg.{k}.fc.w")));
+                    let h: Vec<Vec<f64>> = fc
+                        .iter()
+                        .map(|row| row.iter().zip(b).map(|(x, b)| (x + b).max(0.0)).collect())
+                        .collect();
+                    let pool =
+                        |i: usize, c: usize| hood(i).map(|j| h[j][c]).fold(f64::MIN, f64::max);
+                    (0..n)
+                        .map(|i| (0..n).map(|c| pool(i, c)).collect())
+                        .collect()
+                }
+            };
+            f = relu(matmul_f64(&aggregated, &param(format!("fcg.{k}.w"))));
+        }
+        f
+    }
+
+    /// Eq 10's self-looped, masked, row-normalised weights, the mean and max
+    /// aggregators, and Eq 13's layer must compute what the equations print,
+    /// for every aggregator over two layers.
+    #[test]
+    fn forward_matches_a_literal_eq_10_13_14_evaluation() {
+        let edges = feature_matrix(21);
+        let features = feature_matrix(22);
+        let mut rng = StdRng::seed_from_u64(23);
+        let mask: Vec<f32> = (0..N * N)
+            .map(|k| f32::from(u8::from(k % (N + 1) == 0 || rng.gen_bool(0.5))))
+            .collect();
+        let mask = Tensor::from_vec(Shape::matrix(N, N), mask).unwrap();
+        assert!(edges.data().iter().any(|&x| x < 0.0) && mask.data().contains(&0.0));
+        for agg in [FcgAggregator::Flow, FcgAggregator::Mean, FcgAggregator::Max] {
+            let mut ps = ParamSet::new();
+            let mut rng = StdRng::seed_from_u64(24);
+            let net = FcgNetwork::new(&mut ps, &mut rng, &config(agg), N);
+            let g = Graph::new();
+            let (e, f) = (g.leaf(edges.clone()), g.leaf(features.clone()));
+            let out = net.forward(&g, &e, &f, &mask, None).value();
+            let want = literal_fcg(&ps, agg, net.depth(), &edges, &features, &mask);
+            assert!(want.iter().flatten().any(|&w| w > 0.0), "{agg:?}: all zero");
+            for (i, want_row) in want.iter().enumerate() {
+                for (j, &w) in want_row.iter().enumerate() {
+                    let v = f64::from(out.get2(i, j));
+                    assert!(
+                        (v - w).abs() <= 1e-4,
+                        "{agg:?}: F^f[{i}][{j}] = {v}, the literal Eqs 10, 13 and 14 give {w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

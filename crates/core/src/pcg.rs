@@ -178,7 +178,7 @@ impl PcgNetwork {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::SeedableRng;
 
@@ -198,13 +198,13 @@ mod tests {
         Tensor::from_vec(Shape::matrix(N, N), data).unwrap()
     }
 
-    fn rows_f64(t: &Tensor) -> Vec<Vec<f64>> {
+    pub(crate) fn rows_f64(t: &Tensor) -> Vec<Vec<f64>> {
         (0..t.shape().rows())
             .map(|i| t.row(i).iter().map(|&v| f64::from(v)).collect())
             .collect()
     }
 
-    fn matmul_f64(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn matmul_f64(a: &[Vec<f64>], b: &[Vec<f64>]) -> Vec<Vec<f64>> {
         a.iter()
             .map(|row| {
                 (0..b[0].len())

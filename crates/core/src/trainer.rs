@@ -44,9 +44,6 @@ pub struct TrainReport {
     /// Whether training replayed a compiled plan. Always true: every
     /// configuration compiles, and training has no other executor.
     pub used_compiled_plan: bool,
-    /// The compiled training plan's pass report (its in-place rewrite
-    /// count), rendered.
-    pub plan_passes: String,
     /// Tensor-pool misses per optimizer step over the final epoch's batch
     /// loop — fresh heap allocations the buffer pool could not serve. The
     /// compiled-plan path reaches 0.0 once warm (validation sweeps are
@@ -171,7 +168,6 @@ impl Trainer {
             val_losses: Vec::new(),
             tape: train_plan.tape().clone(),
             used_compiled_plan: true,
-            plan_passes: train_plan.pass_report().to_string(),
             allocs_per_step: 0.0,
             resumed: resume.is_some(),
             checkpoint_writes: 0,
@@ -615,7 +611,7 @@ mod tests {
     }
 
     /// Gradient bits for every parameter after one deterministic training
-    /// batch — the strictest observable the acceptance criterion names.
+    /// batch — the strictest observable the acceptance check names.
     fn grad_bits(model: &StgnnDjd, data: &BikeDataset, batch: &[usize]) -> Vec<Vec<u32>> {
         model.params().zero_grads();
         let plan = model

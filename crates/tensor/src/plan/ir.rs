@@ -1,5 +1,5 @@
-//! Plan IR: leaf bindings, the compilation spec, the resolved per-node
-//! schedule entry and the [`PassReport`].
+//! Plan IR: leaf bindings, the compilation spec and the resolved per-node
+//! schedule entry.
 //!
 //! The compiler never rewrites the node list. Every node keeps its traced
 //! id, op, parents and shape, so the backward sweep deposits gradients at
@@ -10,7 +10,6 @@ use crate::autograd::{Op, Param};
 use crate::error::Result;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use std::fmt;
 use std::rc::Rc;
 
 /// Recomputes a derived leaf's value from earlier node values on each
@@ -68,19 +67,6 @@ pub struct PlanSpec {
     /// Node id [`super::Plan::backward`] seeds (the loss). `None` for
     /// inference-only plans.
     pub loss: Option<usize>,
-}
-
-/// What the compiler did to one plan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PassReport {
-    /// Nodes that overwrite a dying parent's buffer in place.
-    pub in_place_nodes: usize,
-}
-
-impl fmt::Display for PassReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "in_place={}", self.in_place_nodes)
-    }
 }
 
 /// How one node gets its value on replay (resolved from [`PlanSpec`]).

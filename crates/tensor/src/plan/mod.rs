@@ -48,7 +48,7 @@ mod ir;
 mod passes;
 
 pub use exec::PlanExec;
-pub use ir::{DerivedFn, DerivedSpec, LeafBinding, PassReport, PlanSpec};
+pub use ir::{DerivedFn, DerivedSpec, LeafBinding, PlanSpec};
 
 use crate::autograd::{Op, Param, ParamSet, TapeSnapshot};
 use crate::error::{Error, Result};
@@ -76,7 +76,6 @@ pub struct Plan {
     /// Per node: the parent slot whose buffer this node steals and
     /// overwrites in place (`None` = normal output).
     pub(crate) in_place: Vec<Option<usize>>,
-    pub(crate) report: PassReport,
     /// Shared scalar parked in a slot whose buffer was stolen — cloning it
     /// is an `Arc` bump, so in-place rewrites stay allocation-free.
     pub(crate) placeholder: Tensor,
@@ -208,10 +207,9 @@ impl Plan {
             has_dropout,
             derived_deps,
             in_place: vec![None; n],
-            report: PassReport::default(),
             placeholder: Tensor::from_scalar(0.0),
         };
-        plan.report.in_place_nodes = passes::mark_in_place(&mut plan);
+        passes::mark_in_place(&mut plan);
         Ok(plan)
     }
 
@@ -236,8 +234,8 @@ impl Plan {
         self.has_dropout
     }
 
-    /// What the compiler rewrote.
-    pub fn pass_report(&self) -> PassReport {
-        self.report
+    /// Number of nodes that overwrite a dying parent's buffer in place.
+    pub fn in_place_nodes(&self) -> usize {
+        self.in_place.iter().flatten().count()
     }
 }

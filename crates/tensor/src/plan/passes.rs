@@ -122,11 +122,10 @@ fn backward_survives_steal(op: &Op) -> bool {
 /// ([`backward_survives_steal`]), its buffer is not shared (`Reshape`
 /// aliases its parent's storage, so reshapes are excluded as `q`), and
 /// this op's backward never reads the stolen value ([`in_place_slots`]).
-pub(crate) fn mark_in_place(plan: &mut Plan) -> usize {
+pub(crate) fn mark_in_place(plan: &mut Plan) {
     let readers = value_readers(plan);
     let pinned = pinned(plan);
     let training = plan.loss.is_some();
-    let mut marked = 0;
     for id in 0..plan.nodes.len() {
         let node = &plan.nodes[id];
         if !matches!(node.binding, NodeBinding::Compute) {
@@ -146,10 +145,8 @@ pub(crate) fn mark_in_place(plan: &mut Plan) -> usize {
                 && (!training || backward_survives_steal(&qn.op))
             {
                 plan.in_place[id] = Some(slot);
-                marked += 1;
                 break;
             }
         }
     }
-    marked
 }

@@ -31,34 +31,53 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
-/// A compiled inference plan replayed across many slots must reproduce the
-/// eager `predict_horizon` byte-for-byte.
+/// Compiles `model`'s inference plan at the first test slot, replays it
+/// over the first `count` test slots, and asserts every horizon's demand
+/// and supply bit-identical to the eager `predict_horizon`.
+fn assert_plan_predictions_match_eager(
+    model: &StgnnDjd,
+    data: &BikeDataset,
+    count: usize,
+    name: &str,
+) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let slots = data.slots(Split::Test);
+    let plan = model
+        .compile_inference_plan(data, slots[0])
+        .unwrap()
+        .expect("every configuration compiles");
+    let mut exec = plan.executor();
+    for &t in slots.iter().take(count) {
+        let eager = model.predict_horizon(data, t);
+        let replay = model
+            .plan_predict_horizon(&plan, &mut exec, data, t)
+            .unwrap();
+        assert_eq!(eager.len(), replay.len(), "{name} slot {t}");
+        for (h, (e, r)) in eager.iter().zip(&replay).enumerate() {
+            assert_eq!(
+                bits(&e.demand),
+                bits(&r.demand),
+                "{name} slot {t} h {h} demand"
+            );
+            assert_eq!(
+                bits(&e.supply),
+                bits(&r.supply),
+                "{name} slot {t} h {h} supply"
+            );
+        }
+    }
+}
+
+/// A compiled inference plan replayed across several slots must reproduce
+/// the eager `predict_horizon` byte-for-byte, in the default configuration
+/// and in every configuration `validate_stgnn` compiles.
 #[test]
 fn inference_plan_predictions_are_bit_identical_to_eager() {
     let data = dataset(301);
-    let config = StgnnConfig::test_tiny(6, 2);
-    let model = StgnnDjd::new(config, data.n_stations()).unwrap();
-    let slots = data.slots(Split::Test);
-    let probe = slots[0];
-    let plan = model
-        .compile_inference_plan(&data, probe)
-        .unwrap()
-        .expect("standard config must compile");
-    let mut exec = plan.executor();
-    for &t in slots.iter().take(6) {
-        let eager = model.predict_horizon(&data, t);
-        let replay = model
-            .plan_predict_horizon(&plan, &mut exec, &data, t)
-            .unwrap();
-        assert_eq!(eager.len(), replay.len());
-        for (h, (e, r)) in eager.iter().zip(&replay).enumerate() {
-            for (i, (a, b)) in e.demand.iter().zip(&r.demand).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "slot {t} h {h} demand {i}");
-            }
-            for (i, (a, b)) in e.supply.iter().zip(&r.supply).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "slot {t} h {h} supply {i}");
-            }
-        }
+    let default = ("default".to_string(), StgnnConfig::test_tiny(6, 2));
+    for (name, config) in std::iter::once(default).chain(every_configuration()) {
+        let model = StgnnDjd::new(config, data.n_stations()).unwrap();
+        assert_plan_predictions_match_eager(&model, &data, 6, &name);
     }
 }
 
@@ -152,27 +171,7 @@ fn fcg_max_and_no_fc_replay_their_per_slot_structure_bitwise() {
         config.pcg_layers = 2;
         let (radicand_e, grads_e) = eager_reference(&data, &config);
         let model = StgnnDjd::new(config.clone(), data.n_stations()).unwrap();
-        let slots = data.slots(Split::Test);
-        let plan = model
-            .compile_inference_plan(&data, slots[0])
-            .unwrap()
-            .expect("every configuration compiles");
-        let mut exec = plan.executor();
-        for &t in slots.iter().take(6) {
-            let eager = model.predict_horizon(&data, t);
-            let replay = model
-                .plan_predict_horizon(&plan, &mut exec, &data, t)
-                .unwrap();
-            assert_eq!(eager.len(), replay.len());
-            for (e, r) in eager.iter().zip(&replay) {
-                for (a, b) in e.demand.iter().zip(&r.demand) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} demand");
-                }
-                for (a, b) in e.supply.iter().zip(&r.supply) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{name} slot {t} supply");
-                }
-            }
-        }
+        assert_plan_predictions_match_eager(&model, &data, 6, name);
         let (radicand_p, grads_p) = plan_run(&data, &config);
         assert_eq!(
             radicand_e.to_bits(),
@@ -194,26 +193,7 @@ fn fcg_mean_configuration_replays_through_derived_adjacency() {
     let mut config = StgnnConfig::test_tiny(6, 2);
     config.fcg_aggregator = FcgAggregator::Mean;
     let model = StgnnDjd::new(config, data.n_stations()).unwrap();
-    let slots = data.slots(Split::Test);
-    let plan = model
-        .compile_inference_plan(&data, slots[0])
-        .unwrap()
-        .expect("mean aggregator must compile via derived adjacency");
-    let mut exec = plan.executor();
-    for &t in slots.iter().take(4) {
-        let eager = model.predict_horizon(&data, t);
-        let replay = model
-            .plan_predict_horizon(&plan, &mut exec, &data, t)
-            .unwrap();
-        for (e, r) in eager.iter().zip(&replay) {
-            for (a, b) in e.demand.iter().zip(&r.demand) {
-                assert_eq!(a.to_bits(), b.to_bits(), "slot {t}");
-            }
-            for (a, b) in e.supply.iter().zip(&r.supply) {
-                assert_eq!(a.to_bits(), b.to_bits(), "slot {t}");
-            }
-        }
-    }
+    assert_plan_predictions_match_eager(&model, &data, 4, "fcg-mean");
 }
 
 /// The eager reference for the training-batch parity tests: one training
