@@ -1,13 +1,13 @@
 //! Crash-safe training checkpoints.
 //!
 //! A [`TrainCheckpoint`] freezes *everything* a training run threads from
-//! one batch to the next: parameter values, Adam's moment estimates and
-//! step counter, both RNG streams (shuffle and dropout), the epoch/batch
-//! cursor with the current epoch's shuffled slot order and partial loss
-//! accumulator, the loss histories, and the early-stopping state (best
-//! snapshot + patience counter). Restoring it makes the resumed run
-//! **bit-identical** to one that was never interrupted — asserted by the
-//! chaos suite down to every parameter gradient.
+//! one batch to the next: the loop's [`RunState`] (epoch/batch cursor, the
+//! current epoch's shuffled slot order and partial loss accumulator, the
+//! shuffle RNG, the loss histories and the early-stopping state), plus the
+//! parameter values, Adam's moment estimates and step counter, and the
+//! dropout RNG. Restoring it makes the resumed run **bit-identical** to one
+//! that was never interrupted — asserted by the chaos suite down to every
+//! parameter gradient.
 //!
 //! ## On-disk format (`stgnn-ckpt v1`)
 //!
@@ -42,30 +42,9 @@ const MAGIC: &str = "stgnn-ckpt v1";
 pub enum CheckpointError {
     /// Filesystem-level failure reading or writing the file.
     Io(std::io::Error),
-    /// The file ends before the length the header promises — a torn copy
-    /// or an interrupted non-atomic transfer.
-    Truncated {
-        /// Payload bytes the header declared.
-        expected: usize,
-        /// Payload bytes actually present.
-        actual: usize,
-    },
-    /// Payload bytes do not hash to the header's CRC-32 — bit rot or a
-    /// corrupted transfer.
-    ChecksumMismatch {
-        /// CRC the header declared.
-        expected: u32,
-        /// CRC of the bytes on disk.
-        actual: u32,
-    },
-    /// The magic line names a format version this build does not read.
-    VersionSkew {
-        /// The magic line found in the file.
-        found: String,
-    },
-    /// Structurally invalid payload (despite a passing checksum) — not a
-    /// checkpoint, or one produced by incompatible code.
-    Malformed(String),
+    /// The file is not an intact `stgnn-ckpt v1` record: torn, bit-rotted,
+    /// another version, or a payload that does not parse.
+    Record(RecordError),
     /// A well-formed checkpoint from a *different run*: configuration
     /// fingerprint or parameter structure does not match the model being
     /// resumed.
@@ -87,19 +66,7 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
-            CheckpointError::Truncated { expected, actual } => write!(
-                f,
-                "checkpoint truncated: header promises {expected} payload bytes, found {actual}"
-            ),
-            CheckpointError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "checkpoint checksum mismatch: header says {expected:08x}, payload hashes to {actual:08x}"
-            ),
-            CheckpointError::VersionSkew { found } => write!(
-                f,
-                "checkpoint version skew: this build reads {MAGIC:?}, file starts with {found:?}"
-            ),
-            CheckpointError::Malformed(msg) => write!(f, "malformed checkpoint: {msg}"),
+            CheckpointError::Record(e) => write!(f, "checkpoint {e}"),
             CheckpointError::Incompatible(msg) => write!(f, "incompatible checkpoint: {msg}"),
             CheckpointError::GraphMismatch { expected, found } => write!(
                 f,
@@ -115,6 +82,7 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
+            CheckpointError::Record(e) => Some(e),
             _ => None,
         }
     }
@@ -128,16 +96,7 @@ impl From<std::io::Error> for CheckpointError {
 
 impl From<RecordError> for CheckpointError {
     fn from(e: RecordError) -> Self {
-        match e {
-            RecordError::Truncated { expected, actual } => {
-                CheckpointError::Truncated { expected, actual }
-            }
-            RecordError::ChecksumMismatch { expected, actual } => {
-                CheckpointError::ChecksumMismatch { expected, actual }
-            }
-            RecordError::VersionSkew { found } => CheckpointError::VersionSkew { found },
-            RecordError::Malformed(msg) => CheckpointError::Malformed(msg),
-        }
+        CheckpointError::Record(e)
     }
 }
 
@@ -150,33 +109,22 @@ impl From<CheckpointError> for stgnn_data::error::Error {
     }
 }
 
-/// The epoch/batch cursor: where in the run the checkpoint was taken.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cursor {
+/// The state the training loop threads from one batch to the next, apart
+/// from the model (parameters, dropout RNG) and the optimizer.
+/// `Trainer::run` changes it in place; a checkpoint stores a clone of it.
+#[derive(Debug, Clone)]
+pub struct RunState {
     /// Epoch the run is inside (0-based).
     pub epoch: usize,
-    /// Index of the next batch to run within [`TrainCheckpoint::epoch_slots`].
-    /// 0 with an empty slot order means "at the top of `epoch`, not yet
-    /// shuffled".
+    /// Index of the next batch to run within [`Self::epoch_slots`]. 0 with
+    /// an empty slot order means "at the top of `epoch`, not yet shuffled".
     pub next_batch: usize,
-    /// The epoch's partial loss accumulator (an `f64`; stored as bits).
+    /// The epoch's partial loss accumulator (stored as `f64` bits).
     pub epoch_loss: f64,
-}
-
-/// A complete, restorable snapshot of a training run in flight.
-pub struct TrainCheckpoint {
-    /// Run identity: must match the resuming trainer/model exactly.
-    pub fingerprint: String,
-    /// Where the run stopped.
-    pub cursor: Cursor,
-    /// The current epoch's shuffled (and truncated) slot order. Empty when
-    /// the cursor sits at the top of an epoch whose shuffle has not
-    /// happened yet.
+    /// The current epoch's shuffled (and truncated) slot order.
     pub epoch_slots: Vec<usize>,
-    /// Shuffle RNG state, taken *after* the current epoch's shuffle.
-    pub shuffle_rng: [u64; 4],
-    /// The model's dropout RNG state.
-    pub dropout_rng: [u64; 4],
+    /// The shuffle RNG, advanced past the current epoch's shuffle.
+    pub shuffle_rng: StdRng,
     /// Mean training loss of each completed epoch.
     pub train_losses: Vec<f32>,
     /// Validation loss of each completed epoch.
@@ -185,12 +133,22 @@ pub struct TrainCheckpoint {
     pub best_val_loss: f32,
     /// Epochs since the best validation loss (patience counter).
     pub epochs_since_best: usize,
+    /// The best-validation parameter snapshot, if one exists yet.
+    pub best_snapshot: Option<Vec<Tensor>>,
+}
+
+/// A complete, restorable snapshot of a training run in flight.
+pub struct TrainCheckpoint {
+    /// Run identity: must match the resuming trainer/model exactly.
+    pub fingerprint: String,
+    /// The training loop's state where the run stopped.
+    pub state: RunState,
+    /// The model's dropout RNG.
+    pub dropout_rng: StdRng,
     /// Optimizer state (Adam moments + step counter).
     pub adam: AdamState,
     /// Parameter values in registration order, with their names.
     pub params: Vec<(String, Tensor)>,
-    /// The best-validation parameter snapshot, if one exists yet.
-    pub best_snapshot: Option<Vec<Tensor>>,
 }
 
 /// Hashes of the data-driven graph structure a training run is anchored
@@ -317,34 +275,34 @@ impl TrainCheckpoint {
 
     fn to_payload(&self) -> String {
         let mut out = String::new();
-        let c = &self.cursor;
+        let s = &self.state;
         let _ = writeln!(
             out,
             "fingerprint {}\nepoch {}\nnext_batch {}\nepoch_loss {:016x}",
             self.fingerprint,
-            c.epoch,
-            c.next_batch,
-            c.epoch_loss.to_bits()
+            s.epoch,
+            s.next_batch,
+            s.epoch_loss.to_bits()
         );
         push_list(
             &mut out,
             "train_losses",
-            self.train_losses.iter().map(|&v| Bits(v)),
+            s.train_losses.iter().map(|&v| Bits(v)),
         );
         push_list(
             &mut out,
             "val_losses",
-            self.val_losses.iter().map(|&v| Bits(v)),
+            s.val_losses.iter().map(|&v| Bits(v)),
         );
         let _ = writeln!(
             out,
             "best_val {}\nepochs_since_best {}",
-            Bits(self.best_val_loss),
-            self.epochs_since_best
+            Bits(s.best_val_loss),
+            s.epochs_since_best
         );
-        push_list(&mut out, "epoch_slots", self.epoch_slots.iter());
-        push_rng(&mut out, "shuffle_rng", self.shuffle_rng);
-        push_rng(&mut out, "dropout_rng", self.dropout_rng);
+        push_list(&mut out, "epoch_slots", s.epoch_slots.iter());
+        push_rng(&mut out, "shuffle_rng", s.shuffle_rng.state());
+        push_rng(&mut out, "dropout_rng", self.dropout_rng.state());
         let _ = writeln!(
             out,
             "adam_t {}\nadam_params {}",
@@ -361,7 +319,7 @@ impl TrainCheckpoint {
                 .iter()
                 .map(|(name, t)| (name.as_str(), t.clone())),
         );
-        match &self.best_snapshot {
+        match &s.best_snapshot {
             None => out.push_str("best_snapshot none\n"),
             Some(snap) => {
                 let _ = writeln!(out, "best_snapshot {}", snap.len());
@@ -374,37 +332,29 @@ impl TrainCheckpoint {
     }
 
     fn from_record(mut r: Fields<'_>) -> Result<TrainCheckpoint, RecordError> {
-        // Struct fields are evaluated as written: in the payload's order.
-        let checkpoint = TrainCheckpoint {
+        // Struct fields are evaluated as written: in the payload's order,
+        // which ends with the best snapshot.
+        let mut checkpoint = TrainCheckpoint {
             fingerprint: r.field("fingerprint")?.to_string(),
-            cursor: Cursor {
+            state: RunState {
                 epoch: r.value("epoch", decimal)?,
                 next_batch: r.value("next_batch", decimal)?,
                 epoch_loss: r.value("epoch_loss", f64_bits)?,
+                train_losses: r.list("train_losses", f32_bits)?,
+                val_losses: r.list("val_losses", f32_bits)?,
+                best_val_loss: r.value("best_val", f32_bits)?,
+                epochs_since_best: r.value("epochs_since_best", decimal)?,
+                epoch_slots: r.list("epoch_slots", decimal)?,
+                shuffle_rng: StdRng::from_state(r.value("shuffle_rng", rng_words)?),
+                best_snapshot: None,
             },
-            train_losses: r.list("train_losses", f32_bits)?,
-            val_losses: r.list("val_losses", f32_bits)?,
-            best_val_loss: r.value("best_val", f32_bits)?,
-            epochs_since_best: r.value("epochs_since_best", decimal)?,
-            epoch_slots: r.list("epoch_slots", decimal)?,
-            shuffle_rng: r.value("shuffle_rng", rng_words)?,
-            dropout_rng: r.value("dropout_rng", rng_words)?,
+            dropout_rng: StdRng::from_state(r.value("dropout_rng", rng_words)?),
             adam: parse_adam(&mut r)?,
             params: parse_params(&mut r)?,
-            best_snapshot: parse_snapshot(&mut r)?,
         };
+        checkpoint.state.best_snapshot = parse_snapshot(&mut r)?;
         r.finish()?;
         Ok(checkpoint)
-    }
-
-    /// A restored shuffle RNG continuing the checkpointed stream.
-    pub fn shuffle_rng(&self) -> StdRng {
-        StdRng::from_state(self.shuffle_rng)
-    }
-
-    /// A restored dropout RNG continuing the checkpointed stream.
-    pub fn dropout_rng(&self) -> StdRng {
-        StdRng::from_state(self.dropout_rng)
     }
 }
 
@@ -464,18 +414,19 @@ mod tests {
         let t = |data: Vec<f32>| Tensor::from_vec(Shape::vector(data.len()), data).unwrap();
         TrainCheckpoint {
             fingerprint: "k=6 d=2 test fingerprint".into(),
-            cursor: Cursor {
+            state: RunState {
                 epoch: 3,
                 next_batch: 7,
                 epoch_loss: 12.34567890123_f64,
+                epoch_slots: vec![9, 2, 14, 0, 5],
+                shuffle_rng: StdRng::from_state([1, u64::MAX, 0xdead_beef, 42]),
+                train_losses: vec![1.5, f32::from_bits(0x7fc0_0001), -0.0],
+                val_losses: vec![1.25, f32::from_bits(1)],
+                best_val_loss: 1.25,
+                epochs_since_best: 1,
+                best_snapshot: Some(vec![t(vec![0.5, 0.25, 0.125])]),
             },
-            epoch_slots: vec![9, 2, 14, 0, 5],
-            shuffle_rng: [1, u64::MAX, 0xdead_beef, 42],
-            dropout_rng: [7, 8, 9, 10],
-            train_losses: vec![1.5, f32::from_bits(0x7fc0_0001), -0.0],
-            val_losses: vec![1.25, f32::from_bits(1)],
-            best_val_loss: 1.25,
-            epochs_since_best: 1,
+            dropout_rng: StdRng::from_state([7, 8, 9, 10]),
             adam: AdamState {
                 t: 99,
                 m: vec![t(vec![0.1, -0.2]), t(vec![3.0])],
@@ -485,7 +436,6 @@ mod tests {
                 ("layer.w".into(), t(vec![1.0, 2.0, -3.5])),
                 ("layer.b".into(), t(vec![f32::NEG_INFINITY])),
             ],
-            best_snapshot: Some(vec![t(vec![0.5, 0.25, 0.125])]),
         }
     }
 
@@ -513,20 +463,18 @@ mod tests {
         ck.save(&path).unwrap();
         let back = TrainCheckpoint::load(&path).unwrap();
         assert_eq!(back.fingerprint, ck.fingerprint);
-        assert_eq!(back.cursor.epoch, ck.cursor.epoch);
-        assert_eq!(back.cursor.next_batch, ck.cursor.next_batch);
-        assert_eq!(
-            back.cursor.epoch_loss.to_bits(),
-            ck.cursor.epoch_loss.to_bits()
-        );
-        assert_eq!(back.epoch_slots, ck.epoch_slots);
-        assert_eq!(back.shuffle_rng, ck.shuffle_rng);
-        assert_eq!(back.dropout_rng, ck.dropout_rng);
+        let (bs, cs) = (&back.state, &ck.state);
+        assert_eq!(bs.epoch, cs.epoch);
+        assert_eq!(bs.next_batch, cs.next_batch);
+        assert_eq!(bs.epoch_loss.to_bits(), cs.epoch_loss.to_bits());
+        assert_eq!(bs.epoch_slots, cs.epoch_slots);
+        assert_eq!(bs.shuffle_rng.state(), cs.shuffle_rng.state());
+        assert_eq!(back.dropout_rng.state(), ck.dropout_rng.state());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back.train_losses), bits(&ck.train_losses));
-        assert_eq!(bits(&back.val_losses), bits(&ck.val_losses));
-        assert_eq!(back.best_val_loss.to_bits(), ck.best_val_loss.to_bits());
-        assert_eq!(back.epochs_since_best, ck.epochs_since_best);
+        assert_eq!(bits(&bs.train_losses), bits(&cs.train_losses));
+        assert_eq!(bits(&bs.val_losses), bits(&cs.val_losses));
+        assert_eq!(bs.best_val_loss.to_bits(), cs.best_val_loss.to_bits());
+        assert_eq!(bs.epochs_since_best, cs.epochs_since_best);
         assert_eq!(back.adam.t, ck.adam.t);
         for (a, b) in back.adam.m.iter().zip(&ck.adam.m) {
             assert_bits_eq(a, b);
@@ -538,12 +486,12 @@ mod tests {
             assert_eq!(an, bn);
             assert_bits_eq(at, bt);
         }
-        for (a, b) in back
+        for (a, b) in bs
             .best_snapshot
             .as_ref()
             .unwrap()
             .iter()
-            .zip(ck.best_snapshot.as_ref().unwrap())
+            .zip(cs.best_snapshot.as_ref().unwrap())
         {
             assert_bits_eq(a, b);
         }
@@ -555,9 +503,9 @@ mod tests {
         let path = tmp("overwrite");
         let mut ck = sample();
         ck.save(&path).unwrap();
-        ck.cursor.epoch = 5;
+        ck.state.epoch = 5;
         ck.save(&path).unwrap();
-        assert_eq!(TrainCheckpoint::load(&path).unwrap().cursor.epoch, 5);
+        assert_eq!(TrainCheckpoint::load(&path).unwrap().state.epoch, 5);
     }
 
     #[test]
@@ -569,7 +517,7 @@ mod tests {
         // Cut the payload short while keeping both header lines intact.
         std::fs::write(&path, &bytes[..bytes.len() - 40]).unwrap();
         match TrainCheckpoint::load(&path) {
-            Err(CheckpointError::Truncated { expected, actual }) => {
+            Err(CheckpointError::Record(RecordError::Truncated { expected, actual })) => {
                 assert!(actual < expected, "{actual} vs {expected}")
             }
             other => panic!("expected Truncated, got {other:?}", other = other.err()),
@@ -588,7 +536,9 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             TrainCheckpoint::load(&path),
-            Err(CheckpointError::ChecksumMismatch { .. })
+            Err(CheckpointError::Record(
+                RecordError::ChecksumMismatch { .. }
+            ))
         ));
     }
 
@@ -597,7 +547,7 @@ mod tests {
         let path = tmp("skew");
         std::fs::write(&path, b"stgnn-ckpt v99\ncrc32 00000000 len 0\n").unwrap();
         match TrainCheckpoint::load(&path) {
-            Err(CheckpointError::VersionSkew { found }) => {
+            Err(CheckpointError::Record(RecordError::VersionSkew { found })) => {
                 assert_eq!(found, "stgnn-ckpt v99")
             }
             other => panic!("expected VersionSkew, got {other:?}", other = other.err()),
@@ -610,7 +560,7 @@ mod tests {
         std::fs::write(&path, b"definitely not a checkpoint\nmore junk\n").unwrap();
         assert!(matches!(
             TrainCheckpoint::load(&path),
-            Err(CheckpointError::Malformed(_))
+            Err(CheckpointError::Record(RecordError::Malformed(_)))
         ));
         assert!(matches!(
             TrainCheckpoint::load(tmp("no-such").join("missing")),
@@ -631,7 +581,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             TrainCheckpoint::load(&path),
-            Err(CheckpointError::Malformed(_))
+            Err(CheckpointError::Record(RecordError::Malformed(_)))
         ));
     }
 

@@ -146,6 +146,7 @@ pub fn fcg_mask(i_hat: &Tensor, o_hat: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pcg::tests::{matmul_f64, rows_f64};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use stgnn_tensor::optim::{Adam, Optimizer};
@@ -165,6 +166,104 @@ mod tests {
             Tensor::from_vec(Shape::matrix(rows, N * N), data).unwrap()
         };
         (mk(K), mk(K), mk(D), mk(D))
+    }
+
+    /// Eqs 1–9 evaluated literally, in plain f64 loops over the parameters
+    /// read from `ps` by name: the four 1×1 convolutions
+    /// `ReLU(Σ_c w_c·X_c + b)` (Eqs 1–4); the gates
+    /// `β^S = exp(W·Î^S) / (exp(W·Î^S) + exp(W·Î^L))` and
+    /// `β^L = exp(W·Î^L) / (exp(W·Î^S) + exp(W·Î^L))` with the fused
+    /// `β^S ⊙ Î^S + β^L ⊙ Î^L`, under `W₅` for inflow and `W₆` for outflow
+    /// (Eqs 5–8); and `T = (Î ‖ Ô)·W₇` (Eq 9).
+    fn literal_flow_conv(ps: &ParamSet, n: usize, windows: [&Tensor; 4]) -> Vec<Vec<f64>> {
+        let param = |name: &str| {
+            let p = ps.params().iter().find(|p| p.name() == name);
+            rows_f64(&p.unwrap_or_else(|| panic!("no parameter {name}")).value())
+        };
+        let conv = |name: &str, x: &Tensor| -> Vec<Vec<f64>> {
+            let (w, b) = (
+                param(&format!("fc.{name}.w")),
+                param(&format!("fc.{name}.b")),
+            );
+            let x = rows_f64(x);
+            (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| {
+                            let sum: f64 = w[0].iter().zip(&x).map(|(w, c)| w * c[i * n + j]).sum();
+                            (sum + b[i][j]).max(0.0)
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let fuse = |gate: &str, short: &[Vec<f64>], long: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            let w = param(gate);
+            let (gs, gl) = (matmul_f64(&w, short), matmul_f64(&w, long));
+            (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| {
+                            let (es, el) = (gs[i][j].exp(), gl[i][j].exp());
+                            let (beta_s, beta_l) = (es / (es + el), el / (es + el));
+                            beta_s * short[i][j] + beta_l * long[i][j]
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let [short_in, short_out, long_in, long_out] = windows;
+        let i_hat = fuse(
+            "fc.w5",
+            &conv("in_short", short_in),
+            &conv("in_long", long_in),
+        );
+        let o_hat = fuse(
+            "fc.w6",
+            &conv("out_short", short_out),
+            &conv("out_long", long_out),
+        );
+        let joined: Vec<Vec<f64>> = i_hat
+            .iter()
+            .zip(&o_hat)
+            .map(|(i, o)| i.iter().chain(o).copied().collect())
+            .collect();
+        matmul_f64(&joined, &param("fc.w7"))
+    }
+
+    /// The flow convolution must compute what Eqs 1–9 print, the gates'
+    /// exp ratios included (the module evaluates them as a sigmoid).
+    #[test]
+    fn forward_matches_a_literal_eq_1_to_9_evaluation() {
+        const N5: usize = 5;
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut ps = ParamSet::new();
+        let fc = FlowConvolution::new(&mut ps, &mut rng, &config(), N5);
+        // Signed biases, so some of the ReLUs of Eqs 1–4 clamp.
+        for p in ps.params().iter().filter(|p| p.name().ends_with(".b")) {
+            let data = (0..N5 * N5).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            p.set_value(Tensor::from_vec(Shape::matrix(N5, N5), data).unwrap());
+        }
+        let mut window = |rows: usize| {
+            let data = (0..rows * N5 * N5)
+                .map(|_| rng.gen_range(0.0..1.0))
+                .collect();
+            Tensor::from_vec(Shape::matrix(rows, N5 * N5), data).unwrap()
+        };
+        let windows = [window(K), window(K), window(D), window(D)];
+        let g = Graph::new();
+        let leaves = windows.each_ref().map(|w| g.leaf(w.clone()));
+        let t = fc.forward_windows(&g, &leaves).t.value();
+        let want = literal_flow_conv(&ps, N5, windows.each_ref());
+        for (i, want_row) in want.iter().enumerate() {
+            for (j, &w) in want_row.iter().enumerate() {
+                let v = f64::from(t.get2(i, j));
+                assert!(
+                    (v - w).abs() <= 1e-4,
+                    "T[{i}][{j}] = {v}, the literal Eqs 1–9 give {w}"
+                );
+            }
+        }
     }
 
     #[test]

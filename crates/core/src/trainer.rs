@@ -8,7 +8,7 @@
 //! paper's "set hyperparameters on the validation set" implies.
 
 use crate::checkpoint::{
-    fingerprint, split_fingerprint, CheckpointError, Cursor, GraphTopology, TrainCheckpoint,
+    fingerprint, split_fingerprint, CheckpointError, GraphTopology, RunState, TrainCheckpoint,
 };
 use crate::compiled::TrainingPlan;
 use crate::config::StgnnConfig;
@@ -67,11 +67,9 @@ const MAX_VAL_SLOTS: usize = 48;
 /// Trains an [`StgnnDjd`] on a [`BikeDataset`].
 pub struct Trainer {
     config: StgnnConfig,
-    /// When set, a [`TrainCheckpoint`] is written here (atomically) every
-    /// [`Self::checkpoint_every`] batches.
-    checkpoint_path: Option<PathBuf>,
-    /// Batches between checkpoint writes.
-    checkpoint_every: usize,
+    /// The path a [`TrainCheckpoint`] is written to (atomically), and the
+    /// batches between writes; `None` writes none.
+    checkpoint: Option<(PathBuf, usize)>,
 }
 
 impl Trainer {
@@ -79,8 +77,7 @@ impl Trainer {
     pub fn new(config: StgnnConfig) -> Self {
         Trainer {
             config,
-            checkpoint_path: None,
-            checkpoint_every: 32,
+            checkpoint: None,
         }
     }
 
@@ -90,8 +87,7 @@ impl Trainer {
     /// written atomically to `path`. After a crash, [`Self::resume_from`]
     /// continues the run bit-identically to one that never stopped.
     pub fn with_checkpointing(mut self, path: impl Into<PathBuf>, every_batches: usize) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self.checkpoint_every = every_batches.max(1);
+        self.checkpoint = Some((path.into(), every_batches.max(1)));
         self
     }
 
@@ -159,45 +155,44 @@ impl Trainer {
         // epoch — this is what makes the steady state allocation-free.
         let mut lanes: Vec<PlanExec> = Vec::new();
 
-        let mut shuffle_rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
         let mut opt = Adam::new(self.config.learning_rate).with_clip(5.0);
-        let mut report = TrainReport {
-            epochs_run: 0,
-            best_val_loss: f32::INFINITY,
+        let mut state = RunState {
+            epoch: 0,
+            next_batch: 0,
+            epoch_loss: 0.0,
+            epoch_slots: Vec::new(),
+            shuffle_rng: StdRng::seed_from_u64(self.config.seed.wrapping_add(1)),
             train_losses: Vec::new(),
             val_losses: Vec::new(),
-            tape: train_plan.tape().clone(),
-            used_compiled_plan: true,
-            allocs_per_step: 0.0,
-            resumed: resume.is_some(),
-            checkpoint_writes: 0,
-            checkpoint_failures: 0,
+            best_val_loss: f32::INFINITY,
+            epochs_since_best: 0,
+            best_snapshot: None,
         };
-        let mut best_snapshot: Option<Vec<Tensor>> = None;
-        let mut epochs_since_best = 0usize;
-        let topology = GraphTopology::of(data);
-        let run_fingerprint = fingerprint(
-            &self.config,
-            model.n_stations(),
-            model.params().len(),
-            &topology,
-        );
+        let resumed = resume.is_some();
+        // Run identity hashes every flow matrix of the dataset, so only a
+        // run that writes or reads a checkpoint computes it.
+        let run_fingerprint = (self.checkpoint.is_some() || resumed).then(|| {
+            fingerprint(
+                &self.config,
+                model.n_stations(),
+                model.params().len(),
+                &GraphTopology::of(data),
+            )
+        });
 
         // Restore checkpointed state *after* the probe/compile above: the
         // probe traces a training-mode forward pass on the freshly-built
         // model exactly as the original run did, so overwriting params and
         // both RNG streams here puts every stream at precisely the state it
         // had when the checkpoint was taken.
-        let mut resume_cursor: Option<(usize, Vec<usize>, f64)> = None;
-        let mut start_epoch = 0usize;
-        if let Some(ckpt) = resume {
-            if ckpt.fingerprint != run_fingerprint {
+        if let (Some(ckpt), Some(ours)) = (resume, &run_fingerprint) {
+            if ckpt.fingerprint != *ours {
                 // Same configuration but a different graph section means the
                 // FCG/PCG inputs were refreshed out from under the run —
                 // surface that as the typed mismatch so callers can
                 // warm-start instead of resuming onto stale Adam moments.
                 let (ckpt_base, ckpt_graph) = split_fingerprint(&ckpt.fingerprint);
-                let (run_base, run_graph) = split_fingerprint(&run_fingerprint);
+                let (run_base, run_graph) = split_fingerprint(ours);
                 if ckpt_base == run_base && ckpt_graph != run_graph {
                     return Err(CheckpointError::GraphMismatch {
                         expected: ckpt_graph.trim_start().to_string(),
@@ -207,62 +202,46 @@ impl Trainer {
                 }
                 return Err(CheckpointError::Incompatible(format!(
                     "checkpoint was taken from a different run:\n  theirs: {}\n  ours:   {}",
-                    ckpt.fingerprint, run_fingerprint
+                    ckpt.fingerprint, ours
                 ))
                 .into());
             }
             check_restorable(&ckpt, model, &train_slots)?;
-            for (p, (_, t)) in model.params().params().iter().zip(&ckpt.params) {
-                p.set_value(t.clone());
+            for (p, (_, t)) in model.params().params().iter().zip(ckpt.params) {
+                p.set_value(t);
             }
             opt.restore(ckpt.adam);
-            shuffle_rng = StdRng::from_state(ckpt.shuffle_rng);
-            *model.rng_cell().borrow_mut() = StdRng::from_state(ckpt.dropout_rng);
-            report.best_val_loss = ckpt.best_val_loss;
-            report.train_losses = ckpt.train_losses;
-            report.val_losses = ckpt.val_losses;
-            report.epochs_run = report.val_losses.len();
-            best_snapshot = ckpt.best_snapshot;
-            epochs_since_best = ckpt.epochs_since_best;
-            start_epoch = ckpt.cursor.epoch;
-            if !ckpt.epoch_slots.is_empty() || ckpt.cursor.next_batch > 0 {
-                resume_cursor = Some((
-                    ckpt.cursor.next_batch,
-                    ckpt.epoch_slots,
-                    ckpt.cursor.epoch_loss,
-                ));
-            }
+            *model.rng_cell().borrow_mut() = ckpt.dropout_rng;
+            state = ckpt.state;
         }
 
+        let mut allocs_per_step = 0.0;
+        let (mut checkpoint_writes, mut checkpoint_failures) = (0, 0);
         let mut batches_since_checkpoint = 0usize;
-        for epoch in start_epoch..self.config.epochs {
-            // A mid-epoch resume re-enters the interrupted epoch with its
-            // stored (already shuffled + truncated) slot order, partial
-            // loss accumulator and batch cursor; the shuffle RNG was
-            // checkpointed *after* that epoch's shuffle, so it is not
-            // re-drawn here.
-            let (slots, first_chunk, mut epoch_loss) = match resume_cursor.take() {
-                Some((next_batch, stored_slots, partial_loss)) => {
-                    (stored_slots, next_batch, partial_loss)
+        while state.epoch < self.config.epochs {
+            // A resumed run re-enters its epoch with the stored slot order:
+            // the shuffle RNG was checkpointed *after* that epoch's shuffle.
+            if state.epoch_slots.is_empty() && state.next_batch == 0 {
+                state.epoch_slots = train_slots.clone();
+                state.epoch_slots.shuffle(&mut state.shuffle_rng);
+                if let Some(cap) = self.config.max_batches_per_epoch {
+                    // Saturate: callers use `Some(usize::MAX)` for "no cap".
+                    state
+                        .epoch_slots
+                        .truncate(cap.saturating_mul(self.config.batch_size));
                 }
-                None => {
-                    let mut slots = train_slots.clone();
-                    slots.shuffle(&mut shuffle_rng);
-                    if let Some(cap) = self.config.max_batches_per_epoch {
-                        // Saturate: callers use `Some(usize::MAX)` for "no cap".
-                        slots.truncate(cap.saturating_mul(self.config.batch_size));
-                    }
-                    (slots, 0, 0.0f64)
-                }
-            };
-            let total_batches = slots.len().div_ceil(self.config.batch_size.max(1));
+            }
+            let total_batches = state
+                .epoch_slots
+                .len()
+                .div_ceil(self.config.batch_size.max(1));
 
             let mut local_batches = 0usize;
             let pool_before = pool::stats();
-            for (chunk, batch) in slots
+            while let Some(batch) = state
+                .epoch_slots
                 .chunks(self.config.batch_size)
-                .enumerate()
-                .skip(first_chunk)
+                .nth(state.next_batch)
             {
                 // The chaos suite's crash site: between optimizer steps, so
                 // an unwinding panic never leaves a tape or RefCell borrow
@@ -271,33 +250,33 @@ impl Trainer {
                 model.params().zero_grads();
                 let batch_loss = plan_batch(model, data, &train_plan, &mut lanes, batch)?;
                 opt.step(model.params());
-                epoch_loss += batch_loss as f64;
+                state.epoch_loss += batch_loss as f64;
+                state.next_batch += 1;
                 local_batches += 1;
                 batches_since_checkpoint += 1;
-                if let Some(path) = &self.checkpoint_path {
-                    if batches_since_checkpoint >= self.checkpoint_every {
+                if let (Some((path, every)), Some(fingerprint)) =
+                    (&self.checkpoint, &run_fingerprint)
+                {
+                    if batches_since_checkpoint >= *every {
                         batches_since_checkpoint = 0;
-                        let ckpt = self.snapshot(
-                            model,
-                            &opt,
-                            &run_fingerprint,
-                            Cursor {
-                                epoch,
-                                next_batch: chunk + 1,
-                                epoch_loss,
-                            },
-                            &slots,
-                            &shuffle_rng,
-                            &report,
-                            &best_snapshot,
-                            epochs_since_best,
-                        );
+                        let ckpt = TrainCheckpoint {
+                            fingerprint: fingerprint.clone(),
+                            state: state.clone(),
+                            dropout_rng: model.rng_cell().borrow().clone(),
+                            adam: opt.state(),
+                            params: model
+                                .params()
+                                .params()
+                                .iter()
+                                .map(|p| (p.name().to_string(), p.value()))
+                                .collect(),
+                        };
                         // A failed write is counted, not fatal: atomic_write
                         // guarantees the previous checkpoint is still intact,
                         // so the run only loses recovery granularity.
                         match ckpt.save(path) {
-                            Ok(()) => report.checkpoint_writes += 1,
-                            Err(_) => report.checkpoint_failures += 1,
+                            Ok(()) => checkpoint_writes += 1,
+                            Err(_) => checkpoint_failures += 1,
                         }
                     }
                 }
@@ -306,76 +285,54 @@ impl Trainer {
             // epoch's batch loop (validation below runs the eager tape and
             // is excluded). The last epoch's figure lands in the report.
             let pool_delta = pool::stats().since(&pool_before);
-            report.allocs_per_step = pool_delta.misses as f64 / local_batches.max(1) as f64;
+            allocs_per_step = pool_delta.misses as f64 / local_batches.max(1) as f64;
             // The epoch mean divides by the epoch's *full* batch count: on a
             // mid-epoch resume, `epoch_loss` already carries the pre-crash
             // batches' sum.
-            report
-                .train_losses
-                .push((epoch_loss / total_batches.max(1) as f64) as f32);
-
+            let train_loss = (state.epoch_loss / total_batches.max(1) as f64) as f32;
+            state.train_losses.push(train_loss);
             let val_loss = if val_slots.is_empty() {
-                *report.train_losses.last().expect("≥1 epoch")
+                train_loss
             } else {
                 self.mean_loss(model, data, &val_slots)
             };
-            report.val_losses.push(val_loss);
-            report.epochs_run += 1;
+            state.val_losses.push(val_loss);
+            state.epoch += 1;
+            state.next_batch = 0;
+            state.epoch_loss = 0.0;
+            state.epoch_slots.clear();
 
-            if val_loss < report.best_val_loss {
-                report.best_val_loss = val_loss;
-                best_snapshot = Some(model.params().params().iter().map(|p| p.value()).collect());
-                epochs_since_best = 0;
+            if val_loss < state.best_val_loss {
+                state.best_val_loss = val_loss;
+                state.best_snapshot =
+                    Some(model.params().params().iter().map(|p| p.value()).collect());
+                state.epochs_since_best = 0;
             } else {
-                epochs_since_best += 1;
-                if epochs_since_best >= self.config.patience {
+                state.epochs_since_best += 1;
+                if state.epochs_since_best >= self.config.patience {
                     break;
                 }
             }
         }
 
-        if let Some(snapshot) = best_snapshot {
+        if let Some(snapshot) = state.best_snapshot {
             for (p, v) in model.params().params().iter().zip(snapshot) {
                 p.set_value(v);
             }
         }
         model.set_trained();
-        Ok(report)
-    }
-
-    /// Assembles a [`TrainCheckpoint`] from the live training state.
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        model: &StgnnDjd,
-        opt: &Adam,
-        run_fingerprint: &str,
-        cursor: Cursor,
-        epoch_slots: &[usize],
-        shuffle_rng: &StdRng,
-        report: &TrainReport,
-        best_snapshot: &Option<Vec<Tensor>>,
-        epochs_since_best: usize,
-    ) -> TrainCheckpoint {
-        TrainCheckpoint {
-            fingerprint: run_fingerprint.to_string(),
-            cursor,
-            epoch_slots: epoch_slots.to_vec(),
-            shuffle_rng: shuffle_rng.state(),
-            dropout_rng: model.rng_cell().borrow().state(),
-            train_losses: report.train_losses.clone(),
-            val_losses: report.val_losses.clone(),
-            best_val_loss: report.best_val_loss,
-            epochs_since_best,
-            adam: opt.state(),
-            params: model
-                .params()
-                .params()
-                .iter()
-                .map(|p| (p.name().to_string(), p.value()))
-                .collect(),
-            best_snapshot: best_snapshot.clone(),
-        }
+        Ok(TrainReport {
+            epochs_run: state.val_losses.len(),
+            best_val_loss: state.best_val_loss,
+            train_losses: state.train_losses,
+            val_losses: state.val_losses,
+            tape: train_plan.tape().clone(),
+            used_compiled_plan: true,
+            allocs_per_step,
+            resumed,
+            checkpoint_writes,
+            checkpoint_failures,
+        })
     }
 
     /// Mean Eq 21 loss over `slots`, evaluation mode.
@@ -440,10 +397,11 @@ fn check_restorable(
     }
     fits("adam m", ckpt.adam.m.iter().collect())?;
     fits("adam v", ckpt.adam.v.iter().collect())?;
-    if let Some(snapshot) = &ckpt.best_snapshot {
+    if let Some(snapshot) = &ckpt.state.best_snapshot {
         fits("best snapshot", snapshot.iter().collect())?;
     }
     if let Some(t) = ckpt
+        .state
         .epoch_slots
         .iter()
         .find(|t| train_slots.binary_search(t).is_err())

@@ -125,17 +125,6 @@ pub fn static_gate(
     let slots = subsample(&data.slots(Split::Val), config.max_holdout_slots);
     let cand = evaluate(candidate, data, &slots);
     let inc = evaluate(incumbent, data, &slots);
-    let limit = inc.rmse_mean * (1.0 + config.holdout_tolerance);
-    let rejection = if !cand.rmse_mean.is_finite() {
-        Some(format!("candidate holdout RMSE is {}", cand.rmse_mean))
-    } else if cand.rmse_mean > limit {
-        Some(format!(
-            "holdout RMSE regression: candidate {} > incumbent {} × (1 + {})",
-            cand.rmse_mean, inc.rmse_mean, config.holdout_tolerance
-        ))
-    } else {
-        None
-    };
     Ok(GateReport {
         stage: "gate",
         tape_summary,
@@ -144,7 +133,12 @@ pub fn static_gate(
         slots: slots.len(),
         max_divergence: 0.0,
         candidate_latency_us: 0,
-        rejection,
+        rejection: rmse_verdict(
+            "holdout",
+            cand.rmse_mean,
+            inc.rmse_mean,
+            config.holdout_tolerance,
+        ),
     })
 }
 
@@ -185,17 +179,6 @@ pub fn shadow_compare(
     }
     let cand = acc_cand.finalize();
     let inc = acc_inc.finalize();
-    let limit = inc.rmse_mean * (1.0 + config.shadow_tolerance);
-    let rejection = if !cand.rmse_mean.is_finite() {
-        Some(format!("candidate shadow RMSE is {}", cand.rmse_mean))
-    } else if cand.rmse_mean > limit {
-        Some(format!(
-            "shadow RMSE regression: candidate {} > incumbent {} × (1 + {})",
-            cand.rmse_mean, inc.rmse_mean, config.shadow_tolerance
-        ))
-    } else {
-        None
-    };
     GateReport {
         stage: "shadow",
         tape_summary: String::new(),
@@ -204,7 +187,27 @@ pub fn shadow_compare(
         slots: slots.len(),
         max_divergence,
         candidate_latency_us: latency_us,
-        rejection,
+        rejection: rmse_verdict(
+            "shadow",
+            cand.rmse_mean,
+            inc.rmse_mean,
+            config.shadow_tolerance,
+        ),
+    }
+}
+
+/// The RMSE check the holdout and shadow stages share: a non-finite
+/// candidate RMSE, or one above `incumbent × (1 + tolerance)`, is a
+/// rejection naming the stage and both numbers.
+fn rmse_verdict(stage: &str, candidate: f32, incumbent: f32, tolerance: f32) -> Option<String> {
+    if !candidate.is_finite() {
+        Some(format!("candidate {stage} RMSE is {candidate}"))
+    } else if candidate > incumbent * (1.0 + tolerance) {
+        Some(format!(
+            "{stage} RMSE regression: candidate {candidate} > incumbent {incumbent} × (1 + {tolerance})"
+        ))
+    } else {
+        None
     }
 }
 

@@ -6,8 +6,10 @@
 //! read timeout under load — are retried with capped exponential backoff and
 //! *seeded* jitter ([`ClientConfig`]), so a retry schedule is reproducible
 //! in tests while still decorrelating real clients. Non-transient errors
-//! (malformed responses) are never retried.
+//! (malformed responses, and responses longer than the server's 64 MiB
+//! body cap) are never retried.
 
+use crate::http::MAX_BODY;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Read, Write};
@@ -163,8 +165,16 @@ fn request_once(
     stream.write_all(&message)?;
     stream.flush()?;
 
+    // Bounded like the server's own reads: a broken or hostile peer must
+    // not make this client allocate without limit.
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
+    stream.take(MAX_BODY as u64 + 1).read_to_end(&mut raw)?;
+    if raw.len() > MAX_BODY {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("response longer than {MAX_BODY} bytes"),
+        ));
+    }
     let text = String::from_utf8_lossy(&raw);
     let status = text
         .split_whitespace()
@@ -317,6 +327,42 @@ mod tests {
         let err = get_with(addr, "/x", &cfg).unwrap_err();
         assert!(retryable(&err), "fault should surface as transient: {err}");
         assert_eq!(stgnn_faults::hits("client::connect"), 2);
+    }
+
+    /// A peer that keeps sending past the body cap gets an `InvalidData`
+    /// error, which is not retried.
+    #[test]
+    fn oversized_response_is_refused_at_the_body_cap() {
+        use stgnn_faults::{scoped, FaultPlan, FaultSpec, Trigger};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            if let Ok((mut s, _)) = listener.accept() {
+                let mut head = [0u8; 1024];
+                let _ = s.read(&mut head);
+                let _ = s.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
+                let chunk = [b'x'; 64 << 10];
+                // One chunk more than the cap; the client hangs up first.
+                for _ in 0..=MAX_BODY / chunk.len() {
+                    if s.write_all(&chunk).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        let cfg = ClientConfig {
+            base_backoff: Duration::from_millis(1),
+            ..ClientConfig::default()
+        };
+        // A trigger that never fires, armed only to count connects.
+        let _count = scoped(
+            FaultPlan::new().with("client::connect", FaultSpec::io(Trigger::OnHit(u64::MAX))),
+        );
+        let err = get_with(addr, "/metrics", &cfg).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(stgnn_faults::hits("client::connect"), 1, "retried: {err}");
+        server.join().unwrap();
     }
 
     #[test]

@@ -10,6 +10,11 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
+/// The largest body this server reads, 64 MiB: a checkpoint for a large
+/// city is megabytes; anything bigger is a mistake or abuse. The client
+/// caps the responses it reads at the same size.
+pub(crate) const MAX_BODY: usize = 64 << 20;
+
 /// A parsed HTTP request.
 #[derive(Debug)]
 pub struct Request {
@@ -146,9 +151,7 @@ fn parse_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
             }
         }
     }
-    // Cap bodies at 64 MiB — a checkpoint for a large city is megabytes;
-    // anything bigger is a mistake or abuse.
-    if content_length > 64 << 20 {
+    if content_length > MAX_BODY {
         return Err(RequestError::BodyTooLarge(content_length));
     }
     let mut body = Vec::new();
@@ -383,7 +386,7 @@ mod tests {
                 1 => VALID[..n % (VALID.len() + 1)].to_vec(),
                 2 => {
                     let declared = match n % 4 {
-                        0 => ((64 << 20) + 1 + n).to_string(),
+                        0 => (MAX_BODY + 1 + n).to_string(),
                         1 => u64::MAX.to_string(),
                         2 => "99999999999999999999999".to_string(),
                         _ => (n / 4 % 8).to_string(),

@@ -41,6 +41,7 @@ use rand::{Rng, SeedableRng};
 use stgnn_djd::data::dataset::{BikeDataset, DatasetConfig, Split};
 use stgnn_djd::data::error::Error;
 use stgnn_djd::data::synthetic::{CityConfig, SyntheticCity};
+use stgnn_djd::faults::fsio::RecordError;
 use stgnn_djd::faults::{scoped, FaultPlan, FaultSpec, Trigger};
 use stgnn_djd::model::{CheckpointError, StgnnConfig, StgnnDjd, TrainCheckpoint, Trainer};
 use stgnn_djd::online::{CycleOutcome, LoopState, OnlineConfig, OnlineLoop, Phase};
@@ -518,7 +519,7 @@ fn hostile_checkpoints_get_a_typed_error_never_a_panic() {
     ));
     for (label, payload) in &hostile {
         match load(label, payload) {
-            Err(CheckpointError::Malformed(_)) => {}
+            Err(CheckpointError::Record(RecordError::Malformed(_))) => {}
             other => panic!(
                 "{label}: expected a malformed-checkpoint error, got {:?}",
                 other.map(|_| "a checkpoint")
