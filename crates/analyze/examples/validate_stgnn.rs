@@ -6,8 +6,9 @@
 //! prints each plan's in-place rewrite count. Compilation validates the
 //! traced tape and refuses a `Deny`, so a compile error covers both.
 //! Exits nonzero if either tape carries a `Deny` diagnostic or any
-//! configuration fails to compile a plan, so CI can run this as a smoke
-//! gate:
+//! configuration fails to compile a plan. CI does not run it:
+//! `tests/plan_parity.rs` compiles both plans of the same twelve
+//! configurations in the test suite. Run it for the cost tables:
 //!
 //! ```text
 //! cargo run -p stgnn-analyze --example validate_stgnn

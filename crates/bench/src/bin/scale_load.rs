@@ -16,8 +16,8 @@
 //! Smoke mode runs a districted test city through replicated fleets of 1
 //! and 2 plus a 4-shard fleet in a couple of seconds; full mode scales the
 //! synthetic city into the hundreds of stations (replicated) and to a
-//! 768-station metro (sharded — the replicated layout cannot even hold
-//! that city's dense flow series in one process, which is the point).
+//! 768-station metro (sharded only: a full replica would run 768×768 model
+//! stages on every forward).
 
 use std::sync::Arc;
 use stgnn_bench::TableWriter;

@@ -9,7 +9,7 @@
 //! that was never interrupted — asserted by the chaos suite down to every
 //! parameter gradient.
 //!
-//! ## On-disk format (`stgnn-ckpt v1`)
+//! ## On-disk format (`stgnn-ckpt v2`)
 //!
 //! A record of the shared format (`stgnn_faults::fsio`): the magic line,
 //! a `crc32 … len …` header, then a payload of `key value` lines, with the
@@ -20,6 +20,11 @@
 //! because bitwise resume fidelity is the whole point. Files are written
 //! via `stgnn_faults::fsio::atomic_write`, so a crash mid-write leaves the
 //! previous checkpoint intact.
+//!
+//! `v2` differs from `v1` only in the fingerprint's graph section, which
+//! now hashes each slot's trip-count entries instead of the dense flow
+//! matrices. A `v1` file is therefore refused as version skew rather than
+//! reported as a refreshed graph.
 
 use rand::rngs::StdRng;
 use std::fmt::{self, Write as _};
@@ -32,7 +37,7 @@ use stgnn_tensor::optim::AdamState;
 use stgnn_tensor::serialize::{parse_params, parse_tensor, push_params, push_tensor};
 use stgnn_tensor::Tensor;
 
-const MAGIC: &str = "stgnn-ckpt v1";
+const MAGIC: &str = "stgnn-ckpt v2";
 
 /// Why a checkpoint could not be loaded. `resume_from` surfaces these as
 /// typed errors so callers (and the corruption tests) can tell apart
@@ -42,7 +47,7 @@ const MAGIC: &str = "stgnn-ckpt v1";
 pub enum CheckpointError {
     /// Filesystem-level failure reading or writing the file.
     Io(std::io::Error),
-    /// The file is not an intact `stgnn-ckpt v1` record: torn, bit-rotted,
+    /// The file is not an intact `stgnn-ckpt v2` record: torn, bit-rotted,
     /// another version, or a payload that does not parse.
     Record(RecordError),
     /// A well-formed checkpoint from a *different run*: configuration
@@ -155,8 +160,10 @@ pub struct TrainCheckpoint {
 /// to. The paper's FCG mask and PCG attention are **functions of the flow
 /// window** — the FCG edge set derives from the inflow/outflow matrices,
 /// the PCG attention from the demand/supply series — so hashing those
-/// inputs (as exact bit patterns) identifies the graph topology without
-/// materialising per-slot edge sets.
+/// inputs identifies the graph topology without materialising per-slot
+/// edge sets. The matrices go in as each slot's nonzero trip-count entries
+/// behind their number, which marks where one slot ends and the next
+/// begins: `O(trips)` work, not `O(n²·slots)`.
 ///
 /// Participates in [`fingerprint`]: a checkpoint taken before an online
 /// edge refresh no longer matches the refreshed run, and `resume_from`
@@ -165,16 +172,18 @@ pub struct TrainCheckpoint {
 /// moments accumulated against the old edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphTopology {
-    /// FNV-1a over the flow matrices (FCG edge inputs) and their dims.
+    /// FNV-1a over the flow matrices' entries (FCG edge inputs), slot by
+    /// slot, and their dims.
     pub fcg: u64,
     /// FNV-1a over the demand/supply series (PCG attention inputs).
     pub pcg: u64,
 }
 
 impl GraphTopology {
-    /// Computes both hashes from the dataset the run trains on. Exact: all
-    /// floats are hashed as IEEE-754 bit patterns, so two datasets collide
-    /// only if their graph-defining inputs are bit-identical.
+    /// Computes both hashes from the dataset the run trains on. Exact: the
+    /// counts are hashed as integers and demand/supply as IEEE-754 bit
+    /// patterns, so two datasets collide only if their graph-defining
+    /// inputs are identical.
     pub fn of(data: &stgnn_data::dataset::BikeDataset) -> GraphTopology {
         let flows = data.flows();
         let n = flows.n_stations();
@@ -190,8 +199,11 @@ impl GraphTopology {
             pcg = fnv1a(pcg, &d.to_le_bytes());
         }
         for t in 0..flows.num_slots() {
-            for v in flows.inflow(t).data().iter().chain(flows.outflow(t).data()) {
-                fcg = fnv1a(fcg, &v.to_bits().to_le_bytes());
+            for entries in [flows.inflow(t), flows.outflow(t)] {
+                fcg = fnv1a(fcg, &(entries.len() as u64).to_le_bytes());
+                for word in entries.iter().flat_map(|e| [e.origin, e.dest, e.count]) {
+                    fcg = fnv1a(fcg, &word.to_le_bytes());
+                }
             }
             for v in flows.demand_at(t).iter().chain(flows.supply_at(t)) {
                 pcg = fnv1a(pcg, &v.to_bits().to_le_bytes());
@@ -542,15 +554,25 @@ mod tests {
         ));
     }
 
+    /// Another version is typed skew. That includes a `v1` file, whose
+    /// graph section hashed the dense flow matrices and so can never match a
+    /// `v2` run: it is refused before its payload is read, not reported as
+    /// a refreshed graph.
     #[test]
     fn version_skew_is_typed() {
         let path = tmp("skew");
-        std::fs::write(&path, b"stgnn-ckpt v99\ncrc32 00000000 len 0\n").unwrap();
-        match TrainCheckpoint::load(&path) {
-            Err(CheckpointError::Record(RecordError::VersionSkew { found })) => {
-                assert_eq!(found, "stgnn-ckpt v99")
+        sample().save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        let v1 = [b"stgnn-ckpt v1".as_slice(), &saved[MAGIC.len()..]].concat();
+        let v99 = b"stgnn-ckpt v99\ncrc32 00000000 len 0\n".to_vec();
+        for (bytes, magic) in [(v99, "stgnn-ckpt v99"), (v1, "stgnn-ckpt v1")] {
+            std::fs::write(&path, bytes).unwrap();
+            match TrainCheckpoint::load(&path) {
+                Err(CheckpointError::Record(RecordError::VersionSkew { found })) => {
+                    assert_eq!(found, magic)
+                }
+                other => panic!("expected VersionSkew, got {other:?}", other = other.err()),
             }
-            other => panic!("expected VersionSkew, got {other:?}", other = other.err()),
         }
     }
 
@@ -612,6 +634,38 @@ mod tests {
         // inputs) and the demand/supply series (PCG inputs).
         assert_ne!(a.fcg, b.fcg);
         assert_ne!(a.pcg, b.pcg);
+    }
+
+    /// One trip picked up and returned within a slot, moved to the next
+    /// slot, leaves the same entries in the same order; only the per-slot
+    /// entry counts tell the two datasets apart.
+    #[test]
+    fn moving_a_trip_to_the_next_slot_changes_the_fingerprint() {
+        use stgnn_data::dataset::{BikeDataset, DatasetConfig};
+        use stgnn_data::synthetic::{CityConfig, SyntheticCity};
+        use stgnn_data::{FlowSeries, TripRecord};
+        let registry = SyntheticCity::generate(CityConfig::test_tiny(7)).registry;
+        let n = registry.len();
+        let with_trip_at = |start_min: i64| {
+            let trip = TripRecord {
+                rid: 1,
+                origin: 2,
+                dest: 3,
+                start_min,
+                end_min: start_min + 20,
+            };
+            let flows = FlowSeries::from_trips(&[trip], n, 10, 24).unwrap();
+            BikeDataset::new(flows, registry.clone(), DatasetConfig::small(6, 2)).unwrap()
+        };
+        // Slot 30 (minutes 1800–1859), then slot 31.
+        let a = GraphTopology::of(&with_trip_at(1810));
+        let b = GraphTopology::of(&with_trip_at(1870));
+        assert_ne!(a.fcg, b.fcg);
+        let config = crate::config::StgnnConfig::test_tiny(6, 2);
+        assert_ne!(
+            fingerprint(&config, n, 1, &a),
+            fingerprint(&config, n, 1, &b)
+        );
     }
 
     #[test]

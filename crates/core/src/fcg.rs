@@ -173,7 +173,7 @@ pub fn fcg_mean_adj(mask: &Tensor) -> Tensor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pcg::tests::{matmul_f64, rows_f64};
     use rand::SeedableRng;
@@ -202,13 +202,13 @@ mod tests {
     /// self-loop, `D⁻¹(ReLU(T)⊙M + I)` with the 1e-6 row-sum guard; the mean
     /// adjacency `1/|N(i)|`; or the max pool of `ReLU(F·W_fc + b)` over each
     /// mask row; then Eq 13's `F^k = ReLU(Aggr(F^{k−1})·W^k)`.
-    fn literal_fcg(
+    pub(crate) fn literal_fcg(
         ps: &ParamSet,
         agg: FcgAggregator,
         layers: usize,
-        edges: &Tensor,
-        features: &Tensor,
-        mask: &Tensor,
+        edges: &[Vec<f64>],
+        features: &[Vec<f64>],
+        mask: &[Vec<f64>],
     ) -> Vec<Vec<f64>> {
         let param = |name: String| {
             let p = ps.params().iter().find(|p| p.name() == name);
@@ -219,9 +219,8 @@ mod tests {
                 .map(|row| row.into_iter().map(|x| x.max(0.0)).collect())
                 .collect()
         };
-        let (t, m) = (rows_f64(edges), rows_f64(mask));
+        let (t, m) = (edges, mask);
         let n = m.len();
-        let m = &m;
         let hood = |i: usize| (0..n).filter(move |&j| m[i][j] > 0.0);
         let weights: Vec<Vec<f64>> = (0..n)
             .map(|i| {
@@ -240,7 +239,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut f = rows_f64(features);
+        let mut f = features.to_vec();
         for k in 0..layers {
             let aggregated = match agg {
                 FcgAggregator::Flow => matmul_f64(&weights, &f),
@@ -284,7 +283,14 @@ mod tests {
             let g = Graph::new();
             let (e, f) = (g.leaf(edges.clone()), g.leaf(features.clone()));
             let out = net.forward(&g, &e, &f, &mask, None).value();
-            let want = literal_fcg(&ps, agg, net.depth(), &edges, &features, &mask);
+            let want = literal_fcg(
+                &ps,
+                agg,
+                net.depth(),
+                &rows_f64(&edges),
+                &rows_f64(&features),
+                &rows_f64(&mask),
+            );
             assert!(want.iter().flatten().any(|&w| w > 0.0), "{agg:?}: all zero");
             for (i, want_row) in want.iter().enumerate() {
                 for (j, &w) in want_row.iter().enumerate() {

@@ -144,9 +144,9 @@ pub fn fcg_mask(i_hat: &Tensor, o_hat: &Tensor) -> Tensor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::pcg::tests::{matmul_f64, rows_f64};
+    use crate::pcg::tests::{matmul_f64, rows_f64, Rows};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use stgnn_tensor::optim::{Adam, Optimizer};
@@ -174,23 +174,26 @@ mod tests {
     /// `β^S = exp(W·Î^S) / (exp(W·Î^S) + exp(W·Î^L))` and
     /// `β^L = exp(W·Î^L) / (exp(W·Î^S) + exp(W·Î^L))` with the fused
     /// `β^S ⊙ Î^S + β^L ⊙ Î^L`, under `W₅` for inflow and `W₆` for outflow
-    /// (Eqs 5–8); and `T = (Î ‖ Ô)·W₇` (Eq 9).
-    fn literal_flow_conv(ps: &ParamSet, n: usize, windows: [&Tensor; 4]) -> Vec<Vec<f64>> {
+    /// (Eqs 5–8); and `T = (Î ‖ Ô)·W₇` (Eq 9). Returns `(T, Î, Ô)`.
+    pub(crate) fn literal_flow_conv(
+        ps: &ParamSet,
+        n: usize,
+        windows: [&[Vec<f64>]; 4],
+    ) -> (Rows, Rows, Rows) {
         let param = |name: &str| {
             let p = ps.params().iter().find(|p| p.name() == name);
             rows_f64(&p.unwrap_or_else(|| panic!("no parameter {name}")).value())
         };
-        let conv = |name: &str, x: &Tensor| -> Vec<Vec<f64>> {
+        let conv = |name: &str, x: &[Vec<f64>]| -> Vec<Vec<f64>> {
             let (w, b) = (
                 param(&format!("fc.{name}.w")),
                 param(&format!("fc.{name}.b")),
             );
-            let x = rows_f64(x);
             (0..n)
                 .map(|i| {
                     (0..n)
                         .map(|j| {
-                            let sum: f64 = w[0].iter().zip(&x).map(|(w, c)| w * c[i * n + j]).sum();
+                            let sum: f64 = w[0].iter().zip(x).map(|(w, c)| w * c[i * n + j]).sum();
                             (sum + b[i][j]).max(0.0)
                         })
                         .collect()
@@ -228,7 +231,7 @@ mod tests {
             .zip(&o_hat)
             .map(|(i, o)| i.iter().chain(o).copied().collect())
             .collect();
-        matmul_f64(&joined, &param("fc.w7"))
+        (matmul_f64(&joined, &param("fc.w7")), i_hat, o_hat)
     }
 
     /// The flow convolution must compute what Eqs 1–9 print, the gates'
@@ -254,7 +257,8 @@ mod tests {
         let g = Graph::new();
         let leaves = windows.each_ref().map(|w| g.leaf(w.clone()));
         let t = fc.forward_windows(&g, &leaves).t.value();
-        let want = literal_flow_conv(&ps, N5, windows.each_ref());
+        let rows = windows.each_ref().map(rows_f64);
+        let (want, _, _) = literal_flow_conv(&ps, N5, rows.each_ref().map(Vec::as_slice));
         for (i, want_row) in want.iter().enumerate() {
             for (j, &w) in want_row.iter().enumerate() {
                 let v = f64::from(t.get2(i, j));

@@ -549,8 +549,12 @@ impl DemandSupplyPredictor for StgnnDjd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fcg::tests::literal_fcg;
+    use crate::flow_conv::tests::literal_flow_conv;
+    use crate::pcg::tests::{literal_attention_layer, matmul_f64, rows_f64};
     use stgnn_data::dataset::DatasetConfig;
     use stgnn_data::synthetic::{CityConfig, SyntheticCity};
+    use stgnn_data::{FlowSeries, TripRecord};
 
     fn dataset() -> BikeDataset {
         let city = SyntheticCity::generate(CityConfig::test_tiny(41));
@@ -707,5 +711,265 @@ mod tests {
         assert_eq!(m.get2(1, 1), 1.0);
         assert_eq!(m.get2(0, 1), 1.0);
         assert_eq!(m.get2(1, 0), 0.0);
+    }
+    /// Eqs 19–20 evaluated literally, in plain f64 loops over the
+    /// parameters read from `ps` by name: the branch embeddings
+    /// concatenated row by row (Eq 19), the optional hidden layer
+    /// `ReLU(F·W_h + b_h)`, then `F·W₁₁` with demand in its first `horizon`
+    /// columns and supply in the rest (Eq 20). Returns `(demand, supply)`,
+    /// each `n×horizon`.
+    fn literal_head(
+        ps: &ParamSet,
+        embeddings: &[&[Vec<f64>]],
+        horizon: usize,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let param = |name: &str| {
+            let p = ps.params().iter().find(|p| p.name() == name);
+            p.map(|p| rows_f64(&p.value()))
+        };
+        let n = embeddings[0].len();
+        let mut f: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                embeddings
+                    .iter()
+                    .flat_map(|e| e[i].iter().copied())
+                    .collect()
+            })
+            .collect();
+        if let (Some(wh), Some(bh)) = (param("predictor.wh"), param("predictor.bh")) {
+            f = matmul_f64(&f, &wh)
+                .into_iter()
+                .map(|row| {
+                    row.iter()
+                        .zip(&bh[0])
+                        .map(|(x, b)| (x + b).max(0.0))
+                        .collect()
+                })
+                .collect();
+        }
+        let out = matmul_f64(&f, &param("predictor.w11").expect("W11"));
+        let demand = out.iter().map(|row| row[..horizon].to_vec()).collect();
+        let supply = out.iter().map(|row| row[horizon..].to_vec()).collect();
+        (demand, supply)
+    }
+
+    /// Eq 21 evaluated literally: the radicand `mse(demand) + mse(supply)`
+    /// and its square root, the loss.
+    fn literal_loss(pred: [&[Vec<f64>]; 2], truth: [&[Vec<f64>]; 2]) -> (f64, f64) {
+        let mse = |p: &[Vec<f64>], t: &[Vec<f64>]| {
+            let sq: Vec<f64> = p
+                .iter()
+                .flatten()
+                .zip(t.iter().flatten())
+                .map(|(p, t)| (p - t) * (p - t))
+                .collect();
+            sq.iter().sum::<f64>() / sq.len() as f64
+        };
+        let radicand = mse(pred[0], truth[0]) + mse(pred[1], truth[1]);
+        (radicand, radicand.sqrt())
+    }
+
+    /// The largest `|got − want|` over two same-shaped matrices.
+    fn max_error(got: &Tensor, want: &[Vec<f64>]) -> f64 {
+        rows_f64(got)
+            .iter()
+            .flatten()
+            .zip(want.iter().flatten())
+            .map(|(g, w)| (g - w).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// The concatenation, hidden ReLU layer, `W₁₁` head and demand/supply
+    /// split, and Eq 21's loss, each against the model's own inputs to that
+    /// block: the branch embeddings an eval-mode forward computes.
+    #[test]
+    fn head_and_loss_match_a_literal_eq_19_to_21_evaluation() {
+        let data = dataset();
+        let m = model(&data);
+        // Signed hidden biases, so some of the hidden ReLUs clamp.
+        let (_, bh) = m.hidden.as_ref().expect("test_tiny has a hidden layer");
+        let h = bh.value().len();
+        let bias = (0..h).map(|i| (i as f32 * 0.37).sin() * 0.5).collect();
+        bh.set_value(Tensor::from_vec(Shape::matrix(1, h), bias).unwrap());
+        let t = data.slots(stgnn_data::Split::Train)[2];
+        let inputs = ModelInputs::from_dataset(&data, t);
+        let g = Graph::new();
+        let out = m.forward(&g, &inputs, false);
+        // The branch embeddings, recomputed from the same modules.
+        let windows = [
+            &inputs.short_in,
+            &inputs.short_out,
+            &inputs.long_in,
+            &inputs.long_out,
+        ]
+        .map(|w| g.leaf(w.clone()));
+        let fc = m.flow_conv.as_ref().unwrap().forward_windows(&g, &windows);
+        let mask = fcg_mask(&fc.i_hat.value(), &fc.o_hat.value());
+        let f_f = m
+            .fcg
+            .as_ref()
+            .unwrap()
+            .forward(&g, &fc.t, &fc.t, &mask, None);
+        let (f_p, _) = m
+            .pcg
+            .as_ref()
+            .unwrap()
+            .forward_with_attention(&g, &fc.t, None);
+        let (f_f, f_p) = (rows_f64(&f_f.value()), rows_f64(&f_p.value()));
+        let (demand, supply) = literal_head(m.params(), &[&f_f, &f_p], 1);
+        assert!(max_error(&out.demand.value(), &demand) <= 1e-4);
+        assert!(max_error(&out.supply.value(), &supply) <= 1e-4);
+
+        let (dt, st) = data.targets(t);
+        let (radicand, loss) = literal_loss([&demand, &supply], [&rows_f64(&dt), &rows_f64(&st)]);
+        let got_sq = m.squared_loss(&g, &out, &dt, &st).value().scalar();
+        let got = m.loss(&g, &out, &dt, &st).value().scalar();
+        assert!(
+            (f64::from(got_sq) - radicand).abs() <= 1e-4,
+            "{got_sq} vs {radicand}"
+        );
+        assert!((f64::from(got) - loss).abs() <= 1e-4, "{got} vs {loss}");
+    }
+
+    /// Trips over four days of four 6-hour slots at five stations. The two
+    /// directions of a pair differ in count and time, some trips return in
+    /// a later slot than they leave (so `I^t` is not `O^tᵀ`), three pairs
+    /// repeat within a slot, and station 3 rides to itself.
+    const TRIPS: [(usize, usize, i64, i64); 21] = [
+        (0, 1, 730, 800),
+        (0, 1, 750, 1100),
+        (2, 4, 1000, 1090),
+        (3, 3, 900, 950),
+        (1, 2, 2200, 2300),
+        (4, 0, 2400, 2600),
+        (1, 2, 2450, 2500),
+        (0, 3, 2600, 2700),
+        (2, 1, 2700, 2900),
+        (3, 4, 2950, 3000),
+        (3, 4, 3000, 3100),
+        (4, 2, 3100, 3300),
+        (0, 2, 3300, 3350),
+        (1, 3, 3400, 3650),
+        (2, 0, 3500, 3550),
+        (4, 1, 3560, 3570),
+        (0, 4, 3620, 3700),
+        (3, 1, 3700, 3800),
+        (1, 0, 3800, 3900),
+        (4, 0, 3850, 3950),
+        (2, 4, 3900, 4100),
+    ];
+
+    /// The whole model at n = 5 — windows, Eqs 1–9, the FCG mask, Eqs 10,
+    /// 13–14, Eqs 15–18, Eqs 19–21 — against a chain of the literal f64
+    /// oracles fed straight from [`TRIPS`], with no `FlowSeries` in the
+    /// oracle's path. A wiring slip between blocks (a transposed window,
+    /// `Î` where Eq 10 wants `T`) passes every per-block oracle but not
+    /// this one.
+    #[test]
+    fn the_composed_model_matches_its_literal_equations() {
+        const N: usize = 5;
+        const SLOT_MINUTES: i64 = 360;
+        let (days, spd, target) = (4, 4, 10);
+        let mut config = StgnnConfig::test_tiny(3, 2);
+        config.fcg_layers = 2;
+
+        // The oracle's inputs, counted from the trips. `O^t[o][d]` counts
+        // the trips o → d picked up in slot t; `I^t[d][o]` those returned
+        // in it. Both scale by the largest count in the training slots, and
+        // demand/supply by the largest row sum there.
+        let slot_of = |minute: i64| (minute / SLOT_MINUTES) as usize;
+        let mut outflow = vec![vec![0.0f64; N * N]; days * spd];
+        let mut inflow = vec![vec![0.0f64; N * N]; days * spd];
+        for &(o, d, start, end) in &TRIPS {
+            outflow[slot_of(start)][o * N + d] += 1.0;
+            inflow[slot_of(end)][d * N + o] += 1.0;
+        }
+        let train_slots = 3 * spd; // 70 % of 4 days, rounded
+        let flow_scale = outflow[..train_slots]
+            .iter()
+            .chain(&inflow[..train_slots])
+            .flatten()
+            .fold(1.0f64, |a, &b| a.max(b));
+        let row_sums = |m: &[f64]| -> Vec<Vec<f64>> {
+            (0..N)
+                .map(|i| vec![m[i * N..(i + 1) * N].iter().sum()])
+                .collect()
+        };
+        let target_scale = outflow[..train_slots]
+            .iter()
+            .chain(&inflow[..train_slots])
+            .flat_map(|m| row_sums(m))
+            .flatten()
+            .fold(1.0f64, f64::max);
+        let window = |series: &[Vec<f64>], slots: &[usize]| -> Vec<Vec<f64>> {
+            slots
+                .iter()
+                .map(|&t| series[t].iter().map(|v| v / flow_scale).collect())
+                .collect()
+        };
+        let short: Vec<usize> = (target - config.k..target).collect();
+        let long: Vec<usize> = (1..=config.d).rev().map(|i| target - i * spd).collect();
+        let windows = [
+            window(&inflow, &short),
+            window(&outflow, &short),
+            window(&inflow, &long),
+            window(&outflow, &long),
+        ];
+        let truth = [&outflow, &inflow].map(|series| {
+            row_sums(&series[target])
+                .into_iter()
+                .map(|row| vec![row[0] / target_scale])
+                .collect::<Vec<_>>()
+        });
+
+        // The model, on a dataset aggregated from the same trips.
+        let trips: Vec<TripRecord> = TRIPS
+            .iter()
+            .map(|&(origin, dest, start_min, end_min)| TripRecord {
+                rid: 0,
+                origin,
+                dest,
+                start_min,
+                end_min,
+            })
+            .collect();
+        let registry = SyntheticCity::generate(CityConfig::test_tiny(41)).registry;
+        let registry = stgnn_data::StationRegistry::new(registry.stations()[..N].to_vec());
+        let flows = FlowSeries::from_trips(&trips, N, days, spd).unwrap();
+        let data = BikeDataset::new(flows, registry, DatasetConfig::small(3, 2)).unwrap();
+        assert_eq!(data.days(stgnn_data::Split::Train).end * spd, train_slots);
+        assert!(data.slots(stgnn_data::Split::Train).contains(&target));
+        let m = StgnnDjd::new(config.clone(), N).unwrap();
+        let g = Graph::new();
+        let out = m.forward(&g, &ModelInputs::from_dataset(&data, target), false);
+        let (dt, st) = data.targets(target);
+        let loss = m.loss(&g, &out, &dt, &st).value().scalar();
+
+        // The chain of literal oracles.
+        let ps = m.params();
+        let (t, i_hat, o_hat) = literal_flow_conv(ps, N, windows.each_ref().map(Vec::as_slice));
+        let mask: Vec<Vec<f64>> = (0..N)
+            .map(|i| {
+                (0..N)
+                    .map(|j| f64::from(u8::from(i == j || i_hat[i][j] > 0.0 || o_hat[j][i] > 0.0)))
+                    .collect()
+            })
+            .collect();
+        assert!(
+            mask.iter().flatten().any(|&v| v == 0.0),
+            "the mask prunes nothing"
+        );
+        let f_f = literal_fcg(ps, config.fcg_aggregator, config.fcg_layers, &t, &t, &mask);
+        let (_, f_p) = literal_attention_layer(ps, &t, config.heads);
+        let (demand, supply) = literal_head(ps, &[&f_f, &f_p], 1);
+        let (_, want_loss) = literal_loss([&demand, &supply], [&truth[0], &truth[1]]);
+
+        let errors = [
+            max_error(&out.demand.value(), &demand),
+            max_error(&out.supply.value(), &supply),
+            (f64::from(loss) - want_loss).abs(),
+        ];
+        let worst = errors.iter().copied().fold(0.0, f64::max);
+        assert!(worst <= 1e-4, "demand/supply/loss errors {errors:?}");
     }
 }

@@ -198,6 +198,9 @@ pub(crate) mod tests {
         Tensor::from_vec(Shape::matrix(N, N), data).unwrap()
     }
 
+    /// A matrix as f64 rows, the oracles' working form.
+    pub(crate) type Rows = Vec<Vec<f64>>;
+
     pub(crate) fn rows_f64(t: &Tensor) -> Vec<Vec<f64>> {
         (0..t.shape().rows())
             .map(|i| t.row(i).iter().map(|&v| f64::from(v)).collect())
@@ -228,16 +231,15 @@ pub(crate) mod tests {
     /// (Eq 16), `ELU(α·F·φ)` per head (Eq 17), and the heads concatenated,
     /// then multiplied by `W₁₀` (Eq 18). Returns the head-averaged α and
     /// `F^p`.
-    fn literal_attention_layer(
+    pub(crate) fn literal_attention_layer(
         ps: &ParamSet,
-        f: &Tensor,
+        fm: &[Vec<f64>],
         heads: usize,
     ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
         let param = |name: String| {
             let p = ps.params().iter().find(|p| p.name() == name);
             rows_f64(&p.unwrap_or_else(|| panic!("no parameter {name}")).value())
         };
-        let fm = rows_f64(f);
         let n = fm.len();
         let mut alpha_mean = vec![vec![0.0; n]; n];
         let mut concat = vec![Vec::new(); n];
@@ -249,7 +251,7 @@ pub(crate) mod tests {
                 .map(|row| row[0])
                 .collect();
             let phi = param(format!("pcg.0.{u}.phi"));
-            let h = matmul_f64(&fm, &w8);
+            let h = matmul_f64(fm, &w8);
             let e: Vec<Vec<f64>> = (0..n)
                 .map(|i| {
                     (0..n)
@@ -269,7 +271,7 @@ pub(crate) mod tests {
                     ex.iter().map(|x| x / z).collect()
                 })
                 .collect();
-            let out = matmul_f64(&alpha, &matmul_f64(&fm, &phi));
+            let out = matmul_f64(&alpha, &matmul_f64(fm, &phi));
             for i in 0..n {
                 for j in 0..n {
                     alpha_mean[i][j] += alpha[i][j] / heads as f64;
@@ -297,7 +299,7 @@ pub(crate) mod tests {
         let f = features(14);
         let g = Graph::new();
         let (out, attn) = net.forward_with_attention(&g, &g.leaf(f.clone()), None);
-        let (alpha, fp) = literal_attention_layer(&ps, &f, heads);
+        let (alpha, fp) = literal_attention_layer(&ps, &rows_f64(&f), heads);
         for (what, got, want) in [("α", &attn[0], &alpha), ("F^p", &out.value(), &fp)] {
             for (i, want_row) in want.iter().enumerate() {
                 for (j, &w) in want_row.iter().enumerate() {

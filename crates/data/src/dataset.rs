@@ -130,15 +130,6 @@ impl BikeDataset {
         })
     }
 
-    /// A dataset over a whole-day window of this dataset's flows, with
-    /// splits and normalisation statistics re-derived **from the window
-    /// alone** — the view an online fine-tune sees: drifted recent data
-    /// changes the training scale, not just the slots.
-    pub fn windowed(&self, days: std::ops::Range<usize>) -> Result<Self> {
-        let flows = self.flows.window(days)?;
-        Self::new(flows, self.registry.clone(), self.config.clone())
-    }
-
     /// Number of stations.
     pub fn n_stations(&self) -> usize {
         self.flows.n_stations()
@@ -226,8 +217,8 @@ impl BikeDataset {
     /// `(k, n·n)` rows (oldest first) and scaled to `[0, 1]` by the
     /// training-split flow maximum.
     pub fn short_term_stacks(&self, t: usize) -> (Tensor, Tensor) {
-        let k = self.config.k;
-        self.stack_slots((t - k..t).collect())
+        let slots: Vec<usize> = (t - self.config.k..t).collect();
+        self.flows.window_stacks(&slots, 1.0 / self.flow_scale)
     }
 
     /// The long-term input stacks at target slot `t`: the same time-of-day
@@ -235,19 +226,8 @@ impl BikeDataset {
     /// first), scaled like the short-term stack.
     pub fn long_term_stacks(&self, t: usize) -> (Tensor, Tensor) {
         let spd = self.flows.slots_per_day();
-        let d = self.config.d;
-        self.stack_slots((1..=d).rev().map(|i| t - i * spd).collect())
-    }
-
-    /// Stacks the scaled inflow and outflow matrices of `slots` into pooled
-    /// storage, so each slot's window recycles through the tensor pool.
-    fn stack_slots(&self, slots: Vec<usize>) -> (Tensor, Tensor) {
-        let scale = 1.0 / self.flow_scale;
-        let stack = |flow: fn(&FlowSeries, usize) -> &Tensor| {
-            let rows: Vec<&[f32]> = slots.iter().map(|&s| flow(&self.flows, s).data()).collect();
-            Tensor::from_rows_map(&rows, |v| v * scale).expect("every slot is n×n")
-        };
-        (stack(FlowSeries::inflow), stack(FlowSeries::outflow))
+        let slots: Vec<usize> = (1..=self.config.d).rev().map(|i| t - i * spd).collect();
+        self.flows.window_stacks(&slots, 1.0 / self.flow_scale)
     }
 
     /// Normalised targets `(demand, supply)` at slot `t`, each `n×1`.
@@ -367,33 +347,60 @@ mod tests {
         assert!(so.min_all() >= 0.0);
     }
 
+    /// The `n×n` matrix of slot `t` counted straight from the city's trips,
+    /// scaled: entry `(i, j)` counts the trips checked out (if `outflow`)
+    /// or returned (if not) at `i` in slot `t`, with `j` the other end.
+    fn counted(ds: &BikeDataset, city: &SyntheticCity, t: usize, outflow: bool) -> Vec<f32> {
+        let n = ds.n_stations();
+        let slot_minutes = ds.flows().slot_minutes();
+        let mut m = vec![0.0f32; n * n];
+        for trip in &city.trips {
+            let (at, i, j) = if outflow {
+                (trip.start_min, trip.origin, trip.dest)
+            } else {
+                (trip.end_min, trip.dest, trip.origin)
+            };
+            if at.div_euclid(slot_minutes) == t as i64 {
+                m[i * n + j] += 1.0;
+            }
+        }
+        m.iter().map(|v| v / ds.flow_scale()).collect()
+    }
+
     #[test]
     fn short_term_stack_rows_match_source_slots() {
-        let ds = dataset();
+        let city = SyntheticCity::generate(CityConfig::test_tiny(5));
+        let ds = BikeDataset::from_city(&city, DatasetConfig::small(6, 2)).unwrap();
         let t = ds.slots(Split::Train)[3];
         let (_, so) = ds.short_term_stacks(t);
         // Row k-1 (newest) is slot t-1's outflow, scaled.
-        let expect = ds.flows().outflow(t - 1).mul_scalar(1.0 / ds.flow_scale());
+        let expect = counted(&ds, &city, t - 1, true);
+        assert!(
+            expect.iter().any(|&v| v > 0.0),
+            "slot {} has no trips",
+            t - 1
+        );
         let newest = so.slice_rows(5, 6).unwrap();
         assert!(newest
             .data()
             .iter()
-            .zip(expect.data())
+            .zip(&expect)
             .all(|(a, b)| (a - b).abs() < 1e-6));
     }
 
     #[test]
     fn long_term_stack_uses_same_time_of_day() {
-        let ds = dataset();
+        let city = SyntheticCity::generate(CityConfig::test_tiny(5));
+        let ds = BikeDataset::from_city(&city, DatasetConfig::small(6, 2)).unwrap();
         let spd = ds.slots_per_day();
         let t = ds.slots(Split::Val)[0];
         let (li, _) = ds.long_term_stacks(t);
-        let expect = ds.flows().inflow(t - spd).mul_scalar(1.0 / ds.flow_scale());
+        let expect = counted(&ds, &city, t - spd, false);
         let newest = li.slice_rows(1, 2).unwrap();
         assert!(newest
             .data()
             .iter()
-            .zip(expect.data())
+            .zip(&expect)
             .all(|(a, b)| (a - b).abs() < 1e-6));
     }
 
@@ -415,25 +422,6 @@ mod tests {
         let city = SyntheticCity::generate(CityConfig::test_tiny(5));
         // d = 20 days of history on an 8-day horizon cannot work.
         assert!(BikeDataset::from_city(&city, DatasetConfig::small(6, 20)).is_err());
-    }
-
-    #[test]
-    fn windowed_view_rederives_splits_and_scales() {
-        let ds = dataset(); // 8 days of 24 slots
-        let w = ds.windowed(2..8).unwrap();
-        assert_eq!(w.flows().num_days(), 6);
-        // Slot 0 of the view is slot 2*24 of the parent, bit for bit.
-        assert_eq!(w.flows().outflow(0).data(), ds.flows().outflow(48).data());
-        // Scales come from the window's own training split, not the parent's.
-        let spd = w.slots_per_day();
-        let train_end = w.days(Split::Train).end;
-        assert_eq!(
-            w.flow_scale(),
-            w.flows().max_flow_in(0, train_end * spd).max(1.0)
-        );
-        // Day windows must be non-empty and inside the horizon.
-        assert!(ds.windowed(5..5).is_err());
-        assert!(ds.windowed(4..20).is_err());
     }
 
     #[test]

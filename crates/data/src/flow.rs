@@ -9,21 +9,52 @@
 //!
 //! Demand is the outflow row sum `x_i^t = Σ_j O^t[i][j]`; supply is the
 //! inflow row sum `y_i^t = Σ_j I^t[i][j]` (Definition 1).
+//!
+//! Almost every matrix entry is zero (99.7 % at 64 stations), so a slot
+//! keeps only its trip counts: the sorted nonzero `(origin, destination,
+//! count)` entries of each direction. [`FlowSeries::window_stacks`] is the
+//! one place that lays them out densely, for the window a forward reads.
 
 use crate::error::{Error, Result};
 use crate::trip::TripRecord;
 use stgnn_tensor::{Shape, Tensor};
 
-/// Per-slot inflow/outflow matrices and derived demand/supply series.
+/// `count` trips from station `origin` to station `dest` in one slot: the
+/// nonzero entry `O^t[origin][dest]` of an outflow matrix, or
+/// `I^t[dest][origin]` of an inflow matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowEntry {
+    /// Checkout station.
+    pub origin: u32,
+    /// Return station.
+    pub dest: u32,
+    /// Trips between them in the slot (at least 1).
+    pub count: u32,
+}
+
+/// The sorted entries of one slot's `(origin, dest)` pairs, one per trip.
+fn count(mut pairs: Vec<(u32, u32)>) -> Vec<FlowEntry> {
+    pairs.sort_unstable();
+    pairs
+        .chunk_by(|a, b| a == b)
+        .map(|run| FlowEntry {
+            origin: run[0].0,
+            dest: run[0].1,
+            count: u32::try_from(run.len()).unwrap_or(u32::MAX),
+        })
+        .collect()
+}
+
+/// Per-slot inflow/outflow trip counts and derived demand/supply series.
 #[derive(Debug, Clone)]
 pub struct FlowSeries {
     n_stations: usize,
     slots_per_day: usize,
     slot_minutes: i64,
-    /// `inflow[t]` is the `n×n` matrix `I^t`.
-    inflow: Vec<Tensor>,
-    /// `outflow[t]` is the `n×n` matrix `O^t`.
-    outflow: Vec<Tensor>,
+    /// `inflow[t]`: the entries of `I^t`, keyed by return slot.
+    inflow: Vec<Vec<FlowEntry>>,
+    /// `outflow[t]`: the entries of `O^t`, keyed by checkout slot.
+    outflow: Vec<Vec<FlowEntry>>,
     /// `demand[t*n + i]` = `x_i^t`.
     demand: Vec<f32>,
     /// `supply[t*n + i]` = `y_i^t`.
@@ -35,7 +66,9 @@ impl FlowSeries {
     ///
     /// `slots_per_day` must divide the 1440 minutes of a day (the paper uses
     /// 96 slots of 15 minutes). Trips whose checkout or return falls outside
-    /// the horizon contribute only the endpoint that falls inside it.
+    /// the horizon contribute only the endpoint that falls inside it. A trip
+    /// with a station id of `n_stations` or more is an
+    /// [`Error::OutOfRange`] naming it.
     pub fn from_trips(
         trips: &[TripRecord],
         n_stations: usize,
@@ -47,41 +80,45 @@ impl FlowSeries {
                 "slots_per_day {slots_per_day} must divide 1440"
             )));
         }
-        if n_stations == 0 {
-            return Err(Error::InvalidConfig("no stations".into()));
+        if n_stations == 0 || u32::try_from(n_stations).is_err() {
+            return Err(Error::InvalidConfig(format!(
+                "{n_stations} stations: need 1 to {}",
+                u32::MAX
+            )));
         }
         let slot_minutes = (1440 / slots_per_day) as i64;
         let num_slots = num_days * slots_per_day;
-        let mut inflow_raw = vec![vec![0.0f32; n_stations * n_stations]; num_slots];
-        let mut outflow_raw = vec![vec![0.0f32; n_stations * n_stations]; num_slots];
-
+        let mut out_pairs = vec![Vec::new(); num_slots];
+        let mut in_pairs = vec![Vec::new(); num_slots];
+        let slot = |minute: i64| usize::try_from(minute.div_euclid(slot_minutes)).ok();
         for trip in trips {
-            let out_slot = trip.start_min / slot_minutes;
-            let in_slot = trip.end_min / slot_minutes;
-            if (0..num_slots as i64).contains(&out_slot) {
-                outflow_raw[out_slot as usize][trip.origin * n_stations + trip.dest] += 1.0;
+            if trip.origin >= n_stations || trip.dest >= n_stations {
+                return Err(Error::OutOfRange(format!(
+                    "trip {} runs from station {} to station {}, outside the {n_stations} stations",
+                    trip.rid, trip.origin, trip.dest
+                )));
             }
-            if (0..num_slots as i64).contains(&in_slot) {
-                inflow_raw[in_slot as usize][trip.dest * n_stations + trip.origin] += 1.0;
+            // Both ids are below `n_stations`, which fits in u32.
+            let pair = (trip.origin as u32, trip.dest as u32);
+            if let Some(pairs) = slot(trip.start_min).and_then(|t| out_pairs.get_mut(t)) {
+                pairs.push(pair);
+            }
+            if let Some(pairs) = slot(trip.end_min).and_then(|t| in_pairs.get_mut(t)) {
+                pairs.push(pair);
             }
         }
+        let inflow: Vec<Vec<FlowEntry>> = in_pairs.into_iter().map(count).collect();
+        let outflow: Vec<Vec<FlowEntry>> = out_pairs.into_iter().map(count).collect();
 
-        let shape = Shape::matrix(n_stations, n_stations);
-        let inflow: Vec<Tensor> = inflow_raw
-            .into_iter()
-            .map(|d| Tensor::from_vec(shape.clone(), d).expect("flow shape"))
-            .collect();
-        let outflow: Vec<Tensor> = outflow_raw
-            .into_iter()
-            .map(|d| Tensor::from_vec(shape.clone(), d).expect("flow shape"))
-            .collect();
-
+        // Row sums of small integer counts are exact in f32, in any order.
         let mut demand = vec![0.0f32; num_slots * n_stations];
         let mut supply = vec![0.0f32; num_slots * n_stations];
         for t in 0..num_slots {
-            for i in 0..n_stations {
-                demand[t * n_stations + i] = outflow[t].row(i).iter().sum();
-                supply[t * n_stations + i] = inflow[t].row(i).iter().sum();
+            for e in &outflow[t] {
+                demand[t * n_stations + e.origin as usize] += e.count as f32;
+            }
+            for e in &inflow[t] {
+                supply[t * n_stations + e.dest as usize] += e.count as f32;
             }
         }
 
@@ -93,33 +130,6 @@ impl FlowSeries {
             outflow,
             demand,
             supply,
-        })
-    }
-
-    /// A windowed copy covering the whole days `days` (a `Range` of day
-    /// indices): slot `t` of the view is slot
-    /// `days.start * slots_per_day + t` of `self`, cloned bit-for-bit.
-    /// The view is a normal
-    /// [`FlowSeries`] — datasets built on it re-derive splits and scales
-    /// from the window alone.
-    pub fn window(&self, days: std::ops::Range<usize>) -> Result<Self> {
-        if days.start >= days.end || days.end > self.num_days() {
-            return Err(Error::OutOfRange(format!(
-                "day window {days:?} outside horizon of {} days",
-                self.num_days()
-            )));
-        }
-        let spd = self.slots_per_day;
-        let (lo, hi) = (days.start * spd, days.end * spd);
-        let n = self.n_stations;
-        Ok(FlowSeries {
-            n_stations: n,
-            slots_per_day: spd,
-            slot_minutes: self.slot_minutes,
-            inflow: self.inflow[lo..hi].to_vec(),
-            outflow: self.outflow[lo..hi].to_vec(),
-            demand: self.demand[lo * n..hi * n].to_vec(),
-            supply: self.supply[lo * n..hi * n].to_vec(),
         })
     }
 
@@ -148,14 +158,39 @@ impl FlowSeries {
         self.num_slots() / self.slots_per_day
     }
 
-    /// The inflow matrix `I^t`.
-    pub fn inflow(&self, t: usize) -> &Tensor {
+    /// The nonzero entries of the inflow matrix `I^t`: the trips returned
+    /// in slot `t`, sorted by `(origin, dest)`.
+    pub fn inflow(&self, t: usize) -> &[FlowEntry] {
         &self.inflow[t]
     }
 
-    /// The outflow matrix `O^t`.
-    pub fn outflow(&self, t: usize) -> &Tensor {
+    /// The nonzero entries of the outflow matrix `O^t`: the trips checked
+    /// out in slot `t`, sorted by `(origin, dest)`.
+    pub fn outflow(&self, t: usize) -> &[FlowEntry] {
         &self.outflow[t]
+    }
+
+    /// The inflow and outflow matrices of `slots`, each slot one row of a
+    /// `(slots.len(), n·n)` stack (row-major `I^t` and `O^t`), every count
+    /// multiplied by `scale`. Written into zeroed pooled storage, so each
+    /// window recycles through the tensor pool.
+    pub fn window_stacks(&self, slots: &[usize], scale: f32) -> (Tensor, Tensor) {
+        let n = self.n_stations;
+        let stack = |series: &[Vec<FlowEntry>], cell: fn(&FlowEntry, usize) -> usize| {
+            let mut out = Tensor::zeros(Shape::matrix(slots.len(), n * n));
+            for (row, &t) in out.data_mut().chunks_exact_mut(n * n).zip(slots) {
+                for e in &series[t] {
+                    row[cell(e, n)] = e.count as f32 * scale;
+                }
+            }
+            out
+        };
+        (
+            stack(&self.inflow, |e, n| e.dest as usize * n + e.origin as usize),
+            stack(&self.outflow, |e, n| {
+                e.origin as usize * n + e.dest as usize
+            }),
+        )
     }
 
     /// Demand `x_i^t` for every station at slot `t`.
@@ -178,18 +213,16 @@ impl FlowSeries {
         t % self.slots_per_day
     }
 
-    /// Largest single flow-matrix entry across the horizon (normalisation).
-    pub fn max_flow(&self) -> f32 {
-        self.max_flow_in(0, self.num_slots())
-    }
-
-    /// Largest single flow-matrix entry in slots `[t_lo, t_hi)`.
+    /// Largest single flow-matrix entry in slots `[t_lo, t_hi)`
+    /// (normalisation); 0 when the slots hold no trips.
     pub fn max_flow_in(&self, t_lo: usize, t_hi: usize) -> f32 {
         self.inflow[t_lo..t_hi]
             .iter()
-            .chain(self.outflow[t_lo..t_hi].iter())
-            .map(|m| m.max_all())
-            .fold(0.0f32, f32::max)
+            .chain(&self.outflow[t_lo..t_hi])
+            .flatten()
+            .map(|e| e.count)
+            .max()
+            .map_or(0.0, |c| c as f32)
     }
 
     /// Largest demand/supply value in `[t_lo, t_hi)` (normalisation).
@@ -218,6 +251,22 @@ mod tests {
         }
     }
 
+    fn entry(origin: u32, dest: u32, count: u32) -> FlowEntry {
+        FlowEntry {
+            origin,
+            dest,
+            count,
+        }
+    }
+
+    /// Sum of every count over the horizon, outflow then inflow.
+    fn totals(f: &FlowSeries) -> (u32, u32) {
+        let sum = |entries: &[FlowEntry]| entries.iter().map(|e| e.count).sum::<u32>();
+        (0..f.num_slots()).fold((0, 0), |(o, i), t| {
+            (o + sum(f.outflow(t)), i + sum(f.inflow(t)))
+        })
+    }
+
     /// Two days, 4 slots/day (360-minute slots).
     fn series() -> FlowSeries {
         let trips = vec![
@@ -241,18 +290,48 @@ mod tests {
     #[test]
     fn outflow_keyed_by_checkout_slot() {
         let f = series();
-        assert_eq!(f.outflow(0).get2(0, 1), 1.0); // first trip
-        assert_eq!(f.outflow(0).get2(1, 2), 1.0); // third trip checked out in slot 0
-        assert_eq!(f.outflow(1).get2(0, 1), 1.0); // second trip
-        assert_eq!(f.outflow(4).get2(2, 0), 1.0); // day-1 trip
+        // The first trip and the third, checked out in slot 0.
+        assert_eq!(f.outflow(0), &[entry(0, 1, 1), entry(1, 2, 1)]);
+        assert_eq!(f.outflow(1), &[entry(0, 1, 1)]); // second trip
+        assert_eq!(f.outflow(4), &[entry(2, 0, 1)]); // day-1 trip
+        assert!(f.outflow(2).is_empty());
     }
 
     #[test]
     fn inflow_keyed_by_return_slot() {
         let f = series();
-        assert_eq!(f.inflow(0).get2(1, 0), 1.0); // first trip returned in slot 0
-        assert_eq!(f.inflow(1).get2(1, 0), 1.0); // second trip
-        assert_eq!(f.inflow(1).get2(2, 1), 1.0); // third trip crossed the slot boundary
+        assert_eq!(f.inflow(0), &[entry(0, 1, 1)]); // first trip returned in slot 0
+                                                    // The second trip, and the third, which crossed the slot boundary.
+        assert_eq!(f.inflow(1), &[entry(0, 1, 1), entry(1, 2, 1)]);
+    }
+
+    #[test]
+    fn repeated_pairs_in_a_slot_count_once_as_one_entry() {
+        let trips = vec![trip(1, 0, 5, 20), trip(1, 0, 40, 50), trip(1, 1, 60, 70)];
+        let f = FlowSeries::from_trips(&trips, 2, 1, 4).unwrap();
+        assert_eq!(f.outflow(0), &[entry(1, 0, 2), entry(1, 1, 1)]);
+        assert_eq!(f.max_flow_in(0, 4), 2.0);
+        assert_eq!(f.demand_at(0), &[0.0, 3.0]);
+        assert_eq!(f.supply_at(0), &[2.0, 1.0]);
+    }
+
+    /// `I^t[i][j]` sits at `i·n + j` with `i` the return station, `O^t[i][j]`
+    /// with `i` the checkout station, every count scaled.
+    #[test]
+    fn window_stacks_lay_out_each_slot_as_a_scaled_row_major_matrix() {
+        let f = series();
+        let (inflow, outflow) = f.window_stacks(&[1, 0], 0.5);
+        assert_eq!(inflow.shape(), &Shape::matrix(2, 9));
+        let mut want_in = [0.0; 18];
+        want_in[3] = 0.5; // slot 1: I[1][0], trip 0 → 1
+        want_in[2 * 3 + 1] = 0.5; // slot 1: I[2][1], trip 1 → 2
+        want_in[9 + 3] = 0.5; // slot 0: I[1][0], trip 0 → 1
+        assert_eq!(inflow.data(), &want_in[..]);
+        let mut want_out = [0.0; 18];
+        want_out[1] = 0.5; // slot 1: O[0][1]
+        want_out[9 + 1] = 0.5; // slot 0: O[0][1]
+        want_out[9 + 3 + 2] = 0.5; // slot 0: O[1][2]
+        assert_eq!(outflow.data(), &want_out[..]);
     }
 
     #[test]
@@ -267,15 +346,7 @@ mod tests {
     fn conservation_over_closed_horizon() {
         // Every trip fully inside the horizon adds exactly one checkout and
         // one return: total outflow mass equals total inflow mass.
-        let f = series();
-        let total_out: f32 = (0..f.num_slots())
-            .map(|t| f.outflow(t).sum_all().scalar())
-            .sum();
-        let total_in: f32 = (0..f.num_slots())
-            .map(|t| f.inflow(t).sum_all().scalar())
-            .sum();
-        assert_eq!(total_out, total_in);
-        assert_eq!(total_out, 4.0);
+        assert_eq!(totals(&series()), (4, 4));
     }
 
     #[test]
@@ -288,18 +359,19 @@ mod tests {
 
     #[test]
     fn trips_outside_horizon_partially_counted() {
-        let trips = vec![trip(0, 1, 1430, 1445)]; // starts day 0, ends day 1 — but horizon is 1 day
-        let f = FlowSeries::from_trips(&trips, 2, 1, 4).unwrap();
-        let total_out: f32 = (0..4).map(|t| f.outflow(t).sum_all().scalar()).sum();
-        let total_in: f32 = (0..4).map(|t| f.inflow(t).sum_all().scalar()).sum();
-        assert_eq!(total_out, 1.0);
-        assert_eq!(total_in, 0.0);
+        // Starts day 0, ends day 1 — but the horizon is 1 day.
+        let late = FlowSeries::from_trips(&[trip(0, 1, 1430, 1445)], 2, 1, 4).unwrap();
+        assert_eq!(totals(&late), (1, 0));
+        // Picked up 5 minutes before the epoch: only the return counts.
+        let early = FlowSeries::from_trips(&[trip(0, 1, -5, 10)], 2, 1, 4).unwrap();
+        assert_eq!(totals(&early), (0, 1));
     }
 
     #[test]
     fn max_helpers() {
         let f = series();
-        assert_eq!(f.max_flow(), 1.0);
+        assert_eq!(f.max_flow_in(0, f.num_slots()), 1.0);
+        assert_eq!(f.max_flow_in(2, 4), 0.0);
         assert_eq!(f.max_demand_supply(0, f.num_slots()), 1.0);
         assert_eq!(f.max_demand_supply(2, 3), 0.0);
     }
@@ -311,15 +383,29 @@ mod tests {
         assert!(FlowSeries::from_trips(&[], 2, 1, 0).is_err());
     }
 
+    /// A trip to station 3 of a 3-station city is refused by name, whether
+    /// its return falls past the horizon or inside it.
     #[test]
-    fn window_views_slice_whole_days() {
-        let f = series();
-        let w = f.window(1..2).unwrap();
-        assert_eq!(w.num_days(), 1);
-        assert_eq!(w.num_slots(), 4);
-        assert_eq!(w.outflow(0).data(), f.outflow(4).data());
-        assert_eq!(w.demand_at(0), f.demand_at(4));
-        assert!(f.window(1..1).is_err());
-        assert!(f.window(1..3).is_err());
+    fn out_of_range_trip_endpoints_are_a_typed_error() {
+        let mut stray = trip(0, 3, 10, 30);
+        stray.rid = 77;
+        let past_horizon = TripRecord {
+            end_min: 2000,
+            ..stray
+        };
+        for bad in [
+            past_horizon,
+            stray,
+            TripRecord {
+                origin: 5,
+                dest: 0,
+                ..stray
+            },
+        ] {
+            match FlowSeries::from_trips(&[trip(0, 1, 10, 30), bad], 3, 1, 4) {
+                Err(Error::OutOfRange(msg)) => assert!(msg.contains("trip 77"), "{msg}"),
+                other => panic!("{bad:?}: expected OutOfRange, got {other:?}"),
+            }
+        }
     }
 }

@@ -27,6 +27,29 @@ fn trip() -> impl Strategy<Value = TripRecord> {
         })
 }
 
+/// Strategy: one to three copies of a trip (so a slot often repeats a
+/// pair), a self-trip one time in four, whose checkout or return may fall
+/// up to two hours outside the horizon at either end.
+fn trip_burst() -> impl Strategy<Value = Vec<TripRecord>> {
+    (
+        0usize..N_STATIONS,
+        0usize..N_STATIONS,
+        -120i64..HORIZON_MIN + 120,
+        0i64..240,
+        1usize..4,
+    )
+        .prop_map(|(o, d, start, dur, copies)| {
+            let trip = TripRecord {
+                rid: 0,
+                origin: o,
+                dest: d,
+                start_min: start,
+                end_min: start + dur,
+            };
+            vec![trip; copies]
+        })
+}
+
 /// Strategy: a raw record that may violate any cleansing rule.
 fn raw_trip() -> impl Strategy<Value = RawTripRecord> {
     (
@@ -50,8 +73,10 @@ proptest! {
         // Every in-horizon trip contributes exactly one checkout and one
         // return, so total outflow mass equals total inflow mass.
         let f = FlowSeries::from_trips(&trips, N_STATIONS, DAYS, SLOTS_PER_DAY).unwrap();
-        let total_out: f32 = (0..f.num_slots()).map(|t| f.outflow(t).sum_all().scalar()).sum();
-        let total_in: f32 = (0..f.num_slots()).map(|t| f.inflow(t).sum_all().scalar()).sum();
+        let all: Vec<usize> = (0..f.num_slots()).collect();
+        let (inflow, outflow) = f.window_stacks(&all, 1.0);
+        let total_out: f32 = outflow.sum_all().scalar();
+        let total_in: f32 = inflow.sum_all().scalar();
         prop_assert_eq!(total_out, trips.len() as f32);
         prop_assert_eq!(total_in, trips.len() as f32);
     }
@@ -62,12 +87,43 @@ proptest! {
         for t in 0..f.num_slots() {
             let d = f.demand_at(t);
             let s = f.supply_at(t);
+            let (inflow, outflow) = f.window_stacks(&[t], 1.0);
             for i in 0..N_STATIONS {
-                let out_sum: f32 = f.outflow(t).row(i).iter().sum();
-                let in_sum: f32 = f.inflow(t).row(i).iter().sum();
+                let row = i * N_STATIONS..(i + 1) * N_STATIONS;
+                let out_sum: f32 = outflow.data()[row.clone()].iter().sum();
+                let in_sum: f32 = inflow.data()[row].iter().sum();
                 prop_assert_eq!(d[i], out_sum);
                 prop_assert_eq!(s[i], in_sum);
             }
+        }
+    }
+
+    #[test]
+    fn densified_slots_equal_a_brute_force_count(
+        bursts in proptest::collection::vec(trip_burst(), 0..80),
+    ) {
+        // Every densified slot equals a brute-force count over the trips:
+        // `O^t[o][d]` counts the trips `o → d` picked up in slot `t`, and
+        // `I^t[d][o]` those returned in it; an endpoint outside the horizon
+        // counts nowhere.
+        let trips: Vec<TripRecord> = bursts.into_iter().flatten().collect();
+        let f = FlowSeries::from_trips(&trips, N_STATIONS, DAYS, SLOTS_PER_DAY).unwrap();
+        let slot_minutes = (1440 / SLOTS_PER_DAY) as i64;
+        let n = N_STATIONS;
+        for t in 0..f.num_slots() {
+            let mut want_in = vec![0.0f32; n * n];
+            let mut want_out = vec![0.0f32; n * n];
+            for trip in &trips {
+                if trip.start_min >= 0 && trip.start_min / slot_minutes == t as i64 {
+                    want_out[trip.origin * n + trip.dest] += 1.0;
+                }
+                if trip.end_min >= 0 && trip.end_min / slot_minutes == t as i64 {
+                    want_in[trip.dest * n + trip.origin] += 1.0;
+                }
+            }
+            let (inflow, outflow) = f.window_stacks(&[t], 1.0);
+            prop_assert_eq!(inflow.data(), &want_in[..], "inflow at slot {}", t);
+            prop_assert_eq!(outflow.data(), &want_out[..], "outflow at slot {}", t);
         }
     }
 

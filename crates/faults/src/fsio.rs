@@ -17,7 +17,7 @@
 //!
 //! ## Records
 //!
-//! Training checkpoints (`stgnn-ckpt v1`), model weights (`stgnn-params
+//! Training checkpoints (`stgnn-ckpt v2`), model weights (`stgnn-params
 //! v2`) and the online loop's state (`stgnn-online v1`) are one format:
 //!
 //! ```text

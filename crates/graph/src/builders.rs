@@ -54,8 +54,8 @@ pub fn flow_graph(flows: &FlowSeries, t_lo: usize, t_hi: usize) -> DiGraph {
     let n = flows.n_stations();
     let mut total = vec![0.0f32; n * n];
     for t in t_lo..t_hi {
-        for (acc, &v) in total.iter_mut().zip(flows.outflow(t).data()) {
-            *acc += v;
+        for e in flows.outflow(t) {
+            total[e.origin as usize * n + e.dest as usize] += e.count as f32;
         }
     }
     let mut edges = Vec::new();
@@ -97,11 +97,10 @@ pub fn correlation_graph(flows: &FlowSeries, t_lo: usize, t_hi: usize, min_corr:
     DiGraph::from_edges(n, &edges)
 }
 
-/// [`flow_graph`] straight from trip records, without materialising per-slot
-/// flow matrices. At city scale (thousands of stations) a [`FlowSeries`]
-/// costs `O(n² · slots)` memory, which is exactly what the shard planner
-/// exists to avoid — but the planner still needs the full-city adjacency.
-/// This builder is `O(trips)` time and `O(edges)` memory.
+/// [`flow_graph`] straight from trip records, over the whole horizon and
+/// without building a [`FlowSeries`]: the shard planner needs the full-city
+/// adjacency before any shard's dataset exists. `O(trips)` time and
+/// `O(edges)` memory.
 pub fn trip_flow_graph(trips: &[TripRecord], n: usize) -> DiGraph {
     let mut total: HashMap<(usize, usize), f32> = HashMap::new();
     for t in trips {
@@ -253,14 +252,18 @@ mod tests {
         let flows = FlowSeries::from_trips(&city.trips, city.registry.len(), 8, 24).unwrap();
         let g = flow_graph(&flows, 0, flows.num_slots());
         assert!(g.num_edges() > 0);
-        // Total edge weight equals in-horizon checkouts.
         let total: f32 = (0..g.num_nodes())
             .map(|s| g.neighbors(s).map(|(_, w)| w).sum::<f32>())
             .sum();
-        let expected: f32 = (0..flows.num_slots())
-            .map(|t| flows.outflow(t).sum_all().scalar())
-            .sum();
-        assert!((total - expected).abs() < 1.0);
+        // Total edge weight equals the in-horizon checkouts between two
+        // different stations, counted from the trips.
+        let horizon = 0..(flows.num_slots() as i64 * flows.slot_minutes());
+        let expected = city
+            .trips
+            .iter()
+            .filter(|t| t.origin != t.dest && horizon.contains(&t.start_min))
+            .count();
+        assert_eq!(total, expected as f32);
     }
 
     #[test]

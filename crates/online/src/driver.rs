@@ -567,13 +567,15 @@ mod tests {
         assert!(matches!(err, OnlineError::BadPhase(_)), "{err}");
     }
 
-    /// Every `f32` of a flow series (inflow, outflow, demand, supply, in
-    /// slot order) as exact bit patterns.
+    /// A flow series as words, in slot order: each direction's entry
+    /// count and entries, then demand and supply as exact bit patterns.
     fn bits_of(flows: &FlowSeries) -> Vec<u32> {
         let mut bits = Vec::new();
         for t in 0..flows.num_slots() {
-            bits.extend(flows.inflow(t).data().iter().map(|v| v.to_bits()));
-            bits.extend(flows.outflow(t).data().iter().map(|v| v.to_bits()));
+            for entries in [flows.inflow(t), flows.outflow(t)] {
+                bits.push(entries.len() as u32);
+                bits.extend(entries.iter().flat_map(|e| [e.origin, e.dest, e.count]));
+            }
             bits.extend(flows.demand_at(t).iter().map(|v| v.to_bits()));
             bits.extend(flows.supply_at(t).iter().map(|v| v.to_bits()));
         }

@@ -128,6 +128,7 @@ impl TripWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stgnn_data::flow::FlowEntry;
 
     fn trip(rid: u64, origin: usize, dest: usize, start_min: i64, dur: i64) -> TripRecord {
         TripRecord {
@@ -139,14 +140,21 @@ mod tests {
         }
     }
 
-    /// Sum of every inflow and every outflow entry over the horizon.
-    fn totals(flows: &FlowSeries) -> (f32, f32) {
-        (0..flows.num_slots()).fold((0.0, 0.0), |(i, o), t| {
-            (
-                i + flows.inflow(t).sum_all().scalar(),
-                o + flows.outflow(t).sum_all().scalar(),
-            )
+    /// Sum of every inflow and every outflow count over the horizon.
+    fn totals(flows: &FlowSeries) -> (u32, u32) {
+        let sum = |entries: &[FlowEntry]| entries.iter().map(|e| e.count).sum::<u32>();
+        (0..flows.num_slots()).fold((0, 0), |(i, o), t| {
+            (i + sum(flows.inflow(t)), o + sum(flows.outflow(t)))
         })
+    }
+
+    /// The entries of a slot holding one trip `origin → dest`.
+    fn one_trip(origin: u32, dest: u32) -> [FlowEntry; 1] {
+        [FlowEntry {
+            origin,
+            dest,
+            count: 1,
+        }]
     }
 
     #[test]
@@ -162,9 +170,9 @@ mod tests {
         assert_eq!(w.start_day(), 4);
         assert_eq!(w.graph_epoch(), 8);
         // Days 4, 5 and 6 remain, each one trip in its noon slot.
-        assert_eq!(totals(w.flows()), (3.0, 3.0));
+        assert_eq!(totals(w.flows()), (3, 3));
         for day in 0..3 {
-            assert_eq!(w.flows().outflow(day * 24 + 12).get2(0, 1), 1.0);
+            assert_eq!(w.flows().outflow(day * 24 + 12), &one_trip(0, 1));
         }
         w.verify().unwrap();
     }
@@ -180,22 +188,22 @@ mod tests {
         w.push_day(&[overnight]);
         w.push_day(&[morning]);
         let f = w.flows();
-        assert_eq!(f.outflow(23).get2(0, 1), 1.0);
-        assert_eq!(f.inflow(24).get2(1, 0), 1.0);
+        assert_eq!(f.outflow(23), &one_trip(0, 1));
+        assert_eq!(f.inflow(24), &one_trip(0, 1));
         assert_eq!(f.supply_at(24), &[0.0, 1.0, 0.0, 0.0]);
-        assert_eq!(f.outflow(32).get2(2, 3), 1.0);
-        assert_eq!(totals(f), (2.0, 2.0));
+        assert_eq!(f.outflow(32), &one_trip(2, 3));
+        assert_eq!(totals(f), (2, 2));
 
         w.push_day(&[]);
         assert_eq!(w.start_day(), 1);
         let f = w.flows();
         // Day 1 is window day 0 now: the morning trip moved to its slot 8,
         // and the overnight drop-off is gone from its slot 0.
-        assert_eq!(f.inflow(0).get2(1, 0), 0.0);
+        assert!(f.inflow(0).is_empty());
         assert_eq!(f.supply_at(0), &[0.0; 4]);
-        assert_eq!(f.outflow(8).get2(2, 3), 1.0);
+        assert_eq!(f.outflow(8), &one_trip(2, 3));
         assert_eq!(f.demand_at(8), &[0.0, 0.0, 1.0, 0.0]);
-        assert_eq!(totals(f), (1.0, 1.0));
+        assert_eq!(totals(f), (1, 1));
     }
 
     /// A trip picked up at 22:00 of the newest day and dropped off at
@@ -209,18 +217,14 @@ mod tests {
         w.push_day(&[overnight]);
         w.push_day(&[late]);
         let f = w.flows();
-        assert_eq!(f.outflow(46).get2(1, 2), 1.0);
-        assert_eq!(
-            totals(f),
-            (1.0, 2.0),
-            "only the overnight drop-off is inside"
-        );
+        assert_eq!(f.outflow(46), &one_trip(1, 2));
+        assert_eq!(totals(f), (1, 2), "only the overnight drop-off is inside");
 
         w.push_day(&[]);
         let f = w.flows();
-        assert_eq!(f.outflow(22).get2(1, 2), 1.0);
-        assert_eq!(f.inflow(26).get2(2, 1), 1.0);
+        assert_eq!(f.outflow(22), &one_trip(1, 2));
+        assert_eq!(f.inflow(26), &one_trip(1, 2));
         assert_eq!(f.supply_at(26), &[0.0, 0.0, 1.0, 0.0]);
-        assert_eq!(totals(f), (1.0, 1.0), "the departed overnight trip is gone");
+        assert_eq!(totals(f), (1, 1), "the departed overnight trip is gone");
     }
 }

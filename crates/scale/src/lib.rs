@@ -27,8 +27,7 @@
 //!
 //! [`subcity`] extracts a shard's halo-extended sub-dataset (trips with
 //! both endpoints inside the shard, station ids remapped) so a per-shard
-//! server holds `O(m²)` state instead of `O(n²)` — the memory plane that
-//! makes multi-thousand-station cities servable at all.
+//! server runs `m×m` input windows and model stages instead of `n×n`.
 
 pub mod fleet;
 pub mod loadgen;

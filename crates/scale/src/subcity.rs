@@ -1,12 +1,12 @@
-//! Shard sub-datasets: the memory plane of city-scale serving.
+//! Shard sub-datasets: what a shard replica serves from.
 //!
-//! A full [`stgnn_data::flow::FlowSeries`] is `O(n² · slots)` — at 2 048
-//! stations and 144 slots that is gigabytes, which no single replica should
-//! hold. A shard replica instead serves from a **sub-city**: the trips with
-//! *both* endpoints inside the shard's member set (owned ∪ halo), station
-//! ids remapped to dense local indices. Its flow series is `O(m²·slots)`
-//! with `m ≈ n/K + halo`, which is what makes multi-thousand-station
-//! cities servable at all.
+//! A full-city replica stores its flows as trip counts, but every forward
+//! builds a `(k + d)·n²` input window and runs `n×n` model stages. A shard
+//! replica instead serves from a **sub-city**: the trips with *both*
+//! endpoints inside the shard's member set (owned ∪ halo), station ids
+//! remapped to dense local indices, so its windows and stages are `m×m`
+//! with `m ≈ n/K + halo`. Whether that split still pays is ROADMAP item
+//! 8's measured decision.
 //!
 //! Cross-boundary trips whose far endpoint is outside even the halo are
 //! dropped; the halo (cut over the union trip adjacency at FCG depth, see

@@ -2,7 +2,7 @@
 //!
 //! Every [`crate::Tensor`] owns its elements through a [`Buffer`]. A buffer
 //! the pool issued ([`Buffer::zeroed`], [`Buffer::filled`],
-//! [`Buffer::copy_of`], [`Buffer::filled_with`], [`Buffer::concat_map`]) is
+//! [`Buffer::copy_of`], [`Buffer::filled_with`], [`Buffer::concat`]) is
 //! a `Vec<f32>` whose capacity is its power-of-two *size class*; when the
 //! last `Arc` holding it drops, the vector goes back on its class's shelf
 //! instead of to the system allocator. A workload with fixed shapes — one
@@ -176,12 +176,11 @@ impl Buffer {
         buf
     }
 
-    /// A pooled buffer holding `parts` end to end with `f` applied to every
-    /// element, written in one pass (no zero fill first).
-    pub fn concat_map(parts: &[&[f32]], f: impl Fn(f32) -> f32) -> Self {
+    /// A pooled buffer holding `parts` end to end.
+    pub fn concat(parts: &[&[f32]]) -> Self {
         let mut buf = take(parts.iter().map(|p| p.len()).sum());
         for p in parts {
-            buf.vec.extend(p.iter().map(|&v| f(v)));
+            buf.vec.extend_from_slice(p);
         }
         buf
     }

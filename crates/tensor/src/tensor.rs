@@ -99,28 +99,7 @@ impl Tensor {
         for row in rows {
             assert_eq!(row.len(), c, "ragged rows in Tensor::from_rows");
         }
-        Tensor::from_buffer(
-            Shape::matrix(rows.len(), c),
-            Buffer::concat_map(rows, |v| v),
-        )
-    }
-
-    /// A rank-2 tensor whose row `i` is `rows[i]` with `f` applied to every
-    /// element, written in one pass into pooled storage.
-    ///
-    /// Returns [`Error::InvalidArgument`] when the rows have unequal lengths.
-    pub fn from_rows_map(rows: &[&[f32]], f: impl Fn(f32) -> f32) -> Result<Self> {
-        let c = rows.first().map_or(0, |row| row.len());
-        if let Some(row) = rows.iter().find(|row| row.len() != c) {
-            return Err(Error::InvalidArgument(format!(
-                "ragged rows: {} elements after a row of {c}",
-                row.len()
-            )));
-        }
-        Ok(Tensor::from_buffer(
-            Shape::matrix(rows.len(), c),
-            Buffer::concat_map(rows, f),
-        ))
+        Tensor::from_buffer(Shape::matrix(rows.len(), c), Buffer::concat(rows))
     }
 
     /// A tensor of zeros.
@@ -1152,10 +1131,6 @@ mod tests {
         assert_eq!(Tensor::eye(2).data(), &[1.0, 0.0, 0.0, 1.0]);
         assert_eq!(Tensor::from_scalar(3.5).scalar(), 3.5);
         assert!(Tensor::from_vec(Shape::matrix(2, 2), vec![1.0]).is_err());
-        let scaled = Tensor::from_rows_map(&[&[1.0, 2.0], &[3.0, 4.0]], |v| v * 0.5).unwrap();
-        assert_eq!(scaled.shape(), &Shape::matrix(2, 2));
-        assert_eq!(scaled.data(), &[0.5, 1.0, 1.5, 2.0]);
-        assert!(Tensor::from_rows_map(&[&[1.0, 2.0], &[3.0]], |v| v).is_err());
     }
 
     #[test]

@@ -356,7 +356,7 @@ fn damaged_checkpoints_are_rejected_without_touching_the_model() {
             "version-skewed",
             {
                 let text = String::from_utf8(pristine.clone()).unwrap();
-                text.replacen("stgnn-ckpt v1", "stgnn-ckpt v9", 1)
+                text.replacen("stgnn-ckpt v2", "stgnn-ckpt v9", 1)
                     .into_bytes()
             },
             "version skew",
@@ -395,10 +395,10 @@ fn damaged_checkpoints_are_rejected_without_touching_the_model() {
     assert!(trainer.resume_from(&path, &mut fresh, &data).is_ok());
 }
 
-/// Frames `payload` as an `stgnn-ckpt v1` file whose CRC and length are
+/// Frames `payload` as an `stgnn-ckpt v2` file whose CRC and length are
 /// correct, so the loader gets past the checksum to the payload parser.
 fn framed(payload: &str) -> Vec<u8> {
-    framed_as("stgnn-ckpt v1", payload.as_bytes())
+    framed_as("stgnn-ckpt v2", payload.as_bytes())
 }
 
 /// Frames `payload` as a `magic` record whose CRC and length are correct.

@@ -103,8 +103,8 @@ fn ground_truth_flow_violates_locality() {
     let n = city.registry.len();
     let mut total = vec![0.0f32; n * n];
     for t in 0..flows.num_slots() {
-        for (acc, &v) in total.iter_mut().zip(flows.outflow(t).data()) {
-            *acc += v;
+        for e in flows.outflow(t) {
+            total[e.origin as usize * n + e.dest as usize] += e.count as f32;
         }
     }
     // For a majority of stations, the nearest neighbour is NOT the largest
