@@ -65,8 +65,6 @@ impl Scale {
                 trips_per_station_day: 20.0,
                 bike_speed_kmh: 9.0,
                 radius_km: 6.0,
-                districts: 1,
-                min_gravity: 0.0,
             },
         }
     }
@@ -84,8 +82,6 @@ impl Scale {
                 trips_per_station_day: 8.5,
                 bike_speed_kmh: 9.0,
                 radius_km: 5.0,
-                districts: 1,
-                min_gravity: 0.0,
             },
         }
     }

@@ -76,24 +76,21 @@ impl FcgNetwork {
         }
     }
 
-    /// Runs the branch. `edges` is the square matrix the Eq 10 edge
-    /// weights derive from and `features` the rows the layers aggregate;
-    /// the model passes the flow convolution's feature matrix `T` for both,
-    /// while a shard passes `T`'s member-induced submatrix and member rows
-    /// (`stgnn-scale`'s parity theorem). `mask` is the structural mask from
-    /// [`crate::flow_conv::fcg_mask`], induced like `edges`. `train_rng`
-    /// enables dropout between layers.
+    /// Runs the branch over the flow convolution's `n×n` feature matrix
+    /// `T`: the Eq 10 edge weights derive from it, and its rows are the
+    /// features the first layer aggregates. `mask` is the structural mask
+    /// from [`crate::flow_conv::fcg_mask`]. `train_rng` enables dropout
+    /// between layers.
     ///
-    /// Returns the final embedding `F^f`, one row per `features` row.
+    /// Returns the final embedding `F^f`, one row per station.
     pub fn forward(
         &self,
         g: &Graph,
-        edges: &Var,
-        features: &Var,
+        t: &Var,
         mask: &Tensor,
         train_rng: Option<&mut StdRng>,
     ) -> Var {
-        self.forward_traced(g, edges, features, &g.leaf(mask.clone()), train_rng, None)
+        self.forward_traced(g, t, &g.leaf(mask.clone()), train_rng, None)
     }
 
     /// [`Self::forward`] over a mask already on the tape (the model's
@@ -102,8 +99,7 @@ impl FcgNetwork {
     pub fn forward_traced(
         &self,
         g: &Graph,
-        edges: &Var,
-        features: &Var,
+        t: &Var,
         mask: &Var,
         mut train_rng: Option<&mut StdRng>,
         trace: Option<&mut ForwardTrace>,
@@ -113,7 +109,7 @@ impl FcgNetwork {
         // row-normalised ReLU(T) restricted to the structural mask, plus a
         // unit self-loop (the `{F_i} ∪ …` of Eq 14 — see the module docs).
         let eye = g.leaf(Tensor::eye(n));
-        let raw = edges.relu().mul(mask).add(&eye);
+        let raw = t.relu().mul(mask).add(&eye);
         let sums = raw.sum_cols().add_scalar(1e-6);
         let inv = g.leaf(Tensor::ones(Shape::matrix(n, 1))).div(&sums);
         let weights = raw.mul_col_broadcast(&inv);
@@ -124,7 +120,7 @@ impl FcgNetwork {
             .any(|l| matches!(l, LayerKind::Mean { .. }))
             .then(|| derived_leaf(g, trace, [mask], |[m]| fcg_mean_adj(m)));
 
-        let mut f = features.clone();
+        let mut f = t.clone();
         for (idx, layer) in self.layers.iter().enumerate() {
             let aggregated = match layer {
                 LayerKind::Flow { .. } => weights.matmul(&f),
@@ -268,29 +264,21 @@ pub(crate) mod tests {
     /// for every aggregator over two layers.
     #[test]
     fn forward_matches_a_literal_eq_10_13_14_evaluation() {
-        let edges = feature_matrix(21);
-        let features = feature_matrix(22);
+        let t = feature_matrix(21);
         let mut rng = StdRng::seed_from_u64(23);
         let mask: Vec<f32> = (0..N * N)
             .map(|k| f32::from(u8::from(k % (N + 1) == 0 || rng.gen_bool(0.5))))
             .collect();
         let mask = Tensor::from_vec(Shape::matrix(N, N), mask).unwrap();
-        assert!(edges.data().iter().any(|&x| x < 0.0) && mask.data().contains(&0.0));
+        assert!(t.data().iter().any(|&x| x < 0.0) && mask.data().contains(&0.0));
         for agg in [FcgAggregator::Flow, FcgAggregator::Mean, FcgAggregator::Max] {
             let mut ps = ParamSet::new();
             let mut rng = StdRng::seed_from_u64(24);
             let net = FcgNetwork::new(&mut ps, &mut rng, &config(agg), N);
             let g = Graph::new();
-            let (e, f) = (g.leaf(edges.clone()), g.leaf(features.clone()));
-            let out = net.forward(&g, &e, &f, &mask, None).value();
-            let want = literal_fcg(
-                &ps,
-                agg,
-                net.depth(),
-                &rows_f64(&edges),
-                &rows_f64(&features),
-                &rows_f64(&mask),
-            );
+            let out = net.forward(&g, &g.leaf(t.clone()), &mask, None).value();
+            let t_rows = rows_f64(&t);
+            let want = literal_fcg(&ps, agg, net.depth(), &t_rows, &t_rows, &rows_f64(&mask));
             assert!(want.iter().flatten().any(|&w| w > 0.0), "{agg:?}: all zero");
             for (i, want_row) in want.iter().enumerate() {
                 for (j, &w) in want_row.iter().enumerate() {
@@ -313,7 +301,7 @@ pub(crate) mod tests {
             assert_eq!(net.depth(), 2);
             let g = Graph::new();
             let t = g.leaf(feature_matrix(2));
-            let out = net.forward(&g, &t, &t, &dense_mask(), None);
+            let out = net.forward(&g, &t, &dense_mask(), None);
             assert_eq!(out.value().shape().dims(), &[N, N], "{agg:?}");
         }
     }
@@ -327,7 +315,7 @@ pub(crate) mod tests {
             let g = Graph::new();
             let p = Param::new("t", feature_matrix(8).relu().add_scalar(0.1));
             let t = g.param(&p);
-            net.forward(&g, &t, &t, &dense_mask(), None)
+            net.forward(&g, &t, &dense_mask(), None)
                 .square()
                 .sum_all()
                 .backward();
@@ -357,8 +345,8 @@ pub(crate) mod tests {
         let g = Graph::new();
         let t_a = g.leaf(Tensor::from_rows(&[&[1.0, 1.0], &[0.3, 0.7]]));
         let t_b = g.leaf(Tensor::from_rows(&[&[9.0, 9.0], &[0.3, 0.7]]));
-        let out_a = net.forward(&g, &t_a, &t_a, &mask, None).value();
-        let out_b = net.forward(&g, &t_b, &t_b, &mask, None).value();
+        let out_a = net.forward(&g, &t_a, &mask, None).value();
+        let out_b = net.forward(&g, &t_b, &mask, None).value();
         assert!(
             out_a
                 .row(1)
@@ -387,20 +375,16 @@ pub(crate) mod tests {
         let net = FcgNetwork::new(&mut ps, &mut rng, &c, N);
         let g = Graph::new();
         let t = g.leaf(feature_matrix(12).relu());
-        let eval1 = net.forward(&g, &t, &t, &dense_mask(), None).value();
-        let eval2 = net.forward(&g, &t, &t, &dense_mask(), None).value();
+        let eval1 = net.forward(&g, &t, &dense_mask(), None).value();
+        let eval2 = net.forward(&g, &t, &dense_mask(), None).value();
         assert!(
             eval1.approx_eq(&eval2, 0.0),
             "eval mode must be deterministic"
         );
         let mut rng1 = StdRng::seed_from_u64(1);
         let mut rng2 = StdRng::seed_from_u64(2);
-        let tr1 = net
-            .forward(&g, &t, &t, &dense_mask(), Some(&mut rng1))
-            .value();
-        let tr2 = net
-            .forward(&g, &t, &t, &dense_mask(), Some(&mut rng2))
-            .value();
+        let tr1 = net.forward(&g, &t, &dense_mask(), Some(&mut rng1)).value();
+        let tr2 = net.forward(&g, &t, &dense_mask(), Some(&mut rng2)).value();
         assert!(
             !tr1.approx_eq(&tr2, 1e-9),
             "dropout masks should differ across rngs"

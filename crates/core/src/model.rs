@@ -246,7 +246,7 @@ impl StgnnDjd {
         let mut pcg_attention = Vec::new();
         if let (Some(fcg), Some(mask)) = (&self.fcg, &mask) {
             let train_rng = train.then_some(&mut *rng);
-            branch_embeddings.push(fcg.forward_traced(g, &t, &t, mask, train_rng, trace));
+            branch_embeddings.push(fcg.forward_traced(g, &t, mask, train_rng, trace));
         }
         if let Some(pcg) = &self.pcg {
             let train_rng = train.then_some(&mut *rng);
@@ -805,11 +805,7 @@ mod tests {
         .map(|w| g.leaf(w.clone()));
         let fc = m.flow_conv.as_ref().unwrap().forward_windows(&g, &windows);
         let mask = fcg_mask(&fc.i_hat.value(), &fc.o_hat.value());
-        let f_f = m
-            .fcg
-            .as_ref()
-            .unwrap()
-            .forward(&g, &fc.t, &fc.t, &mask, None);
+        let f_f = m.fcg.as_ref().unwrap().forward(&g, &fc.t, &mask, None);
         let (f_p, _) = m
             .pcg
             .as_ref()

@@ -53,23 +53,8 @@ pub struct CityConfig {
     pub trips_per_station_day: f32,
     /// Mean riding speed used to derive travel times.
     pub bike_speed_kmh: f64,
-    /// City radius in km (stations are scattered within it). With
-    /// `districts > 1` this is the radius of *one district* instead.
+    /// City radius in km (stations are scattered within it).
     pub radius_km: f64,
-    /// Number of districts. `1` reproduces the classic radial city. Larger
-    /// values place stations in well-separated clusters (round-robin by id),
-    /// which is how real metropolitan systems look — and what makes the
-    /// city-scale shard planner's edge-cut meaningful: trips are dense within
-    /// a district and rare across district boundaries, because the distance
-    /// kernel decays over the inter-district gap.
-    pub districts: usize,
-    /// Gravity sparsification floor: origin–destination pairs whose gravity
-    /// term falls below this are dropped from generation entirely. `0.0`
-    /// disables it (every pair is considered each slot, the classic
-    /// behaviour). City-scale presets set a small positive floor so the
-    /// per-slot generation loop skips the quadratically-many far pairs whose
-    /// trip rate is indistinguishable from zero anyway.
-    pub min_gravity: f32,
 }
 
 impl CityConfig {
@@ -85,8 +70,6 @@ impl CityConfig {
             trips_per_station_day: 20.0,
             bike_speed_kmh: 9.0,
             radius_km: 7.0,
-            districts: 1,
-            min_gravity: 0.0,
         }
     }
 
@@ -102,8 +85,6 @@ impl CityConfig {
             trips_per_station_day: 8.5,
             bike_speed_kmh: 9.0,
             radius_km: 5.0,
-            districts: 1,
-            min_gravity: 0.0,
         }
     }
 
@@ -118,8 +99,6 @@ impl CityConfig {
             trips_per_station_day: 30.0,
             bike_speed_kmh: 9.0,
             radius_km: 4.0,
-            districts: 1,
-            min_gravity: 0.0,
         }
     }
 
@@ -134,54 +113,7 @@ impl CityConfig {
             trips_per_station_day: 25.0,
             bike_speed_kmh: 9.0,
             radius_km: 5.0,
-            districts: 1,
-            min_gravity: 0.0,
         }
-    }
-
-    /// A city-scale metropolitan system: thousands of stations grouped into
-    /// districts (one per ~128 stations), a short horizon, and a gravity
-    /// floor so generation stays near-linear in the number of *plausible*
-    /// origin–destination pairs rather than quadratic in stations. This is
-    /// the input regime of the `stgnn-scale` shard planner: dense
-    /// intra-district flow, sparse adjacent-district flow, no flow at all
-    /// between distant districts.
-    pub fn city_scale(n_stations: usize, seed: u64) -> Self {
-        CityConfig {
-            name: format!("metro-{n_stations}"),
-            n_stations,
-            days: 6,
-            slots_per_day: 24,
-            seed,
-            trips_per_station_day: 12.0,
-            bike_speed_kmh: 9.0,
-            radius_km: 2.0,
-            districts: (n_stations / 128).max(4),
-            min_gravity: 1e-3,
-        }
-    }
-
-    /// A small districted city for shard-planner and parity tests: the same
-    /// cluster structure as [`CityConfig::city_scale`] at unit-test size.
-    pub fn test_districted(seed: u64) -> Self {
-        CityConfig {
-            name: "districted".into(),
-            n_stations: 24,
-            days: 8,
-            slots_per_day: 24,
-            seed,
-            trips_per_station_day: 25.0,
-            bike_speed_kmh: 9.0,
-            radius_km: 1.5,
-            districts: 4,
-            min_gravity: 1e-3,
-        }
-    }
-
-    /// The district a station id belongs to (round-robin assignment, so
-    /// shard structure never coincides with contiguous id ranges).
-    pub fn district_of(&self, station: usize) -> usize {
-        station % self.districts.max(1)
     }
 }
 
@@ -252,19 +184,6 @@ fn place_stations(config: &CityConfig, rng: &mut StdRng) -> StationRegistry {
         (Archetype::Mixed, 0.12),
     ];
     let (lat0, lon0) = (41.88f64, -87.63f64);
-    // District centres sit on a grid spaced far beyond the distance kernel's
-    // sweet spot, so inter-district trips are rare (adjacent districts) or
-    // impossible (distant ones). A single district keeps the classic radial
-    // layout and RNG stream bit-for-bit.
-    let districts = config.districts.max(1);
-    let grid_cols = (districts as f64).sqrt().ceil() as usize;
-    let spacing_km = 2.0 * config.radius_km + 5.5;
-    let centre_of = |d: usize| -> (f64, f64) {
-        (
-            (d % grid_cols) as f64 * spacing_km,
-            (d / grid_cols) as f64 * spacing_km,
-        )
-    };
     let mut stations = Vec::with_capacity(config.n_stations);
     for id in 0..config.n_stations {
         // Force the first six ids to cover every archetype twice-over the
@@ -289,27 +208,17 @@ fn place_stations(config: &CityConfig, rng: &mut StdRng) -> StationRegistry {
         };
         // Radial scatter; schools are pushed apart deliberately (ids 0 and 1
         // land on opposite sides of town) so the "distant but correlated"
-        // pair exists at any city size. With several districts the ids are
-        // assigned round-robin, so ids 0 and 1 already land in different
-        // districts and every scatter is uniform within its district.
-        let (x_km, y_km) = if districts > 1 {
-            let (cx, cy) = centre_of(config.district_of(id));
-            let r: f64 = rng.gen::<f64>().sqrt() * config.radius_km;
-            let angle = rng.gen::<f64>() * std::f64::consts::TAU;
-            (cx + r * angle.cos(), cy + r * angle.sin())
-        } else {
-            let (r_km, angle) = match id {
-                0 => (config.radius_km * 0.8, 0.0),
-                1 => (config.radius_km * 0.8, std::f64::consts::PI),
-                _ => {
-                    let r: f64 = rng.gen::<f64>().sqrt() * config.radius_km;
-                    (r, rng.gen::<f64>() * std::f64::consts::TAU)
-                }
-            };
-            (r_km * angle.cos(), r_km * angle.sin())
+        // pair exists at any city size.
+        let (r_km, angle) = match id {
+            0 => (config.radius_km * 0.8, 0.0),
+            1 => (config.radius_km * 0.8, std::f64::consts::PI),
+            _ => {
+                let r: f64 = rng.gen::<f64>().sqrt() * config.radius_km;
+                (r, rng.gen::<f64>() * std::f64::consts::TAU)
+            }
         };
-        let dlat = x_km / 110.574;
-        let dlon = y_km / (111.320 * lat0.to_radians().cos());
+        let dlat = r_km * angle.cos() / 110.574;
+        let dlon = r_km * angle.sin() / (111.320 * lat0.to_radians().cos());
         stations.push(Station {
             id,
             name: format!("{}-{archetype}-{id}", config.name),
@@ -451,16 +360,11 @@ fn generate_trips(
                 continue;
             }
             let d = registry.distance_km(i, j);
-            let g = popularity[i]
+            gravity[i * n + j] = popularity[i]
                 * popularity[j]
                 * emission(registry.get(i).archetype)
                 * attraction(registry.get(j).archetype)
                 * distance_kernel(d);
-            // Gravity floor (city-scale sparsification): pairs below the
-            // floor are skipped by every per-slot loop via the `g == 0.0`
-            // guards. `min_gravity == 0.0` keeps the classic behaviour
-            // because gravity is never negative.
-            gravity[i * n + j] = if g >= config.min_gravity { g } else { 0.0 };
         }
     }
     let arch_index = |a: Archetype| Archetype::ALL.iter().position(|&x| x == a).unwrap();
@@ -502,22 +406,6 @@ fn generate_trips(
         0.0
     };
 
-    // Per-origin lists of the pairs that can produce trips at all. With a
-    // gravity floor (city-scale presets) this turns the per-slot O(n²) pair
-    // sweep into a sweep over plausible pairs only — and it consumes the
-    // exact RNG stream the dense sweep would, because zero-gravity pairs
-    // were skipped before any draw.
-    let active: Vec<Vec<(usize, f32)>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .filter_map(|j| {
-                    let g = gravity[i * n + j];
-                    (g != 0.0).then_some((j, g))
-                })
-                .collect()
-        })
-        .collect();
-
     // Non-stationary regimes. A per-day, per-archetype intensity factor
     // models weather and events hitting activity types differently (rain
     // curbs leisure rides more than commutes); per-archetype momentum
@@ -553,9 +441,12 @@ fn generate_trips(
                 regime[a] = day_factor[day * 6 + a] * m.exp().clamp(0.35, 2.8);
             }
             let slot_start = (day * slots + s) as i64 * slot_min as i64;
-            for (i, edges) in active.iter().enumerate().take(n) {
+            for i in 0..n {
                 let oi = arch_index(registry.get(i).archetype);
-                for &(j, g) in edges {
+                for j in 0..n {
+                    // A zero-gravity pair (a self-loop, a same-dock hop) has
+                    // rate 0, which `poisson` answers without a draw.
+                    let g = gravity[i * n + j];
                     let di = arch_index(registry.get(j).archetype);
                     let pair_regime = (regime[oi] * regime[di]).sqrt();
                     let mut lambda = pair_regime
@@ -745,78 +636,6 @@ mod tests {
         let (clean2, rep2) = cleanse(&city.to_raw(0.0, 1), city.registry.len());
         assert_eq!(clean2.len(), city.trips.len());
         assert_eq!(rep2.dropped(), 0);
-    }
-
-    #[test]
-    fn districted_city_concentrates_flow_within_districts() {
-        let config = CityConfig::test_districted(5);
-        let city = SyntheticCity::generate(config.clone());
-        let (mut intra, mut cross) = (0usize, 0usize);
-        for t in &city.trips {
-            if config.district_of(t.origin) == config.district_of(t.dest) {
-                intra += 1;
-            } else {
-                cross += 1;
-            }
-        }
-        assert!(intra > 100, "district traffic too thin: {intra}");
-        // The inter-district gap sits far out on the distance kernel, so
-        // cross-district trips are a small minority — the edge-cut structure
-        // the shard planner exploits.
-        assert!(
-            (cross as f64) < 0.10 * (intra + cross) as f64,
-            "cross-district {cross} vs intra {intra}"
-        );
-    }
-
-    #[test]
-    fn districted_city_is_deterministic_and_calibrated() {
-        let a = SyntheticCity::generate(CityConfig::test_districted(9));
-        let b = SyntheticCity::generate(CityConfig::test_districted(9));
-        assert_eq!(a.trips, b.trips);
-        // The gravity floor drops only negligible-rate pairs; calibration
-        // still holds to the usual tolerance on expectation (seed-averaged).
-        let mut total = 0.0f32;
-        let mut station_days = 0.0f32;
-        let mut target = 0.0f32;
-        for seed in 0..4 {
-            let city = SyntheticCity::generate(CityConfig::test_districted(seed));
-            total += city.trips.len() as f32;
-            station_days += (city.config.n_stations * city.config.days) as f32;
-            target = city.config.trips_per_station_day;
-        }
-        let per_station_day = total / station_days;
-        assert!(
-            (per_station_day - target).abs() / target < 0.3,
-            "calibration off: {per_station_day} vs {target}"
-        );
-    }
-
-    #[test]
-    fn city_scale_preset_generates_multi_hundred_station_cities_fast() {
-        // The full bench runs thousands of stations; the test keeps the same
-        // code path at a CI-friendly size and checks the structural claims.
-        let mut config = CityConfig::city_scale(512, 1);
-        config.days = 4;
-        assert!(config.districts >= 4);
-        let city = SyntheticCity::generate(config.clone());
-        assert_eq!(city.registry.len(), 512);
-        assert!(
-            !city.trips.is_empty(),
-            "city-scale preset generated no trips"
-        );
-        // The gravity floor must leave the pair space genuinely sparse.
-        let mut pairs = std::collections::HashSet::new();
-        for t in &city.trips {
-            pairs.insert((t.origin, t.dest));
-        }
-        let n = config.n_stations as f64;
-        assert!(
-            (pairs.len() as f64) < 0.25 * n * n,
-            "pair space not sparse: {} of {}",
-            pairs.len(),
-            (n * n) as usize
-        );
     }
 
     #[test]

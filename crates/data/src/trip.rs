@@ -107,12 +107,13 @@ pub fn cleanse(raw: &[RawTripRecord], n_stations: usize) -> (Vec<TripRecord>, Cl
             report.before_epoch += 1;
             continue;
         }
-        let duration = r.end_min - r.start_min;
-        if duration <= 0 {
+        // Compare before subtracting: `end_min` is any `i64` a file holds,
+        // and only once it exceeds `start_min ≥ 0` is the difference in range.
+        if r.end_min <= r.start_min {
             report.non_positive_duration += 1;
             continue;
         }
-        if duration > MAX_TRIP_MINUTES {
+        if r.end_min - r.start_min > MAX_TRIP_MINUTES {
             report.excessive_duration += 1;
             continue;
         }
@@ -246,6 +247,15 @@ mod tests {
         assert_eq!(rep.before_epoch, 1);
         assert_eq!(rep.total(), 8);
         assert_eq!(rep.dropped(), 7);
+    }
+
+    #[test]
+    fn hostile_end_time_is_a_non_positive_duration_not_an_overflow() {
+        let (trips, rep) = cleanse(&[raw(1, Some(0), Some(1), 10, i64::MIN)], 2);
+        assert!(trips.is_empty());
+        assert_eq!(rep.non_positive_duration, 1);
+        assert_eq!(rep.excessive_duration, 0);
+        assert_eq!(rep.total(), 1);
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! builders implement those priors so the baselines are faithful.
 
 use crate::digraph::DiGraph;
-use std::collections::HashMap;
 use stgnn_data::flow::FlowSeries;
 use stgnn_data::station::StationRegistry;
-use stgnn_data::trip::TripRecord;
 
 /// Distance-threshold graph: an undirected edge (both directions) between
 /// stations closer than `threshold_km`, weighted `1/(1+d)` so nearer means
@@ -87,63 +85,6 @@ pub fn correlation_graph(flows: &FlowSeries, t_lo: usize, t_hi: usize, min_corr:
             let c = pearson(
                 &profiles[i * spd..(i + 1) * spd],
                 &profiles[j * spd..(j + 1) * spd],
-            );
-            if c >= min_corr {
-                edges.push((i, j, c));
-                edges.push((j, i, c));
-            }
-        }
-    }
-    DiGraph::from_edges(n, &edges)
-}
-
-/// [`flow_graph`] straight from trip records, over the whole horizon and
-/// without building a [`FlowSeries`]: the shard planner needs the full-city
-/// adjacency before any shard's dataset exists. `O(trips)` time and
-/// `O(edges)` memory.
-pub fn trip_flow_graph(trips: &[TripRecord], n: usize) -> DiGraph {
-    let mut total: HashMap<(usize, usize), f32> = HashMap::new();
-    for t in trips {
-        if t.origin != t.dest {
-            *total.entry((t.origin, t.dest)).or_insert(0.0) += 1.0;
-        }
-    }
-    let edges: Vec<(usize, usize, f32)> = total.into_iter().map(|((i, j), w)| (i, j, w)).collect();
-    DiGraph::from_edges(n, &edges)
-}
-
-/// [`correlation_graph`] straight from trip records: station demand profiles
-/// are per-time-of-day mean checkout counts over the whole horizon, and an
-/// undirected edge connects stations whose profiles correlate at least
-/// `min_corr`. `O(trips + n² · slots_per_day)` with `O(edges)` memory — the
-/// pair sweep is unavoidable (correlation is a dense relation), but nothing
-/// quadratic in *slots* is ever materialised.
-pub fn trip_correlation_graph(
-    trips: &[TripRecord],
-    n: usize,
-    days: usize,
-    slots_per_day: usize,
-    min_corr: f32,
-) -> DiGraph {
-    let slot_min = (1440 / slots_per_day.max(1)) as i64;
-    let mut profiles = vec![0.0f32; n * slots_per_day];
-    for t in trips {
-        if t.origin >= n || t.start_min < 0 {
-            continue;
-        }
-        let tod = (t.start_min / slot_min) as usize % slots_per_day;
-        profiles[t.origin * slots_per_day + tod] += 1.0;
-    }
-    let norm = 1.0 / days.max(1) as f32;
-    for p in &mut profiles {
-        *p *= norm;
-    }
-    let mut edges = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let c = pearson(
-                &profiles[i * slots_per_day..(i + 1) * slots_per_day],
-                &profiles[j * slots_per_day..(j + 1) * slots_per_day],
             );
             if c >= min_corr {
                 edges.push((i, j, c));
@@ -319,73 +260,5 @@ mod tests {
         );
         let dist_g = distance_graph(&city.registry, 3.0);
         assert!(!dist_g.has_edge(a, b), "schools unexpectedly close");
-    }
-
-    #[test]
-    fn trip_flow_graph_matches_flow_series_builder() {
-        let city = SyntheticCity::generate(CityConfig::test_tiny(23));
-        let flows = FlowSeries::from_trips(
-            &city.trips,
-            city.registry.len(),
-            city.config.days,
-            city.config.slots_per_day,
-        )
-        .unwrap();
-        let from_flows = flow_graph(&flows, 0, flows.num_slots());
-        let from_trips = trip_flow_graph(&city.trips, city.registry.len());
-        assert_eq!(from_flows.num_edges(), from_trips.num_edges());
-        for s in 0..from_flows.num_nodes() {
-            for (d, w) in from_flows.neighbors(s) {
-                assert!(
-                    (from_trips.weight(s, d) - w).abs() < 1e-4,
-                    "edge {s}→{d}: {} vs {w}",
-                    from_trips.weight(s, d)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trip_correlation_graph_matches_flow_series_builder() {
-        let city = SyntheticCity::generate(CityConfig::test_tiny(29));
-        let flows = FlowSeries::from_trips(
-            &city.trips,
-            city.registry.len(),
-            city.config.days,
-            city.config.slots_per_day,
-        )
-        .unwrap();
-        let from_flows = correlation_graph(&flows, 0, flows.num_slots(), 0.3);
-        let from_trips = trip_correlation_graph(
-            &city.trips,
-            city.registry.len(),
-            city.config.days,
-            city.config.slots_per_day,
-            0.3,
-        );
-        assert_eq!(from_flows.num_edges(), from_trips.num_edges());
-        for s in 0..from_flows.num_nodes() {
-            for (d, w) in from_flows.neighbors(s) {
-                assert!(
-                    (from_trips.weight(s, d) - w).abs() < 1e-4,
-                    "edge {s}→{d}: {} vs {w}",
-                    from_trips.weight(s, d)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn union_symmetric_covers_both_inputs_both_directions() {
-        let a = DiGraph::from_edges(4, &[(0, 1, 2.0), (2, 2, 9.0)]);
-        let b = DiGraph::from_edges(4, &[(1, 0, 3.0), (2, 3, 1.0)]);
-        let u = a.union_symmetric(&b);
-        // {0,1} accumulates 2.0 (a, both ways) + 3.0 (b, both ways).
-        assert!((u.weight(0, 1) - 5.0).abs() < 1e-6);
-        assert!((u.weight(1, 0) - 5.0).abs() < 1e-6);
-        assert!((u.weight(2, 3) - 1.0).abs() < 1e-6);
-        assert!((u.weight(3, 2) - 1.0).abs() < 1e-6);
-        // Self-loops are structure-irrelevant to a partition and are dropped.
-        assert!(!u.has_edge(2, 2));
     }
 }

@@ -104,37 +104,6 @@ impl DiGraph {
         self.weights = new_w;
     }
 
-    /// The symmetrised union of two graphs over the same node set: edge
-    /// `{i, j}` appears in both directions when either input carries `i → j`
-    /// or `j → i`, and its weight is the sum of every directed contribution.
-    /// This is the adjacency the `stgnn-scale` shard planner cuts: a
-    /// dependency in either the flow graph or the correlation graph must be
-    /// respected regardless of direction, and self-loops are irrelevant to a
-    /// partition, so they are dropped.
-    ///
-    /// # Panics
-    /// Panics when the two graphs have different node counts.
-    pub fn union_symmetric(&self, other: &DiGraph) -> DiGraph {
-        assert_eq!(
-            self.n, other.n,
-            "union over mismatched node sets ({} vs {})",
-            self.n, other.n
-        );
-        let mut edges = Vec::new();
-        for g in [self, other] {
-            for s in 0..g.n {
-                for (d, w) in g.neighbors(s) {
-                    if s == d {
-                        continue;
-                    }
-                    edges.push((s, d, w));
-                    edges.push((d, s, w));
-                }
-            }
-        }
-        DiGraph::from_edges(self.n, &edges)
-    }
-
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.n

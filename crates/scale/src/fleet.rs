@@ -1,13 +1,15 @@
 //! The fleet router: consistent-hash routing, admission control, and
 //! degrade-don't-fail failover over in-process `stgnn-serve` replicas.
 //!
-//! A [`Fleet`] owns N running [`stgnn_serve::Server`] instances and routes
-//! every `(station, slot)` prediction through three gates:
+//! A [`Fleet`] owns N running [`stgnn_serve::Server`] instances, each
+//! holding the whole city and the same checkpoint, and routes every
+//! `(station, slot)` prediction through three gates:
 //!
-//! 1. **Route** — the station's *unit* (the whole city in replicated mode,
-//!    its shard in sharded mode) and the unit's [`crate::ring::HashRing`]
-//!    pick the home replica; the ring's candidate walk is the failover
-//!    order. Failpoint: `scale::route`.
+//! 1. **Route** — a slot outside the servable range is refused here with
+//!    the replica's own 400, whatever the load; otherwise the station's
+//!    point on the [`crate::ring::HashRing`] picks the home replica, and
+//!    the ring's candidate walk is the failover order. Failpoint:
+//!    `scale::route`.
 //! 2. **Admit** — the replica's in-flight gauge
 //!    ([`stgnn_serve::ServeMetrics::queue_enter`]) is bumped; if the depth
 //!    exceeds `queue_capacity` the request is **shed**: answered
@@ -28,7 +30,6 @@
 //! mid-run crash never tears a response and never surfaces a 5xx.
 
 use crate::ring::HashRing;
-use crate::subcity::SubCity;
 use crate::ScaleError;
 use parking_lot::Mutex;
 use std::io;
@@ -37,20 +38,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 use stgnn_baselines::ha::HistoricalAverage;
-use stgnn_core::config::StgnnConfig;
-use stgnn_data::dataset::{BikeDataset, DatasetConfig};
+use stgnn_data::dataset::BikeDataset;
 use stgnn_data::predictor::{DemandSupplyPredictor, Prediction};
-use stgnn_data::synthetic::SyntheticCity;
 use stgnn_faults::failpoint;
 use stgnn_serve::client::{self, ClientConfig, Response};
 use stgnn_serve::{ModelSpec, ServeConfig, ServeMetrics, Server};
 
-use crate::plan::ShardPlan;
-
 /// Fleet tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Virtual nodes per replica on each unit's hash ring.
+    /// Virtual nodes per replica on the hash ring.
     pub vnodes: usize,
     /// Admission bound: router-tracked in-flight requests per replica
     /// before new arrivals are shed to the HA fallback.
@@ -93,7 +90,8 @@ pub enum Answer {
     ShedHa,
     /// Every candidate replica was down; the router answered from HA.
     LossHa,
-    /// A replica returned a non-200 the router passed through verbatim.
+    /// The request was refused: the router's slot check, or a non-200 a
+    /// replica returned, passed through verbatim.
     Error,
 }
 
@@ -153,29 +151,16 @@ struct ReplicaHandle {
     down: AtomicBool,
 }
 
-/// A routing unit: a station set served by a ring of interchangeable
-/// replicas. Replicated mode has one unit (all stations, R replicas);
-/// sharded mode has one unit per shard.
-struct Unit {
-    /// Global station ids this unit serves, sorted.
-    members: Vec<usize>,
-    /// The unit's dataset (full city, or the shard's sub-city) — backs the
-    /// router-side HA fallback.
-    dataset: Arc<BikeDataset>,
-    /// Fitted HA table for shed/loss answers.
-    ha: HistoricalAverage,
-    /// Ring over this unit's replica names.
-    ring: HashRing,
-    /// Fleet replica index for each ring position.
-    replica_idx: Vec<usize>,
-}
-
 /// A fleet of in-process serving replicas behind a consistent-hash router.
 pub struct Fleet {
     replicas: Vec<ReplicaHandle>,
-    units: Vec<Unit>,
-    /// Station → unit index.
-    unit_of: Vec<usize>,
+    /// The city every replica serves: backs the router's slot check and
+    /// its HA answers.
+    dataset: Arc<BikeDataset>,
+    /// Fitted HA table for shed/loss answers.
+    ha: HistoricalAverage,
+    /// Ring over the replica names; a ring index is a replica index.
+    ring: HashRing,
     queue_capacity: u64,
     deadline_ms: u64,
     client: ClientConfig,
@@ -183,9 +168,9 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// **Replicated mode**: `n_replicas` servers, each holding the full
-    /// dataset and the same checkpoint, behind one ring. Any replica can
-    /// answer any station, so this is the availability/throughput axis.
+    /// `n_replicas` servers, each holding the full dataset and the same
+    /// checkpoint, behind one ring. Any replica can answer any station, so
+    /// this is the availability/throughput axis.
     pub fn replicated(
         dataset: Arc<BikeDataset>,
         spec: &ModelSpec,
@@ -196,7 +181,6 @@ impl Fleet {
         if n_replicas == 0 {
             return Err(ScaleError::InvalidConfig("fleet of zero replicas".into()));
         }
-        let n = dataset.n_stations();
         let mut replicas = Vec::with_capacity(n_replicas);
         let mut names = Vec::with_capacity(n_replicas);
         for r in 0..n_replicas {
@@ -204,67 +188,14 @@ impl Fleet {
             replicas.push(handle);
             names.push(format!("replica-{r}"));
         }
-        let ha = fit_ha(&dataset)?;
-        let unit = Unit {
-            members: (0..n).collect(),
+        let mut ha = HistoricalAverage::new();
+        ha.fit(&dataset)
+            .map_err(|e| ScaleError::Data(format!("HA fit: {e}")))?;
+        Ok(Fleet {
+            replicas,
             dataset,
             ha,
             ring: HashRing::new(&names, config.vnodes),
-            replica_idx: (0..n_replicas).collect(),
-        };
-        Ok(Fleet {
-            replicas,
-            units: vec![unit],
-            unit_of: vec![0; n],
-            queue_capacity: config.queue_capacity,
-            deadline_ms: config.deadline_ms,
-            client: config.client.clone(),
-            stats: FleetStats::default(),
-        })
-    }
-
-    /// **Sharded mode**: one replica per shard of `plan`, each serving only
-    /// its halo-extended sub-city with a model sized `m ≪ n` — the memory
-    /// axis. Station ids in requests stay global; the router translates to
-    /// shard-local indices.
-    pub fn sharded(
-        city: &SyntheticCity,
-        plan: &ShardPlan,
-        model_config: &StgnnConfig,
-        data_config: &DatasetConfig,
-        config: &FleetConfig,
-    ) -> Result<Fleet, ScaleError> {
-        let mut replicas = Vec::with_capacity(plan.shards().len());
-        let mut units = Vec::with_capacity(plan.shards().len());
-        let mut unit_of = vec![0usize; plan.n_stations()];
-        for shard in plan.shards() {
-            let sub = SubCity::extract(city, &shard.members, data_config.clone())?;
-            let dataset = Arc::new(sub.dataset);
-            let spec = ModelSpec::new(model_config.clone(), shard.members.len());
-            let weights = spec
-                .materialize()
-                .map_err(|e| ScaleError::Data(format!("shard {} model: {e}", shard.id)))?
-                .weights_to_bytes();
-            let handle = boot_replica(Arc::clone(&dataset), &spec, &weights, &config.serve)?;
-            replicas.push(handle);
-            let ha = fit_ha(&dataset)?;
-            for &s in &shard.owned {
-                if let Some(u) = unit_of.get_mut(s) {
-                    *u = shard.id;
-                }
-            }
-            units.push(Unit {
-                members: shard.members.clone(),
-                dataset,
-                ha,
-                ring: HashRing::new(&[format!("shard-{}", shard.id)], config.vnodes),
-                replica_idx: vec![shard.id],
-            });
-        }
-        Ok(Fleet {
-            replicas,
-            units,
-            unit_of,
             queue_capacity: config.queue_capacity,
             deadline_ms: config.deadline_ms,
             client: config.client.clone(),
@@ -273,32 +204,38 @@ impl Fleet {
     }
 
     /// Routes one prediction through route → admit → dispatch (module
-    /// docs). Always produces an answer unless `station` is out of range.
+    /// docs). Always produces an answer unless `station` is out of range;
+    /// for a slot outside `[first_valid_slot, num_slots]` it is the
+    /// replica's 400.
     pub fn predict(&self, station: usize, slot: usize) -> Result<PredictOutcome, ScaleError> {
         failpoint!("scale::route");
-        let unit = self
-            .unit_of
-            .get(station)
-            .and_then(|&u| self.units.get(u))
-            .ok_or_else(|| {
-                ScaleError::InvalidConfig(format!(
-                    "station {station} outside the fleet's {} stations",
-                    self.unit_of.len()
-                ))
-            })?;
-        let local = unit
-            .members
-            .binary_search(&station)
-            .map_err(|_| ScaleError::Plan(format!("station {station} missing from its unit")))?;
+        if station >= self.n_stations() {
+            return Err(ScaleError::InvalidConfig(format!(
+                "station {station} outside the fleet's {} stations",
+                self.n_stations()
+            )));
+        }
+        // The replica's own range check, answered the same way here so the
+        // verdict does not depend on whether the request was shed, lost or
+        // dispatched.
+        let first = self.dataset.first_valid_slot();
+        let last = self.dataset.flows().num_slots();
+        if slot < first || slot > last {
+            return Ok(PredictOutcome {
+                status: 400,
+                body: format!(
+                    r#"{{"error":"slot {slot} outside servable range [{first}, {last}]"}}"#
+                ),
+                source: Answer::Error,
+                replica: None,
+            });
+        }
         let path = format!(
-            "/predict?model=stgnn&slot={slot}&station={local}&deadline_ms={}",
+            "/predict?model=stgnn&slot={slot}&station={station}&deadline_ms={}",
             self.deadline_ms
         );
 
-        for ring_pos in unit.ring.candidates(station) {
-            let Some(&ridx) = unit.replica_idx.get(ring_pos) else {
-                continue;
-            };
+        for ridx in self.ring.candidates(station) {
             let Some(replica) = self.replicas.get(ridx) else {
                 continue;
             };
@@ -314,7 +251,7 @@ impl Fleet {
                 replica.metrics.queue_leave();
                 replica.metrics.inc_shed();
                 self.stats.sheds.fetch_add(1, Relaxed);
-                return Ok(self.ha_outcome(unit, station, local, slot, Answer::ShedHa));
+                return Ok(self.ha_outcome(station, slot, Answer::ShedHa));
             }
             let result = dispatch(replica.addr, &path, &self.client);
             replica.metrics.queue_leave();
@@ -335,8 +272,8 @@ impl Fleet {
                     });
                 }
                 Ok(resp) => {
-                    // A live replica rejected the request (bad slot, model
-                    // gone): pass its verdict through, don't mask it as HA.
+                    // A live replica rejected the request (model gone):
+                    // pass its verdict through, don't mask it as HA.
                     return Ok(PredictOutcome {
                         status: resp.status,
                         body: resp.body,
@@ -354,28 +291,20 @@ impl Fleet {
         }
         // Every candidate down: the router is the last line of defence.
         self.stats.loss_ha.fetch_add(1, Relaxed);
-        Ok(self.ha_outcome(unit, station, local, slot, Answer::LossHa))
+        Ok(self.ha_outcome(station, slot, Answer::LossHa))
     }
 
     /// An HA answer in the single-server response schema, tagged with its
-    /// degradation source. Station id reported globally — the router owns
-    /// the global namespace.
-    fn ha_outcome(
-        &self,
-        unit: &Unit,
-        station: usize,
-        local: usize,
-        slot: usize,
-        source: Answer,
-    ) -> PredictOutcome {
+    /// degradation source.
+    fn ha_outcome(&self, station: usize, slot: usize, source: Answer) -> PredictOutcome {
         let tag = match source {
             Answer::ShedHa => "shed-ha",
             Answer::LossHa => "loss-ha",
             _ => "fallback-ha",
         };
-        let pred: Prediction = unit.ha.predict(&unit.dataset, slot);
-        let demand = pred.demand.get(local).copied().unwrap_or(0.0);
-        let supply = pred.supply.get(local).copied().unwrap_or(0.0);
+        let pred: Prediction = self.ha.predict(&self.dataset, slot);
+        let demand = pred.demand.get(station).copied().unwrap_or(0.0);
+        let supply = pred.supply.get(station).copied().unwrap_or(0.0);
         PredictOutcome {
             status: 200,
             body: format!(
@@ -422,32 +351,12 @@ impl Fleet {
 
     /// Number of stations the fleet serves.
     pub fn n_stations(&self) -> usize {
-        self.unit_of.len()
+        self.dataset.n_stations()
     }
 
     /// The fleet's routing counters.
     pub fn stats(&self) -> &FleetStats {
         &self.stats
-    }
-
-    /// First servable slot across the fleet's units (max of the units' own
-    /// first valid slots — identical across units when they share windows).
-    pub fn first_valid_slot(&self) -> usize {
-        self.units
-            .iter()
-            .map(|u| u.dataset.first_valid_slot())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Test-split slots, taken from the first unit's dataset. Every unit
-    /// inherits the same day grid and windowing, so the range is fleet-wide
-    /// — and in sharded mode there is no full-city dataset to ask instead.
-    pub fn test_slots(&self) -> Vec<usize> {
-        self.units
-            .first()
-            .map(|u| u.dataset.slots(stgnn_data::dataset::Split::Test))
-            .unwrap_or_default()
     }
 }
 
@@ -477,17 +386,12 @@ fn boot_replica(
     })
 }
 
-fn fit_ha(dataset: &Arc<BikeDataset>) -> Result<HistoricalAverage, ScaleError> {
-    let mut ha = HistoricalAverage::new();
-    ha.fit(dataset)
-        .map_err(|e| ScaleError::Data(format!("HA fit: {e}")))?;
-    Ok(ha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stgnn_data::synthetic::CityConfig;
+    use stgnn_core::config::StgnnConfig;
+    use stgnn_data::dataset::DatasetConfig;
+    use stgnn_data::synthetic::{CityConfig, SyntheticCity};
 
     fn tiny_fleet(n_replicas: usize, queue_capacity: u64) -> Fleet {
         let city = SyntheticCity::generate(CityConfig::test_tiny(99));
@@ -503,10 +407,28 @@ mod tests {
         Fleet::replicated(dataset, &spec, &weights, n_replicas, &config).unwrap()
     }
 
+    /// A fleet whose every replica has crashed.
+    fn all_down_fleet() -> Fleet {
+        let fleet = tiny_fleet(2, 32);
+        fleet.crash(0);
+        fleet.crash(1);
+        fleet
+    }
+
+    fn field(body: &str, name: &str) -> f32 {
+        let resp = Response {
+            status: 200,
+            body: body.to_string(),
+        };
+        resp.json_field(name)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no numeric {name} in {body}"))
+    }
+
     #[test]
     fn replicated_fleet_answers_from_the_model() {
         let fleet = tiny_fleet(2, 32);
-        let slot = fleet.first_valid_slot();
+        let slot = fleet.dataset.first_valid_slot();
         let out = fleet.predict(0, slot).unwrap();
         assert_eq!(out.status, 200, "{}", out.body);
         assert!(matches!(out.source, Answer::Model | Answer::ReplicaHa));
@@ -517,7 +439,7 @@ mod tests {
     #[test]
     fn zero_capacity_sheds_to_ha() {
         let fleet = tiny_fleet(1, 0);
-        let slot = fleet.first_valid_slot();
+        let slot = fleet.dataset.first_valid_slot();
         let out = fleet.predict(1, slot).unwrap();
         assert_eq!(out.status, 200);
         assert_eq!(out.source, Answer::ShedHa);
@@ -532,7 +454,7 @@ mod tests {
     #[test]
     fn total_replica_loss_degrades_to_router_ha() {
         let fleet = tiny_fleet(2, 32);
-        let slot = fleet.first_valid_slot();
+        let slot = fleet.dataset.first_valid_slot();
         fleet.crash(0);
         fleet.crash(1);
         let out = fleet.predict(2, slot).unwrap();
@@ -547,7 +469,7 @@ mod tests {
     #[test]
     fn single_crash_fails_over_to_the_survivor() {
         let fleet = tiny_fleet(2, 32);
-        let slot = fleet.first_valid_slot();
+        let slot = fleet.dataset.first_valid_slot();
         fleet.crash(0);
         // Every station must still get a model answer via the survivor.
         for station in 0..fleet.n_stations() {
@@ -567,7 +489,7 @@ mod tests {
     fn injected_dispatch_faults_walk_the_ring() {
         use stgnn_faults::{scoped, FaultPlan, FaultSpec, Trigger};
         let fleet = tiny_fleet(3, 32);
-        let slot = fleet.first_valid_slot();
+        let slot = fleet.dataset.first_valid_slot();
         let _chaos =
             scoped(FaultPlan::new().with("scale::dispatch", FaultSpec::io(Trigger::FirstN(1))));
         let out = fleet.predict(0, slot).unwrap();
@@ -576,37 +498,69 @@ mod tests {
         assert_eq!(fleet.stats().failovers(), 1);
     }
 
+    /// A slot a replica would refuse is refused on every path — shed, lost
+    /// or dispatched — with the replica's 400, never answered from HA.
     #[test]
-    fn sharded_fleet_serves_every_station_with_local_translation() {
-        use crate::plan::ShardPlan;
-        use stgnn_graph::builders::{trip_correlation_graph, trip_flow_graph};
+    fn an_unservable_slot_is_refused_whatever_the_load() {
+        for (name, fleet) in [
+            ("zero-capacity", tiny_fleet(1, 0)),
+            ("all-down", all_down_fleet()),
+            ("healthy", tiny_fleet(2, 32)),
+        ] {
+            let first = fleet.dataset.first_valid_slot();
+            let last = fleet.dataset.flows().num_slots();
+            for slot in [first - 1, last + 1] {
+                let out = fleet.predict(3, slot).unwrap();
+                assert_eq!(out.status, 400, "{name} fleet, slot {slot}: {}", out.body);
+                assert_eq!(out.source, Answer::Error, "{name} fleet, slot {slot}");
+                assert_eq!(out.replica, None, "{name} fleet, slot {slot}");
+                assert!(
+                    out.body.contains("outside servable range"),
+                    "{name} fleet, slot {slot}: {}",
+                    out.body
+                );
+            }
+        }
+    }
 
-        let city = SyntheticCity::generate(CityConfig::test_districted(42));
-        let n = city.registry.len();
-        let adj = trip_flow_graph(&city.trips, n).union_symmetric(&trip_correlation_graph(
-            &city.trips,
-            n,
-            city.config.days,
-            city.config.slots_per_day,
-            0.95,
-        ));
-        let mut mc = StgnnConfig::test_tiny(6, 2);
-        mc.fcg_layers = 2;
-        let plan = ShardPlan::partition(&adj, 3, mc.fcg_layers).unwrap();
-        let fleet = Fleet::sharded(
-            &city,
-            &plan,
-            &mc,
-            &DatasetConfig::small(6, 2),
-            &FleetConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(fleet.n_replicas(), 3);
-        let slot = fleet.first_valid_slot();
-        for station in (0..n).step_by(5) {
+    /// The router's HA answers carry the requested station's numbers, not
+    /// another station's.
+    #[test]
+    fn shed_and_loss_answers_carry_the_stations_ha_numbers() {
+        for (want, fleet) in [
+            (Answer::ShedHa, tiny_fleet(1, 0)),
+            (Answer::LossHa, all_down_fleet()),
+        ] {
+            let mut ha = HistoricalAverage::new();
+            ha.fit(&fleet.dataset).unwrap();
+            // A slot and a station whose HA demand and supply both differ
+            // from station 0's, so a number looked up at the wrong index
+            // cannot pass.
+            let first = fleet.dataset.first_valid_slot();
+            let (slot, station, pred) = (first..first + fleet.dataset.slots_per_day())
+                .find_map(|slot| {
+                    let pred = ha.predict(&fleet.dataset, slot);
+                    let differs = |s: usize| {
+                        pred.demand[s] != pred.demand[0] && pred.supply[s] != pred.supply[0]
+                    };
+                    let station = (1..fleet.n_stations()).find(|&s| differs(s))?;
+                    Some((slot, station, pred))
+                })
+                .expect("a station whose HA numbers differ from station 0's");
             let out = fleet.predict(station, slot).unwrap();
-            assert_eq!(out.status, 200, "station {station}: {}", out.body);
-            assert_eq!(out.replica, plan.owner_of(station), "wrong shard answered");
+            assert_eq!(out.source, want, "{}", out.body);
+            assert_eq!(
+                field(&out.body, "demand").to_bits(),
+                pred.demand[station].to_bits(),
+                "{want:?} demand of station {station}: {}",
+                out.body
+            );
+            assert_eq!(
+                field(&out.body, "supply").to_bits(),
+                pred.supply[station].to_bits(),
+                "{want:?} supply of station {station}: {}",
+                out.body
+            );
         }
     }
 }

@@ -6,17 +6,14 @@
 //! process: inter-arrival gaps are exponential at the instantaneous rate,
 //! so bursts arrive bursty, not smoothed.
 //!
-//! **Open loop, no coordinated omission.** Arrival times are fixed by the
-//! schedule before the run starts; a slow fleet does not slow the arrival
-//! process down. Each request's latency is measured from its *scheduled*
-//! arrival, so time spent waiting behind a backlog counts against the SLO
-//! exactly as a real rider's wait would. The sender pool only bounds
-//! concurrency; when all senders are busy the backlog shows up as latency,
-//! which is the honest failure mode of an overloaded service.
+//! **Open loop.** Arrival times are fixed by the schedule before the run
+//! starts; a slow fleet does not slow the arrival process down, so a
+//! replica lost mid-run meets the traffic the schedule sends, not what a
+//! waiting sender would have sent. The sender pool only bounds
+//! concurrency.
 //!
-//! The emitted [`LoadReport`] is one `BENCH_scale.json` cell: throughput,
-//! SLO attainment, latency percentiles (p50/p99/p999), shed rate, and the
-//! answer-source breakdown.
+//! [`run`] returns a [`LoadReport`]: how many requests were sent and how
+//! each was answered, one count per rung of the degradation ladder.
 
 use crate::fleet::{Answer, Fleet};
 use rand::rngs::StdRng;
@@ -38,35 +35,12 @@ pub struct LoadCurve {
     /// Seed for the arrival schedule and station pick — same seed, same
     /// schedule, byte for byte.
     pub seed: u64,
-    /// Latency SLO; attainment = fraction of requests answered OK within it.
+    /// Latency SLO for a caller that times the answers (the repository
+    /// benchmark's fleet workload); [`run`] only counts them.
     pub slo_ms: u64,
 }
 
 impl LoadCurve {
-    /// A seconds-scale curve for CI smoke runs.
-    pub fn smoke() -> LoadCurve {
-        LoadCurve {
-            duration_ms: 1_500,
-            base_rps: 60.0,
-            rush_multiplier: 3.0,
-            senders: 4,
-            seed: 7,
-            slo_ms: 100,
-        }
-    }
-
-    /// The full bench curve.
-    pub fn standard() -> LoadCurve {
-        LoadCurve {
-            duration_ms: 12_000,
-            base_rps: 150.0,
-            rush_multiplier: 4.0,
-            senders: 8,
-            seed: 7,
-            slo_ms: 100,
-        }
-    }
-
     /// Instantaneous request rate at simulated hour `h ∈ [0, 24)`:
     /// base rate plus Gaussian bursts (σ = 1.5 h) centred on the 08:00 and
     /// 18:00 rushes.
@@ -96,13 +70,9 @@ impl LoadCurve {
     }
 }
 
-/// One load-generation run's results — a `BENCH_scale.json` cell.
-#[derive(Debug, Clone)]
+/// How one load-generation run's requests were answered.
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
-    /// Cell label (mode and replica count).
-    pub label: String,
-    /// Replicas in the fleet under test.
-    pub replicas: usize,
     /// Requests sent.
     pub sent: usize,
     /// Answered by a model forward pass.
@@ -115,69 +85,12 @@ pub struct LoadReport {
     pub loss_ha: usize,
     /// Non-200 responses and router errors.
     pub errors: usize,
-    /// Wall-clock run time in seconds.
-    pub wall_s: f64,
-    /// Achieved throughput (answers per second).
-    pub throughput_rps: f64,
-    /// The curve's SLO in milliseconds.
-    pub slo_ms: u64,
-    /// Fraction of requests answered 200 within the SLO (degraded answers
-    /// count — degrading *is* how the SLO is met under stress).
-    pub slo_attainment: f64,
-    /// Fraction of requests shed.
-    pub shed_rate: f64,
-    /// Latency percentiles, measured from scheduled arrival, microseconds.
-    pub p50_us: u64,
-    /// 99th percentile.
-    pub p99_us: u64,
-    /// 99.9th percentile.
-    pub p999_us: u64,
-}
-
-impl LoadReport {
-    /// The report as a flat JSON object (one `BENCH_scale.json` cell).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                r#"{{"label":"{}","replicas":{},"sent":{},"ok_model":{},"#,
-                r#""replica_ha":{},"shed":{},"loss_ha":{},"errors":{},"#,
-                r#""wall_s":{:.3},"throughput_rps":{:.1},"slo_ms":{},"#,
-                r#""slo_attainment":{:.4},"shed_rate":{:.4},"#,
-                r#""p50_us":{},"p99_us":{},"p999_us":{}}}"#
-            ),
-            self.label,
-            self.replicas,
-            self.sent,
-            self.ok_model,
-            self.replica_ha,
-            self.shed,
-            self.loss_ha,
-            self.errors,
-            self.wall_s,
-            self.throughput_rps,
-            self.slo_ms,
-            self.slo_attainment,
-            self.shed_rate,
-            self.p50_us,
-            self.p99_us,
-            self.p999_us,
-        )
-    }
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted_us.len() as f64) * p).ceil() as usize;
-    let at = rank.clamp(1, sorted_us.len()) - 1;
-    sorted_us.get(at).copied().unwrap_or(0)
 }
 
 /// Runs `curve` against `fleet`, spreading requests across `slots`
-/// round-robin and across stations by a seeded draw. Returns the merged
-/// report; `label` tags the cell.
-pub fn run(fleet: &Fleet, curve: &LoadCurve, slots: &[usize], label: &str) -> LoadReport {
+/// round-robin and across stations by a seeded draw, and counts the
+/// answers.
+pub fn run(fleet: &Fleet, curve: &LoadCurve, slots: &[usize]) -> LoadReport {
     let arrivals = curve.schedule();
     let n_stations = fleet.n_stations();
     let mut rng = StdRng::seed_from_u64(curve.seed ^ 0x10ad);
@@ -193,8 +106,7 @@ pub fn run(fleet: &Fleet, curve: &LoadCurve, slots: &[usize], label: &str) -> Lo
 
     let next = AtomicUsize::new(0);
     let start = Instant::now();
-    // (latency_us, answer, status) per request, merged after the scope.
-    let results: Vec<Vec<(u64, Option<Answer>, u16)>> = std::thread::scope(|scope| {
+    let answers: Vec<Vec<Option<Answer>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..curve.senders.max(1))
             .map(|_| {
                 scope.spawn(|| {
@@ -204,19 +116,11 @@ pub fn run(fleet: &Fleet, curve: &LoadCurve, slots: &[usize], label: &str) -> Lo
                         let Some(&(offset, station, slot)) = requests.get(i) else {
                             break;
                         };
-                        // Open loop: wait for the scheduled arrival. If we
-                        // are already past it, the backlog delay is counted
-                        // in the latency below.
+                        // Open loop: wait for the scheduled arrival.
                         if let Some(wait) = offset.checked_sub(start.elapsed()) {
                             std::thread::sleep(wait);
                         }
-                        let outcome = fleet.predict(station, slot);
-                        let latency = start.elapsed().saturating_sub(offset);
-                        let lat_us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-                        match outcome {
-                            Ok(o) => local.push((lat_us, Some(o.source), o.status)),
-                            Err(_) => local.push((lat_us, None, 0)),
-                        }
+                        local.push(fleet.predict(station, slot).ok().map(|o| o.source));
                     }
                     local
                 })
@@ -227,54 +131,40 @@ pub fn run(fleet: &Fleet, curve: &LoadCurve, slots: &[usize], label: &str) -> Lo
             .map(|h| h.join().unwrap_or_default())
             .collect()
     });
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
 
-    let mut sent = 0usize;
-    let (mut ok_model, mut replica_ha, mut shed, mut loss_ha, mut errors) = (0, 0, 0, 0, 0);
-    let mut within_slo = 0usize;
-    let mut latencies: Vec<u64> = Vec::new();
-    for (lat_us, answer, status) in results.into_iter().flatten() {
-        sent += 1;
-        latencies.push(lat_us);
+    let mut report = LoadReport::default();
+    for answer in answers.into_iter().flatten() {
+        report.sent += 1;
         match answer {
-            Some(Answer::Model) => ok_model += 1,
-            Some(Answer::ReplicaHa) => replica_ha += 1,
-            Some(Answer::ShedHa) => shed += 1,
-            Some(Answer::LossHa) => loss_ha += 1,
-            Some(Answer::Error) | None => errors += 1,
-        }
-        if status == 200 && lat_us <= curve.slo_ms * 1_000 {
-            within_slo += 1;
+            Some(Answer::Model) => report.ok_model += 1,
+            Some(Answer::ReplicaHa) => report.replica_ha += 1,
+            Some(Answer::ShedHa) => report.shed += 1,
+            Some(Answer::LossHa) => report.loss_ha += 1,
+            Some(Answer::Error) | None => report.errors += 1,
         }
     }
-    latencies.sort_unstable();
-    LoadReport {
-        label: label.to_string(),
-        replicas: fleet.n_replicas(),
-        sent,
-        ok_model,
-        replica_ha,
-        shed,
-        loss_ha,
-        errors,
-        wall_s,
-        throughput_rps: sent as f64 / wall_s,
-        slo_ms: curve.slo_ms,
-        slo_attainment: within_slo as f64 / sent.max(1) as f64,
-        shed_rate: shed as f64 / sent.max(1) as f64,
-        p50_us: percentile(&latencies, 0.50),
-        p99_us: percentile(&latencies, 0.99),
-        p999_us: percentile(&latencies, 0.999),
-    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A seconds-scale curve.
+    fn smoke() -> LoadCurve {
+        LoadCurve {
+            duration_ms: 1_500,
+            base_rps: 60.0,
+            rush_multiplier: 3.0,
+            senders: 4,
+            seed: 7,
+            slo_ms: 100,
+        }
+    }
+
     #[test]
     fn rush_hours_peak_and_night_is_quiet() {
-        let c = LoadCurve::smoke();
+        let c = smoke();
         assert!(c.rate_at(8.0) > 2.5 * c.base_rps, "{}", c.rate_at(8.0));
         assert!(c.rate_at(18.0) > 2.5 * c.base_rps);
         assert!(c.rate_at(3.0) < 1.2 * c.base_rps, "{}", c.rate_at(3.0));
@@ -283,7 +173,7 @@ mod tests {
 
     #[test]
     fn schedule_is_seeded_and_monotonic() {
-        let c = LoadCurve::smoke();
+        let c = smoke();
         let a = c.schedule();
         let b = c.schedule();
         assert_eq!(a, b, "same seed must replay the same arrivals");
@@ -305,7 +195,7 @@ mod tests {
             duration_ms: 10_000,
             base_rps: 50.0,
             rush_multiplier: 5.0,
-            ..LoadCurve::smoke()
+            ..smoke()
         };
         let arrivals = c.schedule();
         // Compare the morning-rush window to the early-night window of
@@ -325,42 +215,5 @@ mod tests {
             rush > night * 2,
             "rush {rush} should dwarf night {night} at 5× multiplier"
         );
-    }
-
-    #[test]
-    fn percentiles_and_json_shape() {
-        let lat: Vec<u64> = (1..=1000).collect();
-        assert_eq!(percentile(&lat, 0.50), 500);
-        assert_eq!(percentile(&lat, 0.99), 990);
-        assert_eq!(percentile(&lat, 0.999), 999);
-        assert_eq!(percentile(&[], 0.5), 0);
-        let r = LoadReport {
-            label: "smoke".into(),
-            replicas: 2,
-            sent: 10,
-            ok_model: 8,
-            replica_ha: 1,
-            shed: 1,
-            loss_ha: 0,
-            errors: 0,
-            wall_s: 1.5,
-            throughput_rps: 6.7,
-            slo_ms: 100,
-            slo_attainment: 0.9,
-            shed_rate: 0.1,
-            p50_us: 900,
-            p99_us: 4000,
-            p999_us: 9000,
-        };
-        let j = r.to_json();
-        for field in [
-            "\"label\":\"smoke\"",
-            "\"replicas\":2",
-            "\"slo_attainment\":0.9000",
-            "\"shed_rate\":0.1000",
-            "\"p999_us\":9000",
-        ] {
-            assert!(j.contains(field), "missing {field} in {j}");
-        }
     }
 }

@@ -425,7 +425,7 @@ impl Tensor {
                 rhs: rhs.shape.dims().to_vec(),
             });
         }
-        // Degenerate operands (a 0-station shard, an empty horizon slice)
+        // Degenerate operands (a 0-station city, an empty horizon slice)
         // have nothing to accumulate; the row walks below would slice
         // zero-width rows, so they return their all-zero product up front.
         if m == 0 || n == 0 || k == 0 {

@@ -22,9 +22,9 @@
 //! * [`faults`] — deterministic fault injection (failpoints), the atomic
 //!   file writer, and CRC32 — the substrate of the chaos test suite and the
 //!   crash-safe checkpoint/resume path.
-//! * [`scale`] — city-scale serving: balanced edge-cut shard planner with
-//!   bit-exact halos, consistent-hash fleet router with admission control
-//!   and HA load-shedding, and the open-loop diurnal load generator.
+//! * [`scale`] — replicated fleet serving: a consistent-hash router over
+//!   replicas of the one city-wide model, with admission control and HA
+//!   load-shedding, and the open-loop diurnal load generator.
 //! * [`online`] — the crash-safe train-while-serving loop: windowed trip
 //!   ingestion that re-aggregates the FCG/PCG inputs per day, cadenced
 //!   fine-tuning, a gated promotion pipeline (validator → holdout →

@@ -27,7 +27,7 @@ fn spec_and_weights(data: &BikeDataset, seed: u64) -> (ModelSpec, Vec<u8>) {
 }
 
 /// PARITY-FLEET: a replicated fleet built from one checkpoint answers every
-/// station byte-identically to a single unsharded server holding the same
+/// station byte-identically to a single server holding the same
 /// checkpoint — routing must be invisible in the numbers. (Forward passes
 /// are thread-count invariant, so the comparison is exact, not approximate.)
 #[test]
@@ -117,24 +117,18 @@ fn replica_loss_degrades_but_never_fails() {
             fleet.crash(0);
         })
     };
-    let report = loadgen::run(&fleet, &curve, &slots, "chaos-replica-loss");
+    let report = loadgen::run(&fleet, &curve, &slots);
     killer.join().unwrap();
 
     assert!(report.sent > 0);
     // No torn responses, no 5xx: every request was answered 200 with a
     // parseable body (errors counts non-200s and router failures).
-    assert_eq!(
-        report.errors,
-        0,
-        "replica loss surfaced errors: {}",
-        report.to_json()
-    );
+    assert_eq!(report.errors, 0, "replica loss surfaced errors: {report:?}");
     // Loss of one of three replicas must not collapse service: the model
     // path still answers the bulk of the traffic.
     assert!(
         report.ok_model + report.replica_ha > report.sent * 8 / 10,
-        "too much degradation after one replica loss: {}",
-        report.to_json()
+        "too much degradation after one replica loss: {report:?}"
     );
     // The crash was actually noticed (sticky down-marking, ring failover).
     assert!(fleet.is_down(0), "crash went unnoticed by the router");
