@@ -117,6 +117,7 @@ pub struct FleetStats {
     sheds: AtomicU64,
     failovers: AtomicU64,
     loss_ha: AtomicU64,
+    refused: AtomicU64,
 }
 
 impl FleetStats {
@@ -138,6 +139,13 @@ impl FleetStats {
     /// Requests answered by the router's own HA table (all replicas down).
     pub fn loss_ha(&self) -> u64 {
         self.loss_ha.load(Relaxed)
+    }
+
+    /// Requests the router refused before admission with a 400, for a
+    /// slot outside the servable range. No replica sees them, so no
+    /// replica's `serve_errors_total` counts them.
+    pub fn refused(&self) -> u64 {
+        self.refused.load(Relaxed)
     }
 }
 
@@ -221,6 +229,7 @@ impl Fleet {
         let first = self.dataset.first_valid_slot();
         let last = self.dataset.flows().num_slots();
         if slot < first || slot > last {
+            self.stats.refused.fetch_add(1, Relaxed);
             return Ok(PredictOutcome {
                 status: 400,
                 body: format!(
@@ -499,7 +508,8 @@ mod tests {
     }
 
     /// A slot a replica would refuse is refused on every path — shed, lost
-    /// or dispatched — with the replica's 400, never answered from HA.
+    /// or dispatched — with the replica's 400, never answered from HA, and
+    /// each refusal counts once in `FleetStats::refused`.
     #[test]
     fn an_unservable_slot_is_refused_whatever_the_load() {
         for (name, fleet) in [
@@ -509,8 +519,14 @@ mod tests {
         ] {
             let first = fleet.dataset.first_valid_slot();
             let last = fleet.dataset.flows().num_slots();
-            for slot in [first - 1, last + 1] {
+            for (refusals, slot) in [first - 1, last + 1].into_iter().enumerate() {
+                assert_eq!(fleet.stats().refused(), refusals as u64, "{name} fleet");
                 let out = fleet.predict(3, slot).unwrap();
+                assert_eq!(
+                    fleet.stats().refused(),
+                    refusals as u64 + 1,
+                    "{name} fleet, slot {slot}: one count per refusal"
+                );
                 assert_eq!(out.status, 400, "{name} fleet, slot {slot}: {}", out.body);
                 assert_eq!(out.source, Answer::Error, "{name} fleet, slot {slot}");
                 assert_eq!(out.replica, None, "{name} fleet, slot {slot}");

@@ -86,6 +86,9 @@ struct Node {
     op: Op,
     parents: Vec<usize>,
     value: Tensor,
+    /// Whether a parameter is upstream of this node: a parameter read, or
+    /// an op over at least one such node. Only these nodes get gradients.
+    wants_grad: bool,
     grad: Option<Tensor>,
     /// What [`Op::eval`] kept for [`Op::backprop`] (dropout mask, argmax).
     saved: Saved,
@@ -276,10 +279,13 @@ impl Graph {
     fn push(&self, op: Op, parents: Vec<usize>, value: Tensor, saved: Saved) -> Var {
         let mut inner = self.inner.borrow_mut();
         let id = inner.nodes.len();
+        let wants_grad =
+            matches!(op, Op::Param) || parents.iter().any(|&p| inner.nodes[p].wants_grad);
         inner.nodes.push(Node {
             op,
             parents,
             value,
+            wants_grad,
             grad: None,
             saved,
         });
@@ -309,8 +315,8 @@ impl Graph {
         Ok(self.push(op, parents, value, saved))
     }
 
-    /// Records a constant leaf. Gradients flow *through* ops into leaves but
-    /// are not written back anywhere.
+    /// Records a constant leaf. No parameter is upstream of it, so the
+    /// backward sweep never forms its gradient.
     pub fn leaf(&self, value: Tensor) -> Var {
         self.push(Op::Leaf, Vec::new(), value, Saved::None)
     }
@@ -402,7 +408,11 @@ impl Var {
         f(&self.graph.borrow().nodes[self.id].value)
     }
 
-    /// The node's gradient, if `backward` has reached it.
+    /// The node's gradient, if `backward` has reached it. The sweep forms
+    /// gradients only for nodes with a parameter upstream (a
+    /// [`Graph::param`] read, or an op over one), so for a
+    /// [`Graph::leaf`] and everything computed from leaves alone this is
+    /// `None` after `backward` too.
     pub fn grad(&self) -> Option<Tensor> {
         self.graph.borrow().nodes[self.id].grad.clone()
     }
@@ -656,16 +666,23 @@ impl Var {
     // ------------------------------------------------------------------
 
     /// Runs the reverse sweep from this node, accumulating gradients into
-    /// every ancestor and depositing them into linked [`Param`]s. Each
-    /// reached node folds its gradient to its parents with its op's
-    /// backward (`Op::backprop`, the one the compiled plan runs too) over
-    /// the stored parent values, output value and saved state.
+    /// every ancestor with a parameter upstream and depositing them into
+    /// linked [`Param`]s. Each reached node folds its gradient to those
+    /// parents with its op's backward (`Op::backprop`, the one the
+    /// compiled plan runs too) over the stored parent values, output value
+    /// and saved state. A parent with no parameter upstream — a leaf, or
+    /// an op over leaves alone — gets no gradient, and its contribution is
+    /// never computed: no parameter reads it (see [`Var::grad`]). From a
+    /// node with no parameter upstream the sweep does nothing.
     ///
     /// Each tape supports one backward pass: the sweep accumulates into
     /// the nodes' gradients, so a second sweep would count the first
     /// one's again. Build a fresh graph per training step.
     pub fn backward(&self) {
         let mut inner = self.graph.borrow_mut();
+        if !inner.nodes[self.id].wants_grad {
+            return;
+        }
         let seed = Tensor::ones(inner.nodes[self.id].value.shape().clone());
         accumulate(&mut inner.nodes[self.id].grad, seed);
         for id in (0..=self.id).rev() {
@@ -674,13 +691,17 @@ impl Var {
             let Some(g) = &node.grad else {
                 continue;
             };
+            let wants = |k: usize| nodes[node.parents[k]].wants_grad;
             let contribs = with_operands(
                 &node.parents,
                 |p| &nodes[p].value,
-                |x| node.op.backprop(g, x, &node.value, &node.saved),
+                |x| node.op.backprop(g, x, &node.value, &node.saved, &wants),
             )
             .unwrap_or_else(|e| panic!("{e}"));
             for (k, g) in contribs.into_iter().enumerate() {
+                let Some(g) = g else {
+                    continue;
+                };
                 let pid = inner.nodes[id].parents[k];
                 debug_assert!(pid < id, "tape order violated: node {id} feeds {pid}");
                 accumulate(&mut inner.nodes[pid].grad, g);

@@ -215,6 +215,12 @@ impl Op {
     /// max-pool's mask is structure, not a differentiable operand, and gets
     /// no contribution.
     ///
+    /// `wants(k)` says whether operand `k` has a parameter upstream of it;
+    /// an operand that has none gets `None`, and its contribution is never
+    /// computed — no parameter reads it. Both executors record the verdict
+    /// per node (DESIGN §9.2), so a flow convolution's window input, the
+    /// `ones`/`eye` constants, masks and targets cost no backward work.
+    ///
     /// Each formula reads only what it must. The compiled plan relies on
     /// that: a value slot an in-place rewrite took holds a one-element
     /// placeholder, and its legality table (`plan::passes`) only lets a
@@ -226,31 +232,48 @@ impl Op {
         x: &[&Tensor],
         out: &Tensor,
         saved: &Saved,
-    ) -> Result<Vec<Tensor>> {
-        if let (Some(m), [a]) = (MapOp::from_op(self), x) {
-            return Ok(vec![m.grad(g, a, out)]);
+        wants: &dyn Fn(usize) -> bool,
+    ) -> Result<Vec<Option<Tensor>>> {
+        if let [a] = x {
+            if !wants(0) {
+                return Ok(vec![None]);
+            }
+            if let Some(m) = MapOp::from_op(self) {
+                return Ok(vec![Some(m.grad(g, a, out))]);
+            }
         }
+        // The contribution to operand `k`, computed only when it is wanted.
+        let to = |k: usize, f: &dyn Fn() -> Result<Tensor>| -> Result<Option<Tensor>> {
+            if wants(k) {
+                f().map(Some)
+            } else {
+                Ok(None)
+            }
+        };
         Ok(match (self, x) {
             (Op::Leaf | Op::Param, []) => Vec::new(),
-            (Op::Add, [_, _]) => vec![g.clone(), g.clone()],
-            (Op::Sub, [_, _]) => vec![g.clone(), g.neg()],
-            (Op::Mul, [a, b]) => vec![g.mul(b)?, g.mul(a)?],
+            (Op::Add, [_, _]) => vec![to(0, &|| Ok(g.clone()))?, to(1, &|| Ok(g.clone()))?],
+            (Op::Sub, [_, _]) => vec![to(0, &|| Ok(g.clone()))?, to(1, &|| Ok(g.neg()))?],
+            (Op::Mul, [a, b]) => vec![to(0, &|| g.mul(b))?, to(1, &|| g.mul(a))?],
             // d(a/b)/db = −a / b²
-            (Op::Div, [a, b]) => vec![g.div(b)?, g.mul(a)?.div(&b.square())?.neg()],
+            (Op::Div, [a, b]) => vec![
+                to(0, &|| g.div(b))?,
+                to(1, &|| Ok(g.mul(a)?.div(&b.square())?.neg()))?,
+            ],
             // g·bᵀ and aᵀ·g through the GEMM's layout flags, so neither
             // transpose is built.
             (Op::Matmul, [a, b]) => vec![
-                g.matmul_layout(b, false, true)?,
-                a.matmul_layout(g, true, false)?,
+                to(0, &|| g.matmul_layout(b, false, true))?,
+                to(1, &|| a.matmul_layout(g, true, false))?,
             ],
-            (Op::Transpose, [_]) => vec![g.transpose()?],
-            (Op::Reshape(_), [a]) => vec![g.reshape(a.shape().clone())?],
+            (Op::Transpose, [_]) => vec![Some(g.transpose()?)],
+            (Op::Reshape(_), [a]) => vec![Some(g.reshape(a.shape().clone())?)],
             (Op::SliceRows { start, end }, [a]) => {
                 // Zero-pads the slice's gradient back to the full matrix.
                 let (_, cols) = a.shape().as_matrix("slice_rows_bw")?;
                 let mut full = Tensor::zeros(a.shape().clone());
                 full.data_mut()[start * cols..end * cols].copy_from_slice(g.data());
-                vec![full]
+                vec![Some(full)]
             }
             (Op::SoftmaxRows, [_]) => {
                 // dx_j = s_j (g_j − Σ_k g_k s_k), per row.
@@ -264,18 +287,26 @@ impl Op {
                         buf[i * c + j] = srow[j] * (grow[j] - dot);
                     }
                 }
-                vec![dx]
+                vec![Some(dx)]
             }
             (Op::Dropout { .. }, [_]) => match saved {
-                Saved::Mask(mask) => vec![g.mul(mask)?],
+                Saved::Mask(mask) => vec![Some(g.mul(mask)?)],
                 _ => return Err(missing("dropout", "mask")),
             },
-            (Op::AddRowBroadcast, [_, _]) => vec![g.clone(), g.sum_rows()?],
-            (Op::AddColBroadcast, [_, _]) => vec![g.clone(), g.sum_cols()?],
-            (Op::MulColBroadcast, [a, c]) => {
-                vec![g.mul_col_broadcast(c)?, g.mul(a)?.sum_cols()?]
+            (Op::AddRowBroadcast, [_, _]) => {
+                vec![to(0, &|| Ok(g.clone()))?, to(1, &|| g.sum_rows())?]
             }
+            (Op::AddColBroadcast, [_, _]) => {
+                vec![to(0, &|| Ok(g.clone()))?, to(1, &|| g.sum_cols())?]
+            }
+            (Op::MulColBroadcast, [a, c]) => vec![
+                to(0, &|| g.mul_col_broadcast(c))?,
+                to(1, &|| g.mul(a)?.sum_cols())?,
+            ],
             (Op::RowsMaxPool, [a, _]) => {
+                if !wants(0) {
+                    return Ok(Vec::new());
+                }
                 // Each output element's gradient routes to its argmax row.
                 let Saved::Argmax(argmax) = saved else {
                     return Err(missing("rows_max_pool", "argmax"));
@@ -286,12 +317,12 @@ impl Op {
                 for (k, (&r, &gv)) in argmax.iter().zip(g.data()).enumerate() {
                     buf[r * cols + k % cols] += gv;
                 }
-                vec![dx]
+                vec![Some(dx)]
             }
-            (Op::SumAll, [a]) => vec![Tensor::full(a.shape().clone(), g.scalar())],
+            (Op::SumAll, [a]) => vec![Some(Tensor::full(a.shape().clone(), g.scalar()))],
             (Op::MeanAll, [a]) => {
                 let inv = 1.0 / a.len() as f32;
-                vec![Tensor::full(a.shape().clone(), g.scalar() * inv)]
+                vec![Some(Tensor::full(a.shape().clone(), g.scalar() * inv))]
             }
             (Op::SumCols, [a]) => {
                 let (r, c) = a.shape().as_matrix("sum_cols_bw")?;
@@ -299,7 +330,7 @@ impl Op {
                 for (row, &gv) in dx.data_mut().chunks_mut(c.max(1)).zip(g.data()) {
                     row.fill(gv);
                 }
-                vec![dx]
+                vec![Some(dx)]
             }
             (Op::SumRows, [a]) => {
                 let (r, c) = a.shape().as_matrix("sum_rows_bw")?;
@@ -307,24 +338,25 @@ impl Op {
                 for row in dx.data_mut().chunks_mut(c.max(1)) {
                     row.copy_from_slice(g.data());
                 }
-                vec![dx]
+                vec![Some(dx)]
             }
             (Op::ConcatCols, parts) => {
-                // Splits the gradient's columns back into the parts.
+                // Splits the gradient's columns back into the wanted parts.
                 let rows = out.shape().rows();
                 let mut col = 0;
-                parts
-                    .iter()
-                    .map(|p| {
-                        let w = p.shape().cols();
+                let mut contribs = Vec::with_capacity(parts.len());
+                for (k, p) in parts.iter().enumerate() {
+                    let w = p.shape().cols();
+                    contribs.push(to(k, &|| {
                         let mut part = Buffer::zeroed(rows * w);
                         for r in 0..rows {
                             part[r * w..(r + 1) * w].copy_from_slice(&g.row(r)[col..col + w]);
                         }
-                        col += w;
-                        Tensor::from_buffer(Shape::matrix(rows, w), part)
-                    })
-                    .collect()
+                        Ok(Tensor::from_buffer(Shape::matrix(rows, w), part))
+                    })?);
+                    col += w;
+                }
+                contribs
             }
             _ => return Err(self.arity_error(x.len())),
         })

@@ -154,6 +154,11 @@ impl Plan {
     /// cells in tape order, matching the eager deposit order. Call once per
     /// forward.
     ///
+    /// As in eager [`crate::autograd::Var::backward`], only nodes with a
+    /// parameter binding upstream get gradients: `Plan::compile` records
+    /// the verdict per node, and no contribution to an input, derived or
+    /// constant leaf (or to an op over those alone) is computed.
+    ///
     /// The gradient slots are released on return, after the deposit (or
     /// after a failed sweep), so a batch of lanes holds one lane's
     /// gradients at a time and the next lane's backward reuses them.
@@ -167,6 +172,9 @@ impl Plan {
         let root = self
             .loss
             .ok_or_else(|| Error::InvalidArgument("plan has no loss node to seed".into()))?;
+        if !self.wants_grad[root] {
+            return Ok(());
+        }
         accumulate(
             &mut exec.grads[root],
             Tensor::full(self.nodes[root].shape.clone(), seed_scale),
@@ -179,13 +187,20 @@ impl Plan {
             if !matches!(node.binding, NodeBinding::Compute) {
                 continue; // leaves, params and constants spread no further
             }
-            // One contribution per parent, in parent order.
+            // One contribution per parent that wants one, in parent order.
+            let wants = |k: usize| self.wants_grad[node.parents[k]];
             let contribs = with_operands(
                 &node.parents,
                 |p| &exec.values[p],
-                |x| node.op.backprop(g, x, &exec.values[id], &exec.saved[id]),
+                |x| {
+                    node.op
+                        .backprop(g, x, &exec.values[id], &exec.saved[id], &wants)
+                },
             )?;
             for (k, g) in contribs.into_iter().enumerate() {
+                let Some(g) = g else {
+                    continue;
+                };
                 let pid = node.parents[k];
                 debug_assert!(pid < id, "tape order violated: node {id} feeds {pid}");
                 accumulate(&mut exec.grads[pid], g)?;

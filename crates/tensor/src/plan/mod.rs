@@ -76,6 +76,9 @@ pub struct Plan {
     /// Per node: the parent slot whose buffer this node steals and
     /// overwrites in place (`None` = normal output).
     pub(crate) in_place: Vec<Option<usize>>,
+    /// Per node: whether a parameter binding is upstream of it. The
+    /// backward sweep forms gradients for these nodes only.
+    pub(crate) wants_grad: Vec<bool>,
     /// Shared scalar parked in a slot whose buffer was stolen — cloning it
     /// is an `Arc` bump, so in-place rewrites stay allocation-free.
     pub(crate) placeholder: Tensor,
@@ -124,6 +127,7 @@ impl Plan {
         let mut derived_deps: Vec<usize> = Vec::new();
         let mut param_links = Vec::new();
         let mut init_values = Vec::with_capacity(n);
+        let mut wants_grad: Vec<bool> = Vec::with_capacity(n);
         let mut has_dropout = false;
         for (id, info) in snapshot.nodes.iter().enumerate() {
             if info.parents.iter().any(|&p| p >= id) {
@@ -176,6 +180,14 @@ impl Plan {
             if matches!(info.op, Op::Dropout { .. }) {
                 has_dropout = true;
             }
+            wants_grad.push(match binding {
+                NodeBinding::Param(_) => true,
+                NodeBinding::Compute => info
+                    .parents
+                    .iter()
+                    .any(|&p| wants_grad.get(p) == Some(&true)),
+                NodeBinding::Constant | NodeBinding::Input(_) | NodeBinding::Derived(_) => false,
+            });
             nodes.push(PlanNode {
                 op: info.op.clone(),
                 parents: info.parents.clone(),
@@ -207,6 +219,7 @@ impl Plan {
             has_dropout,
             derived_deps,
             in_place: vec![None; n],
+            wants_grad,
             placeholder: Tensor::from_scalar(0.0),
         };
         passes::mark_in_place(&mut plan);

@@ -16,20 +16,6 @@ use crate::shape::Shape;
 use std::fmt;
 use std::sync::Arc;
 
-/// Side length of the square tiles `transpose` gathers through: 32×32 f32
-/// tiles (4 KiB working set) keep both the strided reads and the strided
-/// writes inside L1 while a whole row/column of a large matrix would not.
-const TRANSPOSE_TILE: usize = 32;
-
-/// Contraction-dimension block for the layout-flag GEMM microkernel
-/// ([`Tensor::matmul_layout`]): eight `TRANSPOSE_TILE`-sized runs, so the
-/// eight B-columns a lane block walks (8 × 256 × 4 B = 8 KiB) stay inside L1
-/// together with the A-row segment. Blocking only regroups the *memory*
-/// traversal — each output element keeps one accumulator walking the
-/// contraction in ascending order, so results are bit-identical to the
-/// unblocked kernel.
-const GEMM_KC: usize = 8 * TRANSPOSE_TILE;
-
 /// A dense, row-major `f32` tensor.
 ///
 /// Element storage is a [`Buffer`] leased from the [`crate::pool`] recycling
@@ -394,20 +380,37 @@ impl Tensor {
     }
 
     /// Matrix product with layout flags: computes `op(self) · op(rhs)`
-    /// where `op` transposes its operand when the flag is set, **without
-    /// materialising the transpose**. This is the one GEMM kernel of both
-    /// executors: `nn` is [`Tensor::matmul`] (the forward), `nt` and `tn`
-    /// are the matmul backward's `g·bᵀ` and `aᵀ·g`. Transposing both
-    /// operands returns [`Error::InvalidArgument`]: no caller needs it.
+    /// where `op` transposes its operand when the flag is set. This is the
+    /// one GEMM entry point of both executors: `nn` is [`Tensor::matmul`]
+    /// (the forward), `nt` and `tn` are the matmul backward's `g·bᵀ` and
+    /// `aᵀ·g`. Transposing both operands returns
+    /// [`Error::InvalidArgument`]: no caller needs it.
     ///
     /// Every output element owns one accumulator that starts at `+0.0` and
-    /// adds `a·b` in ascending contraction order, whatever the layout or
-    /// the blocking. A deterministic density probe of the stored
-    /// lhs ([`lhs_is_dense`]) picks the inner loops: a dense lhs (weights,
-    /// hidden states) takes the register-blocked kernel, a sparse one (flow
-    /// matrices) skips its zero elements, which skips most of the work.
-    /// For finite operands the verdict changes no bits: the accumulator
-    /// never becomes `−0.0`, so adding a `±0.0` product is exact.
+    /// adds `a·b` in ascending contraction order, a multiply then an add,
+    /// whatever inner loop runs. The loop is picked by shape class and
+    /// lhs density (DESIGN §12.3 has the measured table):
+    ///
+    /// * `nn` and `nt` with `n = 1` — a matrix–vector product, eight
+    ///   rows' chains interleaved (a stored `1×k` rhs holds the bits of
+    ///   its transpose);
+    /// * `nt` with `k > 1` and fewer than four lhs rows, or fewer than
+    ///   512 multiply-adds — with a dense lhs, each output row is a
+    ///   matrix–vector product over `b`'s stored rows; with a sparse one,
+    ///   products over the lhs nonzeros only, so the flow convolution's
+    ///   weight gradient copies nothing;
+    /// * other `nt` with `k > 1` — the `nn` loops over a materialised
+    ///   `bᵀ`; with `k = 1` over the stored rhs, whose `n×1` vector holds
+    ///   the bits of its transpose;
+    /// * `tn` with `n = 1` — one streaming row over the stored lhs rows,
+    ///   `out[i] = Σ_p b[p]·a[p][i]` (IEEE products commute);
+    /// * `nn` and `tn` — with at least four rows and a dense lhs
+    ///   ([`lhs_is_dense`]), 4-row register tiles of width 16, 8, 4, 2 and
+    ///   1; otherwise streaming rows that skip the lhs zeros (flow
+    ///   matrices, masked FCG weights).
+    ///
+    /// For finite operands no choice changes a bit: the accumulator never
+    /// becomes `−0.0`, so a skipped `±0.0` product is exact.
     pub fn matmul_layout(&self, rhs: &Tensor, ta: bool, tb: bool) -> Result<Tensor> {
         if ta && tb {
             return Err(Error::InvalidArgument(
@@ -433,32 +436,48 @@ impl Tensor {
         }
         let a = self.data();
         let b = rhs.data();
-        let dense = lhs_is_dense(a);
         let mut out = Buffer::zeroed(m * n);
-        if !ta && tb {
-            gemm_nt(&mut out, a, b, k, n, dense);
-        } else if dense {
-            // Dense lhs and a streaming rhs: the register-blocked path.
-            // (The sparse path must take the per-row zero-skips, so it
-            // keeps the streaming kernels.)
-            gemm_blocked(&mut out, a, b, k, n, ta, ac);
-        } else {
-            for (i, o_row) in out.chunks_mut(n).enumerate() {
-                if ta {
-                    gemm_row_tn(o_row, a, i, ac, b, k, n, dense);
-                } else {
-                    gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, n, dense);
+        if !ta && n == 1 {
+            // nn and nt alike: the rhs is one contiguous k-vector (a stored
+            // 1×k rhs holds the bits of its k×1 transpose).
+            gemm_matvec(&mut out, a, b, k);
+        } else if !ta && tb && k > 1 && (m < 4 || m * n * k < 512) {
+            // Below four rows, or 512 multiply-adds, leasing and filling a
+            // transpose costs more than the product.
+            if lhs_is_dense(a) {
+                // Output row i is b·a_iᵀ, a matrix–vector product over b's
+                // stored rows; a[i][p]·b[j][p] is the same IEEE product.
+                for (o_row, a_row) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+                    gemm_matvec(o_row, b, a_row, k);
                 }
+            } else {
+                gemm_nt_sparse(&mut out, a, b, k, n);
             }
+        } else if !ta && tb && k > 1 {
+            // The panels over a materialised bᵀ: the k·n copy is small
+            // next to the m·k·n product here.
+            let bt = rhs.transpose()?;
+            gemm_nn(&mut out, a, bt.data(), k, n);
+        } else if !ta {
+            // nn, and nt with k = 1: a stored n×1 rhs holds the bits of
+            // its 1×n transpose.
+            gemm_nn(&mut out, a, b, k, n);
+        } else if n == 1 {
+            // tn matrix–vector: out = bᵀ·a, one streaming row over a's
+            // rows. b[p]·a[p][i] and a[p][i]·b[p] are the same IEEE product.
+            gemm_row_nn(&mut out, b, a, m, false);
+        } else {
+            gemm_tn(&mut out, a, b, k, m, n);
         }
         Ok(Tensor::from_buffer(Shape::matrix(m, n), out))
     }
 
     /// Transpose of a rank-2 tensor.
     ///
-    /// The gather is tiled in [`TRANSPOSE_TILE`]² blocks so both the
-    /// contiguous reads and the strided writes stay inside L1, instead of
-    /// walking a full strided column of a large matrix per output row.
+    /// The input is read eight rows at a time: each output row takes one
+    /// element from each of the eight, so the writes are contiguous runs
+    /// and the eight read streams advance together. The `nt` GEMM runs its
+    /// panels over this copy of the rhs.
     pub fn transpose(&self) -> Result<Tensor> {
         let (r, c) = self.shape.as_matrix("transpose")?;
         // A 0-row or 0-col matrix has nothing to gather: return the empty
@@ -468,18 +487,13 @@ impl Tensor {
         }
         let data = self.data();
         let mut out = Buffer::zeroed(r * c);
-        let o: &mut [f32] = &mut out;
-        for jb in (0..c).step_by(TRANSPOSE_TILE) {
-            let jend = (jb + TRANSPOSE_TILE).min(c);
-            for ib in (0..r).step_by(TRANSPOSE_TILE) {
-                let iend = (ib + TRANSPOSE_TILE).min(r);
-                for i in ib..iend {
-                    let src_row = &data[i * c..(i + 1) * c];
-                    for j in jb..jend {
-                        o[j * r + i] = src_row[j];
-                    }
-                }
-            }
+        let mut panels = data.chunks_exact(8 * c);
+        for (p, panel) in (&mut panels).enumerate() {
+            transpose_panel::<8>(&mut out, panel, r, 8 * p);
+        }
+        let tail = r - r % 8;
+        for (i, row) in panels.remainder().chunks_exact(c).enumerate() {
+            transpose_panel::<1>(&mut out, row, r, tail + i);
         }
         Ok(Tensor::from_buffer(Shape::matrix(c, r), out))
     }
@@ -768,10 +782,30 @@ impl Tensor {
     }
 }
 
+/// `R` input rows `ib..ib + R` (`panel`, `R·c` elements) into columns
+/// `ib..ib + R` of the `c×r` transpose `out`: each output row takes one
+/// element from each of the `R` rows, so every write is a contiguous run.
+fn transpose_panel<const R: usize>(out: &mut [f32], panel: &[f32], r: usize, ib: usize) {
+    let c = panel.len() / R;
+    let rows: [&[f32]; R] = std::array::from_fn(|x| &panel[x * c..(x + 1) * c]);
+    for (j, o_row) in out.chunks_exact_mut(r).enumerate() {
+        for (o, row) in o_row[ib..ib + R].iter_mut().zip(&rows) {
+            // j < c, the length of every row.
+            *o = row[j];
+        }
+    }
+}
+
 /// Deterministic density probe for [`Tensor::matmul_layout`]'s stored lhs:
 /// samples at most 1024 evenly-strided elements and calls the matrix dense
-/// when fewer than 1/8 of the samples are exactly zero. Cheap relative to
-/// the `m·k·n` product it steers, and a function of the data alone.
+/// unless at least 7/10 of the samples are exactly zero. The register
+/// tiles multiply every zero and the streaming rows skip them; at the
+/// model's 64³ products they cost the same at about 1/2 zeros for `nn` and
+/// 3/4 or more for `tn` and `nt`, and at 20–28 stations the tiles win up
+/// to 85 % (DESIGN §12.3). So dropout (1/5 zeros) and ReLU outputs run the
+/// tiles, flow matrices and masked FCG weights (85 % and more) skip.
+/// Cheap relative to the `m·k·n` product it steers, and a function of the
+/// data alone.
 pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
     if a.is_empty() {
         return true;
@@ -788,7 +822,172 @@ pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
         sampled += 1;
         idx += stride;
     }
-    zeros * 8 < sampled
+    zeros * 10 < sampled * 7
+}
+
+/// `a·b` with `a` stored `m×k` (`m = out.len() / n`) and `b` stored `k×n`.
+/// A sparse lhs streams row by row, skipping its zeros; a dense one runs
+/// the register-blocked panels, four rows at a time, and streams the
+/// rows left over (all of them when there are fewer than four).
+fn gemm_nn(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+    if !lhs_is_dense(a) {
+        for (o_row, a_row) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+            gemm_row_nn(o_row, a_row, b, n, false);
+        }
+        return;
+    }
+    let mut panels = out.chunks_exact_mut(4 * n);
+    let mut a_panels = a.chunks_exact(4 * k);
+    for (o_panel, a_panel) in (&mut panels).zip(&mut a_panels) {
+        let (a0, rest) = a_panel.split_at(k);
+        let (a1, rest) = rest.split_at(k);
+        let (a2, a3) = rest.split_at(k);
+        let lhs = a0
+            .iter()
+            .zip(a1)
+            .zip(a2)
+            .zip(a3)
+            .map(|(((&x0, &x1), &x2), &x3)| [x0, x1, x2, x3]);
+        gemm_panel(o_panel, n, lhs, b);
+    }
+    let rows = panels.into_remainder().chunks_exact_mut(n);
+    for (o_row, a_row) in rows.zip(a_panels.remainder().chunks_exact(k)) {
+        gemm_row_nn(o_row, a_row, b, n, true);
+    }
+}
+
+/// `aᵀ·b` with `a` stored `k×m` and `b` stored `k×n`: the lhs column a
+/// panel reads at step `p` is four adjacent elements of `a`'s row `p`, so
+/// no transpose is built. Dispatch as in [`gemm_nn`].
+fn gemm_tn(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
+    if !lhs_is_dense(a) {
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            gemm_row_tn(o_row, a, i, m, b, k, n, false);
+        }
+        return;
+    }
+    for (r, o_panel) in out.chunks_exact_mut(4 * n).enumerate() {
+        let i0 = 4 * r;
+        // i0 + 3 < m, and every chunk has m elements.
+        let lhs = a
+            .chunks_exact(m)
+            .map(move |row| [row[i0], row[i0 + 1], row[i0 + 2], row[i0 + 3]]);
+        gemm_panel(o_panel, n, lhs, b);
+    }
+    for (i, o_row) in out.chunks_exact_mut(n).enumerate().skip(m - m % 4) {
+        gemm_row_tn(o_row, a, i, m, b, k, n, true);
+    }
+}
+
+/// Four output rows (`o_panel`, `4·n` elements) from their lhs columns
+/// (`lhs` yields the four rows' elements at each contraction step, `p`
+/// ascending) and `b` stored `k×n`, in 4 × NC register tiles: NC
+/// descends 16 → 8 → 4 → 2 → 1, so every width is fully tiled (n = 21 is
+/// 16 + 4 + 1).
+fn gemm_panel<I>(o_panel: &mut [f32], n: usize, lhs: I, b: &[f32])
+where
+    I: Iterator<Item = [f32; 4]> + Clone,
+{
+    let mut jb = 0;
+    while jb + 16 <= n {
+        gemm_tile::<16, I>(o_panel, n, jb, lhs.clone(), b);
+        jb += 16;
+    }
+    if jb + 8 <= n {
+        gemm_tile::<8, I>(o_panel, n, jb, lhs.clone(), b);
+        jb += 8;
+    }
+    if jb + 4 <= n {
+        gemm_tile::<4, I>(o_panel, n, jb, lhs.clone(), b);
+        jb += 4;
+    }
+    if jb + 2 <= n {
+        gemm_tile::<2, I>(o_panel, n, jb, lhs.clone(), b);
+        jb += 2;
+    }
+    if jb < n {
+        gemm_tile::<1, I>(o_panel, n, jb, lhs, b);
+    }
+}
+
+/// One 4-row × `NC`-column tile of [`gemm_panel`], columns `jb..jb + NC`:
+/// `NC` is a const, so the accumulator block is a fixed-size register
+/// array and each contraction step is four lhs broadcasts against one
+/// `NC`-wide rhs load. The rhs rows are walked by iterator, so the loop
+/// carries no index arithmetic.
+///
+/// Bit-identity: every output element owns exactly one accumulator,
+/// starting at `+0.0` and advanced in ascending contraction order — the
+/// same per-element chain the streaming kernels produce; the tiling only
+/// changes which *independent* chains run interleaved.
+fn gemm_tile<const NC: usize, I>(o_panel: &mut [f32], n: usize, jb: usize, lhs: I, b: &[f32])
+where
+    I: Iterator<Item = [f32; 4]>,
+{
+    let mut acc = [[0f32; NC]; 4];
+    for (avs, b_row) in lhs.zip(b.chunks_exact(n)) {
+        // jb + NC <= n bounds the slice.
+        let bvec = &b_row[jb..jb + NC];
+        for (accr, &av) in acc.iter_mut().zip(&avs) {
+            for (o, &bv) in accr.iter_mut().zip(bvec) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (o_row, accr) in o_panel.chunks_exact_mut(n).zip(&acc) {
+        o_row[jb..jb + NC].copy_from_slice(accr);
+    }
+}
+
+/// `a·x` for `a` stored `m×k` (`m = out.len()`) and a contiguous
+/// k-vector `x`: eight rows' dot products run interleaved, so eight
+/// independent add chains hide each add's latency; the row tail runs
+/// them one at a time. One accumulator per output from `+0.0`, `p`
+/// ascending.
+fn gemm_matvec(out: &mut [f32], a: &[f32], x: &[f32], k: usize) {
+    let mut o_blocks = out.chunks_exact_mut(8);
+    let mut a_blocks = a.chunks_exact(8 * k);
+    for (o8, a8) in (&mut o_blocks).zip(&mut a_blocks) {
+        gemm_dot_rows::<8>(o8, a8, x, k);
+    }
+    let rest = o_blocks.into_remainder().chunks_exact_mut(1);
+    for (o1, a1) in rest.zip(a_blocks.remainder().chunks_exact(k)) {
+        gemm_dot_rows::<1>(o1, a1, x, k);
+    }
+}
+
+/// `R` dot products of [`gemm_matvec`]: `o[r] = Σ_p rows[r][p]·x[p]`.
+fn gemm_dot_rows<const R: usize>(o: &mut [f32], rows: &[f32], x: &[f32], k: usize) {
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+    let mut acc = [0f32; R];
+    for (p, &xv) in x.iter().enumerate() {
+        for (o, row) in acc.iter_mut().zip(&rows) {
+            // p < k, the length of every row.
+            *o += row[p] * xv;
+        }
+    }
+    o.copy_from_slice(&acc);
+}
+
+/// `a·bᵀ` for a sparse lhs of few rows (`a` stored `m×k`, `b` stored
+/// `n×k`): for each nonzero `a[i][p]`, `p` ascending, every output `j` of
+/// row `i` adds `a[i][p]·b[j][p]`, so each output's chain is the
+/// reference's without its ±0.0 terms. The flow convolution's weight
+/// gradient (a mostly-zero 1×4096 row against a 96×4096 window) costs its
+/// nonzeros, and `b` is never copied — a transpose would cost more than
+/// the product here.
+fn gemm_nt_sparse(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
+    for (o_row, a_row) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (p, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, b_row) in o_row.iter_mut().zip(b.chunks_exact(k)) {
+                // p < k, the length of every row.
+                *o += av * b_row[p];
+            }
+        }
+    }
 }
 
 /// One output row of `a·b`, both operands in natural layout:
@@ -796,8 +995,8 @@ pub(crate) fn lhs_is_dense(a: &[f32]) -> bool {
 /// its own accumulation chain, so LLVM vectorizes the `zip` across `j`
 /// without reordering any float adds (a hand-unrolled 8-lane version of
 /// this loop measured ~4× *slower*: the indexed lane bodies defeat the
-/// autovectorizer). It runs the sparse `nn` path and the blocked kernel's
-/// row tail.
+/// autovectorizer). It runs the sparse and few-row `nn` paths, the panels'
+/// row tail and the `tn` matrix–vector product.
 fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], n: usize, dense: bool) {
     for (p, &av) in a_row.iter().enumerate() {
         if !dense && av == 0.0 {
@@ -807,268 +1006,6 @@ fn gemm_row_nn(o_row: &mut [f32], a_row: &[f32], b: &[f32], n: usize, dense: boo
         for (o, &bv) in o_row.iter_mut().zip(b_row) {
             *o += av * bv;
         }
-    }
-}
-
-/// Dense `op(a)·b` into the whole output, register blocked: a 4-row ×
-/// 16-column accumulator tile lives entirely in vector registers, so each
-/// contraction step issues eight fused multiply-adds against two `b`
-/// vector loads instead of re-walking the output row through memory, as
-/// the streaming [`gemm_row_nn`] does. Works for both
-/// the natural (`ta=false`) and transposed (`ta=true`) lhs — the lhs
-/// element is a scalar broadcast either way, only its address changes.
-///
-/// Bit-identity: every output element still owns exactly one accumulator,
-/// advanced in ascending contraction order — the same per-element chain
-/// the streaming sparse path produces; row/column blocking only changes
-/// which *independent* chains run interleaved.
-fn gemm_blocked(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    ta: bool,
-    a_cols: usize,
-) {
-    let rows = out.len() / n;
-    let rb_end = rows - rows % 4;
-    let mut r = 0;
-    while r < rb_end {
-        // Descend 16 → 8 → 4-wide column tiles so awkward widths (n = 28:
-        // 16 + 8 + 4) stay fully register-blocked; only n % 4 columns fall
-        // back to the streaming loop.
-        let mut jb = 0;
-        while jb + 16 <= n {
-            gemm_block_tile::<16>(out, r, a, b, k, n, jb, ta, a_cols);
-            jb += 16;
-        }
-        if jb + 8 <= n {
-            gemm_block_tile::<8>(out, r, a, b, k, n, jb, ta, a_cols);
-            jb += 8;
-        }
-        if jb + 4 <= n {
-            gemm_block_tile::<4>(out, r, a, b, k, n, jb, ta, a_cols);
-            jb += 4;
-        }
-        if jb < n {
-            for i in r..r + 4 {
-                gemm_blocked_col_tail(out, i, a, b, k, n, jb, ta, a_cols);
-            }
-        }
-        r += 4;
-    }
-    for i in rb_end..rows {
-        let o_row = &mut out[i * n..(i + 1) * n];
-        if ta {
-            gemm_row_tn(o_row, a, i, a_cols, b, k, n, true);
-        } else {
-            gemm_row_nn(o_row, &a[i * k..(i + 1) * k], b, n, true);
-        }
-    }
-}
-
-/// One 4-row × `NC`-column register tile of [`gemm_blocked`], rows
-/// `i0..i0 + 4`: `NC` is a const so the accumulator block is a true
-/// fixed-size register array at every tile width.
-#[allow(clippy::too_many_arguments)]
-fn gemm_block_tile<const NC: usize>(
-    out: &mut [f32],
-    i0: usize,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    jb: usize,
-    ta: bool,
-    a_cols: usize,
-) {
-    let mut acc = [[0f32; NC]; 4];
-    for p in 0..k {
-        let bvec = &b[p * n + jb..p * n + jb + NC];
-        // p < k and i0+3 < m bound every index.
-        let avs = if ta {
-            let col = &a[p * a_cols..p * a_cols + a_cols];
-            [col[i0], col[i0 + 1], col[i0 + 2], col[i0 + 3]]
-        } else {
-            [
-                a[i0 * k + p],
-                a[(i0 + 1) * k + p],
-                a[(i0 + 2) * k + p],
-                a[(i0 + 3) * k + p],
-            ]
-        };
-        for (accr, &av) in acc.iter_mut().zip(&avs) {
-            for (o, &bv) in accr.iter_mut().zip(bvec) {
-                *o += av * bv;
-            }
-        }
-    }
-    for (r4, accr) in acc.iter().enumerate() {
-        out[(i0 + r4) * n + jb..(i0 + r4) * n + jb + NC].copy_from_slice(accr);
-    }
-}
-
-/// The `n % 16` leftover columns of one blocked row, streamed with the
-/// same ascending-`p` per-element chains.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_col_tail(
-    out: &mut [f32],
-    i: usize,
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    jb: usize,
-    ta: bool,
-    a_cols: usize,
-) {
-    let o_tail = &mut out[i * n + jb..(i + 1) * n];
-    for p in 0..k {
-        let av = if ta { a[p * a_cols + i] } else { a[i * k + p] };
-        let b_seg = &b[p * n + jb..(p + 1) * n];
-        for (o, &bv) in o_tail.iter_mut().zip(b_seg) {
-            *o += av * bv;
-        }
-    }
-}
-
-/// `a·bᵀ` into the whole output (`b` stored `n×k`).
-///
-/// The classic BLAS pack: for each block of 8 output columns, [`GEMM_KC`]
-/// contraction steps of the 8 corresponding `b` rows are copied into an
-/// 8 KiB p-major stack tile, amortised over every output row. The
-/// packed lanes then read contiguous memory, so the 8 per-output
-/// accumulation chains vectorize; chains carry across p-tiles with `p`
-/// strictly ascending, which keeps every output element bit-identical to
-/// the `nn` product over a materialised `bᵀ`.
-fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, dense: bool) {
-    let rows = out.len() / n;
-    let nb = n - n % 8;
-    let mut pack = [0f32; 8 * GEMM_KC];
-    let mut jb = 0;
-    while jb < nb {
-        let mut pb = 0;
-        while pb < k {
-            let pe = (pb + GEMM_KC).min(k);
-            for l in 0..8 {
-                let b_row = &b[(jb + l) * k..(jb + l) * k + k];
-                for p in pb..pe {
-                    // (p-pb) < GEMM_KC by tile bounds.
-                    pack[(p - pb) * 8 + l] = b_row[p];
-                }
-            }
-            let rb = rows - rows % 4;
-            let mut r = 0;
-            while r < rb {
-                gemm_rows4_nt_packed(out, r, a, &pack, pb, pe, k, n, jb, dense);
-                r += 4;
-            }
-            for i in rb..rows {
-                let a_row = &a[i * k..(i + 1) * k];
-                let acc = &mut out[i * n + jb..i * n + jb + 8];
-                gemm_row_nt_packed(acc, a_row, &pack, pb, pe, dense);
-            }
-            pb = pe;
-        }
-        jb += 8;
-    }
-    if nb < n {
-        for (i, o_row) in out.chunks_mut(n).enumerate() {
-            gemm_row_nt_tail(o_row, &a[i * k..(i + 1) * k], b, k, nb, dense);
-        }
-    }
-}
-
-/// Four output rows' 8-column accumulator blocks advanced through one
-/// packed p-tile together, so each packed lane load feeds four fused
-/// multiply-adds. Accumulators load from and store back to the output —
-/// per-element chains still carry across p-tiles in ascending
-/// order, and the sparse zero-skip stays per (row, p) exactly as the
-/// single-row kernel takes it.
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows4_nt_packed(
-    out: &mut [f32],
-    r0: usize,
-    a: &[f32],
-    pack: &[f32],
-    pb: usize,
-    pe: usize,
-    k: usize,
-    n: usize,
-    jb: usize,
-    dense: bool,
-) {
-    let mut acc = [[0f32; 8]; 4];
-    for (r4, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&out[(r0 + r4) * n + jb..(r0 + r4) * n + jb + 8]);
-    }
-    for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
-        for (r4, accr) in acc.iter_mut().enumerate() {
-            // r0+3 < m and p < k bound the index.
-            let av = a[(r0 + r4) * k + p];
-            if !dense && av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in accr.iter_mut().zip(lane) {
-                *o += av * bv;
-            }
-        }
-    }
-    for (r4, accr) in acc.iter().enumerate() {
-        out[(r0 + r4) * n + jb..(r0 + r4) * n + jb + 8].copy_from_slice(accr);
-    }
-}
-
-/// The inner lanes of [`gemm_nt`]: one output row's 8-column
-/// accumulator block advanced through one packed p-tile.
-fn gemm_row_nt_packed(
-    acc_slice: &mut [f32],
-    a_row: &[f32],
-    pack: &[f32],
-    pb: usize,
-    pe: usize,
-    dense: bool,
-) {
-    // A fixed-size register block: LLVM keeps it in one vector register
-    // instead of re-loading the output slice every contraction step.
-    let mut acc = [0f32; 8];
-    acc.copy_from_slice(&acc_slice[..8]);
-    if dense {
-        for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
-            let av = a_row[p];
-            for (o, &bv) in acc.iter_mut().zip(lane) {
-                *o += av * bv;
-            }
-        }
-    } else {
-        for (p, lane) in (pb..pe).zip(pack.chunks_exact(8)) {
-            let av = a_row[p];
-            if av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc.iter_mut().zip(lane) {
-                *o += av * bv;
-            }
-        }
-    }
-    acc_slice[..8].copy_from_slice(&acc);
-}
-
-/// Leftover `a·bᵀ` columns (`n % 8`) as sequential dot products — `p`
-/// ascending per output with the same sparse zero-skip, bit-identical to
-/// the packed lanes.
-fn gemm_row_nt_tail(o_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize, j0: usize, dense: bool) {
-    for (jj, o) in (j0..).zip(o_row[j0..].iter_mut()) {
-        let b_row = &b[jj * k..(jj + 1) * k];
-        let mut acc = 0f32;
-        for (&av, &bv) in a_row.iter().zip(b_row) {
-            if !dense && av == 0.0 {
-                continue;
-            }
-            acc += av * bv;
-        }
-        *o = acc;
     }
 }
 
@@ -1381,20 +1318,33 @@ mod tests {
 
     /// The GEMM's three layouts must equal an independent reference bit for
     /// bit: one accumulator per output element, starting at `+0.0` and
-    /// adding `a·b` in ascending `p`, over the materialised operands. For a
-    /// dense *and* a sparse lhs (both probe branches; the sparse path's
-    /// zero-skips must match the reference's `±0.0` adds), at odd dims
-    /// (lane and row tails) and at a paper-sized shape; the unsupported `tt`
-    /// layout is a typed error.
+    /// adding `a·b` in ascending `p`, over the materialised operands. The
+    /// cases cover every class the dispatch tells apart: `k = 1` (`nt` on
+    /// its stored rhs), `n = 1` (matrix–vector, `tn`'s swapped streaming
+    /// row), `m` from 1 to 5 with a dense and a sparse lhs (`nt`'s few-row
+    /// paths below four rows, the panels' row tail above), `n` on both
+    /// sides of the 16-, 8- and 4-wide tiles,
+    /// `nt` on both sides of the tiny-product cut, the model's own shapes
+    /// (the PCG's `h·W₉` at 64×64·64×1, the head at 64×64·64×2, `W₁₀` at
+    /// 64×256·256×64, and the flow convolution's weight gradient
+    /// 1×4096·(96×4096)ᵀ over a 0.4 %-dense window), and lhs densities on
+    /// both sides of [`lhs_is_dense`]'s verdict, dropout's 20 % and ReLU's
+    /// 50 % zeros among them (the zero-skips must match the reference's
+    /// `±0.0` adds). The unsupported `tt` layout is a typed error.
     #[test]
     fn gemm_layout_flags_match_materialized_transpose_bitwise() {
-        let fill = |seed: u32, r: usize, c: usize, sparse: bool| -> Tensor {
+        // Uniform values in [-0.5, 0.5), each exactly zero with probability
+        // `zeros`.
+        let fill = |seed: u32, r: usize, c: usize, zeros: f64| -> Tensor {
             let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                (state >> 8) as f64 / (1 << 24) as f64
+            };
             let data = (0..r * c)
                 .map(|_| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    let v = (state >> 8) as f32 / (1 << 24) as f32 - 0.5;
-                    if sparse && !state.is_multiple_of(4) {
+                    let (u, v) = (next(), next() as f32 - 0.5);
+                    if u < zeros {
                         0.0
                     } else {
                         v
@@ -1418,33 +1368,79 @@ mod tests {
             }
             out
         };
-        for (m, k, n) in [(13, 37, 21), (64, 128, 64)] {
-            for sparse in [false, true] {
-                let a_nat = fill(7, m, k, sparse); // m×k, natural lhs
-                let a_t = a_nat.transpose().unwrap(); // k×m, lhs for ta=true
-                let b_nat = fill(11, k, n, false); // k×n
-                let b_t = b_nat.transpose().unwrap(); // n×k, rhs for tb=true
-                assert_eq!(lhs_is_dense(a_nat.data()), !sparse);
-                assert_eq!(lhs_is_dense(a_t.data()), !sparse);
-                let want = reference(&a_nat, &b_nat);
-                let cases = [
-                    ("nn", a_nat.matmul_layout(&b_nat, false, false)),
-                    ("nt", a_nat.matmul_layout(&b_t, false, true)),
-                    ("tn", a_t.matmul_layout(&b_nat, true, false)),
-                ];
-                let tt = a_t.matmul_layout(&b_t, true, true);
+        // (m, k, n, lhs zero fraction, rhs zero fraction)
+        let mut cases: Vec<(usize, usize, usize, f64, f64)> = vec![
+            // k = 1, n = 1 and m = 1.
+            (1, 1, 1, 0.0, 0.0),
+            (5, 1, 7, 0.0, 0.0),
+            (64, 1, 64, 0.2, 0.0),
+            (64, 64, 1, 0.0, 0.0),
+            (7, 13, 1, 0.5, 0.0),
+            (1, 9, 1, 0.0, 0.0),
+            (1, 96, 33, 0.0, 0.9),
+            // The model's shapes.
+            (64, 64, 2, 0.5, 0.0),
+            (64, 256, 64, 0.0, 0.0),
+            (1, 4096, 96, 0.85, 0.996),
+            // Either side of nt's tiny-product cut, and the old cases.
+            (4, 8, 8, 0.0, 0.0),
+            (8, 8, 8, 0.0, 0.0),
+            (5, 5, 5, 0.0, 0.0),
+            (3, 7, 5, 0.0, 0.0),
+            (13, 37, 21, 0.0, 0.0),
+            (13, 37, 21, 0.75, 0.0),
+            (64, 128, 64, 0.0, 0.0),
+            (64, 128, 64, 0.75, 0.0),
+        ];
+        // m from 1 to 5, dense and sparse: nt's few-row paths, then the
+        // panels and their row tail.
+        for zeros in [0.0, 0.8] {
+            cases.extend((1..=5).map(|m| (m, 9, 21, zeros, 0.0)));
+        }
+        // n on both sides of the 16-, 8- and 4-wide tiles.
+        cases.extend([3, 4, 5, 7, 8, 9, 15, 16, 17, 33].map(|n| (6, 11, n, 0.0, 0.0)));
+        // lhs densities on both sides of the verdict (7/10 zeros).
+        for zeros in [0.0, 0.2, 0.5, 0.65, 0.75, 0.9, 1.0] {
+            cases.push((64, 64, 64, zeros, 0.0));
+            cases.push((20, 20, 20, zeros, 0.5));
+        }
+        for (c, &(m, k, n, za, zb)) in cases.iter().enumerate() {
+            let seed = 2 * c as u32 + 7;
+            let a_nat = fill(seed, m, k, za); // m×k, natural lhs
+            let a_t = a_nat.transpose().unwrap(); // k×m, lhs for ta=true
+            let b_nat = fill(seed + 1, k, n, zb); // k×n
+            let b_t = b_nat.transpose().unwrap(); // n×k, rhs for tb=true
+            let want = reference(&a_nat, &b_nat);
+            let layouts = [
+                ("nn", a_nat.matmul_layout(&b_nat, false, false)),
+                ("nt", a_nat.matmul_layout(&b_t, false, true)),
+                ("tn", a_t.matmul_layout(&b_nat, true, false)),
+            ];
+            for (layout, got) in layouts {
+                let got: Vec<u32> = got.unwrap().data().iter().map(|v| v.to_bits()).collect();
                 assert!(
-                    matches!(tt, Err(Error::InvalidArgument(_))),
-                    "the tt layout must be refused, got {tt:?}"
+                    got == want,
+                    "{layout} at {m}×{k}×{n} (lhs zeros {za}, rhs zeros {zb}) diverged from the reference"
                 );
-                for (layout, got) in cases {
-                    let got: Vec<u32> = got.unwrap().data().iter().map(|v| v.to_bits()).collect();
-                    assert!(
-                        got == want,
-                        "{layout} at {m}×{k}×{n} (sparse={sparse}) diverged from the reference"
-                    );
-                }
             }
         }
+        // The verdict sits at 7/10 zeros, whatever the layout probed.
+        for (zeros, dense) in [
+            (0.2, true),
+            (0.5, true),
+            (0.65, true),
+            (0.75, false),
+            (0.9, false),
+        ] {
+            let a = fill(3, 64, 64, zeros);
+            assert_eq!(lhs_is_dense(a.data()), dense, "{zeros} zeros");
+            assert_eq!(lhs_is_dense(a.transpose().unwrap().data()), dense);
+        }
+        let a = fill(5, 3, 4, 0.0);
+        let tt = a.matmul_layout(&fill(6, 5, 3, 0.0), true, true);
+        assert!(
+            matches!(tt, Err(Error::InvalidArgument(_))),
+            "the tt layout must be refused, got {tt:?}"
+        );
     }
 }
