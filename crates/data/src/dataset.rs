@@ -172,6 +172,17 @@ impl BikeDataset {
             .max(self.config.d * self.flows.slots_per_day())
     }
 
+    /// Whether slot `t` can be served: `t` must lie in
+    /// `[first_valid_slot, num_slots]`. The error is the refusal text every
+    /// serving path answers with.
+    pub fn check_servable(&self, t: usize) -> std::result::Result<(), String> {
+        let (first, last) = (self.first_valid_slot(), self.flows.num_slots());
+        if t < first || t > last {
+            return Err(format!("slot {t} outside servable range [{first}, {last}]"));
+        }
+        Ok(())
+    }
+
     /// Day range of a split.
     pub fn days(&self, split: Split) -> std::ops::Range<usize> {
         match split {

@@ -28,8 +28,7 @@ use crate::window::TripWindow;
 use crate::{OnlineError, Result};
 use std::path::PathBuf;
 use std::sync::Arc;
-use stgnn_core::checkpoint::{fingerprint, GraphTopology};
-use stgnn_core::{StgnnConfig, StgnnDjd, TrainCheckpoint, Trainer};
+use stgnn_core::{StgnnConfig, StgnnDjd, Trainer};
 use stgnn_data::dataset::{BikeDataset, DatasetConfig};
 use stgnn_data::station::StationRegistry;
 use stgnn_data::synthetic::SyntheticCity;
@@ -59,9 +58,10 @@ pub struct OnlineConfig {
     pub watchdog: WatchdogConfig,
     /// Where the loop's phase machine is persisted.
     pub state_path: PathBuf,
-    /// Where fine-tune training checkpoints live.
+    /// Unread: the fine-tune writes and reads no training checkpoint. Kept
+    /// because the repository benchmark sets it.
     pub checkpoint_path: PathBuf,
-    /// Checkpoint cadence in batches (see `Trainer::with_checkpointing`).
+    /// Unread, like `checkpoint_path`.
     pub checkpoint_every: usize,
 }
 
@@ -317,12 +317,10 @@ impl OnlineLoop {
         })
     }
 
-    /// Fine-tunes a candidate from the incumbent's weights. Resumes from
-    /// the on-disk fine-tune checkpoint only when its full identity —
-    /// configuration *and* FCG/PCG topology — matches this window; a
-    /// refreshed graph makes the checkpoint's Adam moments stale
-    /// (`CheckpointError::GraphMismatch` territory), so the loop
-    /// warm-starts from the weights with a fresh optimizer instead.
+    /// Fine-tunes a candidate from the incumbent's weights with a fresh
+    /// optimizer. It writes no training checkpoint and reads none: a crash
+    /// mid-fine-tune is recovered by the loop's own state machine, which
+    /// resumes to `Ingesting` (see [`Self::new`]).
     fn fine_tune(
         &self,
         entry: &ModelEntry,
@@ -330,30 +328,9 @@ impl OnlineLoop {
         data: &BikeDataset,
     ) -> Result<StgnnDjd> {
         let mut model = entry.spec().materialize_with(incumbent_ck)?;
-        let trainer = Trainer::new(self.config.train.clone())
-            .with_checkpointing(&self.config.checkpoint_path, self.config.checkpoint_every);
-        let resumable = match TrainCheckpoint::load(&self.config.checkpoint_path) {
-            Ok(ckpt) => {
-                let topology = GraphTopology::of(data);
-                let run_fp = fingerprint(
-                    &self.config.train,
-                    model.n_stations(),
-                    model.params().len(),
-                    &topology,
-                );
-                ckpt.fingerprint == run_fp
-            }
-            // Missing, torn or foreign checkpoints never block a cycle;
-            // the fine-tune just starts over from the incumbent.
-            Err(_) => false,
-        };
-        if resumable {
-            trainer
-                .resume_from(&self.config.checkpoint_path, &mut model, data)
-                .map_err(OnlineError::Data)?;
-        } else {
-            trainer.train(&mut model, data).map_err(OnlineError::Data)?;
-        }
+        Trainer::new(self.config.train.clone())
+            .train(&mut model, data)
+            .map_err(OnlineError::Data)?;
         Ok(model)
     }
 

@@ -226,15 +226,11 @@ impl Fleet {
         // The replica's own range check, answered the same way here so the
         // verdict does not depend on whether the request was shed, lost or
         // dispatched.
-        let first = self.dataset.first_valid_slot();
-        let last = self.dataset.flows().num_slots();
-        if slot < first || slot > last {
+        if let Err(msg) = self.dataset.check_servable(slot) {
             self.stats.refused.fetch_add(1, Relaxed);
             return Ok(PredictOutcome {
                 status: 400,
-                body: format!(
-                    r#"{{"error":"slot {slot} outside servable range [{first}, {last}]"}}"#
-                ),
+                body: format!(r#"{{"error":"{msg}"}}"#),
                 source: Answer::Error,
                 replica: None,
             });

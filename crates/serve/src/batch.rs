@@ -1,35 +1,34 @@
-//! Micro-batching request queue and worker pool.
+//! Request routing and the worker pool.
 //!
-//! A query takes the shortest path that can answer it:
+//! A query takes the shortest path that can answer it. [`WorkerPool::submit`]
+//! refuses a shut-down pool, an unservable slot and an unknown model on the
+//! caller's thread, then looks `(model, version, slot)` up in the pool's
+//! [`SlotTable`] under one lock:
 //!
-//! 1. **Cache hit at submit.** [`WorkerPool::submit`] looks the slot up in
-//!    the [`SlotCache`] on the caller's thread and answers a hit there —
-//!    no queue lock, no worker, no wait.
-//! 2. **Queue.** A miss joins a FIFO queue and wakes one worker.
-//! 3. **Same-key drain.** A worker pops the oldest request and takes every
-//!    request for the same `(model, slot)` already queued behind it; that
-//!    is the whole batch. No timer holds the batch open: requests that
-//!    arrive while the workers are busy pile up and leave together.
-//! 4. **In-flight wait.** A worker whose key another worker is computing
-//!    waits for it, then answers from the cache that worker filled.
-//! 5. **One forward.** Otherwise the worker replays the model's compiled
-//!    inference plan once, caches the result, and answers the batch.
+//! 1. **Ready.** The prediction is answered on the caller's thread — no
+//!    queue, no worker, no wait.
+//! 2. **Pending.** Another request's job is computing the key; this one
+//!    joins its waiters. No timer holds a batch open: the waiters are the
+//!    requests that arrived while the job was queued or running.
+//! 3. **Absent.** The key becomes pending on this request, and one job
+//!    joins a FIFO queue. A free worker replays the model's compiled
+//!    inference plan once, stores the prediction, and answers every waiter.
 //!
-//! The cache check before computing and the in-flight set (mutex +
-//! condvar) bound the work per `(model, version, graph epoch, slot)` key to
-//! **one forward pass total**, however many workers race.
+//! The table is therefore the one bound on the work per key: **one forward
+//! pass total**, however many requests and workers race. A request is
+//! answered by the checkpoint version it read at submit.
 //!
 //! Models are **thread-confined**: each worker materialises its own
 //! [`StgnnDjd`] per registered name, compiles its inference plan against
-//! the pool's dataset, and rebuilds both lazily whenever the registry's
-//! checkpoint version moves (the hot-swap path).
+//! the pool's dataset, and rebuilds both lazily whenever a job carries
+//! another checkpoint version (the hot-swap path).
 
-use crate::cache::{CachedPrediction, SlotCache, SlotKey};
+use crate::cache::{CachedPrediction, Entered, SlotKey, SlotTable};
 use crate::metrics::ServeMetrics;
 use crate::registry::{Checkpoint, ModelEntry, ModelRegistry};
 use crate::ServeError;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{hash_map, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -44,24 +43,23 @@ use stgnn_tensor::plan::PlanExec;
 /// serving error.
 pub type BatchReply = Result<CachedPrediction, ServeError>;
 
-/// One queued prediction query.
-pub struct PredictRequest {
-    pub model: String,
-    pub slot: usize,
-    respond: mpsc::Sender<BatchReply>,
+/// The one forward pass a pending key needs, with the checkpoint its first
+/// request read at submit.
+struct Job {
+    key: SlotKey,
+    entry: Arc<ModelEntry>,
+    checkpoint: Arc<Checkpoint>,
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<PredictRequest>>,
+    queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     /// Set once by [`WorkerPool::shutdown`], while holding `queue`, so a
     /// worker that checks it under that lock cannot miss the wake-up.
-    /// `submit` reads it without the lock to refuse cache hits too.
+    /// `submit` reads it without the lock to refuse ready keys too.
     shutdown: AtomicBool,
-    inflight: Mutex<HashSet<SlotKey>>,
-    inflight_cv: Condvar,
+    table: SlotTable,
     registry: Arc<ModelRegistry>,
-    cache: Arc<SlotCache>,
     metrics: Arc<ServeMetrics>,
     dataset: Arc<BikeDataset>,
 }
@@ -78,7 +76,6 @@ impl WorkerPool {
     /// materialised models.
     pub fn new(
         registry: Arc<ModelRegistry>,
-        cache: Arc<SlotCache>,
         metrics: Arc<ServeMetrics>,
         dataset: Arc<BikeDataset>,
         workers: usize,
@@ -87,10 +84,8 @@ impl WorkerPool {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            inflight: Mutex::new(HashSet::new()),
-            inflight_cv: Condvar::new(),
+            table: SlotTable::default(),
             registry,
-            cache,
             metrics,
             dataset,
         });
@@ -110,44 +105,69 @@ impl WorkerPool {
     }
 
     /// Submits a query and returns the channel its reply arrives on. A
-    /// cached slot is answered before this returns, on the caller's
-    /// thread; anything else is queued for a worker. The caller decides
-    /// how long to wait (and what to do on deadline).
+    /// refusal or a ready prediction is answered before this returns, on
+    /// the caller's thread; anything else waits for a worker. The caller
+    /// decides how long to wait (and what to do on deadline). Every error
+    /// reply counts one error in the pool's metrics.
     pub fn submit(&self, model: impl Into<String>, slot: usize) -> mpsc::Receiver<BatchReply> {
         let shared = &self.shared;
         let (respond, rx) = mpsc::channel();
         shared.metrics.inc_requests();
-        let model = model.into();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = respond.send(Err(ServeError::Shutdown));
-            return rx;
-        }
-        let hit = shared.registry.get(&model).and_then(|entry| {
-            shared
-                .cache
-                .get(&slot_key(&model, &entry.checkpoint(), slot))
-        });
-        if let Some(hit) = hit {
-            shared.metrics.inc_cache_hits(1);
-            let _ = respond.send(Ok(hit));
-            return rx;
-        }
-        let req = PredictRequest {
-            model,
-            slot,
-            respond,
-        };
-        let mut queue = shared.queue.lock();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // sound: allow(S002): UNBOUNDED-SEND-NONBLOCKING — respond is an
-            // unbounded mpsc; send() only enqueues, it cannot block while the
-            // queue lock is held, and the receiver is the caller of submit.
-            let _ = req.respond.send(Err(ServeError::Shutdown));
-        } else {
-            queue.push_back(req);
-            shared.queue_cv.notify_one();
+        match self.job(model.into(), slot) {
+            Err(e) => {
+                shared.metrics.inc_errors();
+                let _ = respond.send(Err(e));
+            }
+            Ok(job) => match shared.table.enter(&job.key, respond) {
+                Entered::Answered => shared.metrics.inc_cache_hits(1),
+                Entered::Waiting => {}
+                Entered::Claimed => self.enqueue(job),
+            },
         }
         rx
+    }
+
+    /// The job that would answer `model` at `slot`, or the refusal.
+    fn job(&self, model: String, slot: usize) -> Result<Job, ServeError> {
+        let shared = &self.shared;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Err(ServeError::Shutdown);
+        }
+        // Checked here, not just in the HTTP layer: `submit` is a public
+        // API, and an out-of-range slot would otherwise reach the
+        // input-window assembly and panic inside its arithmetic.
+        shared
+            .dataset
+            .check_servable(slot)
+            .map_err(ServeError::BadRequest)?;
+        let Some(entry) = shared.registry.get(&model) else {
+            return Err(ServeError::UnknownModel(model));
+        };
+        let checkpoint = entry.checkpoint();
+        Ok(Job {
+            key: (model, checkpoint.version, slot),
+            entry,
+            checkpoint,
+        })
+    }
+
+    /// Queues the job of a key just claimed, or — if the pool shut down
+    /// since `submit` checked — fails the key's waiters.
+    fn enqueue(&self, job: Job) {
+        let shared = &self.shared;
+        let refused = {
+            let mut queue = shared.queue.lock();
+            if shared.shutdown.load(Ordering::SeqCst) {
+                Some(job)
+            } else {
+                queue.push_back(job);
+                shared.queue_cv.notify_one();
+                None
+            }
+        };
+        if let Some(job) = refused {
+            answer(shared, &job.key, Err(ServeError::Shutdown));
+        }
     }
 
     /// Stops accepting work, drains the queue, and joins the workers.
@@ -166,20 +186,6 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Removes the in-flight key and wakes waiters even if the compute path
-/// errors out part-way.
-struct InflightGuard<'a> {
-    shared: &'a Shared,
-    key: SlotKey,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.inflight.lock().remove(&self.key);
-        self.shared.inflight_cv.notify_all();
     }
 }
 
@@ -232,204 +238,87 @@ fn worker_loop(shared: &Shared) {
     // version they were built from.
     let mut local: HashMap<String, LocalModel> = HashMap::new();
     loop {
-        let batch = {
+        let job = {
             let mut queue = shared.queue.lock();
-            let first = loop {
-                if let Some(req) = queue.pop_front() {
-                    break req;
+            loop {
+                if let Some(job) = queue.pop_front() {
+                    break job;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 shared.queue_cv.wait(&mut queue);
-            };
-            // The batch is every request for the same key already queued.
-            let (same, rest): (VecDeque<_>, VecDeque<_>) = queue
-                .drain(..)
-                .partition(|req| req.model == first.model && req.slot == first.slot);
-            *queue = rest;
-            let mut batch = vec![first];
-            batch.extend(same);
-            batch
+            }
         };
-        process_batch(shared, &mut local, batch);
+        let reply = forward(shared, &mut local, &job);
+        answer(shared, &job.key, reply);
     }
 }
 
-/// The cache key of `slot` under `model`'s serving `checkpoint`.
-fn slot_key(model: &str, checkpoint: &Checkpoint, slot: usize) -> SlotKey {
-    (
-        model.to_string(),
-        checkpoint.version,
-        checkpoint.graph_epoch,
-        slot,
-    )
-}
-
-fn respond_all(batch: &[PredictRequest], reply: &BatchReply) {
-    for req in batch {
-        // The requester may have given up (deadline) — that's fine.
-        let _ = req.respond.send(match reply {
-            Ok(p) => Ok(Arc::clone(p)),
-            Err(e) => Err(clone_err(e)),
-        });
+/// Ends `key`'s computation: stores a prediction in the table, counts the
+/// key's waiters — as one forward pass's batch, or as one error each — and
+/// then answers them.
+fn answer(shared: &Shared, key: &SlotKey, reply: BatchReply) {
+    let waiters = shared.table.finish(key, &reply);
+    if reply.is_ok() {
+        shared.metrics.record_forward(waiters.len());
+        shared.metrics.inc_batched(waiters.len() as u64);
+    } else {
+        waiters.iter().for_each(|_| shared.metrics.inc_errors());
+    }
+    for waiter in waiters {
+        // A waiter may have given up (deadline); that is fine.
+        let _ = waiter.send(reply.clone());
     }
 }
 
-fn clone_err(e: &ServeError) -> ServeError {
-    match e {
-        ServeError::UnknownModel(s) => ServeError::UnknownModel(s.clone()),
-        ServeError::BadCheckpoint(s) => ServeError::BadCheckpoint(s.clone()),
-        ServeError::BadRequest(s) => ServeError::BadRequest(s.clone()),
-        ServeError::Shutdown => ServeError::Shutdown,
+/// Runs `job`'s forward pass on this worker's copy of its model version.
+fn forward(shared: &Shared, local: &mut HashMap<String, LocalModel>, job: &Job) -> BatchReply {
+    let (name, version, slot) = &job.key;
+    // A version move replaces the whole LocalModel, dropping the old plan
+    // with it — the hot-swap invalidation. The old version goes first, so
+    // it is not held while the new one compiles.
+    if local.get(name).is_some_and(|lm| lm.version != *version) {
+        local.remove(name);
     }
-}
-
-fn process_batch(
-    shared: &Shared,
-    local: &mut HashMap<String, LocalModel>,
-    batch: Vec<PredictRequest>,
-) {
-    let Some(first_req) = batch.first() else {
-        return; // nothing to answer
-    };
-    let model_name = first_req.model.clone();
-    let slot = first_req.slot;
-    // Validate the slot at the pool boundary, not just in the HTTP layer:
-    // `submit` is a public API, and an out-of-range slot would otherwise
-    // reach the input-window assembly and panic inside its arithmetic,
-    // killing this worker thread.
-    let first = shared.dataset.first_valid_slot();
-    let last = shared.dataset.flows().num_slots();
-    if slot < first || slot > last {
-        for _ in &batch {
-            shared.metrics.inc_errors();
-        }
-        respond_all(
-            &batch,
-            &Err(ServeError::BadRequest(format!(
-                "slot {slot} outside servable range [{first}, {last}]"
-            ))),
-        );
-        return;
-    }
-    let entry = match shared.registry.get(&model_name) {
-        Some(e) => e,
-        None => {
-            for _ in &batch {
-                shared.metrics.inc_errors();
-            }
-            respond_all(&batch, &Err(ServeError::UnknownModel(model_name)));
-            return;
-        }
-    };
-    let checkpoint = entry.checkpoint();
-    let key = slot_key(&model_name, &checkpoint, slot);
-
-    // The slot may have been computed since these requests were submitted.
-    if let Some(hit) = shared.cache.get(&key) {
-        shared.metrics.inc_cache_hits(batch.len() as u64);
-        respond_all(&batch, &Ok(hit));
-        return;
-    }
-
-    // Exactly-once: wait out any concurrent computation of the same key,
-    // then re-check the cache it would have filled.
-    {
-        let mut inflight = shared.inflight.lock();
-        while inflight.contains(&key) {
-            shared.inflight_cv.wait(&mut inflight);
-        }
-        if let Some(hit) = shared.cache.get(&key) {
-            drop(inflight);
-            shared.metrics.inc_cache_hits(batch.len() as u64);
-            respond_all(&batch, &Ok(hit));
-            return;
-        }
-        inflight.insert(key.clone());
-    }
-    let _guard = InflightGuard {
-        shared,
-        key: key.clone(),
-    };
-
-    // Materialise (or version-refresh) this worker's model instance and
-    // compile its plan. A version move replaces the whole LocalModel,
-    // dropping the old plan with it — the hot-swap invalidation. The old
-    // version goes first, so it is not held while the new one compiles.
-    let needs_rebuild = local
-        .get(&model_name)
-        .map(|lm| lm.version != checkpoint.version)
-        .unwrap_or(true);
-    if needs_rebuild {
-        local.remove(&model_name);
-        match LocalModel::build(&entry, &checkpoint, &shared.dataset, slot) {
-            Ok(lm) => {
-                local.insert(model_name.clone(), lm);
-            }
-            Err(e) => {
-                for _ in &batch {
-                    shared.metrics.inc_errors();
-                }
-                respond_all(&batch, &Err(e));
-                return;
-            }
-        }
-    }
-    let Some(lm) = local.get_mut(&model_name) else {
-        // Unreachable: either the entry predated this batch or the rebuild
-        // above just inserted it. Reply with an error rather than panic the
-        // worker if that invariant ever breaks.
-        for _ in &batch {
-            shared.metrics.inc_errors();
-        }
-        respond_all(
-            &batch,
-            &Err(ServeError::BadCheckpoint(format!(
-                "worker lost materialised model '{model_name}'"
-            ))),
-        );
-        return;
-    };
-
-    // Defense in depth: a panic in the forward pass (a shape bug the
-    // validation above didn't anticipate) must not take the worker thread
-    // down with the whole queue behind it.
-    let forward = catch_unwind(AssertUnwindSafe(|| {
+    // Defense in depth: a panic while building or replaying the model (a
+    // shape bug validation didn't anticipate) must neither take the worker
+    // thread down with the whole queue behind it nor strand the key's
+    // waiters.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let lm = match local.entry(name.clone()) {
+            hash_map::Entry::Occupied(held) => held.into_mut(),
+            hash_map::Entry::Vacant(vacant) => vacant.insert(LocalModel::build(
+                &job.entry,
+                &job.checkpoint,
+                &shared.dataset,
+                *slot,
+            )?),
+        };
         // Inside the catch_unwind on purpose: an injected panic here takes
         // the same containment path a real forward-pass panic would.
         stgnn_faults::failpoint!("serve::forward");
         lm.model
-            .plan_predict_horizon(&lm.plan, &mut lm.exec, &shared.dataset, slot)
+            .plan_predict_horizon(&lm.plan, &mut lm.exec, &shared.dataset, *slot)
+            .map(Arc::new)
+            .map_err(|e| ServeError::BadRequest(format!("forward pass failed: {e}")))
     }));
-    let msg = match forward {
-        Ok(Ok(p)) => {
-            let predictions: CachedPrediction = Arc::new(p);
-            shared.cache.insert(key, Arc::clone(&predictions));
-            shared.metrics.record_forward(batch.len());
-            shared.metrics.inc_batched(batch.len() as u64);
-            respond_all(&batch, &Ok(predictions));
-            return;
-        }
-        Ok(Err(e)) => e.to_string(),
-        Err(payload) => payload
+    let reply = outcome.unwrap_or_else(|payload| {
+        let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "forward pass panicked".into()),
-    };
-    // A panic or a replay error fails this batch. Drop this worker's model
-    // copy — it may be mid-mutation — so the next batch rebuilds it.
-    local.remove(&model_name);
-    for _ in &batch {
-        shared.metrics.inc_errors();
-    }
-    respond_all(
-        &batch,
-        &Err(ServeError::BadRequest(format!(
+            .unwrap_or_else(|| "forward pass panicked".into());
+        Err(ServeError::BadRequest(format!(
             "forward pass failed: {msg}"
-        ))),
-    );
+        )))
+    });
+    if reply.is_err() {
+        // Drop this worker's model copy — it may be mid-mutation — so the
+        // next job rebuilds it.
+        local.remove(name);
+    }
+    reply
 }
 
 #[cfg(test)]
@@ -448,32 +337,34 @@ mod tests {
     fn pool_with(
         data: &Arc<BikeDataset>,
         workers: usize,
-    ) -> (
-        WorkerPool,
-        Arc<ModelRegistry>,
-        Arc<ServeMetrics>,
-        Arc<SlotCache>,
-    ) {
+    ) -> (WorkerPool, Arc<ModelRegistry>, Arc<ServeMetrics>) {
         let registry = Arc::new(ModelRegistry::new(Arc::clone(data)));
         let spec = ModelSpec::new(StgnnConfig::test_tiny(6, 2), data.n_stations());
         let bytes = spec.materialize().unwrap().weights_to_bytes();
         registry.register("stgnn", spec, bytes).unwrap();
         let metrics = Arc::new(ServeMetrics::new());
-        let cache = Arc::new(SlotCache::new(64));
         let pool = WorkerPool::new(
             Arc::clone(&registry),
-            Arc::clone(&cache),
             Arc::clone(&metrics),
             Arc::clone(data),
             workers,
         );
-        (pool, registry, metrics, cache)
+        (pool, registry, metrics)
+    }
+
+    /// Checkpoint bytes of a tiny model initialised from `seed`.
+    fn weights(data: &BikeDataset, seed: u64) -> Vec<u8> {
+        let mut config = StgnnConfig::test_tiny(6, 2);
+        config.seed = seed; // different init ⇒ different weights
+        StgnnDjd::new(config, data.n_stations())
+            .unwrap()
+            .weights_to_bytes()
     }
 
     #[test]
     fn single_request_round_trips() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, 2);
+        let (pool, _, metrics) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let reply = pool.submit("stgnn", t).recv().unwrap().unwrap();
         assert_eq!(reply[0].demand.len(), data.n_stations());
@@ -483,7 +374,7 @@ mod tests {
     #[test]
     fn same_slot_requests_share_one_forward_pass() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, 2);
+        let (pool, _, metrics) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let receivers: Vec<_> = (0..12).map(|_| pool.submit("stgnn", t)).collect();
         let first = receivers[0].recv().unwrap().unwrap();
@@ -500,7 +391,7 @@ mod tests {
     #[test]
     fn later_requests_hit_the_cache() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, 2);
+        let (pool, _, metrics) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         pool.submit("stgnn", t).recv().unwrap().unwrap();
         // A hit is answered on the submitting thread, before submit returns.
@@ -514,7 +405,7 @@ mod tests {
     #[test]
     fn distinct_slots_each_get_a_forward_pass() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, 2);
+        let (pool, _, metrics) = pool_with(&data, 2);
         let slots = data.slots(Split::Test);
         pool.submit("stgnn", slots[0]).recv().unwrap().unwrap();
         pool.submit("stgnn", slots[1]).recv().unwrap().unwrap();
@@ -524,7 +415,7 @@ mod tests {
     #[test]
     fn hot_swap_changes_version_and_recomputes() {
         let data = dataset();
-        let (pool, registry, metrics, _) = pool_with(&data, 2);
+        let (pool, registry, metrics) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let before = pool.submit("stgnn", t).recv().unwrap().unwrap();
 
@@ -550,7 +441,7 @@ mod tests {
     #[test]
     fn out_of_range_slot_is_an_error_and_the_worker_survives() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, 1);
+        let (pool, _, metrics) = pool_with(&data, 1);
         // Slot 0 has no history window; slot num_slots+1 is past the data.
         for bad in [0, data.flows().num_slots() + 1] {
             let reply = pool.submit("stgnn", bad).recv().unwrap();
@@ -567,18 +458,19 @@ mod tests {
     }
 
     /// The staleness invariant: once `swap` returns, no response may come
-    /// from a pre-swap cache entry. The cache is keyed by checkpoint
+    /// from a pre-swap table entry. The table is keyed by checkpoint
     /// version, so the stale v1 entry may still *exist* — it must simply
     /// never be served.
     #[test]
     fn hot_swap_never_serves_a_stale_cached_prediction() {
         let data = dataset();
-        let (pool, registry, _, cache) = pool_with(&data, 2);
+        let (pool, registry, _) = pool_with(&data, 2);
+        let cache = &pool.shared.table;
         let t = data.slots(Split::Test)[0];
-        // Prime the v1 cache entry.
+        // Prime the v1 table entry.
         let v1 = pool.submit("stgnn", t).recv().unwrap().unwrap();
-        let v1_key = ("stgnn".to_string(), 1, 1, t);
-        assert!(cache.get(&v1_key).is_some(), "v1 entry should be cached");
+        let v1_key = ("stgnn".to_string(), 1, t);
+        assert!(cache.ready(&v1_key).is_some(), "v1 entry should be cached");
 
         let mut config = StgnnConfig::test_tiny(6, 2);
         config.seed = 12345;
@@ -603,53 +495,33 @@ mod tests {
             "post-swap response must be the v2 prediction"
         );
         assert_ne!(after[0], v1[0], "post-swap response equals the v1 one");
-        // The stale entry still sits in the cache under the v1 key — proof
+        // The stale entry still sits in the table under the v1 key — proof
         // that correctness comes from version-keying, not eager deletion.
-        assert!(cache.get(&v1_key).is_some());
+        assert!(cache.ready(&v1_key).is_some());
     }
 
-    /// The graph-epoch staleness regression: a cache keyed only by
-    /// (model, version, slot) would satisfy a request from a prediction
-    /// computed against pre-refresh FCG/PCG inputs whenever the version
-    /// number path is unchanged. Bumping the graph epoch must make every
-    /// old entry unreachable and force a recompute, even though version
-    /// and weights are identical.
+    /// A version names one set of weights: a swap after a rollback takes a
+    /// version never issued before, so the table cannot answer it with the
+    /// prediction of the weights the rollback displaced.
     #[test]
-    fn graph_epoch_bump_invalidates_cached_predictions() {
+    fn a_swap_after_a_rollback_serves_the_new_weights() {
         let data = dataset();
-        let (pool, registry, metrics, cache) = pool_with(&data, 2);
+        let (pool, registry, _) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
+        registry.swap("stgnn", weights(&data, 101)).unwrap();
+        let a = pool.submit("stgnn", t).recv().unwrap().unwrap();
+        assert_eq!(registry.rollback("stgnn").unwrap(), 1);
+        registry.swap("stgnn", weights(&data, 202)).unwrap();
 
-        let first = pool.submit("stgnn", t).recv().unwrap().unwrap();
-        let e1_key = ("stgnn".to_string(), 1, 1, t);
-        assert!(cache.get(&e1_key).is_some());
-        assert_eq!(metrics.snapshot().forward_passes, 1);
-        // A repeat hits the cache: no second forward pass.
-        pool.submit("stgnn", t).recv().unwrap().unwrap();
-        assert_eq!(metrics.snapshot().forward_passes, 1);
-
-        // The online loop refreshed the graph window: same version, same
-        // weights, new epoch.
-        registry.set_graph_epoch("stgnn", 2).unwrap();
-        assert_eq!(registry.get("stgnn").unwrap().version(), 1);
-
-        let after = pool.submit("stgnn", t).recv().unwrap().unwrap();
-        assert_eq!(
-            metrics.snapshot().forward_passes,
-            2,
-            "epoch bump must force a recompute, not a cache hit"
-        );
-        let e2_key = ("stgnn".to_string(), 1, 2, t);
-        assert!(
-            cache.get(&e2_key).is_some(),
-            "recompute cached under new epoch"
-        );
-        // Identical weights over the same dataset ⇒ same values; the point
-        // is *which key* served, not the numbers.
-        assert_eq!(first[0], after[0]);
-        // The old-epoch entry survives unreachable — correctness comes
-        // from epoch-keying, not eager deletion.
-        assert!(cache.get(&e1_key).is_some());
+        let entry = registry.get("stgnn").unwrap();
+        let expected = entry
+            .spec()
+            .materialize_with(&entry.checkpoint())
+            .unwrap()
+            .predict_horizon(&data, t);
+        let b = pool.submit("stgnn", t).recv().unwrap().unwrap();
+        assert_ne!(a[0], expected[0], "the two swaps must predict differently");
+        assert_eq!(*b, expected, "served the rolled-back weights' prediction");
     }
 
     /// The worker's compiled-plan path must serve exactly what an eager
@@ -659,7 +531,7 @@ mod tests {
     #[test]
     fn compiled_plan_serves_eager_identical_predictions() {
         let data = dataset();
-        let (pool, registry, metrics, _) = pool_with(&data, 2);
+        let (pool, registry, metrics) = pool_with(&data, 2);
         let entry = registry.get("stgnn").unwrap();
         let reference = entry.spec().materialize_with(&entry.checkpoint()).unwrap();
         let slots = data.slots(Split::Test);
@@ -687,7 +559,6 @@ mod tests {
             .unwrap();
         let pool = WorkerPool::new(
             registry,
-            Arc::new(SlotCache::new(64)),
             Arc::new(ServeMetrics::new()),
             Arc::clone(&data),
             2,
@@ -702,11 +573,38 @@ mod tests {
     #[test]
     fn unknown_model_is_an_error_not_a_hang() {
         let data = dataset();
-        let (pool, _, metrics, _) = pool_with(&data, 2);
+        let (pool, _, metrics) = pool_with(&data, 2);
         let t = data.slots(Split::Test)[0];
         let reply = pool.submit("nope", t).recv().unwrap();
         assert!(matches!(reply, Err(ServeError::UnknownModel(_))));
         assert_eq!(metrics.snapshot().errors, 1);
+    }
+
+    /// A failed forward stores nothing: every waiter of its key gets the
+    /// error and counts one, and the next request computes the key afresh.
+    #[test]
+    fn a_failed_forward_stores_nothing_and_answers_every_waiter() {
+        let data = dataset();
+        let (pool, _, metrics) = pool_with(&data, 1);
+        let t = data.slots(Split::Test)[0];
+        let key = ("stgnn".to_string(), 1, t);
+        let receivers: Vec<_> = (0..3)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel();
+                pool.shared.table.enter(&key, tx);
+                rx
+            })
+            .collect();
+        let failed = ServeError::BadRequest("forward pass failed: injected".into());
+        answer(&pool.shared, &key, Err(failed));
+        for rx in &receivers {
+            assert!(matches!(rx.try_recv(), Ok(Err(ServeError::BadRequest(_)))));
+        }
+        assert!(pool.shared.table.ready(&key).is_none());
+        assert_eq!(metrics.snapshot().errors, 3);
+
+        pool.submit("stgnn", t).recv().unwrap().unwrap();
+        assert_eq!(metrics.snapshot().forward_passes, 1);
     }
 
     /// After shutdown every query is refused, a cached slot included: the
@@ -714,11 +612,11 @@ mod tests {
     #[test]
     fn shutdown_rejects_new_work() {
         let data = dataset();
-        let (mut pool, _, _, cache) = pool_with(&data, 2);
+        let (mut pool, _, _) = pool_with(&data, 2);
         let slots = data.slots(Split::Test);
         let cached = slots[1];
         pool.submit("stgnn", cached).recv().unwrap().unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(pool.shared.table.len(), 1);
         pool.shutdown();
         for t in [slots[0], cached] {
             let reply = pool.submit("stgnn", t).recv().unwrap();

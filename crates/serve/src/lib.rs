@@ -10,19 +10,19 @@
 //!    per-request  │  server  │──────────────────────► HA fallback
 //!    handler      └────┬─────┘                         (degraded)
 //!                      │ submit
-//!                 ┌────▼─────┐  hit: answered on the handler's
-//!                 │slot cache│  own thread, no worker involved
+//!                 ┌────▼─────┐  ready: answered on the handler's own
+//!                 │slot table│  thread; pending: join the key's waiters
+//!                 └────┬─────┘  (model, version, slot)
+//!                      │ absent: the key turns pending, one job queued
+//!                 ┌────▼─────┐
+//!                 │  queue   │  one job per pending key, first in first out
 //!                 └────┬─────┘
-//!                      │ miss: enqueue
-//!                 ┌────▼─────┐  a free worker takes the oldest request
-//!                 │  queue   │  plus every queued one for the same
-//!                 └────┬─────┘  (model, slot): that is the batch
 //!               ┌──────▼───────┐
-//!               │ worker pool  │  in-flight wait on a key another worker
-//!               │ (own models) │  computes, else one forward pass whose
-//!               └──────┬───────┘  result fills the slot cache
-//!                ┌─────▼─────┐  versioned checkpoints,
-//!                │ registry  │  atomic hot-swap
+//!               │ worker pool  │  one forward pass per job; the table keeps
+//!               │ (own models) │  the prediction and every waiter gets it
+//!               └──────┬───────┘
+//!                ┌─────▼─────┐  versioned checkpoints, atomic hot-swap,
+//!                │ registry  │  no version number issued twice
 //!                └───────────┘
 //! ```
 //!
@@ -32,10 +32,11 @@
 //!   models never cross threads. The [`registry`] shares *checkpoints*
 //!   (config + serialized weights); each worker materialises its own model
 //!   instance and refreshes it when the registry's version moves.
-//! * **Predictions for a slot are immutable** until the slot rolls over or
-//!   the FCG/PCG graph window is refreshed, so the [`cache`] keys on
-//!   `(model, checkpoint version, graph epoch, slot)` and a cache hit
-//!   bypasses the queue, the workers and the forward pass entirely.
+//! * **Predictions for a slot are immutable**: a server's dataset is fixed
+//!   when it starts and a version names one set of weights, so the
+//!   [`cache`] module's slot table keys on `(model, checkpoint version,
+//!   slot)` and a ready entry bypasses the queue, the workers and the
+//!   forward pass entirely.
 //! * **Tail latency is bounded** by a per-request deadline: the HTTP handler
 //!   waits on the batch result only up to the deadline, then answers from the
 //!   Historical-Average table and tags the response `degraded`.
@@ -48,14 +49,13 @@ pub mod metrics;
 pub mod registry;
 pub mod server;
 
-pub use batch::{BatchReply, PredictRequest, WorkerPool};
-pub use cache::SlotCache;
+pub use batch::{BatchReply, WorkerPool};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{ModelRegistry, ModelSpec};
 pub use server::{ServeConfig, Server};
 
 /// Errors surfaced by the serving layer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ServeError {
     /// The named model is not registered.
     UnknownModel(String),

@@ -51,10 +51,10 @@ impl Default for LatencyHistogram {
 pub struct ServeMetrics {
     /// Prediction requests accepted (HTTP or in-process).
     requests: AtomicU64,
-    /// Requests answered from the slot cache: at submit, or by a worker
-    /// once another worker's forward pass filled it.
+    /// Requests answered at submit from a ready slot-table entry.
     cache_hits: AtomicU64,
-    /// Requests answered from a coalesced batch (shared one forward pass).
+    /// Requests answered by a forward pass: the one that queued it plus
+    /// every request that joined its key's waiters.
     batched: AtomicU64,
     /// Forward passes actually executed.
     forward_passes: AtomicU64,

@@ -5,9 +5,11 @@
 //! spec (configuration + station count) plus serialized weights — and each
 //! worker thread materialises its own model from the current checkpoint.
 //!
-//! Hot-swap is a single `RwLock`-guarded pointer swap: in-flight batches
-//! keep the `Arc` to the checkpoint they started with, new batches pick up
-//! the new version, and nothing blocks on the forward pass.
+//! Hot-swap is a single `RwLock`-guarded pointer swap: a request keeps the
+//! `Arc` to the checkpoint it read at submit, later requests pick up the
+//! new version, and nothing blocks on the forward pass. A model never
+//! issues one version number twice, so `(model, version)` names exactly
+//! one set of weights — the serving table's key relies on it.
 
 use crate::ServeError;
 use parking_lot::RwLock;
@@ -47,11 +49,10 @@ impl ModelSpec {
 
 /// One immutable, versioned set of serialized weights.
 ///
-/// `graph_epoch` identifies the FCG/PCG topology generation the weights
-/// were trained against: the online loop bumps it on every windowed edge
-/// refresh, and the prediction cache keys on it so a hot-swapped candidate
-/// trained on refreshed edges can never satisfy a request from a
-/// prediction computed against the old graph.
+/// `graph_epoch` labels the FCG/PCG topology generation the weights were
+/// trained against: the online loop stamps it on every promotion and
+/// `/models` reports it. No served value depends on it — a server's
+/// dataset is fixed when it starts — so it is not part of the serving key.
 #[derive(Debug)]
 pub struct Checkpoint {
     pub version: u64,
@@ -73,6 +74,9 @@ pub struct ModelEntry {
     /// When pinned, no path — swap or rollback — may replace the serving
     /// checkpoint.
     pinned: std::sync::atomic::AtomicBool,
+    /// The highest version issued; a swap takes the next one, so a
+    /// version is never reused, a rolled-back one included.
+    issued: std::sync::atomic::AtomicU64,
 }
 
 impl ModelEntry {
@@ -182,13 +186,14 @@ impl ModelRegistry {
                 checkpoint: RwLock::new(Arc::new(checkpoint)),
                 previous: RwLock::new(None),
                 pinned: std::sync::atomic::AtomicBool::new(false),
+                issued: std::sync::atomic::AtomicU64::new(1),
             }),
         );
         Ok(())
     }
 
-    /// Atomically replaces `name`'s weights, bumping the version and
-    /// keeping the current graph epoch. See [`Self::swap_at_epoch`].
+    /// Atomically replaces `name`'s weights under a new version, keeping
+    /// the current graph epoch. See [`Self::swap_at_epoch`].
     pub fn swap(&self, name: &str, bytes: Vec<u8>) -> Result<u64, ServeError> {
         let entry = self
             .get(name)
@@ -197,12 +202,13 @@ impl ModelRegistry {
         self.swap_at_epoch(name, bytes, epoch)
     }
 
-    /// Atomically replaces `name`'s weights, bumping the version and
-    /// stamping the new checkpoint with `graph_epoch` (the FCG/PCG
-    /// topology generation it was trained against). The new checkpoint is
-    /// validated against the registered spec *before* the swap; a bad
-    /// checkpoint leaves the old weights serving. The displaced checkpoint
-    /// is retained for [`Self::rollback`]. Returns the new version.
+    /// Atomically replaces `name`'s weights under a version it never
+    /// issued before, stamping the new checkpoint with `graph_epoch` (the
+    /// FCG/PCG topology generation it was trained against). The new
+    /// checkpoint is validated against the registered spec *before* the
+    /// swap; a bad checkpoint leaves the old weights serving. The displaced
+    /// checkpoint is retained for [`Self::rollback`]. Returns the new
+    /// version.
     pub fn swap_at_epoch(
         &self,
         name: &str,
@@ -234,7 +240,10 @@ impl ModelRegistry {
         let candidate = entry.spec.materialize_with(&probe)?;
         self.validate_candidate(&candidate)?;
         let mut slot = entry.checkpoint.write();
-        let version = slot.version + 1;
+        let version = entry
+            .issued
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+            + 1;
         let displaced = slot.clone();
         *slot = Arc::new(Checkpoint {
             version,
@@ -249,11 +258,11 @@ impl ModelRegistry {
 
     /// Restores the checkpoint displaced by the last swap —
     /// bit-identically: the exact `Arc` (version, graph epoch, and bytes)
-    /// the incumbent served with goes back into the serving slot, so cache
-    /// entries keyed under it become valid again and per-worker models
-    /// rebuilt from it are the incumbent's. The retained handle is cleared:
-    /// a second rollback without an intervening swap is an error, not a
-    /// silent no-op. Returns the restored version.
+    /// the incumbent served with goes back into the serving slot, so table
+    /// entries keyed under its version become valid again and per-worker
+    /// models rebuilt from it are the incumbent's. The retained handle is
+    /// cleared: a second rollback without an intervening swap is an error,
+    /// not a silent no-op. Returns the restored version.
     pub fn rollback(&self, name: &str) -> Result<u64, ServeError> {
         let entry = self
             .get(name)
@@ -276,28 +285,6 @@ impl ModelRegistry {
         let version = incumbent.version;
         *slot = incumbent;
         Ok(version)
-    }
-
-    /// Re-stamps `name`'s serving checkpoint with a new graph epoch
-    /// without touching version or weights. Every cached prediction keyed
-    /// under the old epoch becomes unreachable — this is the cache
-    /// invalidation seam the online loop triggers after a windowed edge
-    /// refresh changes the FCG/PCG inputs the *serving* model's
-    /// predictions were computed from.
-    pub fn set_graph_epoch(&self, name: &str, graph_epoch: u64) -> Result<(), ServeError> {
-        let entry = self
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownModel(name.into()))?;
-        let mut slot = entry.checkpoint.write();
-        if slot.graph_epoch == graph_epoch {
-            return Ok(());
-        }
-        *slot = Arc::new(Checkpoint {
-            version: slot.version,
-            graph_epoch,
-            bytes: slot.bytes.clone(),
-        });
-        Ok(())
     }
 
     /// Pins `name`'s serving checkpoint: swap and rollback are rejected
@@ -518,22 +505,6 @@ mod tests {
         assert_eq!(reg.swap("m", checkpoint_bytes(3)).unwrap(), 3);
         assert_eq!(reg.rollback("m").unwrap(), 2);
         assert!(matches!(reg.pin("nope"), Err(ServeError::UnknownModel(_))));
-    }
-
-    #[test]
-    fn set_graph_epoch_restamps_without_touching_weights() {
-        let reg = ModelRegistry::new(probe());
-        reg.register("m", spec(), checkpoint_bytes(1)).unwrap();
-        let entry = reg.get("m").unwrap();
-        let before = entry.checkpoint();
-        reg.set_graph_epoch("m", 4).unwrap();
-        let after = entry.checkpoint();
-        assert_eq!(after.graph_epoch, 4);
-        assert_eq!(after.version, before.version);
-        assert_eq!(after.bytes, before.bytes);
-        // Same epoch is a no-op (pointer-equal checkpoint).
-        reg.set_graph_epoch("m", 4).unwrap();
-        assert!(Arc::ptr_eq(&after, &entry.checkpoint()));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   hot-swaps the model's weights and returns the new version.
 
 use crate::batch::WorkerPool;
-use crate::cache::SlotCache;
 use crate::http::{json_escape, json_f32_array, read_request, write_response, Request};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::registry::ModelRegistry;
@@ -35,17 +34,14 @@ use stgnn_data::predictor::DemandSupplyPredictor;
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub bind: String,
-    /// Worker threads in the batching pool. A request for a cached slot is
-    /// answered on its own handler thread and never waits for a worker. A
-    /// miss is queued; a free worker takes it together with every queued
-    /// request for the same slot, waits out another worker already
-    /// computing that slot, or else runs one forward pass for the batch.
-    /// No timer holds a batch open: batches form only from requests that
-    /// queued while every worker was busy.
+    /// Worker threads in the pool. A request whose `(model, version,
+    /// slot)` is ready in the pool's slot table is answered on its own
+    /// handler thread and never waits for a worker. A request for a key
+    /// being computed joins that key's waiters; the first request for an
+    /// absent key queues one job, and a free worker runs its one forward
+    /// pass and answers every waiter. No timer holds a batch open: a batch
+    /// is the requests that arrived while their key was queued or running.
     pub workers: usize,
-    /// Slot-cache capacity (distinct `(model, version, graph epoch, slot)`
-    /// entries).
-    pub cache_capacity: usize,
     /// Deadline applied when a request doesn't pass `deadline_ms`.
     pub default_deadline: Duration,
     /// Socket read timeout per connection. A client that connects and then
@@ -63,7 +59,6 @@ impl Default for ServeConfig {
         ServeConfig {
             bind: "127.0.0.1:0".into(),
             workers: 2,
-            cache_capacity: 256,
             default_deadline: Duration::from_millis(250),
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
@@ -85,7 +80,6 @@ struct Ctx {
 pub struct Server {
     addr: SocketAddr,
     registry: Arc<ModelRegistry>,
-    cache: Arc<SlotCache>,
     metrics: Arc<ServeMetrics>,
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
@@ -102,11 +96,9 @@ impl Server {
         // registration or the swap endpoint — is statically validated
         // against the serving dataset before it can serve a request.
         let registry = Arc::new(ModelRegistry::new(Arc::clone(&dataset)));
-        let cache = Arc::new(SlotCache::new(config.cache_capacity));
         let metrics = Arc::new(ServeMetrics::new());
         let pool = Arc::new(WorkerPool::new(
             Arc::clone(&registry),
-            Arc::clone(&cache),
             Arc::clone(&metrics),
             Arc::clone(&dataset),
             config.workers,
@@ -158,7 +150,6 @@ impl Server {
         Ok(Server {
             addr,
             registry,
-            cache,
             metrics,
             shutdown,
             accept_handle: Some(accept_handle),
@@ -174,11 +165,6 @@ impl Server {
     /// The model registry, for initial registration and direct swaps.
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.registry
-    }
-
-    /// The slot cache (exposed for tests and operational tooling).
-    pub fn cache(&self) -> &Arc<SlotCache> {
-        &self.cache
     }
 
     /// Live metrics handle.
@@ -311,13 +297,8 @@ fn handle_predict(ctx: &Ctx, req: &Request) -> (u16, &'static str, String) {
     let Some(slot) = req.query.get("slot").and_then(|s| s.parse::<usize>().ok()) else {
         return bad_request(ctx, "missing or invalid query parameter: slot");
     };
-    let first = ctx.dataset.first_valid_slot();
-    let last = ctx.dataset.flows().num_slots();
-    if slot < first || slot > last {
-        return bad_request(
-            ctx,
-            &format!("slot {slot} outside servable range [{first}, {last}]"),
-        );
+    if let Err(msg) = ctx.dataset.check_servable(slot) {
+        return bad_request(ctx, &msg);
     }
     let station = match req.query.get("station") {
         None => None,
@@ -341,6 +322,8 @@ fn handle_predict(ctx: &Ctx, req: &Request) -> (u16, &'static str, String) {
         .map(|ms| Duration::from_millis(ms.clamp(1, 60_000)))
         .unwrap_or(ctx.default_deadline);
 
+    // The pool counts every refusal it answers; this handler counts only
+    // the ones it makes itself.
     let rx = ctx.pool.submit(model.clone(), slot);
     let outcome = rx.recv_timeout(deadline);
     let latency = started.elapsed();
@@ -378,22 +361,16 @@ fn handle_predict(ctx: &Ctx, req: &Request) -> (u16, &'static str, String) {
                 ),
             )
         }
-        Ok(Err(e @ ServeError::UnknownModel(_))) => {
-            ctx.metrics.inc_errors();
-            (
-                404,
-                "application/json",
-                format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string())),
-            )
-        }
-        Ok(Err(e)) => {
-            ctx.metrics.inc_errors();
-            (
-                400,
-                "application/json",
-                format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string())),
-            )
-        }
+        Ok(Err(e @ ServeError::UnknownModel(_))) => (
+            404,
+            "application/json",
+            format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string())),
+        ),
+        Ok(Err(e)) => (
+            400,
+            "application/json",
+            format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string())),
+        ),
         Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
             // Deadline missed (or pipeline went away): degrade to the
             // Historical-Average table rather than keep the caller waiting.

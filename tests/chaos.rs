@@ -216,16 +216,16 @@ fn forward_pass_panic_fails_one_request_and_the_server_keeps_serving() {
         );
 
         // The worker contained the failure; the retry goes through the full
-        // forward path (the failed batch never populated the cache).
+        // forward path (the failed forward stored nothing in the table).
         let ok = client::get(addr, &path).unwrap();
         assert_eq!(ok.status, 200, "{site}: {}", ok.body);
         assert_eq!(ok.json_field("degraded").unwrap(), "false");
 
         let s = server.metrics_snapshot();
-        // The one failed request is counted at the worker and again by the
-        // HTTP reply layer; the successful retry contributes the one
-        // forward pass.
-        assert_eq!(s.errors, 2, "{site}: snapshot: {s:?}");
+        // The one failed request counts one error, at the worker that
+        // answered it; the successful retry contributes the one forward
+        // pass.
+        assert_eq!(s.errors, 1, "{site}: snapshot: {s:?}");
         assert_eq!(s.requests, 2, "{site}: snapshot: {s:?}");
         assert_eq!(s.forward_passes, 1, "{site}: snapshot: {s:?}");
         assert_eq!(stgnn_djd::faults::fired(site), 1, "{site}");

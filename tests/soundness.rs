@@ -530,15 +530,6 @@ fn real_workspace_is_clean_and_every_escape_names_an_invariant() {
     assert_eq!(r.denies(), 0, "{:#?}", r.diagnostics);
     assert!(r.files_scanned > 50, "only {} files", r.files_scanned);
     assert!(r.functions > 500);
-    // The serve batcher's shutdown send is the one annotated acquisition
-    // boundary in the tree; its escape must be live, not stale.
-    assert!(
-        r.escapes
-            .iter()
-            .any(|e| e.used && e.code == "S002" && e.invariant == "UNBOUNDED-SEND-NONBLOCKING"),
-        "{:#?}",
-        r.escapes
-    );
     let json = r.to_json();
     assert!(json.contains("stgnn-sound-report/v1"));
     assert!(json.contains("\"denied\": 0"));
